@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -42,13 +43,17 @@ CANTOR_POLICY = AdaptiveScale(1.5)
 
 def _grid_for(space, arg):
     if arg:
-        grid = [float(tok) for tok in arg.split(",") if tok.strip()]
+        try:
+            grid = [float(tok) for tok in arg.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ValidationError(f"bad epsilon grid {arg!r}: {exc}") from None
     else:
         grid = list(DEFAULT_GRID)
         if space.metric.kind == "cantor":
             grid = sorted(set(grid + CANTOR_EXTRA), reverse=True)
-    if not grid or any(b >= a for a, b in zip(grid, grid[1:])) or any(e <= 0 for e in grid):
-        raise ValidationError("epsilon grid must be positive and strictly decreasing")
+    if (not grid or any(b >= a for a, b in zip(grid, grid[1:]))
+            or not all(0 < e < math.inf for e in grid)):
+        raise ValidationError("epsilon grid must be positive, finite and strictly decreasing")
     return grid
 
 
@@ -255,7 +260,6 @@ def _add_common(p):
     p.add_argument("--epsilon", type=float, help="single epsilon (glue)")
     p.add_argument("--max-layers", dest="max_layers", type=int, default=24)
     p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--emit-plot-data", dest="emit_plot", action="store_true",

@@ -16,6 +16,7 @@ step at which the pair-step trace empties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,12 +76,11 @@ def _ball_extremes(space, members, radii, fvals):
         width = metric.width
         maxv = np.full(k, -np.inf)
         minv = np.full(k, np.inf)
-        creq = np.empty(k, dtype=np.int64)
-        for i in range(k):
-            if radii[i] <= 0:
-                creq[i] = width + 1  # empty ball sentinel
-            else:
-                creq[i] = min(metric.cylinder_length(radii[i]), width)
+        uniq, inv = np.unique(radii, return_inverse=True)
+        lengths = np.array([min(metric.cylinder_length(r), width) if r > 0
+                            else width + 1  # empty ball sentinel
+                            for r in uniq], dtype=np.int64)
+        creq = lengths[inv.reshape(-1)]
         for c in np.unique(creq):
             sel = creq == c
             if c > width:
@@ -125,8 +125,8 @@ def _step_keep(space, members, radii, fvals, epsilon, kind):
 
 
 def _check_step_args(f, epsilon, P):
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"epsilon must be a positive finite number, got {epsilon}")
     if not P.issubset(f.domain):
         raise PreconditionError("P is not contained in the field domain")
 
@@ -370,8 +370,8 @@ def index_profile(f: ScalarField, P: SubsetMask, policy, epsilon_grid) -> IndexP
     grid = [float(e) for e in epsilon_grid]
     if not grid:
         raise ValidationError("epsilon grid must be nonempty")
-    if any(b >= a for a, b in zip(grid, grid[1:])) or any(e <= 0 for e in grid):
-        raise ValidationError("epsilon grid must be positive and strictly decreasing")
+    if any(b >= a for a, b in zip(grid, grid[1:])) or not all(0 < e < math.inf for e in grid):
+        raise ValidationError("epsilon grid must be positive, finite and strictly decreasing")
     entries = []
     for eps in grid:
         tr = iterate("pair", f, eps, P, policy)

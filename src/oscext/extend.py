@@ -28,6 +28,9 @@ from .derive import iterate, osc_at_point
 from .unity import blend, cover_for_piece, partition
 
 CLOPEN_FAMILIES = ("cantor", "ordinal", "sequence")
+# (center, member) pairs per chunk of the cantor layering kernel: bounds its
+# temporaries whatever the support sizes.
+_PAIR_CHUNK = 1 << 14
 
 
 @dataclass
@@ -423,7 +426,6 @@ def _assert_layer_bounds(space, Y, fY, layers):
 def _layered_generic(space, Y, fY, max_layers, n_max):
     """Mask-based layered construction for small, general metric spaces."""
     n = space.n
-    nearest_y, _dy = nearest_in_set(space, Y)
     osc_res = np.array([osc_at_point(fY, x, Y, space.resolution) for x in range(n)])
     centers = np.arange(n)
     depths = np.zeros(n, dtype=np.int64)
@@ -510,39 +512,47 @@ def _layered_cantor(space, Y, fY, max_layers, n_max):
     n >= l, and the support-disjointness condition reduces to comparing
     counts of deep elements inside the candidate window against those
     covering the point.
+
+    Accumulation-order contract: each member's hat sums add its centers'
+    terms one at a time in center-id order, starting from 0, exactly as
+    the definition's per-center loop does.  The (center, member) pairs are
+    laid out flat in that order and fed to ``np.add.at`` in chunks, so the
+    field is bit-identical to the loop's even for non-dyadic values.  The
+    level and previous-level tables are order-free maxima and minima,
+    painted per distinct depth over whole cylinders.
     """
     metric = space.metric
     n = space.n
     width = metric.width
     order = np.argsort(metric.codes[width], kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
     sorted_codes = [metric.codes[c][order] for c in range(width + 1)]
 
     def code_at(c):
         return metric.codes[min(c, width)]
 
-    def cyl_range(i, c):
-        c = min(c, width)
-        sc = sorted_codes[c]
-        code = metric.codes[c][i]
-        return np.searchsorted(sc, code, side="left"), np.searchsorted(sc, code, side="right")
-
-    # Per-depth Y tables: count, min/max of f over Y in each cylinder.
+    # Per-depth cylinder tables over the sorted order: the cylinder of each
+    # position, the cylinder bounds, and count / oscillation of f over Y.
     y_sorted = Y.mask[order]
     fv_sorted = np.where(Y.mask, fY.values, np.nan)[order]
+    cyl_of = []
+    bounds = []
     ycnt = np.zeros((width + 1, n), dtype=np.int64)
     yosc = np.zeros((width + 1, n))
     for c in range(width + 1):
         sc = sorted_codes[c]
-        starts = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]])
-        gidx = np.cumsum(np.r_[False, sc[1:] != sc[:-1]])
+        new = np.r_[True, sc[1:] != sc[:-1]]
+        starts = np.flatnonzero(new)
+        gidx = np.cumsum(new) - 1
         cnt = np.add.reduceat(y_sorted.astype(np.int64), starts)
         fmax = np.maximum.reduceat(np.where(y_sorted, fv_sorted, -np.inf), starts)
         fmin = np.minimum.reduceat(np.where(y_sorted, fv_sorted, np.inf), starts)
         osc = np.where(cnt >= 2, fmax - fmin, 0.0)
-        per_sorted_cnt = cnt[gidx]
-        per_sorted_osc = osc[gidx]
-        ycnt[c][order] = per_sorted_cnt
-        yosc[c][order] = per_sorted_osc
+        ycnt[c][order] = cnt[gidx]
+        yosc[c][order] = osc[gidx]
+        cyl_of.append(gidx)
+        bounds.append(np.r_[starts, n])
 
     def ycnt_at(ids, c):
         if c >= width:
@@ -557,40 +567,73 @@ def _layered_cantor(space, Y, fY, max_layers, n_max):
 
     nearest_y, _dy = nearest_in_set(space, Y)
     osc_res = yosc_at(np.arange(n), metric.cylinder_length(space.resolution))
+    full_sorted = sorted_codes[width]
+    # Pair distance by common-prefix length; a center's own pair takes the
+    # extra slot, distance 0.
+    dist_of = np.r_[2.0 ** -(np.arange(width + 1) + 1.0), 0.0]
 
     centers = np.arange(n)
     depths = np.zeros(n, dtype=np.int64)
     layers = []
     l_prev = None
     for k in range(max_layers):
+        anchored = np.empty(centers.size, dtype=bool)
+        wide = np.maximum(depths - 1, 0)  # anchors live in the doubled ball
+        for c in np.unique(wide):
+            sel = wide == c
+            anchored[sel] = ycnt_at(centers[sel], int(c)) > 0
+        if not anchored.all():
+            s = int(centers[np.argmin(anchored)])
+            raise InvariantError(f"layer {k}: no anchor candidate near {s}")
+
+        # Support of each center: its cylinder, a range of sorted positions.
+        cdep = np.minimum(depths, width)
+        cyl = np.empty(centers.size, dtype=np.int64)
+        lo = np.empty(centers.size, dtype=np.int64)
+        hi = np.empty(centers.size, dtype=np.int64)
+        for c in np.unique(cdep):
+            sel = cdep == c
+            cyl[sel] = cyl_of[c][rank[centers[sel]]]
+            lo[sel] = bounds[c][cyl[sel]]
+            hi[sel] = bounds[c][cyl[sel] + 1]
+
+        # Hat sums, indexed by sorted position until the end of the layer.
+        r = 2.0 ** -depths.astype(float)
+        a = fY.values[nearest_y[centers]]
+        s_code = metric.codes[width][centers]
+        counts = hi - lo
+        ends = np.cumsum(counts)
+        shift = lo - (ends - counts)  # flat pair index -> sorted position
+        own = rank[centers] - shift  # flat index of each center's own pair
         num = np.zeros(n)
         den = np.zeros(n)
+        p = 0
+        while p < centers.size:
+            base = int(ends[p - 1]) if p else 0
+            q = max(p + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")))
+            cnt = counts[p:q]
+            pos = np.arange(base, int(ends[q - 1])) + np.repeat(shift[p:q], cnt)
+            lcp = metric.common_prefix(full_sorted[pos], np.repeat(s_code[p:q], cnt))
+            lcp[own[p:q] - base] = width + 1
+            w = np.repeat(r[p:q], cnt) - dist_of[lcp]
+            np.add.at(num, pos, w * np.repeat(a[p:q], cnt))
+            np.add.at(den, pos, w)
+            p = q
+
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
-        for pos in range(centers.size):
-            s = int(centers[pos])
-            nu = int(depths[pos])
-            r = 2.0**-nu
-            lo, hi = cyl_range(s, nu)
-            mem = order[lo:hi]
-            lcp = np.full(mem.size, min(nu, width), dtype=np.int64)
-            for c in range(min(nu, width) + 1, width + 1):
-                clo, chi = cyl_range(s, c)
-                if clo == lo and chi == hi:
-                    lcp[:] = c
-                    continue
-                lcp[clo - lo: chi - lo] = c
-            d = 2.0 ** -(lcp + 1.0)
-            d[lcp == width] = np.where(mem[lcp == width] == s, 0.0, 2.0 ** -(width + 1.0))
-            w = r - d
-            a = fY.values[nearest_y[s]]
-            if ycnt_at(np.array([s]), max(nu - 1, 0))[0] == 0:
-                raise InvariantError(f"layer {k}: no anchor candidate near {s}")
-            num[mem] += w * a
-            den[mem] += w
-            np.maximum.at(lmax, mem, nu)
+        for nu in np.unique(depths):
+            sel = depths == nu
+            c = min(int(nu), width)
+            ngroups = bounds[c].size - 1
+            covered = np.bincount(cyl[sel], minlength=ngroups) > 0
+            lmax[covered[cyl_of[c]]] = nu
             if l_prev is not None:
-                np.minimum.at(minlp, mem, l_prev[s])
+                gmin = np.full(ngroups, np.inf)
+                np.minimum.at(gmin, cyl[sel], l_prev[centers[sel]])
+                minlp = np.minimum(minlp, gmin[cyl_of[c]])
+        num, den, lmax, minlp = num[rank], den[rank], lmax[rank], minlp[rank]
+
         carrier_mask = den > 0
         carrier = SubsetMask(space, carrier_mask)
         values = np.where(carrier_mask, num / np.where(carrier_mask, den, 1.0), np.nan)

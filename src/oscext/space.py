@@ -117,6 +117,21 @@ class CantorMetric:
             codes[c] = codes[c - 1] * np.uint64(2) + self.bits[:, c - 1]
         self.codes = codes
 
+    def common_prefix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise common-prefix length of full-width codes ``a`` and ``b``.
+
+        Exact at every width up to 64.  The leading set bit of ``a ^ b`` is
+        smeared downwards, giving 2^b - 1 for bit length b; its top bit
+        alone, 2^(b-1), is a power of two and so converts to float64 exactly.
+        """
+        x = a ^ b
+        shift = 1
+        while shift < self.width:
+            x |= x >> np.uint64(shift)
+            shift *= 2
+        top = x - (x >> np.uint64(1))
+        return self.width - np.frexp(top.astype(np.float64))[1].astype(np.int64)
+
     def lcp_row(self, i: int) -> np.ndarray:
         """Length of the longest common prefix with every point."""
         diff = self.bits != self.bits[i]
@@ -371,8 +386,8 @@ class FixedScale:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValidationError("fixed scale must be positive")
+        if not (np.isfinite(self.delta) and self.delta > 0):
+            raise ValidationError(f"fixed scale must be a positive finite number, got {self.delta}")
 
     def radii(self, space: SpaceInstance, members: np.ndarray) -> np.ndarray:
         return np.full(members.size, self.delta)
@@ -388,8 +403,8 @@ class AdaptiveScale:
     multiplier: float = 3.0
 
     def __post_init__(self):
-        if self.multiplier < 1:
-            raise ValidationError("adaptive multiplier must be >= 1")
+        if not (np.isfinite(self.multiplier) and self.multiplier >= 1):
+            raise ValidationError(f"adaptive multiplier must be finite and >= 1, got {self.multiplier}")
 
     def radii(self, space: SpaceInstance, members: np.ndarray) -> np.ndarray:
         ls, _ = local_scales(space, members)
@@ -445,23 +460,33 @@ def local_scales(space: SpaceInstance, members: np.ndarray):
         return ls, nn
     metric = space.metric
     if metric.kind == "cantor":
-        best_c = np.full(k, -1, dtype=np.int64)
-        width = metric.width
-        for c in range(width, 0, -1):
-            codes = metric.codes[c][m]
-            _, inv, counts = np.unique(codes, return_inverse=True, return_counts=True)
-            shared = counts[inv] >= 2
-            fill = shared & (best_c < 0)
-            best_c[fill] = c
-        # Companions exist for every member once c = 0 is reached.
-        best_c[best_c < 0] = 0
+        # best_c: the longest prefix a member shares with another member,
+        # which in code order is its longer prefix with a sorted neighbour.
+        full = metric.codes[metric.width][m]
+        srt = np.argsort(full, kind="stable")
+        adj = metric.common_prefix(full[srt[1:]], full[srt[:-1]])
+        shared = np.zeros(k, dtype=np.int64)
+        shared[1:] = adj
+        shared[:-1] = np.maximum(shared[:-1], adj)
+        best_c = np.empty(k, dtype=np.int64)
+        best_c[srt] = shared
         ls = 2.0 ** -(best_c + 1.0)
-        for idx in range(k):
-            c = int(best_c[idx])
-            codes = metric.codes[c][m] if c > 0 else np.zeros(k, dtype=np.uint64)
-            mates = np.flatnonzero(codes == codes[idx])
-            mates = mates[mates != idx]
-            nn[idx] = int(m[mates].min())
+        # The neighbour is the smallest other id in the member's best_c
+        # cylinder.  Cylinders take every member, not only those with the
+        # same best_c: a mate may share a deeper prefix with someone else.
+        for c in np.unique(best_c):
+            codes = metric.codes[c][m]
+            srt = np.lexsort((m, codes))
+            sc = codes[srt]
+            new = np.r_[True, sc[1:] != sc[:-1]]
+            start = np.flatnonzero(new)
+            group = np.empty(k, dtype=np.int64)
+            group[srt] = np.cumsum(new) - 1
+            first = m[srt[start]]
+            second = m[srt[np.minimum(start + 1, k - 1)]]  # read only for groups of >= 2
+            sel = np.flatnonzero(best_c == c)
+            g = group[sel]
+            nn[sel] = np.where(first[g] == m[sel], second[g], first[g])
         return ls, nn
     if metric.kind == "euclidean" and k > 2048:
         tree = cKDTree(metric.coords[m])
@@ -557,16 +582,15 @@ class ScatteredDecomposition:
         return int(self.ranks[i])
 
 
-def _adaptive_survivors(space, members, multiplier):
+def _adaptive_survivors(members, ls, nn, multiplier):
     """Members whose nearest neighbour lives at a strictly finer scale.
 
     x survives when its nearest neighbour y satisfies
     multiplier * local_scale(y) < d(x, y): y's own adaptive ball has moved
     on past x, so structure keeps refining towards x.  Companion points at
     comparable scale eliminate each other, which makes the iteration
-    strictly decreasing.
+    strictly decreasing.  ``ls`` and ``nn`` are local_scales of members.
     """
-    ls, nn = local_scales(space, members)
     if members.size < 2:
         return members[:0]
     pos = {int(p): idx for idx, p in enumerate(members)}
@@ -592,16 +616,16 @@ def cb_filtration(space: SpaceInstance, A: SubsetMask, policy) -> ScatteredDecom
     terminal = None
     for step in range(space.n + 1):
         members = current.ids()
+        ls, nn = local_scales(space, members)
         if isinstance(policy, FixedScale):
-            nxt_ids = delta_limit_points(space, current, policy.delta).ids()
+            nxt_ids = members[(ls > 0) & (ls < policy.delta)]  # as in delta_limit_points
         else:
-            nxt_ids = _adaptive_survivors(space, members, policy.multiplier)
+            nxt_ids = _adaptive_survivors(members, ls, nn, policy.multiplier)
         nxt = space.mask_from_ids(nxt_ids)
         if nxt == current:
             terminal = ("saturated", step)
             break
         dropped = np.setdiff1d(members, nxt_ids, assume_unique=True)
-        ls, _ = local_scales(space, members)
         pos = {int(p): idx for idx, p in enumerate(members)}
         for p in dropped:
             ranks[p] = step

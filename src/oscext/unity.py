@@ -65,8 +65,8 @@ def cover_for_piece(space: SpaceInstance, Ybeta: SubsetMask, Ynext: SubsetMask,
     Both defining conditions (ball misses Ynext; f stays inside the open
     epsilon window around f(y) on the ball) are verified per element.
     """
-    if epsilon <= 0:
-        raise ValidationError("epsilon must be positive")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise ValidationError(f"epsilon must be a positive finite number, got {epsilon}")
     if not Ynext.issubset(Ybeta):
         raise PreconditionError("Ynext must be contained in Ybeta")
     if not Ybeta.issubset(f.domain):

@@ -1,0 +1,304 @@
+"""The cantor backend's vectorised kernels against loops written from the definitions.
+
+local_scales and the one-step operators are checked against the brute-force
+oracles.  The layered construction is checked against the per-center loop it
+replaced, kept below as the reference: the arithmetic is unchanged, so every
+layer must be bit-identical, NaNs included.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from oscext import (
+    AdaptiveScale,
+    FixedScale,
+    ScalarField,
+    SpaceInstance,
+    cantor_instance,
+    gap_step,
+    pair_step,
+)
+from oscext.errors import InvariantError
+from oscext.extend import LayerState, _layered_cantor, _match_counts, nearest_in_set
+from oscext.instances import block_parity_field
+from oscext.space import CantorMetric, SubsetMask, local_scales
+
+from oracles import o_gap_step, o_local_scale, o_pair_step
+
+
+def brute_nearest(space, members):
+    """Smallest id among the other members at the smallest distance; -1 if none."""
+    out = []
+    for x in members:
+        others = [(space.dist(int(x), int(y)), int(y)) for y in members if y != x]
+        if not others:
+            out.append(-1)
+            continue
+        dmin = min(d for d, _ in others)
+        out.append(min(y for d, y in others if d == dmin))
+    return out
+
+
+def member_sets(space, seed):
+    rng = np.random.default_rng(seed)
+    n = space.n
+    sets = [rng.choice(n, size=2, replace=False) for _ in range(4)]
+    sets += [rng.choice(n, size=k, replace=False) for k in (3, 7, 20, 60)]
+    return [np.sort(s) for s in sets] + [np.arange(n)]
+
+
+def wide_space(width=64, n=40, seed=5):
+    """Random distinct points of a wide prefix metric, plus pairs whose code
+    XOR is 2^b - 1 for b > 53: a float64 bit length rounds those up."""
+    rng = np.random.default_rng(seed)
+    rows = {tuple(r) for r in rng.integers(0, 2, size=(n, width))}
+    for lead in (0, 3, 9):
+        low = [0] * lead + [0] + [1] * (width - lead - 1)
+        high = [0] * lead + [1] + [0] * (width - lead - 1)
+        rows.update({tuple(low), tuple(high)})
+    bits = np.array(sorted(rows), dtype=np.uint8)
+    return SpaceInstance(f"wide_{width}", CantorMetric(bits), resolution=2.0**-8, family="cantor")
+
+
+class TestCommonPrefix:
+    @pytest.mark.parametrize("width", [3, 13, 52, 53, 54, 63, 64])
+    def test_exact_at_every_width(self, width):
+        rng = np.random.default_rng(width)
+        top = (1 << width) - 1
+        vals = [0, top, 1, top - 1, 1 << (width - 1), (1 << (width - 1)) - 1]
+        vals += [int(v) for v in rng.integers(0, 2**63, size=40, dtype=np.uint64) >> (64 - width)]
+        a = np.array([v for v in vals for _ in vals], dtype=np.uint64)
+        b = np.array([w for _ in vals for w in vals], dtype=np.uint64)
+        metric = CantorMetric(np.zeros((1, width), dtype=np.uint8))
+        want = [width - (int(x) ^ int(y)).bit_length() for x, y in zip(a, b)]
+        assert metric.common_prefix(a, b).tolist() == want
+
+
+class TestLocalScales:
+    @pytest.mark.parametrize("depth", [6, 8])
+    def test_matches_oracles(self, depth):
+        space = cantor_instance(depth)
+        for members in member_sets(space, depth)[:-1] + [np.arange(0, space.n, 3)]:
+            ls, nn = local_scales(space, members)
+            assert ls.tolist() == [o_local_scale(space, x, members) for x in members]
+            assert nn.tolist() == brute_nearest(space, members)
+
+    def test_unsorted_members(self, cantor6):
+        members = np.random.default_rng(3).permutation(cantor6.n)[:30]
+        ls, nn = local_scales(cantor6, members)
+        assert ls.tolist() == [o_local_scale(cantor6, x, members) for x in members]
+        assert nn.tolist() == brute_nearest(cantor6, members)
+
+    def test_wide_width(self):
+        space = wide_space()
+        members = np.arange(space.n)
+        ls, nn = local_scales(space, members)
+        assert ls.tolist() == [o_local_scale(space, x, members) for x in members]
+        assert nn.tolist() == brute_nearest(space, members)
+
+    def test_singleton(self, cantor6):
+        ls, nn = local_scales(cantor6, np.array([5]))
+        assert ls.tolist() == [0.0] and nn.tolist() == [-1]
+
+
+class TestSteps:
+    POLICIES = [(AdaptiveScale(1.5), ("adaptive", 1.5)), (FixedScale(2.0**-4), ("fixed", 2.0**-4))]
+
+    @pytest.mark.parametrize("depth", [6, 8])
+    @pytest.mark.parametrize("policy,oracle_policy", POLICIES)
+    def test_steps_match_oracles(self, depth, policy, oracle_policy):
+        space = cantor_instance(depth)
+        rng = np.random.default_rng(100 + depth)
+        f = ScalarField(space.full_mask(), rng.choice([0.0, 1 / 3, 2 / 3, 1.0], size=space.n))
+        sets = member_sets(space, depth)[:-1] + [np.array([7])]  # a singleton level
+        if depth == 6:
+            sets.append(np.arange(space.n))
+        for members in sets:
+            P = space.mask_from_ids(members)
+            for eps in (1 / 3, 0.5):
+                got = pair_step(f, eps, P, policy).ids().tolist()
+                assert got == o_pair_step(space, f.values, eps, members, oracle_policy)
+                got = gap_step(f, eps, P, policy).ids().tolist()
+                assert got == o_gap_step(space, f.values, eps, members, oracle_policy)
+
+
+# ---------------------------------------------------------------------------
+# Layering: the per-center loop of the definition, kept as the reference
+# ---------------------------------------------------------------------------
+
+def reference_layered_cantor(space, Y, fY, max_layers, n_max):
+    metric = space.metric
+    n = space.n
+    width = metric.width
+    order = np.argsort(metric.codes[width], kind="stable")
+    sorted_codes = [metric.codes[c][order] for c in range(width + 1)]
+
+    def code_at(c):
+        return metric.codes[min(c, width)]
+
+    def cyl_range(i, c):
+        c = min(c, width)
+        sc = sorted_codes[c]
+        code = metric.codes[c][i]
+        return np.searchsorted(sc, code, side="left"), np.searchsorted(sc, code, side="right")
+
+    y_sorted = Y.mask[order]
+    fv_sorted = np.where(Y.mask, fY.values, np.nan)[order]
+    ycnt = np.zeros((width + 1, n), dtype=np.int64)
+    yosc = np.zeros((width + 1, n))
+    for c in range(width + 1):
+        sc = sorted_codes[c]
+        starts = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]])
+        gidx = np.cumsum(np.r_[False, sc[1:] != sc[:-1]])
+        cnt = np.add.reduceat(y_sorted.astype(np.int64), starts)
+        fmax = np.maximum.reduceat(np.where(y_sorted, fv_sorted, -np.inf), starts)
+        fmin = np.minimum.reduceat(np.where(y_sorted, fv_sorted, np.inf), starts)
+        osc = np.where(cnt >= 2, fmax - fmin, 0.0)
+        ycnt[c][order] = cnt[gidx]
+        yosc[c][order] = osc[gidx]
+
+    def ycnt_at(ids, c):
+        if c >= width:
+            extra = Y.mask[ids].astype(np.int64)
+            return extra if c > width else ycnt[width][ids]
+        return ycnt[c][ids]
+
+    def yosc_at(ids, c):
+        if c > width:
+            return np.zeros(len(ids))
+        return yosc[min(c, width)][ids]
+
+    nearest_y, _dy = nearest_in_set(space, Y)
+    osc_res = yosc_at(np.arange(n), metric.cylinder_length(space.resolution))
+
+    centers = np.arange(n)
+    depths = np.zeros(n, dtype=np.int64)
+    layers = []
+    l_prev = None
+    for k in range(max_layers):
+        num = np.zeros(n)
+        den = np.zeros(n)
+        lmax = np.full(n, -1, dtype=np.int64)
+        minlp = np.full(n, np.inf)
+        for pos in range(centers.size):
+            s = int(centers[pos])
+            nu = int(depths[pos])
+            r = 2.0**-nu
+            lo, hi = cyl_range(s, nu)
+            mem = order[lo:hi]
+            lcp = np.full(mem.size, min(nu, width), dtype=np.int64)
+            for c in range(min(nu, width) + 1, width + 1):
+                clo, chi = cyl_range(s, c)
+                if clo == lo and chi == hi:
+                    lcp[:] = c
+                    continue
+                lcp[clo - lo: chi - lo] = c
+            d = 2.0 ** -(lcp + 1.0)
+            d[lcp == width] = np.where(mem[lcp == width] == s, 0.0, 2.0 ** -(width + 1.0))
+            w = r - d
+            a = fY.values[nearest_y[s]]
+            if ycnt_at(np.array([s]), max(nu - 1, 0))[0] == 0:
+                raise InvariantError(f"layer {k}: no anchor candidate near {s}")
+            num[mem] += w * a
+            den[mem] += w
+            np.maximum.at(lmax, mem, nu)
+            if l_prev is not None:
+                np.minimum.at(minlp, mem, l_prev[s])
+        carrier_mask = den > 0
+        carrier = SubsetMask(space, carrier_mask)
+        values = np.where(carrier_mask, num / np.where(carrier_mask, den, 1.0), np.nan)
+        lvl = np.where(carrier_mask, lmax + 1, 0).astype(np.int64)
+        layers.append(LayerState(k, centers.copy(), depths.copy(), carrier, values, lvl,
+                                 None if l_prev is None else minlp))
+
+        members = np.flatnonzero(carrier_mask)
+        cand = members[osc_res[members] < 2.0 ** -lvl[members].astype(float)]
+        if cand.size == 0 or k + 1 >= max_layers:
+            break
+        pending = cand.copy()
+        lx = lvl[cand].astype(np.int64)
+        chosen = np.full(n, -1, dtype=np.int64)
+        for nn in range(int(lx.min()), n_max + 1):
+            if pending.size == 0:
+                break
+            active = pending[lx[np.searchsorted(cand, pending)] <= nn]
+            if active.size == 0:
+                continue
+            ok = ycnt_at(active, nn - 1) > 0
+            lact = lvl[active].astype(float)
+            ok &= yosc_at(active, nn - 1) < 2.0**-lact
+            deep = depths >= nn
+            if deep.any():
+                deep_centers = centers[deep]
+                deep_depths = depths[deep]
+                c1 = _match_counts(code_at(nn - 1), deep_centers, active)
+                c2 = np.zeros(active.size, dtype=np.int64)
+                for m in np.unique(deep_depths):
+                    sel = deep_centers[deep_depths == m]
+                    c2 += _match_counts(code_at(int(m)), sel, active)
+                ok &= c1 == c2
+            taken = active[ok]
+            chosen[taken] = nn
+            keep = chosen[pending] < 0
+            pending = pending[keep]
+        next_centers = np.flatnonzero(chosen >= 0)
+        if next_centers.size == 0:
+            break
+        centers = next_centers
+        depths = chosen[next_centers]
+        l_prev_full = np.zeros(n, dtype=np.int64)
+        l_prev_full[carrier_mask] = lvl[carrier_mask]
+        l_prev = l_prev_full
+    return layers
+
+
+def identical(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+
+
+def assert_same_layers(space, Y, fY, max_layers=24):
+    n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
+    want = reference_layered_cantor(space, Y, fY, max_layers, n_max)
+    got = _layered_cantor(space, Y, fY, max_layers, n_max)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.k == w.k
+        assert identical(g.carrier.mask, w.carrier.mask)
+        for name in ("centers", "depths", "values", "level_numbers", "min_prev_level"):
+            assert identical(getattr(g, name), getattr(w, name)), (g.k, name)
+    return got
+
+
+class TestLayeredBitIdentity:
+    @pytest.mark.parametrize("depth", [6, 8, 10])
+    def test_block_parity(self, depth):
+        space = cantor_instance(depth)
+        Y = space.subsets["Y"]
+        layers = assert_same_layers(space, Y, block_parity_field(space).restrict(Y))
+        assert len(layers) > 2
+
+    def test_non_dyadic_random_field(self):
+        space = cantor_instance(8)
+        Y = space.subsets["Y"]
+        base = block_parity_field(space).values
+        noise = np.random.default_rng(8).uniform(-1.0, 1.0, space.n) * 2.0**-10 / 3
+        fY = ScalarField(Y, np.where(Y.mask, base + noise, np.nan))
+        layers = assert_same_layers(space, Y, fY)
+        assert len(layers) > 2
+
+    def test_truncated(self):
+        space = cantor_instance(8)
+        Y = space.subsets["Y"]
+        layers = assert_same_layers(space, Y, block_parity_field(space).restrict(Y), max_layers=3)
+        assert len(layers) == 3
+
+    def test_wide_width(self):
+        space = wide_space()
+        rng = np.random.default_rng(1)
+        Y = space.mask_from_ids(np.flatnonzero(rng.random(space.n) < 0.6))
+        fY = ScalarField(Y, np.where(Y.mask, rng.random(space.n), np.nan))
+        assert_same_layers(space, Y, fY)

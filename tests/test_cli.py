@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from oscext.cli import main
 
 from conftest import FIXTURES
@@ -133,6 +135,25 @@ class TestEx1:
         code, out, _e = run(capsys, "ex1", "--depths", "2", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "depth,method,epsilon,index"
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("argv", [
+        ["index", "--generate", "cantor:4", "--policy", "adaptive:nan"],
+        ["index", "--generate", "cantor:4", "--policy", "fixed:inf"],
+        ["index", "--generate", "cantor:4", "--epsilon-grid", "nan"],
+        ["extend", "--generate", "sequence", "--method", "glue", "--epsilon", "nan"],
+    ])
+    def test_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    def test_non_numeric_grid_exits_one(self, capsys):
+        code, _out, err = run(capsys, "index", "--generate", "cantor:4", "--epsilon-grid", "0.5,abc")
+        assert code == 1
+        assert "bad epsilon grid" in err
 
 
 class TestFileErrors:

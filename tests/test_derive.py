@@ -211,6 +211,15 @@ class TestIndexProfile:
             index_profile(seq_indicator, seq10.full_mask(), AdaptiveScale(2.0), [])
         with pytest.raises(ValidationError):
             index_profile(seq_indicator, seq10.full_mask(), AdaptiveScale(2.0), [0.1, 0.5])
+        for grid in ([float("nan")], [float("inf"), 0.5], [0.5, float("nan")]):
+            with pytest.raises(ValidationError, match="finite"):
+                index_profile(seq_indicator, seq10.full_mask(), AdaptiveScale(2.0), grid)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, seq10, seq_indicator, eps):
+        for step in (pair_step, gap_step):
+            with pytest.raises(ValidationError, match="finite"):
+                step(seq_indicator, eps, seq10.full_mask(), AdaptiveScale(2.0))
 
     def test_csv_rows_mark_saturation(self, seq10, seq_indicator):
         prof = index_profile(seq_indicator, seq10.full_mask(), AdaptiveScale(3.0), [0.5])

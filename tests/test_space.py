@@ -238,6 +238,11 @@ class TestPolicies:
         with pytest.raises(ValidationError):
             parse_policy("fixed:-1")
 
+    @pytest.mark.parametrize("text", ["fixed:nan", "fixed:inf", "adaptive:nan", "adaptive:inf"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValidationError, match="finite"):
+            parse_policy(text)
+
 
 class TestMasksAndFields:
     def test_mask_ops(self, seq10):

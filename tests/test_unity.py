@@ -56,6 +56,11 @@ class TestCoverForPiece:
         with pytest.raises(PreconditionError):
             cover_for_piece(seq10, seq10.full_mask(), seq10.full_mask(), seq_indicator, 0.5)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, seq10, seq_indicator, eps):
+        with pytest.raises(ValidationError, match="finite"):
+            cover_for_piece(seq10, seq10.full_mask(), seq10.empty_mask(), seq_indicator, eps)
+
 
 class TestPartition:
     def test_single_element_weight_one(self, seq10):
