@@ -19,6 +19,7 @@ from .space import (
     ScalarField,
     SpaceInstance,
     SubsetMask,
+    _row_chunks,
     ball,
     cb_filtration,
     dists_among,
@@ -133,12 +134,8 @@ def nearest_in_set(space: SpaceInstance, target: SubsetMask):
         return nearest, dist
     out_id = np.empty(n, dtype=np.int64)
     out_d = np.empty(n)
-    chunk = max(1, int(2_000_000 // max(tids.size, 1)))
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        block = np.empty((hi - lo, tids.size))
-        for r, i in enumerate(range(lo, hi)):
-            block[r] = metric.dist_row(i)[tids]
+    for lo, hi in _row_chunks(n, tids.size):
+        block = metric.dist_rows(np.arange(lo, hi), tids)
         j = np.argmin(block, axis=1)  # first minimum = smallest target id
         out_id[lo:hi] = tids[j]
         out_d[lo:hi] = block[np.arange(hi - lo), j]
@@ -329,10 +326,6 @@ class LayerState:
     min_prev_level: np.ndarray | None  # min l_{k-1} over covering elements
 
 
-def _dist_to_set(space, target: SubsetMask):
-    return nearest_in_set(space, target)[1]
-
-
 def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
                       policy=None, max_layers: int = 24) -> ExtensionReport:
     """Layered shrinking-ball extension of a function continuous on dense Y.
@@ -350,7 +343,7 @@ def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
     if max_layers < 1:
         raise ValidationError("max_layers must be >= 1")
     fY = f.restrict(Y)
-    dY = _dist_to_set(space, Y)
+    nearest_y, dY = nearest_in_set(space, Y)
     worst = int(np.argmax(dY))
     if dY[worst] > space.resolution:
         raise PreconditionError(
@@ -361,10 +354,8 @@ def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
     # condition controls); at the resolution floor the single-radius rule
     # deadlocks against that condition and strands points in coarse layers.
     n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
-    if space.metric.kind == "cantor":
-        layers = _layered_cantor(space, Y, fY, max_layers, n_max)
-    else:
-        layers = _layered_generic(space, Y, fY, max_layers, n_max)
+    build = _layered_cantor if space.metric.kind == "cantor" else _layered_generic
+    layers = build(space, Y, fY, max_layers, n_max, nearest_y, dY)
 
     log = _assert_layer_bounds(space, Y, fY, layers)
 
@@ -423,88 +414,119 @@ def _assert_layer_bounds(space, Y, fY, layers):
     return log
 
 
-def _layered_generic(space, Y, fY, max_layers, n_max):
-    """Mask-based layered construction for small, general metric spaces."""
+def _layered_generic(space, Y, fY, max_layers, n_max, nearest_y, dist_y):
+    """Mask-based layered construction for small, general metric spaces.
+
+    Supports and hat weights come from distance row blocks of the centers;
+    a center's anchor is its nearest Y point, which must lie in the doubled
+    ball.  Accumulation-order contract: each point's hat sums add its
+    centers' terms one at a time in center order, starting from 0, as a
+    per-center loop does (flat (center, member) pairs fed to ``np.add.at``).
+    Each candidate's depth search reads one distance row (``_next_depths``).
+    """
     n = space.n
+    metric = space.metric
+    everything = np.arange(n)
     osc_res = np.array([osc_at_point(fY, x, Y, space.resolution) for x in range(n)])
+    f_hi = np.where(Y.mask, fY.values, -np.inf)
+    f_lo = np.where(Y.mask, fY.values, np.inf)
     centers = np.arange(n)
     depths = np.zeros(n, dtype=np.int64)
     layers = []
     l_prev = None
     for k in range(max_layers):
         radii = 2.0 ** -depths.astype(float)
-        supports = []
-        anchors = np.empty(centers.size, dtype=np.int64)
-        for pos, s in enumerate(centers):
-            ids = space.metric.ball_ids(int(s), radii[pos])
-            supports.append(ids)
-            wide = space.metric.ball_ids(int(s), 2.0 * radii[pos])
-            y_in = Y.mask[wide]
-            if not y_in.any():
-                raise InvariantError(f"layer {k}: no anchor candidate near {int(s)}")
-            cand = wide[y_in]
-            cd = space.metric.dist_row(int(s))[cand]
-            best = cand[cd == cd.min()]
-            anchors[pos] = int(best.min())
+        anchored = dist_y[centers] < 2.0 * radii  # anchors live in the doubled ball
+        if not anchored.all():
+            s = int(centers[np.argmin(anchored)])
+            raise InvariantError(f"layer {k}: no anchor candidate near {s}")
+        a = fY.values[nearest_y[centers]]
         num = np.zeros(n)
         den = np.zeros(n)
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
         covering = np.zeros((n, centers.size), dtype=bool)
-        for pos, s in enumerate(centers):
-            ids = supports[pos]
-            w = radii[pos] - space.metric.dist_row(int(s))[ids]
-            num[ids] += w * fY.values[anchors[pos]]
-            den[ids] += w
-            np.maximum.at(lmax, ids, depths[pos])
+        for lo, hi in _row_chunks(centers.size, n):
+            block = metric.dist_rows(centers[lo:hi], everything)
+            inside = block < radii[lo:hi, None]
+            rows, ids = np.nonzero(inside)
+            w = radii[lo:hi][rows] - block[rows, ids]
+            np.add.at(num, ids, w * a[lo:hi][rows])
+            np.add.at(den, ids, w)
+            np.maximum.at(lmax, ids, depths[lo:hi][rows])
             if l_prev is not None:
-                np.minimum.at(minlp, ids, l_prev[s])
-            covering[ids, pos] = True
+                np.minimum.at(minlp, ids, l_prev[centers[lo:hi]][rows])
+            covering[:, lo:hi] = inside.T
         carrier_mask = den > 0
         carrier = SubsetMask(space, carrier_mask)
         values = np.where(carrier_mask, num / np.where(carrier_mask, den, 1.0), np.nan)
         lvl = np.where(carrier_mask, lmax + 1, 0).astype(np.int64)
         layers.append(LayerState(k, centers.copy(), depths.copy(), carrier,
                                  values, lvl, None if l_prev is None else minlp))
+        if k + 1 >= max_layers:
+            break
         members = np.flatnonzero(carrier_mask)
         cand = members[osc_res[members] < 2.0 ** -lvl[members].astype(float)]
-        next_centers = []
-        next_depths = []
-        for x in cand:
-            lx = int(lvl[x])
-            cov_x = covering[x]
-            found = None
-            for nn in range(lx, n_max + 1):
-                small = space.metric.ball_ids(x, 2.0**-nn)
-                wide = space.metric.ball_ids(x, 2.0 ** (1 - nn))
-                y_wide = wide[Y.mask[wide]]
-                if y_wide.size == 0:
-                    continue  # anchors live in the doubled ball
-                vals = fY.values[y_wide]
-                if vals.max() - vals.min() >= 2.0**-lx:
-                    continue
-                if not np.all(covering[small][:, cov_x]):
-                    continue  # condition: the small ball must stay inside every covering ball
-                if np.any(covering[wide][:, ~cov_x]):
-                    continue  # condition: the doubled ball must miss all other supports
-                found = nn
-                break
-            if found is not None:
-                next_centers.append(x)
-                next_depths.append(found)
-        if not next_centers or k + 1 >= max_layers:
+        chosen = _next_depths(metric, covering, cand, lvl[cand], f_hi, f_lo, n_max)
+        if not (chosen >= 0).any():
             break
-        centers = np.asarray(next_centers, dtype=np.int64)
-        nd = np.zeros(n, dtype=np.int64)
-        nd[centers] = next_depths
-        depths = nd[centers]
+        centers = cand[chosen >= 0]
+        depths = chosen[chosen >= 0]
         l_prev_full = np.zeros(n, dtype=np.int64)
         l_prev_full[carrier_mask] = lvl[carrier_mask]
         l_prev = l_prev_full
     return layers
 
 
-def _layered_cantor(space, Y, fY, max_layers, n_max):
+def _next_depths(metric, covering, cand, lx, f_hi, f_lo, n_max):
+    """Per candidate x: the smallest n in [l_x, n_max] admitting a deeper ball, or -1.
+
+    At depth n the doubled ball B(x, 2^(1-n)) must meet Y with oscillation
+    below 2^-l_x, the small ball B(x, 2^-n) must stay inside every support
+    covering x, and the doubled ball must miss all other supports.  Both
+    radii come from one grid 2^-n_max .. 2^0, so a candidate's distance row
+    is binned once: a point lies in the ball of radius grid[j] iff its bin
+    (the number of grid radii at most its distance) is at most j.
+    """
+    n = metric.n
+    chosen = np.full(cand.size, -1, dtype=np.int64)
+    if n_max < 1:
+        return chosen
+    grid = 2.0 ** -np.arange(n_max, -1, -1.0)
+    tried = np.arange(1, n_max + 1)
+    wide = n_max + 1 - tried  # grid index of 2^(1-n); 2^-n sits one below
+    nbins = n_max + 2
+    everything = np.arange(n)
+    for lo, hi in _row_chunks(cand.size, n):
+        block = metric.dist_rows(cand[lo:hi], everything)
+        rows = hi - lo
+        flat = (np.arange(rows)[:, None] * nbins + np.searchsorted(grid, block, side="right")).ravel()
+        # Extremes of f over Y on every grid ball of every candidate.
+        y_hi = np.full(rows * nbins, -np.inf)
+        y_lo = np.full(rows * nbins, np.inf)
+        np.maximum.at(y_hi, flat, np.tile(f_hi, rows))
+        np.minimum.at(y_lo, flat, np.tile(f_lo, rows))
+        y_hi = np.maximum.accumulate(y_hi.reshape(rows, nbins), axis=1)[:, wide]
+        y_lo = np.minimum.accumulate(y_lo.reshape(rows, nbins), axis=1)[:, wide]
+        l_c = lx[lo:hi, None]
+        ok = (tried >= l_c) & np.isfinite(y_hi) & (y_hi - y_lo < 2.0 ** -l_c.astype(float))
+        for r in np.flatnonzero(ok.any(axis=1)):
+            x = cand[lo + r]
+            row = block[r]
+            # Only the largest doubled ball still in play needs support tests.
+            near = np.flatnonzero(row < grid[wide[np.argmax(ok[r])]])
+            cov_x = covering[x]
+            cov = covering[near]
+            d_ball = row[near]
+            d_out = d_ball[(cov_x & ~cov).any(axis=1)].min(initial=np.inf)  # leaves a support covering x
+            d_in = d_ball[(cov & ~cov_x).any(axis=1)].min(initial=np.inf)  # enters a support not covering x
+            good = ok[r] & (grid[wide - 1] <= d_out) & (grid[wide] <= d_in)
+            if good.any():
+                chosen[lo + r] = tried[np.argmax(good)]
+    return chosen
+
+
+def _layered_cantor(space, Y, fY, max_layers, n_max, nearest_y, _dist_y):
     """Cylinder-arithmetic layered construction for the prefix metric.
 
     Balls are prefix cylinders, so supports are contiguous ranges of the
@@ -565,7 +587,6 @@ def _layered_cantor(space, Y, fY, max_layers, n_max):
             return np.zeros(len(ids))
         return yosc[min(c, width)][ids]
 
-    nearest_y, _dy = nearest_in_set(space, Y)
     osc_res = yosc_at(np.arange(n), metric.cylinder_length(space.resolution))
     full_sorted = sorted_codes[width]
     # Pair distance by common-prefix length; a center's own pair takes the

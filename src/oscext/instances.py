@@ -20,6 +20,7 @@ from .space import (
     ScalarField,
     SpaceInstance,
     SubsetMask,
+    _row_chunks,
 )
 
 # Ladder decay per step.  The adaptive filtration separates an accumulation
@@ -315,10 +316,11 @@ def random_instance(seed: int, n: int, dim: int = 2) -> SpaceInstance:
     metric = EuclideanMetric(coords)
     if n <= 2048:
         best = np.inf
-        for i in range(n):
-            row = metric.dist_row(i)
-            row[i] = np.inf
-            best = min(best, float(row.min()))
+        everything = np.arange(n)
+        for lo, hi in _row_chunks(n, n):
+            block = metric.dist_rows(everything[lo:hi], everything)
+            block[everything[: hi - lo], everything[lo:hi]] = np.inf
+            best = min(best, float(block.min()))
     else:
         d, _ = metric.tree.query(coords, k=2, workers=-1)
         best = float(d[:, 1].min())

@@ -20,6 +20,9 @@ from .errors import PreconditionError, ValidationError
 EXHAUSTIVE_TRIANGLE_LIMIT = 500
 TRIANGLE_SAMPLES_PER_POINT = 10
 _EXACT_DIAMETER_LIMIT = 4096
+# Element budget of one distance block (rows x columns) in the chunked
+# row-block kernels; bounds their temporaries whatever the input size.
+_BLOCK_ELEMS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +43,9 @@ class MatrixMetric:
 
     def dist_row(self, i: int) -> np.ndarray:
         return self.data[i]
+
+    def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        return self.data[np.ix_(rows, cols)]
 
     def ball_ids(self, center: int, radius: float) -> np.ndarray:
         return np.flatnonzero(self.data[center] < radius)
@@ -74,6 +80,10 @@ class EuclideanMetric:
         d = self.coords - self.coords[i]
         return np.sqrt(np.einsum("ij,ij->i", d, d))
 
+    def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        d = self.coords[cols][None, :, :] - self.coords[rows][:, None, :]
+        return np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+
     def ball_ids(self, center: int, radius: float) -> np.ndarray:
         # kd-tree queries are closed; re-filter for the open ball.
         cand = np.asarray(self.tree.query_ball_point(self.coords[center], radius), dtype=np.int64)
@@ -86,10 +96,11 @@ class EuclideanMetric:
     def diameter(self) -> float:
         if self._diameter is None:
             if self.n <= _EXACT_DIAMETER_LIMIT:
-                best = 0.0
-                for i in range(self.n):
-                    best = max(best, float(self.dist_row(i).max()))
-                self._diameter = best
+                everything = np.arange(self.n)
+                self._diameter = max((
+                    float(self.dist_rows(everything[lo:hi], everything).max())
+                    for lo, hi in _row_chunks(self.n, self.n)
+                ), default=0.0)
             else:
                 # Bounding-box diagonal: an upper bound, used only as the
                 # finite stand-in for "infinite" caps on large instances.
@@ -151,6 +162,13 @@ class CantorMetric:
         lcp = self.lcp_row(i)
         d = 2.0 ** -(lcp + 1.0)
         d[i] = 0.0
+        return d
+
+    def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        full = self.codes[self.width]
+        lcp = self.common_prefix(full[rows][:, None], full[cols][None, :])
+        d = 2.0 ** -(lcp + 1.0)
+        d[rows[:, None] == cols[None, :]] = 0.0
         return d
 
     @staticmethod
@@ -489,17 +507,24 @@ def local_scales(space: SpaceInstance, members: np.ndarray):
             nn[sel] = np.where(first[g] == m[sel], second[g], first[g])
         return ls, nn
     if metric.kind == "euclidean" and k > 2048:
-        tree = cKDTree(metric.coords[m])
+        pts = metric.coords[m]
+        tree = cKDTree(pts)
+        # Query more neighbours while none of those returned lies beyond the
+        # nearest distance: every tied neighbour must be seen for the
+        # smallest-id rule.
+        rows = np.arange(k)
         kq = min(4, k)
-        d, j = tree.query(metric.coords[m], k=kq, workers=-1)
-        ls = d[:, 1].copy()
-        nn_local = j[:, 1].copy()
-        # Resolve exact-distance ties to the smallest id.
-        for col in range(2, kq):
-            tie = d[:, col] == ls
-            better = tie & (m[j[:, col]] < m[nn_local])
-            nn_local[better] = j[better, col]
-        nn = m[nn_local]
+        while rows.size:
+            d, j = tree.query(pts[rows], k=kq, workers=-1)
+            d[j == rows[:, None]] = np.inf
+            near = d.min(axis=1)
+            tie = d == near[:, None]
+            ls[rows] = near
+            nn[rows] = np.where(tie, m[j], np.iinfo(np.int64).max).min(axis=1)
+            if kq == k:
+                break
+            rows = rows[(tie | np.isinf(d)).all(axis=1)]
+            kq = min(2 * kq, k)
         return ls, nn
     sub = dists_among(space, m)
     np.fill_diagonal(sub, np.inf)
@@ -512,17 +537,14 @@ def local_scales(space: SpaceInstance, members: np.ndarray):
 def dists_among(space: SpaceInstance, members: np.ndarray) -> np.ndarray:
     """Dense pairwise distances among a (smallish) member set."""
     m = np.asarray(members, dtype=np.int64)
-    metric = space.metric
-    if metric.kind == "matrix":
-        return metric.data[np.ix_(m, m)].copy()
-    if metric.kind == "euclidean":
-        c = metric.coords[m]
-        diff = c[:, None, :] - c[None, :, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    out = np.empty((m.size, m.size))
-    for idx, i in enumerate(m):
-        out[idx] = metric.dist_row(int(i))[m]
-    return out
+    return space.metric.dist_rows(m, m)
+
+
+def _row_chunks(nrows: int, ncols: int):
+    """(lo, hi) row ranges whose distance blocks of ``ncols`` columns fit the budget."""
+    step = max(1, _BLOCK_ELEMS // max(ncols, 1))
+    for lo in range(0, nrows, step):
+        yield lo, min(nrows, lo + step)
 
 
 def local_scale(space: SpaceInstance, x: int, within: SubsetMask) -> float:
@@ -536,16 +558,6 @@ def local_scale(space: SpaceInstance, x: int, within: SubsetMask) -> float:
     row = space.metric.dist_row(x)[members]
     row[members == x] = np.inf
     return float(row.min())
-
-
-def nearest_in(space: SpaceInstance, x: int, target: SubsetMask):
-    """Nearest member of ``target`` to ``x`` (ties to smallest id); (id, dist)."""
-    ids = target.ids()
-    if ids.size == 0:
-        return -1, np.inf
-    row = space.metric.dist_row(space.check_id(x))[ids]
-    j = int(np.argmin(row))
-    return int(ids[j]), float(row[j])
 
 
 def delta_limit_points(space: SpaceInstance, A: SubsetMask, scale: float) -> SubsetMask:
@@ -688,15 +700,28 @@ def _require(cond, msg):
         raise ValidationError(msg)
 
 
+def _as_array(value, dtype, what):
+    """``value`` as a numpy array, or a ValidationError naming ``what``."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is malformed: {exc}") from None
+
+
 def load_space(doc: dict) -> SpaceInstance:
     """Build a validated SpaceInstance from an instance document."""
     _require(isinstance(doc, dict), "instance document must be an object")
     for key in ("name", "resolution", "points", "metric"):
         _require(key in doc, f"instance document is missing {key!r}")
+    res = doc["resolution"]
+    _require(isinstance(res, (int, float)) and not isinstance(res, bool), "resolution must be a number")
     points = doc["points"]
     _require(isinstance(points, list) and points, "points must be a nonempty list")
     n = len(points)
-    ids = [p.get("id") for p in points]
+    _require(all(isinstance(p, dict) and isinstance(p.get("id"), int)
+                 and not isinstance(p["id"], bool) for p in points),
+             "every point must be an object with an integer id")
+    ids = [p["id"] for p in points]
     _require(sorted(ids) == list(range(n)), "point ids must be dense 0..n-1")
     labels = None
     if any("label" in p for p in points):
@@ -707,13 +732,13 @@ def load_space(doc: dict) -> SpaceInstance:
     _require(isinstance(spec, dict) and "type" in spec, "metric must declare a type")
     mtype = spec["type"]
     if mtype == "matrix":
-        data = np.asarray(spec.get("data"), dtype=np.float64)
+        data = _as_array(spec.get("data"), np.float64, "metric matrix")
         _require(data.shape == (n, n), "metric matrix shape must match the point count")
         metric = MatrixMetric(data)
         family = "matrix"
     elif mtype == "euclidean":
-        coords = np.asarray(spec.get("coords"), dtype=np.float64)
-        _require(coords.shape[0] == n, "coordinate count must match the point count")
+        coords = _as_array(spec.get("coords"), np.float64, "coordinates")
+        _require(coords.ndim in (1, 2) and coords.shape[0] == n, "coordinate count must match the point count")
         _require(np.all(np.isfinite(coords)), "coordinates must be finite")
         metric = EuclideanMetric(coords)
         family = "euclidean"
@@ -740,13 +765,17 @@ def load_space(doc: dict) -> SpaceInstance:
         space.meta["id_by_label"] = {lb: i for i, lb in enumerate(labels)}
 
     for name, id_list in (doc.get("subsets") or {}).items():
-        space.subsets[name] = space.mask_from_ids(id_list)
+        space.subsets[name] = space.mask_from_ids(_as_array(id_list, np.int64, f"subset {name!r}"))
     for name, fdoc in (doc.get("fields") or {}).items():
         _require(isinstance(fdoc, dict) and "domain" in fdoc and "values" in fdoc,
                  f"field {name!r} must carry domain and values")
         _require(len(fdoc["domain"]) == len(fdoc["values"]),
                  f"field {name!r} domain/values length mismatch")
-        space.fields[name] = ScalarField.on_ids(space, fdoc["domain"], fdoc["values"])
+        space.fields[name] = ScalarField.on_ids(
+            space,
+            _as_array(fdoc["domain"], np.int64, f"field {name!r} domain"),
+            _as_array(fdoc["values"], np.float64, f"field {name!r} values"),
+        )
     return space
 
 

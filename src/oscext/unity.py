@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, PreconditionError, ValidationError
-from .space import ScalarField, SpaceInstance, SubsetMask, ball
+from .space import ScalarField, SpaceInstance, SubsetMask, _row_chunks
 
 
 @dataclass
@@ -34,12 +34,6 @@ class PartitionOfUnity:
     support_ids: list  # np.ndarray of point ids per element
     weights: list  # aligned np.ndarray per element
     carrier: SubsetMask
-
-    def covering_counts(self) -> np.ndarray:
-        counts = np.zeros(self.space.n, dtype=np.int64)
-        for ids in self.support_ids:
-            counts[ids] += 1
-        return counts
 
     def to_dict(self):
         return {
@@ -80,47 +74,68 @@ def cover_for_piece(space: SpaceInstance, Ybeta: SubsetMask, Ynext: SubsetMask,
     next_ids = Ynext.ids()
     beta_ids = Ybeta.ids()
     beta_vals = f.values[beta_ids]
-    elements = []
+    piece_ids = piece.ids()
+    everything = np.arange(space.n)
+    radii = np.empty(piece_ids.size)
     carrier = np.zeros(space.n, dtype=bool)
-    for y in piece.ids():
-        row = space.metric.dist_row(int(y))
-        d_next = float(row[next_ids].min()) if next_ids.size else cap
-        bad = np.abs(beta_vals - f.values[y]) >= epsilon
-        d_bad = float(row[beta_ids[bad]].min()) if bad.any() else cap
-        r = 0.5 * min(d_next, d_bad)
-        if not r > 0:
-            raise InvariantError(
-                f"point {int(y)} admits no positive cover radius; "
-                "it should have been removed by the derivation step"
-            )
-        b = ball(space, int(y), r, space.full_mask())
-        if next_ids.size and np.any(b.mask[next_ids]):
-            raise InvariantError(f"cover ball at {int(y)} meets the next level")
-        inside = b.mask[beta_ids]
-        if inside.any() and np.abs(beta_vals[inside] - f.values[y]).max() >= epsilon:
-            raise InvariantError(f"cover ball at {int(y)} breaks the epsilon window")
-        elements.append((int(y), r))
-        carrier |= b.mask
+    for lo, hi in _row_chunks(piece_ids.size, space.n):
+        ys = piece_ids[lo:hi]
+        block = space.metric.dist_rows(ys, everything)
+        d_next = block[:, next_ids].min(axis=1) if next_ids.size else np.full(ys.size, cap)
+        bad = np.abs(beta_vals[None, :] - f.values[ys][:, None]) >= epsilon
+        d_bad = np.where(bad, block[:, beta_ids], np.inf).min(axis=1)
+        d_bad[~bad.any(axis=1)] = cap
+        r = 0.5 * np.minimum(d_next, d_bad)
+        inside = block < r[:, None]
+        no_radius = ~(r > 0)
+        meets_next = inside[:, next_ids].any(axis=1)
+        breaks_window = (inside[:, beta_ids] & bad).any(axis=1)
+        failing = np.flatnonzero(no_radius | meets_next | breaks_window)
+        if failing.size:
+            i = failing[0]
+            y = int(ys[i])
+            if no_radius[i]:
+                raise InvariantError(
+                    f"point {y} admits no positive cover radius; "
+                    "it should have been removed by the derivation step"
+                )
+            if meets_next[i]:
+                raise InvariantError(f"cover ball at {y} meets the next level")
+            raise InvariantError(f"cover ball at {y} breaks the epsilon window")
+        radii[lo:hi] = r
+        carrier |= inside.any(axis=0)
+    elements = [(int(y), float(r)) for y, r in zip(piece_ids, radii)]
     return BallCover(space, elements, SubsetMask(space, carrier))
 
 
 def partition(space: SpaceInstance, cover: BallCover) -> PartitionOfUnity:
-    """Hat-weight partition of unity subordinated to the cover."""
+    """Hat-weight partition of unity subordinated to the cover.
+
+    Accumulation-order contract: each point's total adds its elements' raw
+    weights one at a time in element order, starting from 0, as a
+    per-element loop does.  The (element, member) pairs of a chunk of
+    elements are laid out flat in that order and fed to ``np.add.at``.
+    """
     if cover.carrier.is_empty():
         raise PreconditionError("cover carrier is empty")
-    support_ids = []
-    raws = []
+    centers = np.array([c for c, _r in cover.elements], dtype=np.int64)
+    radii = np.array([r for _c, r in cover.elements], dtype=np.float64)
+    everything = np.arange(space.n)
+    chunks = []
     totals = np.zeros(space.n)
-    for center, radius in cover.elements:
-        ids = space.metric.ball_ids(center, radius)
-        d = space.metric.dist_row(center)[ids] if ids.size else np.empty(0)
-        raw = radius - d  # strictly positive on the open ball
-        support_ids.append(ids)
-        raws.append(raw)
+    for lo, hi in _row_chunks(centers.size, space.n):
+        block = space.metric.dist_rows(centers[lo:hi], everything)
+        rows, ids = np.nonzero(block < radii[lo:hi, None])
+        raw = radii[lo:hi][rows] - block[rows, ids]  # strictly positive on the open ball
         np.add.at(totals, ids, raw)
+        chunks.append((ids, raw, np.cumsum(np.bincount(rows, minlength=hi - lo))[:-1]))
     if np.any(totals[cover.carrier.mask] <= 0):
         raise InvariantError("carrier point with zero total raw weight")
-    weights = [raw / totals[ids] for ids, raw in zip(support_ids, raws)]
+    support_ids = []
+    weights = []
+    for ids, raw, cuts in chunks:
+        support_ids += np.split(ids, cuts)
+        weights += np.split(raw / totals[ids], cuts)
     return PartitionOfUnity(space, cover, support_ids, weights, cover.carrier)
 
 
@@ -129,7 +144,8 @@ def blend(pou: PartitionOfUnity, anchor_values) -> ScalarField:
 
     The result is clipped per point to the range of the anchors covering it,
     which the exact convex combination lies in anyway; this keeps the norm
-    and window bounds exact in floating point.
+    and window bounds exact in floating point.  Sums follow the element
+    order, as in ``partition``.
     """
     anchors = np.asarray(anchor_values, dtype=np.float64)
     if anchors.shape != (len(pou.support_ids),):
@@ -138,8 +154,12 @@ def blend(pou: PartitionOfUnity, anchor_values) -> ScalarField:
     out = np.zeros(n)
     amin = np.full(n, np.inf)
     amax = np.full(n, -np.inf)
-    for ids, ws, a in zip(pou.support_ids, pou.weights, anchors):
-        np.add.at(out, ids, ws * a)
+    # Supports hold at most n points, so a chunk's pairs fit the row budget.
+    for lo, hi in _row_chunks(len(pou.support_ids), n):
+        supports = pou.support_ids[lo:hi]
+        ids = np.concatenate(supports)
+        a = np.repeat(anchors[lo:hi], [s.size for s in supports])
+        np.add.at(out, ids, np.concatenate(pou.weights[lo:hi]) * a)
         np.minimum.at(amin, ids, a)
         np.maximum.at(amax, ids, a)
     mask = pou.carrier.mask

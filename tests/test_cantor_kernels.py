@@ -263,7 +263,7 @@ def identical(a, b):
 def assert_same_layers(space, Y, fY, max_layers=24):
     n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
     want = reference_layered_cantor(space, Y, fY, max_layers, n_max)
-    got = _layered_cantor(space, Y, fY, max_layers, n_max)
+    got = _layered_cantor(space, Y, fY, max_layers, n_max, *nearest_in_set(space, Y))
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.k == w.k

@@ -168,3 +168,35 @@ class TestFileErrors:
         code, _out, err = run(capsys, "validate", "--instance", str(bad))
         assert code == 1
         assert "not valid JSON" in err
+
+
+def matrix_doc(**changes):
+    doc = {
+        "name": "doc",
+        "resolution": 0.5,
+        "points": [{"id": i} for i in range(3)],
+        "metric": {"type": "matrix", "data": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]},
+        "fields": {"f": {"domain": [0, 1, 2], "values": [0.0, 1.0, 2.0]}},
+    }
+    doc.update(changes)
+    return doc
+
+
+class TestMalformedDocuments:
+    """Each document used to end in a traceback; each must exit 1 with a message."""
+
+    @pytest.mark.parametrize("doc, message", [
+        (matrix_doc(points=[{"id": 0}, {"label": "no id"}, {"id": 2}]), "integer id"),
+        (matrix_doc(resolution="0.5"), "resolution must be a number"),
+        (matrix_doc(fields={"f": {"domain": [0, 1, 2], "values": ["a", "b", "c"]}}),
+         "field 'f' values is malformed"),
+        (matrix_doc(metric={"type": "matrix", "data": [[0, 1, 1], [1, 0], [1, 1, 0]]}),
+         "metric matrix is malformed"),
+    ], ids=["point_without_id", "string_resolution", "non_numeric_field", "ragged_matrix"])
+    def test_exits_one(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _out, err = run(capsys, "validate", "--instance", str(path))
+        assert code == 1
+        assert err.startswith("validation error:")
+        assert message in err

@@ -274,11 +274,11 @@ class TestLimsupRegression:
 
 class TestLayeredInvariants:
     def test_carriers_nest_and_level_numbers_grow(self, cantor6):
-        from oscext.extend import _layered_cantor
+        from oscext.extend import _layered_cantor, nearest_in_set
 
         f = block_parity_field(cantor6)
-        layers = _layered_cantor(cantor6, cantor6.subsets["Y"], f.restrict(cantor6.subsets["Y"]),
-                                 max_layers=24, n_max=10)
+        Y = cantor6.subsets["Y"]
+        layers = _layered_cantor(cantor6, Y, f.restrict(Y), 24, 10, *nearest_in_set(cantor6, Y))
         for a, b in zip(layers, layers[1:]):
             assert b.carrier.issubset(a.carrier)
         for st in layers:

@@ -1,0 +1,427 @@
+"""The generic backends' row-block kernels against the per-point loops they replaced.
+
+``dist_rows`` must equal stacked ``dist_row`` rows bit for bit on every
+backend, and ``row < r`` must select exactly ``ball_ids``.  The cover,
+partition, blend, nearest-point and generic layering kernels are checked
+against the per-point loops kept below as references: the arithmetic and
+its summation order are unchanged, so every output must be bit-identical,
+dtype and NaNs included.
+"""
+
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from oscext import AdaptiveScale, ScalarField, SpaceInstance, generate_from_spec, iterate, osc_at_point
+from oscext.errors import InvariantError, PreconditionError
+from oscext.extend import LayerState, _layered_generic, nearest_in_set
+from oscext.instances import cantor_instance, random_instance
+from oscext.space import EuclideanMetric, MatrixMetric, SubsetMask, ball, dists_among
+from oscext.unity import BallCover, PartitionOfUnity, blend, cover_for_piece, partition
+
+
+# ---------------------------------------------------------------------------
+# References: the per-point loops the kernels replaced
+# ---------------------------------------------------------------------------
+
+def reference_nearest_in_set(space, target):
+    tids = target.ids()
+    metric = space.metric
+    n = space.n
+    out_id = np.empty(n, dtype=np.int64)
+    out_d = np.empty(n)
+    chunk = max(1, int(2_000_000 // max(tids.size, 1)))
+    for lo in range(0, n, chunk):
+        hi = min(n, lo + chunk)
+        block = np.empty((hi - lo, tids.size))
+        for r, i in enumerate(range(lo, hi)):
+            block[r] = metric.dist_row(i)[tids]
+        j = np.argmin(block, axis=1)  # first minimum = smallest target id
+        out_id[lo:hi] = tids[j]
+        out_d[lo:hi] = block[np.arange(hi - lo), j]
+    return out_id, out_d
+
+
+def reference_cover_for_piece(space, Ybeta, Ynext, f, epsilon):
+    piece = Ybeta - Ynext
+    cap = space.diameter()
+    if cap <= 0:
+        cap = space.resolution
+    next_ids = Ynext.ids()
+    beta_ids = Ybeta.ids()
+    beta_vals = f.values[beta_ids]
+    elements = []
+    carrier = np.zeros(space.n, dtype=bool)
+    for y in piece.ids():
+        row = space.metric.dist_row(int(y))
+        d_next = float(row[next_ids].min()) if next_ids.size else cap
+        bad = np.abs(beta_vals - f.values[y]) >= epsilon
+        d_bad = float(row[beta_ids[bad]].min()) if bad.any() else cap
+        r = 0.5 * min(d_next, d_bad)
+        if not r > 0:
+            raise InvariantError(
+                f"point {int(y)} admits no positive cover radius; "
+                "it should have been removed by the derivation step"
+            )
+        b = ball(space, int(y), r, space.full_mask())
+        if next_ids.size and np.any(b.mask[next_ids]):
+            raise InvariantError(f"cover ball at {int(y)} meets the next level")
+        inside = b.mask[beta_ids]
+        if inside.any() and np.abs(beta_vals[inside] - f.values[y]).max() >= epsilon:
+            raise InvariantError(f"cover ball at {int(y)} breaks the epsilon window")
+        elements.append((int(y), r))
+        carrier |= b.mask
+    return BallCover(space, elements, SubsetMask(space, carrier))
+
+
+def reference_partition(space, cover):
+    support_ids = []
+    raws = []
+    totals = np.zeros(space.n)
+    for center, radius in cover.elements:
+        ids = space.metric.ball_ids(center, radius)
+        d = space.metric.dist_row(center)[ids] if ids.size else np.empty(0)
+        raw = radius - d
+        support_ids.append(ids)
+        raws.append(raw)
+        np.add.at(totals, ids, raw)
+    if np.any(totals[cover.carrier.mask] <= 0):
+        raise InvariantError("carrier point with zero total raw weight")
+    weights = [raw / totals[ids] for ids, raw in zip(support_ids, raws)]
+    return PartitionOfUnity(space, cover, support_ids, weights, cover.carrier)
+
+
+def reference_blend(pou, anchor_values):
+    anchors = np.asarray(anchor_values, dtype=np.float64)
+    n = pou.space.n
+    out = np.zeros(n)
+    amin = np.full(n, np.inf)
+    amax = np.full(n, -np.inf)
+    for ids, ws, a in zip(pou.support_ids, pou.weights, anchors):
+        np.add.at(out, ids, ws * a)
+        np.minimum.at(amin, ids, a)
+        np.maximum.at(amax, ids, a)
+    mask = pou.carrier.mask
+    out[mask] = np.clip(out[mask], amin[mask], amax[mask])
+    vals = np.where(mask, out, np.nan)
+    return ScalarField(pou.carrier, vals)
+
+
+def reference_layered_generic(space, Y, fY, max_layers, n_max):
+    n = space.n
+    osc_res = np.array([osc_at_point(fY, x, Y, space.resolution) for x in range(n)])
+    centers = np.arange(n)
+    depths = np.zeros(n, dtype=np.int64)
+    layers = []
+    l_prev = None
+    for k in range(max_layers):
+        radii = 2.0 ** -depths.astype(float)
+        supports = []
+        anchors = np.empty(centers.size, dtype=np.int64)
+        for pos, s in enumerate(centers):
+            ids = space.metric.ball_ids(int(s), radii[pos])
+            supports.append(ids)
+            wide = space.metric.ball_ids(int(s), 2.0 * radii[pos])
+            y_in = Y.mask[wide]
+            if not y_in.any():
+                raise InvariantError(f"layer {k}: no anchor candidate near {int(s)}")
+            cand = wide[y_in]
+            cd = space.metric.dist_row(int(s))[cand]
+            best = cand[cd == cd.min()]
+            anchors[pos] = int(best.min())
+        num = np.zeros(n)
+        den = np.zeros(n)
+        lmax = np.full(n, -1, dtype=np.int64)
+        minlp = np.full(n, np.inf)
+        covering = np.zeros((n, centers.size), dtype=bool)
+        for pos, s in enumerate(centers):
+            ids = supports[pos]
+            w = radii[pos] - space.metric.dist_row(int(s))[ids]
+            num[ids] += w * fY.values[anchors[pos]]
+            den[ids] += w
+            np.maximum.at(lmax, ids, depths[pos])
+            if l_prev is not None:
+                np.minimum.at(minlp, ids, l_prev[s])
+            covering[ids, pos] = True
+        carrier_mask = den > 0
+        carrier = SubsetMask(space, carrier_mask)
+        values = np.where(carrier_mask, num / np.where(carrier_mask, den, 1.0), np.nan)
+        lvl = np.where(carrier_mask, lmax + 1, 0).astype(np.int64)
+        layers.append(LayerState(k, centers.copy(), depths.copy(), carrier,
+                                 values, lvl, None if l_prev is None else minlp))
+        members = np.flatnonzero(carrier_mask)
+        cand = members[osc_res[members] < 2.0 ** -lvl[members].astype(float)]
+        next_centers = []
+        next_depths = []
+        for x in cand:
+            lx = int(lvl[x])
+            cov_x = covering[x]
+            found = None
+            for nn in range(lx, n_max + 1):
+                small = space.metric.ball_ids(x, 2.0**-nn)
+                wide = space.metric.ball_ids(x, 2.0 ** (1 - nn))
+                y_wide = wide[Y.mask[wide]]
+                if y_wide.size == 0:
+                    continue
+                vals = fY.values[y_wide]
+                if vals.max() - vals.min() >= 2.0**-lx:
+                    continue
+                if not np.all(covering[small][:, cov_x]):
+                    continue
+                if np.any(covering[wide][:, ~cov_x]):
+                    continue
+                found = nn
+                break
+            if found is not None:
+                next_centers.append(x)
+                next_depths.append(found)
+        if not next_centers or k + 1 >= max_layers:
+            break
+        centers = np.asarray(next_centers, dtype=np.int64)
+        nd = np.zeros(n, dtype=np.int64)
+        nd[centers] = next_depths
+        depths = nd[centers]
+        l_prev_full = np.zeros(n, dtype=np.int64)
+        l_prev_full[carrier_mask] = lvl[carrier_mask]
+        l_prev = l_prev_full
+    return layers
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+# ---------------------------------------------------------------------------
+
+def lattice_coords(side, spacing=1 / 8):
+    g = np.arange(side) * spacing
+    return np.array([(x, y) for x in g for y in g])
+
+
+def manhattan_matrix(side):
+    """L1 distances on a dyadic lattice: exact, so the triangle check holds."""
+    c = lattice_coords(side)
+    return np.abs(c[:, None, :] - c[None, :, :]).sum(axis=2)
+
+
+def with_subset_field(space, seed, keep=0.7):
+    rng = np.random.default_rng(seed)
+    ids = np.flatnonzero(rng.uniform(size=space.n) < keep)
+    ids = np.union1d(ids, [0])
+    f = ScalarField.on_ids(space, ids, rng.normal(size=ids.size) / 3.0)
+    return space, space.mask_from_ids(ids), f
+
+
+@functools.lru_cache(maxsize=None)
+def case(name):
+    """(space, Y, f) for one named input."""
+    if name.startswith("ordinal:"):
+        space = generate_from_spec(name)
+        return space, space.subsets["Y"], space.fields["f"]
+    if name == "random2d":
+        return with_subset_field(random_instance(3, 150, 2), 3)
+    if name == "random3d":
+        return with_subset_field(random_instance(4, 120, 3), 4)
+    if name == "lattice":
+        # Tie-heavy: many equal distances, and field values with thirds.
+        coords = lattice_coords(12)
+        space = SpaceInstance("lattice", EuclideanMetric(coords), resolution=1 / 16, family="euclidean")
+        ij = np.rint(coords * 8).astype(np.int64)
+        ids = np.flatnonzero((ij[:, 0] + ij[:, 1]) % 3 != 1)
+        f = ScalarField.on_ids(space, ids, ((ij[ids, 0] * 2 + ij[ids, 1]) % 3) / 3.0)
+        return space, space.mask_from_ids(ids), f
+    if name == "smooth2d":
+        # A slowly varying field gives wide balls: each point is covered by
+        # elements from several row chunks, so chunked sums must keep order.
+        space = random_instance(5, 700, 2)
+        c = space.metric.coords
+        return space, space.full_mask(), ScalarField(space.full_mask(), 0.3 * c[:, 0] + c[:, 1] / 7)
+    if name == "matrix":
+        space = SpaceInstance("manhattan", MatrixMetric(manhattan_matrix(8)), resolution=1 / 16)
+        return with_subset_field(space, 8)
+    raise KeyError(name)
+
+
+CASES = ["ordinal:1", "ordinal:2", "ordinal:3", "random2d", "random3d", "lattice", "matrix"]
+SMALL_CASES = [c for c in CASES if c != "ordinal:3"]
+
+
+def identical(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+def all_identical(got, want):
+    return len(got) == len(want) and all(identical(g, w) for g, w in zip(got, want))
+
+
+# ---------------------------------------------------------------------------
+# Distance kernels
+# ---------------------------------------------------------------------------
+
+BACKENDS = SMALL_CASES + ["cantor"]
+
+
+def backend_space(name):
+    return cantor_instance(7) if name == "cantor" else case(name)[0]
+
+
+class TestDistRows:
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_equals_stacked_rows(self, name):
+        space = backend_space(name)
+        rng = np.random.default_rng(len(name))
+        picks = [np.arange(space.n), rng.integers(0, space.n, size=37), np.array([space.n - 1, 0, 0])]
+        for rows in picks:
+            for cols in picks:
+                got = space.metric.dist_rows(rows, cols)
+                want = np.stack([space.metric.dist_row(int(i))[cols] for i in rows])
+                assert identical(got, want)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_dists_among_is_the_square_block(self, name):
+        space = backend_space(name)
+        m = np.random.default_rng(1).choice(space.n, size=min(space.n, 40), replace=False)
+        want = np.stack([space.metric.dist_row(int(i))[m] for i in m])
+        assert identical(dists_among(space, m), want)
+
+
+class TestBallMembership:
+    @pytest.mark.parametrize("name", ["lattice", "matrix", "ordinal:2"])
+    def test_row_below_radius_is_the_ball(self, name):
+        space = case(name)[0]
+        for c in range(0, space.n, 7):
+            row = space.metric.dist_row(c)
+            # Radii exactly equal to distances: the tied points are excluded.
+            for r in np.unique(row)[1:12]:
+                assert np.array_equal(np.flatnonzero(row < r), space.metric.ball_ids(c, r))
+
+    def test_cantor_cylinders(self):
+        space = cantor_instance(6)
+        for c in range(0, space.n, 5):
+            row = space.metric.dist_row(c)
+            for r in 2.0 ** -np.arange(1, 9.0):
+                assert np.array_equal(np.flatnonzero(row < r), space.metric.ball_ids(c, r))
+
+
+class TestNearestInSet:
+    @pytest.mark.parametrize("name", SMALL_CASES)
+    def test_matches_row_loop(self, name):
+        space, Y, _f = case(name)
+        rng = np.random.default_rng(2)
+        targets = [Y, space.full_mask(), space.mask_from_ids([space.n - 1]),
+                   space.mask_from_ids(rng.choice(space.n, size=5, replace=False))]
+        for target in targets:
+            got = nearest_in_set(space, target)
+            assert all_identical(got, reference_nearest_in_set(space, target))
+
+    def test_lattice_ties_go_to_smallest_id(self):
+        space, _Y, _f = case("lattice")
+        target = space.mask_from_ids(np.arange(0, space.n, 2))
+        got_id, _d = nearest_in_set(space, target)
+        want_id, _ = reference_nearest_in_set(space, target)
+        assert np.array_equal(got_id, want_id)
+
+
+# ---------------------------------------------------------------------------
+# Cover, partition, blend
+# ---------------------------------------------------------------------------
+
+def level_pairs(space, Y, f, epsilon):
+    """Consecutive derivation levels, plus Y against a seeded subset and against nothing."""
+    trace = iterate("pair", f.restrict(Y), epsilon, Y, AdaptiveScale(3.0))
+    pairs = [(a, b) for a, b in zip(trace.levels, trace.levels[1:]) if not (a - b).is_empty()]
+    ids = Y.ids()
+    some = np.random.default_rng(ids.size).choice(ids, size=ids.size // 3, replace=False)
+    return pairs + [(Y, space.mask_from_ids(some)), (Y, space.empty_mask())]
+
+
+class TestCoverPartitionBlend:
+    @pytest.mark.parametrize("name", CASES + ["smooth2d"])
+    @pytest.mark.parametrize("epsilon", [0.5, 2.0**-4])
+    def test_bit_identical_to_loops(self, name, epsilon):
+        space, Y, f = case(name)
+        fY = f.restrict(Y)
+        for ybeta, ynext in level_pairs(space, Y, f, epsilon):
+            got = cover_for_piece(space, ybeta, ynext, fY, epsilon)
+            want = reference_cover_for_piece(space, ybeta, ynext, fY, epsilon)
+            assert got.elements == want.elements
+            assert all(type(c) is int and type(r) is float for c, r in got.elements)
+            assert identical(got.carrier.mask, want.carrier.mask)
+
+            pou = partition(space, got)
+            ref = reference_partition(space, got)
+            assert all_identical(pou.support_ids, ref.support_ids)
+            assert all_identical(pou.weights, ref.weights)
+            assert pou.to_dict() == ref.to_dict()
+
+            anchors = [fY.values[c] for c, _r in got.elements]
+            out = blend(pou, anchors)
+            assert identical(out.values, reference_blend(ref, anchors).values)
+            assert identical(out.domain.mask, got.carrier.mask)
+
+    def test_radius_failure_names_the_first_point(self):
+        # Points 1 and 2 coincide but differ in f: neither admits a radius.
+        coords = np.array([[0.0], [0.5], [0.5], [0.9]])
+        space = SpaceInstance("dup", EuclideanMetric(coords), resolution=0.1, family="euclidean")
+        f = ScalarField.on_ids(space, [0, 1, 2, 3], [0.0, 0.0, 1.0, 1.0])
+        full, empty = space.full_mask(), space.empty_mask()
+        with pytest.raises(InvariantError) as want:
+            reference_cover_for_piece(space, full, empty, f, 0.5)
+        with pytest.raises(InvariantError) as got:
+            cover_for_piece(space, full, empty, f, 0.5)
+        assert str(got.value) == str(want.value)
+        assert "point 1 admits no positive cover radius" in str(got.value)
+
+
+# ---------------------------------------------------------------------------
+# Generic layering
+# ---------------------------------------------------------------------------
+
+def assert_same_layers(space, Y, fY, max_layers=24):
+    n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
+    want = reference_layered_generic(space, Y, fY, max_layers, n_max)
+    got = _layered_generic(space, Y, fY, max_layers, n_max, *nearest_in_set(space, Y))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.k == w.k
+        assert identical(g.carrier.mask, w.carrier.mask)
+        for name in ("centers", "depths", "values", "level_numbers", "min_prev_level"):
+            assert identical(getattr(g, name), getattr(w, name)), (g.k, name)
+    return got
+
+
+class TestLayeredGeneric:
+    @pytest.mark.parametrize("name", CASES)
+    def test_bit_identical_to_loop(self, name):
+        space, Y, f = case(name)
+        layers = assert_same_layers(space, Y, f.restrict(Y))
+        assert len(layers) >= 2
+
+    def test_truncated(self):
+        space, Y, f = case("random2d")
+        assert len(assert_same_layers(space, Y, f.restrict(Y), max_layers=3)) == 3
+
+    def test_coarse_resolution(self):
+        # resolution 100 gives n_max = -2: no depth is ever tried.
+        coords = np.array([[0.0], [100.0], [250.0], [260.0]])
+        space = SpaceInstance("coarse", EuclideanMetric(coords), resolution=100.0, family="euclidean")
+        f = ScalarField.on_ids(space, [0, 1, 2, 3], [0.0, 1.0, 0.5, 0.25])
+        assert len(assert_same_layers(space, space.full_mask(), f)) == 1
+
+    def test_missing_anchor_names_the_first_center(self):
+        coords = np.array([[0.0], [0.5], [3.0], [7.0]])
+        space = SpaceInstance("far", EuclideanMetric(coords), resolution=0.25, family="euclidean")
+        Y = space.mask_from_ids([0])
+        fY = ScalarField.on_ids(space, [0], [1.0])
+        with pytest.raises(InvariantError) as want:
+            reference_layered_generic(space, Y, fY, 24, 6)
+        with pytest.raises(InvariantError) as got:
+            _layered_generic(space, Y, fY, 24, 6, *nearest_in_set(space, Y))
+        assert str(got.value) == str(want.value) == "layer 0: no anchor candidate near 2"
+
+    def test_empty_target_rejected(self):
+        space = case("random2d")[0]
+        with pytest.raises(PreconditionError):
+            nearest_in_set(space, space.empty_mask())

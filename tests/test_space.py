@@ -8,6 +8,7 @@ from oscext import (
     AdaptiveScale,
     FixedScale,
     ScalarField,
+    SpaceInstance,
     ValidationError,
     ball,
     cb_filtration,
@@ -18,7 +19,7 @@ from oscext import (
     space_to_document,
 )
 from oscext.errors import PreconditionError
-from oscext.space import local_scales
+from oscext.space import EuclideanMetric, local_scales
 
 from conftest import FIXTURES, tiny_matrix_space
 from oracles import o_adaptive_filtration, o_ball, o_delta_limit, o_local_scale
@@ -157,6 +158,46 @@ class TestLocalScale:
         ls, nn = local_scales(rand60, members)
         for pos, x in enumerate(members):
             assert ls[pos] == pytest.approx(o_local_scale(rand60, x, list(members)))
+
+
+def dense_local_scales(space, members):
+    """The dense path's rule row by row: nearest other member, ties to the smallest id."""
+    ls = np.empty(members.size)
+    nn = np.empty(members.size, dtype=np.int64)
+    for pos, x in enumerate(members):
+        row = space.metric.dist_row(int(x))[members]
+        row[pos] = np.inf
+        ls[pos] = row.min()
+        nn[pos] = members[row == ls[pos]].min()
+    return ls, nn
+
+
+class TestKdLocalScales:
+    """Above 2048 members the Euclidean path queries a kd-tree; on a lattice
+    every point has up to four neighbours at exactly the nearest distance."""
+
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_lattice_matches_dense_path(self, permute):
+        g = np.arange(64) / 8.0
+        coords = np.array([(x, y) for x in g for y in g])
+        if permute:
+            coords = coords[np.random.default_rng(0).permutation(len(coords))]
+        space = SpaceInstance("lattice64", EuclideanMetric(coords), resolution=1 / 16)
+        members = np.arange(space.n)
+        ls, nn = local_scales(space, members)
+        want_ls, want_nn = dense_local_scales(space, members)
+        assert np.array_equal(ls, want_ls)
+        assert np.array_equal(nn, want_nn)
+
+    def test_unsorted_subset(self):
+        g = np.arange(48) / 8.0
+        coords = np.array([(x, y) for x in g for y in g])
+        space = SpaceInstance("lattice48", EuclideanMetric(coords), resolution=1 / 16)
+        members = np.random.default_rng(1).permutation(space.n)[:2100]
+        ls, nn = local_scales(space, members)
+        want_ls, want_nn = dense_local_scales(space, members)
+        assert np.array_equal(ls, want_ls)
+        assert np.array_equal(nn, want_nn)
 
 
 class TestDeltaLimitPoints:
