@@ -23,17 +23,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, ValidationError
-from .space import (
-    AdaptiveScale,
-    FixedScale,
-    ScalarField,
-    SubsetMask,
-    ball,
-    dists_among,
-)
+from .space import ScalarField, SubsetMask, ball, dists_among
 
 _DENSE_MEMBER_LIMIT = 3000
-_ENGINE_MIN_MEMBERS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +204,6 @@ def iterate(kind: str, f: ScalarField, epsilon: float, P: SubsetMask, policy,
         raise ValidationError("max_steps must be >= 1")
     if P.is_empty():
         return DerivationTrace(kind, epsilon, policy, [P], ("emptied", 0))
-    space = P.space
-    if (
-        kind == "pair"
-        and space.metric.kind == "euclidean"
-        and P.size >= _ENGINE_MIN_MEMBERS
-        and (isinstance(policy, FixedScale)
-             or (isinstance(policy, AdaptiveScale) and policy.multiplier > 1))
-    ):
-        return _iterate_engine(f, epsilon, P, policy, max_steps)
     step = _STEPS[kind]
     levels = [P]
     current = P
@@ -238,97 +221,6 @@ def iterate(kind: str, f: ScalarField, epsilon: float, P: SubsetMask, policy,
     if terminal is None:
         terminal = ("truncated", len(levels) - 1)
     return DerivationTrace(kind, epsilon, policy, levels, terminal)
-
-
-def _iterate_engine(f, epsilon, P, policy, max_steps):
-    """Incremental pair-step iteration for large Euclidean member sets.
-
-    A member's verdict can only change when its ball loses a member; under
-    an adaptive multiplier > 1 the nearest neighbour always lies inside the
-    ball, so a radius change is also triggered by a ball removal.  Only
-    those dirty members are re-evaluated each level, against a static
-    kd-tree filtered by the alive mask.
-    """
-    space = P.space
-    members = P.ids()
-    nm = members.size
-    coords = space.metric.coords[members]
-    tree = cKDTree(coords)
-    fvals = f.values[members]
-    adaptive = isinstance(policy, AdaptiveScale)
-    if adaptive:
-        kq = min(32, nm)
-        knn_d, knn_j = tree.query(coords, k=kq, workers=-1)
-
-    alive = np.ones(nm, dtype=bool)
-    verdict = np.zeros(nm, dtype=bool)
-    ball_of = [None] * nm
-    rev: list = [[] for _ in range(nm)]
-
-    def local_scale_of(i):
-        row_j = knn_j[i]
-        row_d = knn_d[i]
-        for col in range(1, row_j.shape[0]):
-            j = row_j[col]
-            if alive[j]:
-                return row_d[col]
-        cand = np.flatnonzero(alive)
-        cand = cand[cand != i]
-        if cand.size == 0:
-            return 0.0
-        diff = coords[cand] - coords[i]
-        return float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).min())
-
-    def refresh(idx):
-        if idx.size == 0:
-            return
-        if adaptive:
-            radii = np.array([policy.multiplier * local_scale_of(int(i)) for i in idx])
-        else:
-            radii = np.full(idx.size, policy.delta)
-        lists = tree.query_ball_point(coords[idx], r=np.maximum(radii, 0.0), workers=-1)
-        for pos, i in enumerate(idx):
-            cand = np.asarray(lists[pos], dtype=np.int64)
-            cand = cand[alive[cand]]
-            if cand.size:
-                diff = coords[cand] - coords[i]
-                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-                cand = cand[dist < radii[pos]]
-            ball_of[i] = cand
-            for y in cand:
-                rev[y].append(i)
-            if cand.size:
-                bv = fvals[cand]
-                verdict[i] = (bv.max() - bv.min()) >= epsilon
-            else:
-                verdict[i] = False
-
-    levels = [P]
-    dirty = np.flatnonzero(alive)
-    terminal = None
-    for n in range(max_steps):
-        refresh(dirty)
-        removed = np.flatnonzero(alive & ~verdict)
-        if removed.size == 0:
-            terminal = ("saturated", n)
-            break
-        alive[removed] = False
-        levels.append(space.mask_from_ids(members[np.flatnonzero(alive)]))
-        if not alive.any():
-            terminal = ("emptied", n + 1)
-            break
-        touched = set()
-        for y in removed:
-            stale = rev[y]
-            rev[y] = []
-            for x in stale:
-                if alive[x]:
-                    touched.add(int(x))
-        dirty = np.fromiter(touched, dtype=np.int64, count=len(touched))
-        dirty.sort()
-    if terminal is None:
-        terminal = ("truncated", len(levels) - 1)
-    return DerivationTrace("pair", epsilon, policy, levels, terminal)
 
 
 # ---------------------------------------------------------------------------

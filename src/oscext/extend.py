@@ -22,8 +22,8 @@ from .space import (
     _row_chunks,
     ball,
     cb_filtration,
-    dists_among,
     local_scales,
+    visibility_graph,
 )
 from .derive import iterate, osc_at_point
 from .unity import blend, cover_for_piece, partition
@@ -730,13 +730,9 @@ def visibility_components(space: SpaceInstance, region: SubsetMask, multiplier: 
     members = region.ids()
     if members.size <= 1:
         return [region]
-    ls, _ = local_scales(space, members)
-    sub = dists_among(space, members)
-    thresh = multiplier * np.maximum(ls[:, None], ls[None, :])
-    adj = sub < thresh
-    np.fill_diagonal(adj, False)
     from scipy.sparse.csgraph import connected_components
 
+    adj = visibility_graph(space, members, multiplier)
     count, labels = connected_components(adj, directed=False)
     return [space.mask_from_ids(members[labels == i]) for i in range(count)]
 

@@ -21,6 +21,7 @@ from .space import (
     SpaceInstance,
     SubsetMask,
     _row_chunks,
+    visibility_graph,
 )
 
 # Ladder decay per step.  The adaptive filtration separates an accumulation
@@ -258,12 +259,7 @@ def scaled_position_field(space: SpaceInstance, gap_bound: float = 2.0**-9,
     domain = domain if domain is not None else space.full_mask()
     coords = space.metric.coords[:, 0]
     members = domain.ids()
-    from .space import dists_among, local_scales
-
-    ls, _ = local_scales(space, members)
-    sub = dists_among(space, members)
-    visible = sub < 3.0 * np.maximum(ls[:, None], ls[None, :])
-    np.fill_diagonal(visible, False)
+    visible = visibility_graph(space, members, 3.0)
     gaps = np.abs(coords[members][:, None] - coords[members][None, :])
     worst = float(gaps[visible].max()) if visible.any() else 0.0
     scale = gap_bound / (2.0 * worst) if worst > 0 else 1.0

@@ -540,6 +540,20 @@ def dists_among(space: SpaceInstance, members: np.ndarray) -> np.ndarray:
     return space.metric.dist_rows(m, m)
 
 
+def visibility_graph(space: SpaceInstance, members: np.ndarray, multiplier: float) -> np.ndarray:
+    """Adjacency of the mutual-visibility graph among a (smallish) member set.
+
+    Members x and y are adjacent when d(x, y) < multiplier * max(ls_x, ls_y),
+    i.e. when either point's adaptive ball reaches the other.  The scales
+    ls are the in-set nearest distances, read from the same distance block,
+    so each call computes one dense block.  No member is its own neighbour.
+    """
+    sub = dists_among(space, members)
+    np.fill_diagonal(sub, np.inf)
+    ls = sub.min(axis=1, initial=np.inf)
+    return sub < multiplier * np.maximum(ls[:, None], ls[None, :])
+
+
 def _row_chunks(nrows: int, ncols: int):
     """(lo, hi) row ranges whose distance blocks of ``ncols`` columns fit the budget."""
     step = max(1, _BLOCK_ELEMS // max(ncols, 1))
@@ -695,6 +709,19 @@ def _validate_matrix(data: np.ndarray):
             raise ValidationError(f"triangle inequality fails for sampled triple ({j},{i},{k})")
 
 
+def _validate_distinct_points(coords: np.ndarray):
+    """Distinct points must sit at positive distance: no two equal coordinate rows.
+
+    Sorting brings equal rows together; ``==`` then also equates -0.0 and 0.0.
+    """
+    order = np.lexsort(coords.T[::-1])
+    srt = coords[order]
+    same = np.flatnonzero((srt[1:] == srt[:-1]).all(axis=1))
+    if same.size:
+        i, j = sorted(order[same[0]:same[0] + 2])
+        raise ValidationError(f"points {i} and {j} have equal coordinates")
+
+
 def _require(cond, msg):
     if not cond:
         raise ValidationError(msg)
@@ -739,7 +766,9 @@ def load_space(doc: dict) -> SpaceInstance:
     elif mtype == "euclidean":
         coords = _as_array(spec.get("coords"), np.float64, "coordinates")
         _require(coords.ndim in (1, 2) and coords.shape[0] == n, "coordinate count must match the point count")
+        _require(coords.size > 0, "coordinates need at least one dimension")
         _require(np.all(np.isfinite(coords)), "coordinates must be finite")
+        _validate_distinct_points(coords.reshape(n, -1))
         metric = EuclideanMetric(coords)
         family = "euclidean"
     elif mtype == "cantor":
@@ -764,18 +793,20 @@ def load_space(doc: dict) -> SpaceInstance:
         space.meta["points"] = [CantorPoint.from_label(lb) for lb in labels]
         space.meta["id_by_label"] = {lb: i for i, lb in enumerate(labels)}
 
-    for name, id_list in (doc.get("subsets") or {}).items():
+    subsets = doc.get("subsets") or {}
+    _require(isinstance(subsets, dict), "subsets must be an object of named id lists")
+    for name, id_list in subsets.items():
         space.subsets[name] = space.mask_from_ids(_as_array(id_list, np.int64, f"subset {name!r}"))
-    for name, fdoc in (doc.get("fields") or {}).items():
+    fields = doc.get("fields") or {}
+    _require(isinstance(fields, dict), "fields must be an object of named fields")
+    for name, fdoc in fields.items():
         _require(isinstance(fdoc, dict) and "domain" in fdoc and "values" in fdoc,
                  f"field {name!r} must carry domain and values")
-        _require(len(fdoc["domain"]) == len(fdoc["values"]),
-                 f"field {name!r} domain/values length mismatch")
-        space.fields[name] = ScalarField.on_ids(
-            space,
-            _as_array(fdoc["domain"], np.int64, f"field {name!r} domain"),
-            _as_array(fdoc["values"], np.float64, f"field {name!r} values"),
-        )
+        domain = _as_array(fdoc["domain"], np.int64, f"field {name!r} domain")
+        values = _as_array(fdoc["values"], np.float64, f"field {name!r} values")
+        _require(domain.ndim == 1 and values.ndim == 1, f"field {name!r} domain and values must be lists")
+        _require(domain.size == values.size, f"field {name!r} domain/values length mismatch")
+        space.fields[name] = ScalarField.on_ids(space, domain, values)
     return space
 
 

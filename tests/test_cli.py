@@ -170,6 +170,17 @@ class TestFileErrors:
         assert "not valid JSON" in err
 
 
+def two_point_doc(coords):
+    return {
+        "name": "twins",
+        "resolution": 0.5,
+        "points": [{"id": 0}, {"id": 1}],
+        "metric": {"type": "euclidean", "coords": coords},
+        "fields": {"f": {"domain": [0, 1], "values": [0.0, 1.0]}},
+        "subsets": {"Y": [0, 1]},
+    }
+
+
 def matrix_doc(**changes):
     doc = {
         "name": "doc",
@@ -183,7 +194,8 @@ def matrix_doc(**changes):
 
 
 class TestMalformedDocuments:
-    """Each document used to end in a traceback; each must exit 1 with a message."""
+    """Each document used to end in a traceback, or (equal coordinates) to
+    pass validation; each must exit 1 with a message."""
 
     @pytest.mark.parametrize("doc, message", [
         (matrix_doc(points=[{"id": 0}, {"label": "no id"}, {"id": 2}]), "integer id"),
@@ -192,7 +204,16 @@ class TestMalformedDocuments:
          "field 'f' values is malformed"),
         (matrix_doc(metric={"type": "matrix", "data": [[0, 1, 1], [1, 0], [1, 1, 0]]}),
          "metric matrix is malformed"),
-    ], ids=["point_without_id", "string_resolution", "non_numeric_field", "ragged_matrix"])
+        (matrix_doc(fields={"f": {"domain": 3, "values": [0.0, 1.0, 2.0]}}),
+         "field 'f' domain and values must be lists"),
+        (matrix_doc(subsets=[[0, 1]]), "subsets must be an object"),
+        (matrix_doc(fields=[{"domain": [0], "values": [0.0]}]), "fields must be an object"),
+        (two_point_doc([[0.5, 0.0], [0.5, 0.0]]), "points 0 and 1 have equal coordinates"),
+        (two_point_doc([[0.5, 0.0], [0.5, -0.0]]), "points 0 and 1 have equal coordinates"),
+        (two_point_doc([0.25, 0.25]), "points 0 and 1 have equal coordinates"),
+    ], ids=["point_without_id", "string_resolution", "non_numeric_field", "ragged_matrix",
+            "numeric_field_domain", "subsets_list", "fields_list", "equal_coordinates",
+            "signed_zero_coordinates", "equal_1d_coordinates"])
     def test_exits_one(self, capsys, tmp_path, doc, message):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
@@ -200,3 +221,13 @@ class TestMalformedDocuments:
         assert code == 1
         assert err.startswith("validation error:")
         assert message in err
+
+    def test_duplicate_coordinates_glue_exits_one(self, capsys, tmp_path):
+        # used to pass validation and then exit 3 from the glue cover
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps(two_point_doc([[0.5, 0.0], [0.5, 0.0]])))
+        code, out, err = run(capsys, "extend", "--instance", str(path),
+                             "--method", "glue", "--epsilon", "0.5")
+        assert code == 1
+        assert out == ""
+        assert "equal coordinates" in err

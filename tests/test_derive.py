@@ -18,10 +18,22 @@ from oscext import (
     random_field,
     random_instance,
 )
+from oscext.derive import _DENSE_MEMBER_LIMIT, _ball_extremes
 from oscext.errors import PreconditionError, ValidationError
-import oscext.derive as derive_mod
+from oscext.space import EuclideanMetric, SpaceInstance
 
 from oracles import o_gap_step, o_iterate, o_pair_step
+
+
+def assert_iterate_matches_oracle(space, f, members):
+    """Pair-step traces from ``members`` equal the oracle's, level by level."""
+    P = space.mask_from_ids(members)
+    for pol, opol in ((AdaptiveScale(3.0), ("adaptive", 3.0)),
+                      (FixedScale(0.02), ("fixed", 0.02))):
+        levels, terminal = o_iterate(space, f.values, 0.5, [int(i) for i in members], opol)
+        tr = iterate("pair", f, 0.5, P, pol)
+        assert tr.terminal == terminal, pol
+        assert [l.ids().tolist() for l in tr.levels] == levels, pol
 
 
 class TestOsc:
@@ -146,8 +158,6 @@ class TestIterate:
 
     def test_saturation_interleaved_grids(self):
         # two interleaved 1-d grids at spacing below the fixed scale
-        from oscext.space import EuclideanMetric, SpaceInstance
-
         xs = np.arange(0, 20) * 0.01
         space = SpaceInstance("grids", EuclideanMetric(xs), resolution=0.01)
         vals = np.where(np.arange(20) % 2 == 0, 0.0, 1.0)
@@ -180,20 +190,49 @@ class TestIterate:
         assert tr.terminal == terminal
         assert [sorted(l.ids()) for l in tr.levels] == [sorted(l) for l in levels]
 
-    def test_incremental_engine_equivalence(self):
+    def test_uniform_points_match_oracle(self):
+        # every fourth of 1500 uniform points keeps the oracle to seconds
         space = random_instance(21, 1500, 2)
         f = random_field(space, 22)
-        for pol in (AdaptiveScale(3.0), FixedScale(0.02)):
-            saved = derive_mod._ENGINE_MIN_MEMBERS
-            try:
-                derive_mod._ENGINE_MIN_MEMBERS = 10
-                fast = iterate("pair", f, 0.5, space.full_mask(), pol)
-                derive_mod._ENGINE_MIN_MEMBERS = 10**9
-                ref = iterate("pair", f, 0.5, space.full_mask(), pol)
-            finally:
-                derive_mod._ENGINE_MIN_MEMBERS = saved
-            assert fast.terminal == ref.terminal
-            assert [tuple(l.ids()) for l in fast.levels] == [tuple(l.ids()) for l in ref.levels]
+        assert_iterate_matches_oracle(space, f, np.arange(0, space.n, 4))
+
+
+def dense_ball_extremes(space, members, radii, fvals):
+    """Max and min of f over each open ball, from distance rows in chunks."""
+    maxv = np.empty(members.size)
+    minv = np.empty(members.size)
+    for lo in range(0, members.size, 16):
+        rows = space.metric.dist_rows(members[lo:lo + 16], members)
+        inside = rows < radii[lo:lo + 16, None]
+        maxv[lo:lo + 16] = np.where(inside, fvals, -np.inf).max(axis=1)
+        minv[lo:lo + 16] = np.where(inside, fvals, np.inf).min(axis=1)
+    return maxv, minv
+
+
+class TestKdBallExtremes:
+    """Above the dense member limit Euclidean balls come from a kd-tree.
+
+    On a 64x64 lattice at spacing 1/8 the radii 1/4 and 3/8 (and 3 times
+    the nearest distance, 3/8) equal lattice distances exactly, so whole
+    rings of points sit on the boundary the open ball must exclude.
+    """
+
+    @pytest.mark.parametrize("permute", [False, True])
+    def test_lattice_matches_dense_rows(self, permute):
+        g = np.arange(64) / 8.0
+        coords = np.array([(x, y) for x in g for y in g])
+        if permute:
+            coords = coords[np.random.default_rng(0).permutation(len(coords))]
+        space = SpaceInstance("lattice64", EuclideanMetric(coords), resolution=1 / 16)
+        members = np.arange(space.n)
+        assert members.size > _DENSE_MEMBER_LIMIT
+        fvals = np.random.default_rng(5).integers(0, 4, size=space.n) / 3.0
+        for pol in (AdaptiveScale(1.5), AdaptiveScale(3.0), FixedScale(1 / 4), FixedScale(3 / 8)):
+            radii = pol.radii(space, members)
+            maxv, minv = _ball_extremes(space, members, radii, fvals)
+            want_max, want_min = dense_ball_extremes(space, members, radii, fvals)
+            assert np.array_equal(maxv, want_max), pol
+            assert np.array_equal(minv, want_min), pol
 
 
 class TestIndexProfile:
@@ -284,28 +323,17 @@ class TestEmission:
             assert b.issubset(a)
 
 
-class TestEngineClusteredGeometry:
-    def test_equivalence_when_knn_candidates_die(self):
-        # tight clusters: removals kill whole kd-list neighbourhoods, forcing
-        # the engine's full-scan fallback for fresh local scales
+class TestIterateClusteredGeometry:
+    def test_clusters_match_oracle(self):
+        # tight clusters where most values sit flat, so whole clusters drain
         rng = np.random.default_rng(77)
         centers = rng.uniform(size=(30, 2)) * 100.0
         pts = np.concatenate([c + rng.uniform(size=(50, 2)) * 0.01 for c in centers])
-        from oscext.space import EuclideanMetric, SpaceInstance
-
         space = SpaceInstance("clusters", EuclideanMetric(pts), resolution=1e-5,
                               family="euclidean")
         vals = rng.uniform(size=space.n)
         quiet = rng.uniform(size=space.n) < 0.8
-        vals[quiet] = 0.0  # most points sit flat so whole clusters drain fast
+        vals[quiet] = 0.0
         f = ScalarField(space.full_mask(), vals)
-        saved = derive_mod._ENGINE_MIN_MEMBERS
-        try:
-            derive_mod._ENGINE_MIN_MEMBERS = 10
-            fast = iterate("pair", f, 0.5, space.full_mask(), AdaptiveScale(3.0))
-            derive_mod._ENGINE_MIN_MEMBERS = 10**9
-            ref = iterate("pair", f, 0.5, space.full_mask(), AdaptiveScale(3.0))
-        finally:
-            derive_mod._ENGINE_MIN_MEMBERS = saved
-        assert fast.terminal == ref.terminal
-        assert [tuple(l.ids()) for l in fast.levels] == [tuple(l.ids()) for l in ref.levels]
+        # every fourth point: about a dozen per cluster, every cluster kept
+        assert_iterate_matches_oracle(space, f, np.arange(0, space.n, 4))
