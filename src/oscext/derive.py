@@ -20,12 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, ValidationError
-from .space import ScalarField, SubsetMask, ball, dists_among
-
-_DENSE_MEMBER_LIMIT = 3000
+from .space import ScalarField, SubsetMask, ball
 
 
 # ---------------------------------------------------------------------------
@@ -57,59 +54,8 @@ def osc_at_point(f: ScalarField, x: int, Y: SubsetMask, scale: float) -> float:
 # One-step operators
 # ---------------------------------------------------------------------------
 
-def _ball_extremes(space, members, radii, fvals):
-    """Per member: max and min of f over its open ball among the members.
-
-    Empty balls yield max < min so every gap test fails for them.
-    """
-    k = members.size
-    metric = space.metric
-    if metric.kind == "cantor":
-        width = metric.width
-        maxv = np.full(k, -np.inf)
-        minv = np.full(k, np.inf)
-        uniq, inv = np.unique(radii, return_inverse=True)
-        lengths = np.array([min(metric.cylinder_length(r), width) if r > 0
-                            else width + 1  # empty ball sentinel
-                            for r in uniq], dtype=np.int64)
-        creq = lengths[inv.reshape(-1)]
-        for c in np.unique(creq):
-            sel = creq == c
-            if c > width:
-                continue
-            codes = metric.codes[int(c)][members]
-            _, inv = np.unique(codes, return_inverse=True)
-            gmax = np.full(inv.max() + 1, -np.inf)
-            gmin = np.full(inv.max() + 1, np.inf)
-            np.maximum.at(gmax, inv, fvals)
-            np.minimum.at(gmin, inv, fvals)
-            maxv[sel] = gmax[inv[sel]]
-            minv[sel] = gmin[inv[sel]]
-        return maxv, minv
-    if metric.kind == "euclidean" and k > _DENSE_MEMBER_LIMIT:
-        coords = metric.coords[members]
-        tree = cKDTree(coords)
-        lists = tree.query_ball_point(coords, r=np.maximum(radii, 0.0), workers=-1)
-        lengths = np.fromiter((len(l) for l in lists), dtype=np.int64, count=k)
-        flat = np.concatenate([np.asarray(l, dtype=np.int64) for l in lists]) if lengths.sum() else np.empty(0, dtype=np.int64)
-        seg = np.repeat(np.arange(k), lengths)
-        diff = coords[flat] - coords[seg]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        keep = dist < radii[seg]  # kd queries are closed; re-filter strictly
-        maxv = np.full(k, -np.inf)
-        minv = np.full(k, np.inf)
-        np.maximum.at(maxv, seg[keep], fvals[flat[keep]])
-        np.minimum.at(minv, seg[keep], fvals[flat[keep]])
-        return maxv, minv
-    sub = dists_among(space, members)
-    inside = sub < radii[:, None]
-    maxv = np.where(inside, fvals[None, :], -np.inf).max(axis=1)
-    minv = np.where(inside, fvals[None, :], np.inf).min(axis=1)
-    return maxv, minv
-
-
 def _step_keep(space, members, radii, fvals, epsilon, kind):
-    maxv, minv = _ball_extremes(space, members, radii, fvals)
+    maxv, minv = space.metric.ball_extremes(members, radii, fvals)
     if kind == "pair":
         return (maxv - minv) >= epsilon
     gap = np.maximum(maxv - fvals, fvals - minv)

@@ -102,44 +102,7 @@ def nearest_in_set(space: SpaceInstance, target: SubsetMask):
     tids = target.ids()
     if tids.size == 0:
         raise PreconditionError("target set is empty")
-    metric = space.metric
-    n = space.n
-    if metric.kind == "cantor":
-        width = metric.width
-        nearest = np.full(n, -1, dtype=np.int64)
-        dist = np.full(n, np.inf)
-        t_in = target.mask
-        for c in range(width, -1, -1):
-            codes = metric.codes[c]
-            tcodes = codes[tids]
-            order = np.argsort(tcodes, kind="stable")  # stable: min id first per code
-            sc = tcodes[order]
-            starts = np.flatnonzero(np.r_[True, sc[1:] != sc[:-1]])
-            group_codes = sc[starts]
-            group_min_ids = tids[order][starts]
-            unset = nearest < 0
-            pos = np.searchsorted(group_codes, codes[unset])
-            pos_ok = (pos < group_codes.size)
-            hit = np.zeros(unset.sum(), dtype=bool)
-            hit[pos_ok] = group_codes[pos[pos_ok]] == codes[unset][pos_ok]
-            ids_unset = np.flatnonzero(unset)
-            chosen = ids_unset[hit]
-            nearest[chosen] = group_min_ids[pos[hit]]
-            d = 2.0 ** -(c + 1.0)
-            dist[chosen] = np.where(t_in[chosen] & (nearest[chosen] == chosen), 0.0, d)
-            # a target point is its own nearest at depth = width
-            own = chosen[t_in[chosen]]
-            nearest[own] = own
-            dist[own] = 0.0
-        return nearest, dist
-    out_id = np.empty(n, dtype=np.int64)
-    out_d = np.empty(n)
-    for lo, hi in _row_chunks(n, tids.size):
-        block = metric.dist_rows(np.arange(lo, hi), tids)
-        j = np.argmin(block, axis=1)  # first minimum = smallest target id
-        out_id[lo:hi] = tids[j]
-        out_d[lo:hi] = block[np.arange(hi - lo), j]
-    return out_id, out_d
+    return space.metric.nearest(tids)
 
 
 # ---------------------------------------------------------------------------

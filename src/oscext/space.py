@@ -23,13 +23,74 @@ _EXACT_DIAMETER_LIMIT = 4096
 # Element budget of one distance block (rows x columns) in the chunked
 # row-block kernels; bounds their temporaries whatever the input size.
 _BLOCK_ELEMS = 1 << 16
+# Euclidean member sets above these sizes query a kd-tree instead of
+# distance row blocks: for local scales, and for ball extremes.
+_KD_SCALE_MEMBERS = 2048
+_KD_BALL_MEMBERS = 3000
 
 
 # ---------------------------------------------------------------------------
 # Metric backends
 # ---------------------------------------------------------------------------
 
-class MatrixMetric:
+class Metric:
+    """The kernels every backend shares, read through ``dist_rows`` blocks.
+
+    A backend provides ``n``, ``kind`` and the distance methods; it
+    overrides a kernel here only for a fast path.  Blocks are chunked by
+    ``_row_chunks`` so their temporaries stay within ``_BLOCK_ELEMS``.
+    """
+
+    def scales(self, m: np.ndarray):
+        """Nearest-other-member distance and the neighbour's id, per member."""
+        if m.size < 2:  # an isolated member: scale 0, no neighbour
+            return np.zeros(m.size), np.full(m.size, -1, dtype=np.int64)
+        return self._nearest_other(m, m)
+
+    def nearest(self, tids: np.ndarray):
+        """Per point: (nearest target id, distance); a target is its own nearest."""
+        ids = np.arange(self.n, dtype=np.int64)
+        dist = np.zeros(self.n)
+        q = np.setdiff1d(ids, tids, assume_unique=True)
+        dist[q], ids[q] = self._nearest_other(q, tids)
+        return ids, dist
+
+    def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
+        """Per query: (distance, id) of the nearest target other than itself.
+
+        Ties go to the smallest id.  Every query must have a target other
+        than itself.
+        """
+        t = np.sort(tids)
+        ids = np.empty(queries.size, dtype=np.int64)
+        dist = np.empty(queries.size)
+        for lo, hi in _row_chunks(queries.size, t.size):
+            q = queries[lo:hi]
+            rows = np.arange(hi - lo)
+            block = self.dist_rows(q, t)
+            pos = np.minimum(np.searchsorted(t, q), t.size - 1)
+            own = t[pos] == q
+            block[rows[own], pos[own]] = np.inf
+            j = np.argmin(block, axis=1)  # first minimum = smallest id
+            ids[lo:hi] = t[j]
+            dist[lo:hi] = block[rows, j]
+        return dist, ids
+
+    def ball_extremes(self, m: np.ndarray, radii: np.ndarray, fvals: np.ndarray):
+        """Per member: max and min of f over its open ball among the members.
+
+        Empty balls yield max < min so every gap test fails for them.
+        """
+        maxv = np.empty(m.size)
+        minv = np.empty(m.size)
+        for lo, hi in _row_chunks(m.size, m.size):
+            inside = self.dist_rows(m[lo:hi], m) < radii[lo:hi, None]
+            maxv[lo:hi] = np.where(inside, fvals, -np.inf).max(axis=1)
+            minv[lo:hi] = np.where(inside, fvals, np.inf).min(axis=1)
+        return maxv, minv
+
+
+class MatrixMetric(Metric):
     """Dense pairwise distance matrix."""
 
     kind = "matrix"
@@ -54,7 +115,7 @@ class MatrixMetric:
         return float(self.data.max()) if self.n else 0.0
 
 
-class EuclideanMetric:
+class EuclideanMetric(Metric):
     """Points in R^dim; ball queries go through a kd-tree."""
 
     kind = "euclidean"
@@ -93,6 +154,50 @@ class EuclideanMetric:
         dist = np.sqrt(np.einsum("ij,ij->i", d, d))
         return np.sort(cand[dist < radius])
 
+    def scales(self, m: np.ndarray):
+        if m.size <= _KD_SCALE_MEMBERS:
+            return super().scales(m)
+        k = m.size
+        ls, nn = np.empty(k), np.empty(k, dtype=np.int64)
+        pts = self.coords[m]
+        tree = cKDTree(pts)
+        # Query more neighbours while none of those returned lies beyond the
+        # nearest distance: every tied neighbour must be seen for the
+        # smallest-id rule.
+        rows = np.arange(k)
+        kq = min(4, k)
+        while rows.size:
+            d, j = tree.query(pts[rows], k=kq, workers=-1)
+            d[j == rows[:, None]] = np.inf
+            near = d.min(axis=1)
+            tie = d == near[:, None]
+            ls[rows] = near
+            nn[rows] = np.where(tie, m[j], np.iinfo(np.int64).max).min(axis=1)
+            if kq == k:
+                break
+            rows = rows[(tie | np.isinf(d)).all(axis=1)]
+            kq = min(2 * kq, k)
+        return ls, nn
+
+    def ball_extremes(self, m: np.ndarray, radii: np.ndarray, fvals: np.ndarray):
+        k = m.size
+        if k <= _KD_BALL_MEMBERS:
+            return super().ball_extremes(m, radii, fvals)
+        coords = self.coords[m]
+        tree = cKDTree(coords)
+        lists = tree.query_ball_point(coords, r=np.maximum(radii, 0.0), workers=-1)
+        lengths = np.fromiter((len(l) for l in lists), dtype=np.int64, count=k)
+        flat = np.concatenate([np.asarray(l, dtype=np.int64) for l in lists]) if lengths.sum() else np.empty(0, dtype=np.int64)
+        seg = np.repeat(np.arange(k), lengths)
+        diff = coords[flat] - coords[seg]
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        keep = dist < radii[seg]  # kd queries are closed; re-filter strictly
+        maxv = np.full(k, -np.inf)
+        minv = np.full(k, np.inf)
+        np.maximum.at(maxv, seg[keep], fvals[flat[keep]])
+        np.minimum.at(minv, seg[keep], fvals[flat[keep]])
+        return maxv, minv
+
     def diameter(self) -> float:
         if self._diameter is None:
             if self.n <= _EXACT_DIAMETER_LIMIT:
@@ -109,7 +214,7 @@ class EuclideanMetric:
         return self._diameter
 
 
-class CantorMetric:
+class CantorMetric(Metric):
     """Prefix metric 2^-(first differing coordinate) on binary sequences.
 
     Each point is an eventually constant sequence stored as its first
@@ -192,6 +297,53 @@ class CantorMetric:
             c = self.width
         return np.flatnonzero(self.codes[c] == self.codes[c][center])
 
+    def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
+        # In code order a query's longest prefix with another target is the
+        # longer one with its sorted neighbours (the mate); the nearest other
+        # target is the smallest other id in that prefix's cylinder.
+        full = self.codes[self.width]
+        t = tids[np.argsort(full[tids], kind="stable")]
+        tcodes, qcodes = full[t], full[queries]
+        pos = np.searchsorted(tcodes, qcodes)
+        after = pos + (tcodes[np.minimum(pos, t.size - 1)] == qcodes)  # past the query itself
+        c_before = np.where(pos > 0, self.common_prefix(tcodes[pos - 1], qcodes), -1)
+        c_after = np.where(after < t.size, self.common_prefix(tcodes[np.minimum(after, t.size - 1)], qcodes), -1)
+        best = np.maximum(c_before, c_after)
+        mate = np.where(c_before >= c_after, pos - 1, after)
+        ids = np.empty(queries.size, dtype=np.int64)
+        for c in np.unique(best):
+            pre = self.codes[c][t]
+            new = np.r_[True, pre[1:] != pre[:-1]]
+            group = np.cumsum(new) - 1
+            starts = np.flatnonzero(new)
+            first = np.minimum.reduceat(t, starts)
+            second = np.minimum.reduceat(np.where(t == first[group], np.iinfo(np.int64).max, t), starts)
+            sel = best == c
+            g = group[mate[sel]]
+            ids[sel] = np.where(first[g] == queries[sel], second[g], first[g])
+        return 2.0 ** -(best + 1.0), ids
+
+    def ball_extremes(self, m: np.ndarray, radii: np.ndarray, fvals: np.ndarray):
+        # Open balls are cylinders: group the members by code per cylinder length.
+        width = self.width
+        maxv = np.full(m.size, -np.inf)
+        minv = np.full(m.size, np.inf)
+        uniq, inv = np.unique(radii, return_inverse=True)
+        lengths = np.array([min(self.cylinder_length(r), width) if r > 0
+                            else width + 1  # empty ball sentinel
+                            for r in uniq], dtype=np.int64)
+        creq = lengths[inv.reshape(-1)]
+        for c in np.unique(creq[creq <= width]):
+            sel = creq == c
+            _, inv = np.unique(self.codes[int(c)][m], return_inverse=True)
+            gmax = np.full(inv.max() + 1, -np.inf)
+            gmin = np.full(inv.max() + 1, np.inf)
+            np.maximum.at(gmax, inv, fvals)
+            np.minimum.at(gmin, inv, fvals)
+            maxv[sel] = gmax[inv[sel]]
+            minv[sel] = gmin[inv[sel]]
+        return maxv, minv
+
     def diameter(self) -> float:
         for c in range(self.width + 1):
             if np.unique(self.codes[min(c + 1, self.width)]).size > 1:
@@ -211,7 +363,7 @@ class SpaceInstance:
     recognise the clopen-at-resolution families.
     """
 
-    def __init__(self, name, metric, resolution, labels=None, family=None, validate=True):
+    def __init__(self, name, metric, resolution, labels=None, family=None):
         if resolution <= 0 or not np.isfinite(resolution):
             raise ValidationError(f"resolution must be a positive real, got {resolution}")
         self.name = str(name)
@@ -223,7 +375,7 @@ class SpaceInstance:
         self.subsets: dict[str, SubsetMask] = {}
         self.fields: dict[str, ScalarField] = {}
         self.meta: dict = {}
-        if validate and metric.kind == "matrix":
+        if metric.kind == "matrix":
             _validate_matrix(self.metric.data)
 
     def check_id(self, i: int) -> int:
@@ -347,9 +499,13 @@ class ScalarField:
         vals = np.asarray(values, dtype=np.float64)
         if ids.shape != vals.shape:
             raise ValidationError("domain ids and values must align")
+        domain = space.mask_from_ids(ids)  # rejects unknown ids before they index
+        if domain.size != ids.size:
+            srt = np.sort(ids)
+            raise ValidationError(f"domain repeats point id {srt[1:][srt[1:] == srt[:-1]][0]}")
         full = np.full(space.n, np.nan)
         full[ids] = vals
-        return cls(space.mask_from_ids(ids), full)
+        return cls(domain, full)
 
     @classmethod
     def constant(cls, domain: SubsetMask, value: float) -> "ScalarField":
@@ -470,68 +626,7 @@ def local_scales(space: SpaceInstance, members: np.ndarray):
     Nearest-neighbour ties break to the smallest id, so results are
     reproducible across backends.
     """
-    m = np.asarray(members, dtype=np.int64)
-    k = m.size
-    ls = np.zeros(k)
-    nn = np.full(k, -1, dtype=np.int64)
-    if k < 2:
-        return ls, nn
-    metric = space.metric
-    if metric.kind == "cantor":
-        # best_c: the longest prefix a member shares with another member,
-        # which in code order is its longer prefix with a sorted neighbour.
-        full = metric.codes[metric.width][m]
-        srt = np.argsort(full, kind="stable")
-        adj = metric.common_prefix(full[srt[1:]], full[srt[:-1]])
-        shared = np.zeros(k, dtype=np.int64)
-        shared[1:] = adj
-        shared[:-1] = np.maximum(shared[:-1], adj)
-        best_c = np.empty(k, dtype=np.int64)
-        best_c[srt] = shared
-        ls = 2.0 ** -(best_c + 1.0)
-        # The neighbour is the smallest other id in the member's best_c
-        # cylinder.  Cylinders take every member, not only those with the
-        # same best_c: a mate may share a deeper prefix with someone else.
-        for c in np.unique(best_c):
-            codes = metric.codes[c][m]
-            srt = np.lexsort((m, codes))
-            sc = codes[srt]
-            new = np.r_[True, sc[1:] != sc[:-1]]
-            start = np.flatnonzero(new)
-            group = np.empty(k, dtype=np.int64)
-            group[srt] = np.cumsum(new) - 1
-            first = m[srt[start]]
-            second = m[srt[np.minimum(start + 1, k - 1)]]  # read only for groups of >= 2
-            sel = np.flatnonzero(best_c == c)
-            g = group[sel]
-            nn[sel] = np.where(first[g] == m[sel], second[g], first[g])
-        return ls, nn
-    if metric.kind == "euclidean" and k > 2048:
-        pts = metric.coords[m]
-        tree = cKDTree(pts)
-        # Query more neighbours while none of those returned lies beyond the
-        # nearest distance: every tied neighbour must be seen for the
-        # smallest-id rule.
-        rows = np.arange(k)
-        kq = min(4, k)
-        while rows.size:
-            d, j = tree.query(pts[rows], k=kq, workers=-1)
-            d[j == rows[:, None]] = np.inf
-            near = d.min(axis=1)
-            tie = d == near[:, None]
-            ls[rows] = near
-            nn[rows] = np.where(tie, m[j], np.iinfo(np.int64).max).min(axis=1)
-            if kq == k:
-                break
-            rows = rows[(tie | np.isinf(d)).all(axis=1)]
-            kq = min(2 * kq, k)
-        return ls, nn
-    sub = dists_among(space, m)
-    np.fill_diagonal(sub, np.inf)
-    ls = sub.min(axis=1)
-    tie = sub == ls[:, None]
-    nn = np.where(tie, m[None, :], np.iinfo(np.int64).max).min(axis=1)
-    return ls, nn
+    return space.metric.scales(np.asarray(members, dtype=np.int64))
 
 
 def dists_among(space: SpaceInstance, members: np.ndarray) -> np.ndarray:
@@ -569,9 +664,7 @@ def local_scale(space: SpaceInstance, x: int, within: SubsetMask) -> float:
     members = within.ids()
     if members.size < 2:
         return 0.0
-    row = space.metric.dist_row(x)[members]
-    row[members == x] = np.inf
-    return float(row.min())
+    return float(space.metric._nearest_other(np.array([x]), members)[0][0])
 
 
 def delta_limit_points(space: SpaceInstance, A: SubsetMask, scale: float) -> SubsetMask:
@@ -731,8 +824,15 @@ def _as_array(value, dtype, what):
     """``value`` as a numpy array, or a ValidationError naming ``what``."""
     try:
         return np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} is malformed: {exc}") from None
+
+
+def _point_ids(value, what):
+    """A JSON list of integer point ids (not bools) as an id array."""
+    _require(isinstance(value, list) and all(isinstance(i, int) and not isinstance(i, bool) for i in value),
+             f"{what} must be a list of integer point ids")
+    return _as_array(value, np.int64, what)
 
 
 def load_space(doc: dict) -> SpaceInstance:
@@ -796,15 +896,16 @@ def load_space(doc: dict) -> SpaceInstance:
     subsets = doc.get("subsets") or {}
     _require(isinstance(subsets, dict), "subsets must be an object of named id lists")
     for name, id_list in subsets.items():
-        space.subsets[name] = space.mask_from_ids(_as_array(id_list, np.int64, f"subset {name!r}"))
+        space.subsets[name] = space.mask_from_ids(_point_ids(id_list, f"subset {name!r}"))
     fields = doc.get("fields") or {}
     _require(isinstance(fields, dict), "fields must be an object of named fields")
     for name, fdoc in fields.items():
         _require(isinstance(fdoc, dict) and "domain" in fdoc and "values" in fdoc,
                  f"field {name!r} must carry domain and values")
-        domain = _as_array(fdoc["domain"], np.int64, f"field {name!r} domain")
         values = _as_array(fdoc["values"], np.float64, f"field {name!r} values")
-        _require(domain.ndim == 1 and values.ndim == 1, f"field {name!r} domain and values must be lists")
+        _require(isinstance(fdoc["domain"], list) and values.ndim == 1,
+                 f"field {name!r} domain and values must be lists")
+        domain = _point_ids(fdoc["domain"], f"field {name!r} domain")
         _require(domain.size == values.size, f"field {name!r} domain/values length mismatch")
         space.fields[name] = ScalarField.on_ids(space, domain, values)
     return space

@@ -194,8 +194,9 @@ def matrix_doc(**changes):
 
 
 class TestMalformedDocuments:
-    """Each document used to end in a traceback, or (equal coordinates) to
-    pass validation; each must exit 1 with a message."""
+    """Each document used to end in a traceback, or (equal coordinates,
+    non-integer or repeated ids) to pass validation; each must exit 1 with a
+    message."""
 
     @pytest.mark.parametrize("doc, message", [
         (matrix_doc(points=[{"id": 0}, {"label": "no id"}, {"id": 2}]), "integer id"),
@@ -211,9 +212,21 @@ class TestMalformedDocuments:
         (two_point_doc([[0.5, 0.0], [0.5, 0.0]]), "points 0 and 1 have equal coordinates"),
         (two_point_doc([[0.5, 0.0], [0.5, -0.0]]), "points 0 and 1 have equal coordinates"),
         (two_point_doc([0.25, 0.25]), "points 0 and 1 have equal coordinates"),
+        (matrix_doc(subsets={"Y": [0.7, 1.9]}), "subset 'Y' must be a list of integer point ids"),
+        (matrix_doc(subsets={"Z": 2}), "subset 'Z' must be a list of integer point ids"),
+        (matrix_doc(subsets={"Y": [True, False]}), "subset 'Y' must be a list of integer point ids"),
+        (matrix_doc(fields={"f": {"domain": [0.5, 1, 2], "values": [0.0, 1.0, 2.0]}}),
+         "field 'f' domain must be a list of integer point ids"),
+        (matrix_doc(fields={"f": {"domain": [0, 0, 1], "values": [5.0, 1.0, 2.0]}}),
+         "domain repeats point id 0"),
+        (matrix_doc(fields={"f": {"domain": [0, 1, 5], "values": [0.0, 1.0, 2.0]}}),
+         "unknown point id 5"),
+        (matrix_doc(subsets={"Y": [2**70]}), "subset 'Y' is malformed"),
     ], ids=["point_without_id", "string_resolution", "non_numeric_field", "ragged_matrix",
             "numeric_field_domain", "subsets_list", "fields_list", "equal_coordinates",
-            "signed_zero_coordinates", "equal_1d_coordinates"])
+            "signed_zero_coordinates", "equal_1d_coordinates", "fractional_subset_ids",
+            "numeric_subset", "bool_subset_ids", "fractional_domain_ids", "repeated_domain_id",
+            "unknown_domain_id", "oversized_subset_id"])
     def test_exits_one(self, capsys, tmp_path, doc, message):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

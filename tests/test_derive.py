@@ -18,9 +18,8 @@ from oscext import (
     random_field,
     random_instance,
 )
-from oscext.derive import _DENSE_MEMBER_LIMIT, _ball_extremes
 from oscext.errors import PreconditionError, ValidationError
-from oscext.space import EuclideanMetric, SpaceInstance
+from oscext.space import _KD_BALL_MEMBERS, EuclideanMetric, SpaceInstance
 
 from oracles import o_gap_step, o_iterate, o_pair_step
 
@@ -225,11 +224,11 @@ class TestKdBallExtremes:
             coords = coords[np.random.default_rng(0).permutation(len(coords))]
         space = SpaceInstance("lattice64", EuclideanMetric(coords), resolution=1 / 16)
         members = np.arange(space.n)
-        assert members.size > _DENSE_MEMBER_LIMIT
+        assert members.size > _KD_BALL_MEMBERS
         fvals = np.random.default_rng(5).integers(0, 4, size=space.n) / 3.0
         for pol in (AdaptiveScale(1.5), AdaptiveScale(3.0), FixedScale(1 / 4), FixedScale(3 / 8)):
             radii = pol.radii(space, members)
-            maxv, minv = _ball_extremes(space, members, radii, fvals)
+            maxv, minv = space.metric.ball_extremes(members, radii, fvals)
             want_max, want_min = dense_ball_extremes(space, members, radii, fvals)
             assert np.array_equal(maxv, want_max), pol
             assert np.array_equal(minv, want_min), pol

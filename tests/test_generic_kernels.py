@@ -215,7 +215,7 @@ def with_subset_field(space, seed, keep=0.7):
 @functools.lru_cache(maxsize=None)
 def case(name):
     """(space, Y, f) for one named input."""
-    if name.startswith("ordinal:"):
+    if name.startswith(("ordinal:", "cantor:")):
         space = generate_from_spec(name)
         return space, space.subsets["Y"], space.fields["f"]
     if name == "random2d":
@@ -306,7 +306,7 @@ class TestBallMembership:
 
 
 class TestNearestInSet:
-    @pytest.mark.parametrize("name", SMALL_CASES)
+    @pytest.mark.parametrize("name", SMALL_CASES + ["cantor:6", "cantor:8"])
     def test_matches_row_loop(self, name):
         space, Y, _f = case(name)
         rng = np.random.default_rng(2)
