@@ -262,8 +262,6 @@ def _add_common(p):
     p.add_argument("--rounds", type=int, default=10)
     p.add_argument("--out", help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--emit-plot-data", dest="emit_plot", action="store_true",
-                   help="accepted for compatibility; outputs are already plain x/y series")
 
 
 def build_parser():

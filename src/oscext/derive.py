@@ -55,7 +55,7 @@ def osc_at_point(f: ScalarField, x: int, Y: SubsetMask, scale: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _step_keep(space, members, radii, fvals, epsilon, kind):
-    maxv, minv = space.metric.ball_extremes(members, radii, fvals)
+    maxv, minv = space.metric.ball_extremes(members, radii, members, fvals)
     if kind == "pair":
         return (maxv - minv) >= epsilon
     gap = np.maximum(maxv - fvals, fvals - minv)

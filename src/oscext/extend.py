@@ -20,7 +20,6 @@ from .space import (
     SpaceInstance,
     SubsetMask,
     _row_chunks,
-    ball,
     cb_filtration,
     local_scales,
     visibility_graph,
@@ -232,20 +231,15 @@ def limsup_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField) -> Ext
     if j_bot < j_top:
         j_bot = j_top
     _nearest, dY = nearest_in_set(space, Y)
-    pre = np.empty(space.n)
-    radii_used = np.empty(space.n)
-    for x in range(space.n):
-        j = j_bot
-        while j > j_top and not (2.0**-j > dY[x]):
-            j -= 1
-        r = 2.0**-j
-        members = ball(space, x, r, Y)
-        vals = fY.values[members.mask]
-        pre[x] = float(vals.max())
-        radii_used[x] = r
+    radius_grid = [2.0**-j for j in range(j_top, j_bot + 1)]
+    # Per point the smallest grid radius above dY, capped at 2^-j_top.
+    grid = np.array(radius_grid[::-1])
+    radii = grid[np.minimum(np.searchsorted(grid, dY, side="right"), grid.size - 1)]
+    yids = Y.ids()
+    pre, _minv = space.metric.ball_extremes(np.arange(space.n), radii, yids, fY.values[yids])
     diagnostics = {
-        "radius_grid": [2.0**-j for j in range(j_top, j_bot + 1)],
-        "max_radius_used": float(radii_used.max()),
+        "radius_grid": radius_grid,
+        "max_radius_used": float(radii.max()),
     }
     return _patched(space, Y, fY, pre, "limsup", diagnostics)
 
@@ -764,17 +758,13 @@ def _scatter_region(space, region, Y, fY, policy, mult, out, stats):
         out[members] = fY.values[nearest[members]]
         return
     tops = dec.filtration[-1]
+    top_ids = tops.ids()
     ls_comp, _nn = local_scales(space, members)
-    scale_of = dict(zip((int(i) for i in members), ls_comp))
+    scale = ls_comp[np.searchsorted(members, top_ids)]  # members are sorted ids
     nearest_y, dist_y = nearest_in_set(space, y_comp)
-    for x in tops.ids():
-        x = int(x)
-        if Y.mask[x]:
-            out[x] = fY.values[x]
-        elif dist_y[x] <= mult * scale_of[x]:
-            out[x] = fY.values[nearest_y[x]]  # inside the Y-closure at its scale
-        else:
-            out[x] = 0.0
-        stats["anchored_tops"] += 1
+    near = dist_y[top_ids] <= mult * scale  # inside the Y-closure at its scale
+    out[top_ids] = np.where(Y.mask[top_ids], fY.values[top_ids],
+                            np.where(near, fY.values[nearest_y[top_ids]], 0.0))
+    stats["anchored_tops"] += int(top_ids.size)
     rest = comp - tops
     _scatter_region(space, rest, Y, fY, policy, mult, out, stats)

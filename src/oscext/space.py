@@ -36,9 +36,10 @@ _KD_BALL_MEMBERS = 3000
 class Metric:
     """The kernels every backend shares, read through ``dist_rows`` blocks.
 
-    A backend provides ``n``, ``kind`` and the distance methods; it
-    overrides a kernel here only for a fast path.  Blocks are chunked by
-    ``_row_chunks`` so their temporaries stay within ``_BLOCK_ELEMS``.
+    A backend provides ``n``, ``kind``, the scalar ``dist`` and the block
+    ``dist_rows``, its only row method; it overrides a kernel here only
+    for a fast path.  Blocks are chunked by ``_row_chunks`` so their
+    temporaries stay within ``_BLOCK_ELEMS``.
     """
 
     def scales(self, m: np.ndarray):
@@ -76,15 +77,18 @@ class Metric:
             dist[lo:hi] = block[rows, j]
         return dist, ids
 
-    def ball_extremes(self, m: np.ndarray, radii: np.ndarray, fvals: np.ndarray):
-        """Per member: max and min of f over its open ball among the members.
+    def ball_extremes(self, queries: np.ndarray, radii: np.ndarray,
+                      targets: np.ndarray, fvals: np.ndarray):
+        """Per query: max and min of f over the targets inside its open ball.
 
-        Empty balls yield max < min so every gap test fails for them.
+        ``radii`` holds one radius per query and ``fvals`` one value per
+        target; ``targets`` must be nonempty.  Empty balls yield max < min
+        so every gap test fails for them.
         """
-        maxv = np.empty(m.size)
-        minv = np.empty(m.size)
-        for lo, hi in _row_chunks(m.size, m.size):
-            inside = self.dist_rows(m[lo:hi], m) < radii[lo:hi, None]
+        maxv = np.empty(queries.size)
+        minv = np.empty(queries.size)
+        for lo, hi in _row_chunks(queries.size, targets.size):
+            inside = self.dist_rows(queries[lo:hi], targets) < radii[lo:hi, None]
             maxv[lo:hi] = np.where(inside, fvals, -np.inf).max(axis=1)
             minv[lo:hi] = np.where(inside, fvals, np.inf).min(axis=1)
         return maxv, minv
@@ -102,21 +106,15 @@ class MatrixMetric(Metric):
     def dist(self, i: int, j: int) -> float:
         return float(self.data[i, j])
 
-    def dist_row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
     def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.data[np.ix_(rows, cols)]
-
-    def ball_ids(self, center: int, radius: float) -> np.ndarray:
-        return np.flatnonzero(self.data[center] < radius)
 
     def diameter(self) -> float:
         return float(self.data.max()) if self.n else 0.0
 
 
 class EuclideanMetric(Metric):
-    """Points in R^dim; ball queries go through a kd-tree."""
+    """Points in R^dim; large scale and ball-extreme queries go through a kd-tree."""
 
     kind = "euclidean"
 
@@ -135,24 +133,12 @@ class EuclideanMetric(Metric):
         return self._tree
 
     def dist(self, i: int, j: int) -> float:
-        return float(np.sqrt(np.sum((self.coords[i] - self.coords[j]) ** 2)))
-
-    def dist_row(self, i: int) -> np.ndarray:
-        d = self.coords - self.coords[i]
-        return np.sqrt(np.einsum("ij,ij->i", d, d))
+        d = self.coords[j] - self.coords[i]
+        return float(np.sqrt(np.einsum("k,k->", d, d)))  # the summation of dist_rows
 
     def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         d = self.coords[cols][None, :, :] - self.coords[rows][:, None, :]
         return np.sqrt(np.einsum("ijk,ijk->ij", d, d))
-
-    def ball_ids(self, center: int, radius: float) -> np.ndarray:
-        # kd-tree queries are closed; re-filter for the open ball.
-        cand = np.asarray(self.tree.query_ball_point(self.coords[center], radius), dtype=np.int64)
-        if cand.size == 0:
-            return cand
-        d = self.coords[cand] - self.coords[center]
-        dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-        return np.sort(cand[dist < radius])
 
     def scales(self, m: np.ndarray):
         if m.size <= _KD_SCALE_MEMBERS:
@@ -179,17 +165,18 @@ class EuclideanMetric(Metric):
             kq = min(2 * kq, k)
         return ls, nn
 
-    def ball_extremes(self, m: np.ndarray, radii: np.ndarray, fvals: np.ndarray):
-        k = m.size
-        if k <= _KD_BALL_MEMBERS:
-            return super().ball_extremes(m, radii, fvals)
-        coords = self.coords[m]
-        tree = cKDTree(coords)
-        lists = tree.query_ball_point(coords, r=np.maximum(radii, 0.0), workers=-1)
+    def ball_extremes(self, queries: np.ndarray, radii: np.ndarray,
+                      targets: np.ndarray, fvals: np.ndarray):
+        if targets.size <= _KD_BALL_MEMBERS:
+            return super().ball_extremes(queries, radii, targets, fvals)
+        k = queries.size
+        qcoords = self.coords[queries]
+        tcoords = self.coords[targets]
+        lists = cKDTree(tcoords).query_ball_point(qcoords, r=np.maximum(radii, 0.0), workers=-1)
         lengths = np.fromiter((len(l) for l in lists), dtype=np.int64, count=k)
         flat = np.concatenate([np.asarray(l, dtype=np.int64) for l in lists]) if lengths.sum() else np.empty(0, dtype=np.int64)
         seg = np.repeat(np.arange(k), lengths)
-        diff = coords[flat] - coords[seg]
+        diff = tcoords[flat] - qcoords[seg]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         keep = dist < radii[seg]  # kd queries are closed; re-filter strictly
         maxv = np.full(k, -np.inf)
@@ -248,13 +235,6 @@ class CantorMetric(Metric):
         top = x - (x >> np.uint64(1))
         return self.width - np.frexp(top.astype(np.float64))[1].astype(np.int64)
 
-    def lcp_row(self, i: int) -> np.ndarray:
-        """Length of the longest common prefix with every point."""
-        diff = self.bits != self.bits[i]
-        any_diff = diff.any(axis=1)
-        first = diff.argmax(axis=1)
-        return np.where(any_diff, first, self.width)
-
     def dist(self, i: int, j: int) -> float:
         if i == j:
             return 0.0
@@ -262,12 +242,6 @@ class CantorMetric(Metric):
         if diff.size == 0:
             return 0.0
         return float(2.0 ** -(diff[0] + 1.0))
-
-    def dist_row(self, i: int) -> np.ndarray:
-        lcp = self.lcp_row(i)
-        d = 2.0 ** -(lcp + 1.0)
-        d[i] = 0.0
-        return d
 
     def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         full = self.codes[self.width]
@@ -288,14 +262,6 @@ class CantorMetric(Metric):
         while c > 0 and 2.0 ** -c < radius:
             c -= 1
         return c
-
-    def ball_ids(self, center: int, radius: float) -> np.ndarray:
-        c = self.cylinder_length(radius)
-        if c == 0:
-            return np.arange(self.n, dtype=np.int64)
-        if c > self.width:
-            c = self.width
-        return np.flatnonzero(self.codes[c] == self.codes[c][center])
 
     def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
         # In code order a query's longest prefix with another target is the
@@ -323,25 +289,29 @@ class CantorMetric(Metric):
             ids[sel] = np.where(first[g] == queries[sel], second[g], first[g])
         return 2.0 ** -(best + 1.0), ids
 
-    def ball_extremes(self, m: np.ndarray, radii: np.ndarray, fvals: np.ndarray):
-        # Open balls are cylinders: group the members by code per cylinder length.
-        width = self.width
-        maxv = np.full(m.size, -np.inf)
-        minv = np.full(m.size, np.inf)
+    def ball_extremes(self, queries: np.ndarray, radii: np.ndarray,
+                      targets: np.ndarray, fvals: np.ndarray):
+        # Open balls are cylinders: group the targets by code per cylinder
+        # length, then find each query's code among the groups.
+        maxv = np.full(queries.size, -np.inf)
+        minv = np.full(queries.size, np.inf)
         uniq, inv = np.unique(radii, return_inverse=True)
-        lengths = np.array([min(self.cylinder_length(r), width) if r > 0
-                            else width + 1  # empty ball sentinel
+        lengths = np.array([min(self.cylinder_length(r), self.width) if r > 0
+                            else -1  # empty ball sentinel
                             for r in uniq], dtype=np.int64)
         creq = lengths[inv.reshape(-1)]
-        for c in np.unique(creq[creq <= width]):
-            sel = creq == c
-            _, inv = np.unique(self.codes[int(c)][m], return_inverse=True)
-            gmax = np.full(inv.max() + 1, -np.inf)
-            gmin = np.full(inv.max() + 1, np.inf)
-            np.maximum.at(gmax, inv, fvals)
-            np.minimum.at(gmin, inv, fvals)
-            maxv[sel] = gmax[inv[sel]]
-            minv[sel] = gmin[inv[sel]]
+        for c in np.unique(creq[creq >= 0]):
+            keys, group = np.unique(self.codes[c][targets], return_inverse=True)
+            gmax = np.full(keys.size, -np.inf)
+            gmin = np.full(keys.size, np.inf)
+            np.maximum.at(gmax, group, fvals)
+            np.minimum.at(gmin, group, fvals)
+            sel = np.flatnonzero(creq == c)
+            qkeys = self.codes[c][queries[sel]]
+            g = np.minimum(np.searchsorted(keys, qkeys), keys.size - 1)
+            hit = keys[g] == qkeys  # else no target shares the query's cylinder
+            maxv[sel[hit]] = gmax[g[hit]]
+            minv[sel[hit]] = gmin[g[hit]]
         return maxv, minv
 
     def diameter(self) -> float:
@@ -397,9 +367,12 @@ class SpaceInstance:
         return SubsetMask(self, np.zeros(self.n, dtype=bool))
 
     def mask_from_ids(self, ids) -> "SubsetMask":
+        ids = np.asarray(ids, dtype=np.int64).ravel()
+        bad = (ids < 0) | (ids >= self.n)
+        if bad.any():
+            self.check_id(ids[np.argmax(bad)])  # raises, naming the first bad id
         m = np.zeros(self.n, dtype=bool)
-        for i in np.asarray(ids, dtype=np.int64).ravel():
-            m[self.check_id(i)] = True
+        m[ids] = True
         return SubsetMask(self, m)
 
     def __repr__(self):
@@ -613,10 +586,8 @@ def ball(space: SpaceInstance, center: int, radius: float, within: SubsetMask) -
     center = space.check_id(center)
     if radius <= 0:
         return space.empty_mask()
-    ids = space.metric.ball_ids(center, radius)
-    out = np.zeros(space.n, dtype=bool)
-    out[ids] = within.mask[ids]
-    return SubsetMask(space, out)
+    row = space.metric.dist_rows(np.array([center]), np.arange(space.n))[0]
+    return SubsetMask(space, (row < radius) & within.mask)
 
 
 def local_scales(space: SpaceInstance, members: np.ndarray):
@@ -712,8 +683,7 @@ def _adaptive_survivors(members, ls, nn, multiplier):
     """
     if members.size < 2:
         return members[:0]
-    pos = {int(p): idx for idx, p in enumerate(members)}
-    nn_ls = np.array([ls[pos[int(y)]] for y in nn])
+    nn_ls = ls[np.searchsorted(members, nn)]  # members are sorted ids
     keep = multiplier * nn_ls < ls
     return members[keep]
 
@@ -745,11 +715,9 @@ def cb_filtration(space: SpaceInstance, A: SubsetMask, policy) -> ScatteredDecom
             terminal = ("saturated", step)
             break
         dropped = np.setdiff1d(members, nxt_ids, assume_unique=True)
-        pos = {int(p): idx for idx, p in enumerate(members)}
-        for p in dropped:
-            ranks[p] = step
-            d = ls[pos[int(p)]]
-            iso[p] = d if d > 0 else np.inf
+        d = ls[np.searchsorted(members, dropped)]
+        ranks[dropped] = step
+        iso[dropped] = np.where(d > 0, d, np.inf)
         if nxt.is_empty():
             terminal = ("emptied", step + 1)
             break
@@ -874,10 +842,12 @@ def load_space(doc: dict) -> SpaceInstance:
     elif mtype == "cantor":
         depth = spec.get("depth")
         _require(isinstance(depth, int) and depth >= 2, "cantor depth must be an integer >= 2")
+        _require(depth <= 63, "cantor depth must be at most 63: codes pack depth + 1 coordinates in 64 bits")
+        # 2^depth points per tail bit; checked before the space is enumerated.
+        _require(n == 2 ** (depth + 1), f"cantor depth {depth} has {2 ** (depth + 1)} points, document lists {n}")
         from .instances import cantor_prefix_bits  # local import to avoid a cycle
 
         bits, canon_labels = cantor_prefix_bits(depth)
-        _require(bits.shape[0] == n, f"cantor depth {depth} has {bits.shape[0]} points, document lists {n}")
         metric = CantorMetric(bits)
         if labels is None:
             labels = canon_labels

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -156,6 +157,14 @@ class TestNonFiniteParameters:
         assert "bad epsilon grid" in err
 
 
+class TestUsage:
+    def test_emit_plot_data_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--generate", "cantor:5", "--emit-plot-data"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --emit-plot-data" in capsys.readouterr().err
+
+
 class TestFileErrors:
     def test_missing_instance_file(self, capsys):
         code, _out, err = run(capsys, "validate", "--instance", "/nonexistent/x.json")
@@ -179,6 +188,11 @@ def two_point_doc(coords):
         "fields": {"f": {"domain": [0, 1], "values": [0.0, 1.0]}},
         "subsets": {"Y": [0, 1]},
     }
+
+
+def cantor_doc(depth):
+    return {"name": "deep", "resolution": 0.5, "points": [{"id": 0}],
+            "metric": {"type": "cantor", "depth": depth}}
 
 
 def matrix_doc(**changes):
@@ -222,11 +236,12 @@ class TestMalformedDocuments:
         (matrix_doc(fields={"f": {"domain": [0, 1, 5], "values": [0.0, 1.0, 2.0]}}),
          "unknown point id 5"),
         (matrix_doc(subsets={"Y": [2**70]}), "subset 'Y' is malformed"),
+        (cantor_doc(64), "cantor depth must be at most 63"),
     ], ids=["point_without_id", "string_resolution", "non_numeric_field", "ragged_matrix",
             "numeric_field_domain", "subsets_list", "fields_list", "equal_coordinates",
             "signed_zero_coordinates", "equal_1d_coordinates", "fractional_subset_ids",
             "numeric_subset", "bool_subset_ids", "fractional_domain_ids", "repeated_domain_id",
-            "unknown_domain_id", "oversized_subset_id"])
+            "unknown_domain_id", "oversized_subset_id", "cantor_depth_beyond_codes"])
     def test_exits_one(self, capsys, tmp_path, doc, message):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
@@ -244,3 +259,13 @@ class TestMalformedDocuments:
         assert code == 1
         assert out == ""
         assert "equal coordinates" in err
+
+    def test_cantor_point_count_checked_before_enumeration(self, capsys, tmp_path):
+        # enumerating 2^41 points would never finish; the count check comes first
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(cantor_doc(40)))
+        started = time.monotonic()
+        code, _out, err = run(capsys, "validate", "--instance", str(path))
+        assert time.monotonic() - started < 1.0
+        assert code == 1
+        assert "cantor depth 40 has 2199023255552 points, document lists 1" in err

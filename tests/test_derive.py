@@ -228,7 +228,7 @@ class TestKdBallExtremes:
         fvals = np.random.default_rng(5).integers(0, 4, size=space.n) / 3.0
         for pol in (AdaptiveScale(1.5), AdaptiveScale(3.0), FixedScale(1 / 4), FixedScale(3 / 8)):
             radii = pol.radii(space, members)
-            maxv, minv = space.metric.ball_extremes(members, radii, fvals)
+            maxv, minv = space.metric.ball_extremes(members, radii, members, fvals)
             want_max, want_min = dense_ball_extremes(space, members, radii, fvals)
             assert np.array_equal(maxv, want_max), pol
             assert np.array_equal(minv, want_min), pol

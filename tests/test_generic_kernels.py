@@ -1,7 +1,7 @@
 """The generic backends' row-block kernels against the per-point loops they replaced.
 
-``dist_rows`` must equal stacked ``dist_row`` rows bit for bit on every
-backend, and ``row < r`` must select exactly ``ball_ids``.  The cover,
+``dist_rows`` must equal the scalar ``dist`` bit for bit on every backend,
+and ``ball`` must select exactly the brute-force open ball.  The cover,
 partition, blend, nearest-point and generic layering kernels are checked
 against the per-point loops kept below as references: the arithmetic and
 its summation order are unchanged, so every output must be bit-identical,
@@ -16,15 +16,30 @@ import pytest
 
 from oscext import AdaptiveScale, ScalarField, SpaceInstance, generate_from_spec, iterate, osc_at_point
 from oscext.errors import InvariantError, PreconditionError
-from oscext.extend import LayerState, _layered_generic, nearest_in_set
+from oscext import extend
+from oscext.extend import (LayerState, _layered_generic, limsup_extension, nearest_in_set,
+                           scattered_extension, visibility_components)
 from oscext.instances import cantor_instance, random_instance
-from oscext.space import EuclideanMetric, MatrixMetric, SubsetMask, ball, dists_among
+from oscext.space import (_KD_BALL_MEMBERS, EuclideanMetric, MatrixMetric, SubsetMask, ball, cb_filtration,
+                          dists_among, load_space_file, local_scales)
 from oscext.unity import BallCover, PartitionOfUnity, blend, cover_for_piece, partition
+
+from conftest import FIXTURES
+from oracles import o_ball
 
 
 # ---------------------------------------------------------------------------
 # References: the per-point loops the kernels replaced
 # ---------------------------------------------------------------------------
+
+def dist_row(space, i):
+    """Distances from point ``i`` to every point, one row."""
+    return space.metric.dist_rows(np.array([i]), np.arange(space.n))[0]
+
+
+def ball_ids(space, center, radius):
+    return ball(space, center, radius, space.full_mask()).ids()
+
 
 def reference_nearest_in_set(space, target):
     tids = target.ids()
@@ -37,11 +52,82 @@ def reference_nearest_in_set(space, target):
         hi = min(n, lo + chunk)
         block = np.empty((hi - lo, tids.size))
         for r, i in enumerate(range(lo, hi)):
-            block[r] = metric.dist_row(i)[tids]
+            block[r] = dist_row(space, i)[tids]
         j = np.argmin(block, axis=1)  # first minimum = smallest target id
         out_id[lo:hi] = tids[j]
         out_d[lo:hi] = block[np.arange(hi - lo), j]
     return out_id, out_d
+
+
+def reference_limsup(space, Y, f):
+    """(prepatch values, diagnostics) of the per-point limsup loop."""
+    fY = f.restrict(Y)
+    diam = max(space.diameter(), space.resolution)
+    j_top = -int(math.ceil(math.log2(diam))) - 1
+    j_bot = int(math.floor(math.log2(1.0 / space.resolution)))
+    if 2.0**-j_bot <= space.resolution:
+        j_bot -= 1
+    if j_bot < j_top:
+        j_bot = j_top
+    _nearest, dY = nearest_in_set(space, Y)
+    pre = np.empty(space.n)
+    radii_used = np.empty(space.n)
+    for x in range(space.n):
+        j = j_bot
+        while j > j_top and not (2.0**-j > dY[x]):
+            j -= 1
+        r = 2.0**-j
+        members = ball(space, x, r, Y)
+        vals = fY.values[members.mask]
+        pre[x] = float(vals.max())
+        radii_used[x] = r
+    diagnostics = {
+        "radius_grid": [2.0**-j for j in range(j_top, j_bot + 1)],
+        "max_radius_used": float(radii_used.max()),
+    }
+    return pre, diagnostics
+
+
+def reference_scatter_region(space, region, Y, fY, policy, mult, out, stats):
+    """The scattered recursion with its per-point loop over the top points."""
+    if region.is_empty():
+        return
+    comps = visibility_components(space, region, mult)
+    if len(comps) > 1:
+        for comp in comps:
+            reference_scatter_region(space, comp, Y, fY, policy, mult, out, stats)
+        return
+    comp = comps[0]
+    stats["components"] += 1
+    members = comp.ids()
+    y_comp = Y & comp
+    if y_comp.is_empty():
+        out[comp.mask] = 0.0
+        stats["default_zero_regions"] += 1
+        return
+    if members.size == 1:
+        i = int(members[0])
+        out[i] = fY.values[i] if Y.mask[i] else 0.0
+        return
+    dec = cb_filtration(space, comp, policy)
+    if len(dec.filtration) == 1:
+        nearest, _d = nearest_in_set(space, y_comp)
+        out[members] = fY.values[nearest[members]]
+        return
+    tops = dec.filtration[-1]
+    ls_comp, _nn = local_scales(space, members)
+    scale_of = dict(zip((int(i) for i in members), ls_comp))
+    nearest_y, dist_y = nearest_in_set(space, y_comp)
+    for x in tops.ids():
+        x = int(x)
+        if Y.mask[x]:
+            out[x] = fY.values[x]
+        elif dist_y[x] <= mult * scale_of[x]:
+            out[x] = fY.values[nearest_y[x]]
+        else:
+            out[x] = 0.0
+        stats["anchored_tops"] += 1
+    reference_scatter_region(space, comp - tops, Y, fY, policy, mult, out, stats)
 
 
 def reference_cover_for_piece(space, Ybeta, Ynext, f, epsilon):
@@ -55,7 +141,7 @@ def reference_cover_for_piece(space, Ybeta, Ynext, f, epsilon):
     elements = []
     carrier = np.zeros(space.n, dtype=bool)
     for y in piece.ids():
-        row = space.metric.dist_row(int(y))
+        row = dist_row(space, int(y))
         d_next = float(row[next_ids].min()) if next_ids.size else cap
         bad = np.abs(beta_vals - f.values[y]) >= epsilon
         d_bad = float(row[beta_ids[bad]].min()) if bad.any() else cap
@@ -81,8 +167,8 @@ def reference_partition(space, cover):
     raws = []
     totals = np.zeros(space.n)
     for center, radius in cover.elements:
-        ids = space.metric.ball_ids(center, radius)
-        d = space.metric.dist_row(center)[ids] if ids.size else np.empty(0)
+        ids = ball_ids(space, center, radius)
+        d = dist_row(space, center)[ids]
         raw = radius - d
         support_ids.append(ids)
         raws.append(raw)
@@ -121,14 +207,14 @@ def reference_layered_generic(space, Y, fY, max_layers, n_max):
         supports = []
         anchors = np.empty(centers.size, dtype=np.int64)
         for pos, s in enumerate(centers):
-            ids = space.metric.ball_ids(int(s), radii[pos])
+            ids = ball_ids(space, int(s), radii[pos])
             supports.append(ids)
-            wide = space.metric.ball_ids(int(s), 2.0 * radii[pos])
+            wide = ball_ids(space, int(s), 2.0 * radii[pos])
             y_in = Y.mask[wide]
             if not y_in.any():
                 raise InvariantError(f"layer {k}: no anchor candidate near {int(s)}")
             cand = wide[y_in]
-            cd = space.metric.dist_row(int(s))[cand]
+            cd = dist_row(space, int(s))[cand]
             best = cand[cd == cd.min()]
             anchors[pos] = int(best.min())
         num = np.zeros(n)
@@ -138,7 +224,7 @@ def reference_layered_generic(space, Y, fY, max_layers, n_max):
         covering = np.zeros((n, centers.size), dtype=bool)
         for pos, s in enumerate(centers):
             ids = supports[pos]
-            w = radii[pos] - space.metric.dist_row(int(s))[ids]
+            w = radii[pos] - dist_row(space, int(s))[ids]
             num[ids] += w * fY.values[anchors[pos]]
             den[ids] += w
             np.maximum.at(lmax, ids, depths[pos])
@@ -160,8 +246,8 @@ def reference_layered_generic(space, Y, fY, max_layers, n_max):
             cov_x = covering[x]
             found = None
             for nn in range(lx, n_max + 1):
-                small = space.metric.ball_ids(x, 2.0**-nn)
-                wide = space.metric.ball_ids(x, 2.0 ** (1 - nn))
+                small = ball_ids(space, x, 2.0**-nn)
+                wide = ball_ids(space, x, 2.0 ** (1 - nn))
                 y_wide = wide[Y.mask[wide]]
                 if y_wide.size == 0:
                     continue
@@ -267,6 +353,10 @@ def backend_space(name):
     return cantor_instance(7) if name == "cantor" else case(name)[0]
 
 
+def scalar_block(space, rows, cols):
+    return np.array([[space.metric.dist(int(i), int(j)) for j in cols] for i in rows])
+
+
 class TestDistRows:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_equals_stacked_rows(self, name):
@@ -275,16 +365,13 @@ class TestDistRows:
         picks = [np.arange(space.n), rng.integers(0, space.n, size=37), np.array([space.n - 1, 0, 0])]
         for rows in picks:
             for cols in picks:
-                got = space.metric.dist_rows(rows, cols)
-                want = np.stack([space.metric.dist_row(int(i))[cols] for i in rows])
-                assert identical(got, want)
+                assert identical(space.metric.dist_rows(rows, cols), scalar_block(space, rows, cols))
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_dists_among_is_the_square_block(self, name):
         space = backend_space(name)
         m = np.random.default_rng(1).choice(space.n, size=min(space.n, 40), replace=False)
-        want = np.stack([space.metric.dist_row(int(i))[m] for i in m])
-        assert identical(dists_among(space, m), want)
+        assert identical(dists_among(space, m), scalar_block(space, m, m))
 
 
 class TestBallMembership:
@@ -292,17 +379,18 @@ class TestBallMembership:
     def test_row_below_radius_is_the_ball(self, name):
         space = case(name)[0]
         for c in range(0, space.n, 7):
-            row = space.metric.dist_row(c)
             # Radii exactly equal to distances: the tied points are excluded.
-            for r in np.unique(row)[1:12]:
-                assert np.array_equal(np.flatnonzero(row < r), space.metric.ball_ids(c, r))
+            for r in np.unique(dist_row(space, c))[1:12]:
+                assert list(ball_ids(space, c, r)) == o_ball(space, c, r, range(space.n))
 
     def test_cantor_cylinders(self):
         space = cantor_instance(6)
+        metric = space.metric
         for c in range(0, space.n, 5):
-            row = space.metric.dist_row(c)
             for r in 2.0 ** -np.arange(1, 9.0):
-                assert np.array_equal(np.flatnonzero(row < r), space.metric.ball_ids(c, r))
+                length = min(metric.cylinder_length(r), metric.width)
+                cylinder = np.flatnonzero(metric.codes[length] == metric.codes[length][c])
+                assert np.array_equal(ball_ids(space, c, r), cylinder)
 
 
 class TestNearestInSet:
@@ -322,6 +410,122 @@ class TestNearestInSet:
         got_id, _d = nearest_in_set(space, target)
         want_id, _ = reference_nearest_in_set(space, target)
         assert np.array_equal(got_id, want_id)
+
+
+def brute_ball_extremes(space, queries, radii, targets, fvals):
+    """Max and min of f over ``oracles.o_ball`` per query; (-inf, inf) when empty."""
+    value = dict(zip(targets.tolist(), fvals))
+    maxv, minv = [], []
+    for q, r in zip(queries, radii):
+        inside = [value[y] for y in o_ball(space, int(q), r, targets.tolist())]
+        maxv.append(max(inside, default=-np.inf))
+        minv.append(min(inside, default=np.inf))
+    return np.array(maxv), np.array(minv)
+
+
+def extremes_inputs(space, seed, ntargets, nqueries):
+    """Targets, unsorted queries that partly miss them, and radii that tie distances.
+
+    Every seventh radius is 0; others equal a query-to-target distance,
+    twice one, or half the query's nearest positive target distance.
+    """
+    rng = np.random.default_rng(seed)
+    targets = np.sort(rng.choice(space.n, size=ntargets, replace=False))
+    queries = rng.choice(space.n, size=nqueries, replace=False)
+    d = np.array([[space.dist(int(q), int(t)) for t in targets] for q in queries])
+    radii = d[np.arange(nqueries), rng.integers(0, ntargets, size=nqueries)]
+    radii[3::7] *= 2.0
+    radii[5::7] = 0.5 * np.where(d > 0, d, np.inf).min(axis=1)[5::7]
+    radii[::7] = 0.0
+    fvals = rng.integers(0, 4, size=ntargets) / 3.0
+    return queries, radii, targets, fvals
+
+
+def kd_lattice():
+    g = np.arange(64) / 8.0
+    coords = np.array([(x, y) for x in g for y in g])
+    return SpaceInstance("lattice64", EuclideanMetric(coords), resolution=1 / 16, family="euclidean")
+
+
+class TestBallExtremes:
+    """Queries differ from targets: some queries are not targets, some balls are empty."""
+
+    @pytest.mark.parametrize("name", ["lattice", "matrix", "random3d", "cantor:6", "cantor:8"])
+    def test_matches_brute_force(self, name):
+        space = case(name)[0]
+        queries, radii, targets, fvals = extremes_inputs(space, 7, space.n // 3, min(space.n, 90))
+        got = space.metric.ball_extremes(queries, radii, targets, fvals)
+        want = brute_ball_extremes(space, queries, radii, targets, fvals)
+        assert all_identical(got, want)
+        empty = got[0] < got[1]
+        assert empty[radii == 0].all() and (empty & (radii > 0)).any()
+
+    def test_kd_path_matches_brute_force(self):
+        space = kd_lattice()
+        queries, radii, targets, fvals = extremes_inputs(space, 8, 3200, 40)
+        assert targets.size > _KD_BALL_MEMBERS
+        got = space.metric.ball_extremes(queries, radii, targets, fvals)
+        assert all_identical(got, brute_ball_extremes(space, queries, radii, targets, fvals))
+
+
+# ---------------------------------------------------------------------------
+# Limsup envelope
+# ---------------------------------------------------------------------------
+
+def assert_same_limsup(space, Y, f):
+    report = limsup_extension(space, Y, f)
+    pre, diagnostics = reference_limsup(space, Y, f)
+    assert identical(report.prepatch.values, pre)
+    assert report.diagnostics == diagnostics
+    assert type(report.diagnostics["max_radius_used"]) is float
+
+
+class TestLimsup:
+    @pytest.mark.parametrize("path", sorted(p.name for p in FIXTURES.glob("*.json") if p.name != "broken_triangle.json"))
+    def test_fixture_matches_loop(self, path):
+        space = load_space_file(FIXTURES / path)
+        f = space.fields["f"]
+        assert_same_limsup(space, space.subsets.get("Y", f.domain), f)
+
+    @pytest.mark.parametrize("spec", ["ordinal:1", "ordinal:2", "ordinal:3", "cantor:6", "cantor:8",
+                                      "cantor:10", "random:7:200:2", "sequence"])
+    def test_generated_matches_loop(self, spec):
+        space = generate_from_spec(spec)
+        assert_same_limsup(space, space.subsets["Y"], space.fields["f"])
+
+    @pytest.mark.parametrize("name", ["lattice", "matrix", "random3d"])
+    def test_tie_heavy_cases_match_loop(self, name):
+        # On the lattice, points off Y sit exactly a grid radius from Y.
+        assert_same_limsup(*case(name))
+
+    def test_far_point_uses_the_top_radius(self):
+        # Point 1 lies a whole diameter from Y: only the top grid radius reaches Y.
+        space = SpaceInstance("pair", MatrixMetric(np.array([[0.0, 1.0], [1.0, 0.0]])), resolution=0.5)
+        assert_same_limsup(space, space.mask_from_ids([0]), ScalarField.on_ids(space, [0], [0.25]))
+
+    def test_kd_path_matches_loop(self):
+        # Y holds more than _KD_BALL_MEMBERS points: balls come from a kd-tree.
+        space, Y, f = with_subset_field(random_instance(9, 4000, 2), 9, keep=0.85)
+        assert Y.size > _KD_BALL_MEMBERS
+        assert_same_limsup(space, Y, f)
+
+
+# ---------------------------------------------------------------------------
+# Scattered recursion
+# ---------------------------------------------------------------------------
+
+class TestScattered:
+    @pytest.mark.parametrize("spec", ["ordinal:1", "ordinal:2", "ordinal:3", "ordinal:2:6", "sequence", "cantor:6"])
+    @pytest.mark.parametrize("mult", [1.5, 2.0, 3.0])
+    def test_matches_loop(self, monkeypatch, spec, mult):
+        for keep in (0.2, 0.5):
+            space, Y, f = with_subset_field(generate_from_spec(spec), 3, keep)
+            got = scattered_extension(space, Y, f, AdaptiveScale(mult))
+            with monkeypatch.context() as m:
+                m.setattr(extend, "_scatter_region", reference_scatter_region)
+                want = scattered_extension(space, Y, f, AdaptiveScale(mult))
+            assert identical(got.prepatch.values, want.prepatch.values)
+            assert got.diagnostics == want.diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,18 @@ class TestBall:
             assert a == b
 
 
+class TestMaskFromIds:
+    def test_names_the_first_unknown_id(self, seq10):
+        with pytest.raises(ValidationError, match=r"^unknown point id 11 \(space has 11 points\)$"):
+            seq10.mask_from_ids([3, 11, -1, 40])
+        with pytest.raises(ValidationError, match=r"^unknown point id -1 "):
+            seq10.mask_from_ids([[3, -1], [11, 2]])
+
+    def test_repeats_and_order(self, seq10):
+        assert list(seq10.mask_from_ids([5, 0, 5]).ids()) == [0, 5]
+        assert seq10.mask_from_ids([]).is_empty()
+
+
 class TestLocalScale:
     def test_singleton(self, seq10):
         assert local_scale(seq10, 4, seq10.mask_from_ids([4])) == 0.0
@@ -165,7 +177,7 @@ def dense_local_scales(space, members):
     ls = np.empty(members.size)
     nn = np.empty(members.size, dtype=np.int64)
     for pos, x in enumerate(members):
-        row = space.metric.dist_row(int(x))[members]
+        row = space.metric.dist_rows(np.array([x]), members)[0]
         row[pos] = np.inf
         ls[pos] = row.min()
         nn[pos] = members[row == ls[pos]].min()
@@ -257,6 +269,21 @@ class TestCbFiltration:
             dec = cb_filtration(space, space.full_mask(), AdaptiveScale(3.0))
             levels, terminal = o_adaptive_filtration(space, list(range(space.n)), 3.0)
             assert [sorted(l.ids()) for l in dec.filtration] == [sorted(l) for l in levels]
+
+    @pytest.mark.parametrize("policy", [AdaptiveScale(3.0), AdaptiveScale(1.5), FixedScale(0.05)])
+    def test_ranks_and_isolation_radii_match_levels(self, seq10, ordinal2, cantor6, rand60, policy):
+        # A point dropped from level r has rank r and, as isolation radius, its
+        # local scale within level r (inf when it was alone there).
+        for space in (seq10, ordinal2, cantor6, rand60):
+            dec = cb_filtration(space, space.full_mask(), policy)
+            for p in range(space.n):
+                r = dec.rank_of(p)
+                if r < 0:
+                    assert not dec.emptied and p in dec.filtration[-1] and np.isnan(dec.iso_radius[p])
+                    continue
+                assert p in dec.filtration[r] and (r + 1 == len(dec.filtration) or p not in dec.filtration[r + 1])
+                d = o_local_scale(space, p, list(dec.filtration[r].ids()))
+                assert dec.iso_radius[p] == (d if d > 0 else np.inf)
 
     def test_requires_nonempty(self, seq10):
         with pytest.raises(PreconditionError):

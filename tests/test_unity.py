@@ -46,7 +46,7 @@ class TestCoverForPiece:
             pytest.skip("degenerate draw")
         cover = cover_for_piece(rand60, P, nxt, f, 0.5)
         for c, r in cover.elements:
-            row = rand60.metric.dist_row(c)
+            row = rand60.metric.dist_rows(np.array([c]), np.arange(rand60.n))[0]
             inside = np.flatnonzero(row < r)
             assert not np.any(nxt.mask[inside])
             vals = f.values[inside]
@@ -105,7 +105,7 @@ class TestPartition:
         for (c, r), ids, ws in zip(cover.elements, pou.support_ids, pou.weights):
             np.add.at(totals, ids, ws)
             assert np.all(ws >= 0)
-            d = rand60.metric.dist_row(c)[ids]
+            d = rand60.metric.dist_rows(np.array([c]), ids)[0]
             assert np.all(d < r)  # support inside the open ball, exactly
         carrier = pou.carrier.mask
         assert np.all(np.abs(totals[carrier] - 1.0) <= 2.0**-48)
