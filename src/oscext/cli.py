@@ -215,7 +215,10 @@ def cmd_compare(args):
 
 
 def cmd_ex1(args):
-    depths = [int(tok) for tok in args.depths.split(",") if tok.strip()]
+    try:
+        depths = [int(tok) for tok in args.depths.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ValidationError(f"bad depth list {args.depths!r}: {exc}") from None
     if not depths:
         raise ValidationError("at least one depth is required")
     blocks = {}

@@ -311,8 +311,8 @@ def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
     # condition controls); at the resolution floor the single-radius rule
     # deadlocks against that condition and strands points in coarse layers.
     n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
-    build = _layered_cantor if space.metric.kind == "cantor" else _layered_generic
-    layers = build(space, Y, fY, max_layers, n_max, nearest_y, dY)
+    backend = _CantorSupports if space.metric.kind == "cantor" else _GenericSupports
+    layers = _layered(space, Y, fY, max_layers, n_max, nearest_y, dY, backend)
 
     log = _assert_layer_bounds(space, Y, fY, layers)
 
@@ -371,40 +371,81 @@ def _assert_layer_bounds(space, Y, fY, layers):
     return log
 
 
-def _layered_generic(space, Y, fY, max_layers, n_max, nearest_y, dist_y):
-    """Mask-based layered construction for small, general metric spaces.
+def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
+    """The layer loop, with the support sums and support test of ``backend``.
 
-    Supports and hat weights come from distance row blocks of the centers;
-    a center's anchor is its nearest Y point, which must lie in the doubled
-    ball.  Accumulation-order contract: each point's hat sums add its
-    centers' terms one at a time in center order, starting from 0, as a
-    per-center loop does (flat (center, member) pairs fed to ``np.add.at``).
-    Each candidate's depth search reads one distance row (``_next_depths``).
+    Layer 0 puts a ball of radius 1 on every point.  Every center's anchor
+    is its nearest Y point, which must lie in the doubled ball.  The next
+    centers are the carrier points x whose oscillation at resolution beats
+    2^-l_x, each at the smallest depth n in [l_x, n_max] whose doubled ball
+    B(x, 2^(1-n)) meets Y with oscillation below 2^-l_x and passes the
+    backend's support test.
     """
     n = space.n
-    metric = space.metric
+    sup = backend(space, Y, fY)
+    # spread[n - 1]: the oscillation of f over Y in each point's doubled ball
+    # at depth n, one ball_extremes call per depth; -inf where it misses Y.
     everything = np.arange(n)
-    osc_res = np.array([osc_at_point(fY, x, Y, space.resolution) for x in range(n)])
-    f_hi = np.where(Y.mask, fY.values, -np.inf)
-    f_lo = np.where(Y.mask, fY.values, np.inf)
+    yids = Y.ids()
+    spread = np.empty((max(n_max, 0), n))
+    for j in range(spread.shape[0]):
+        hi, lo = space.metric.ball_extremes(everything, np.full(n, 2.0**-j), yids, fY.values[yids])
+        spread[j] = hi - lo
+    tried = np.arange(1, spread.shape[0] + 1)
     centers = np.arange(n)
     depths = np.zeros(n, dtype=np.int64)
     layers = []
     l_prev = None
     for k in range(max_layers):
-        radii = 2.0 ** -depths.astype(float)
-        anchored = dist_y[centers] < 2.0 * radii  # anchors live in the doubled ball
+        anchored = dist_y[centers] < 2.0 ** (1.0 - depths)  # anchors live in the doubled ball
         if not anchored.all():
             s = int(centers[np.argmin(anchored)])
             raise InvariantError(f"layer {k}: no anchor candidate near {s}")
-        a = fY.values[nearest_y[centers]]
+        num, den, lmax, minlp = sup.sums(centers, depths, fY.values[nearest_y[centers]], l_prev)
+        carrier_mask = den > 0
+        values = np.where(carrier_mask, num / np.where(carrier_mask, den, 1.0), np.nan)
+        lvl = np.where(carrier_mask, lmax + 1, 0).astype(np.int64)  # 0 off the carrier
+        layers.append(LayerState(k, centers, depths, SubsetMask(space, carrier_mask),
+                                 values, lvl, None if l_prev is None else minlp))
+        members = np.flatnonzero(carrier_mask)
+        cand = members[sup.osc_res[members] < 2.0 ** -lvl[members].astype(float)]
+        if cand.size == 0 or k + 1 >= max_layers:
+            break
+        lx = lvl[cand, None]
+        osc = spread[:, cand].T
+        chosen = sup.next_depths(cand, (tried >= lx) & (osc >= 0) & (osc < 2.0 ** -lx.astype(float)))
+        if not (chosen >= 0).any():
+            break
+        centers = cand[chosen >= 0]
+        depths = chosen[chosen >= 0]
+        l_prev = lvl
+    return layers
+
+
+class _GenericSupports:
+    """Supports of the layered construction from distance row blocks, on any metric.
+
+    Accumulation-order contract: each point's hat sums add its centers'
+    terms one at a time in center order, starting from 0, as a per-center
+    loop does (flat (center, member) pairs fed to ``np.add.at``).
+    """
+
+    def __init__(self, space, Y, fY):
+        self.metric = space.metric
+        self.everything = np.arange(space.n)
+        self.osc_res = np.array([osc_at_point(fY, x, Y, space.resolution) for x in range(space.n)])
+
+    def sums(self, centers, depths, a, l_prev):
+        """Hat sums num and den, the deepest covering depth and min l_prev per point."""
+        n = self.everything.size
+        radii = 2.0 ** -depths.astype(float)
         num = np.zeros(n)
         den = np.zeros(n)
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
-        covering = np.zeros((n, centers.size), dtype=bool)
+        self.covering = np.zeros((n, centers.size), dtype=bool)
         for lo, hi in _row_chunks(centers.size, n):
-            block = metric.dist_rows(centers[lo:hi], everything)
+            block = self.metric.dist_rows(centers[lo:hi], self.everything)
             inside = block < radii[lo:hi, None]
             rows, ids = np.nonzero(inside)
             w = radii[lo:hi][rows] - block[rows, ids]
@@ -413,84 +454,44 @@ def _layered_generic(space, Y, fY, max_layers, n_max, nearest_y, dist_y):
             np.maximum.at(lmax, ids, depths[lo:hi][rows])
             if l_prev is not None:
                 np.minimum.at(minlp, ids, l_prev[centers[lo:hi]][rows])
-            covering[:, lo:hi] = inside.T
-        carrier_mask = den > 0
-        carrier = SubsetMask(space, carrier_mask)
-        values = np.where(carrier_mask, num / np.where(carrier_mask, den, 1.0), np.nan)
-        lvl = np.where(carrier_mask, lmax + 1, 0).astype(np.int64)
-        layers.append(LayerState(k, centers.copy(), depths.copy(), carrier,
-                                 values, lvl, None if l_prev is None else minlp))
-        if k + 1 >= max_layers:
-            break
-        members = np.flatnonzero(carrier_mask)
-        cand = members[osc_res[members] < 2.0 ** -lvl[members].astype(float)]
-        chosen = _next_depths(metric, covering, cand, lvl[cand], f_hi, f_lo, n_max)
-        if not (chosen >= 0).any():
-            break
-        centers = cand[chosen >= 0]
-        depths = chosen[chosen >= 0]
-        l_prev_full = np.zeros(n, dtype=np.int64)
-        l_prev_full[carrier_mask] = lvl[carrier_mask]
-        l_prev = l_prev_full
-    return layers
+            self.covering[:, lo:hi] = inside.T
+        return num, den, lmax, minlp
 
+    def next_depths(self, cand, ok):
+        """Per candidate x: the first depth n with ``ok[x, n - 1]`` that passes, or -1.
 
-def _next_depths(metric, covering, cand, lx, f_hi, f_lo, n_max):
-    """Per candidate x: the smallest n in [l_x, n_max] admitting a deeper ball, or -1.
-
-    At depth n the doubled ball B(x, 2^(1-n)) must meet Y with oscillation
-    below 2^-l_x, the small ball B(x, 2^-n) must stay inside every support
-    covering x, and the doubled ball must miss all other supports.  Both
-    radii come from one grid 2^-n_max .. 2^0, so a candidate's distance row
-    is binned once: a point lies in the ball of radius grid[j] iff its bin
-    (the number of grid radii at most its distance) is at most j.
-    """
-    n = metric.n
-    chosen = np.full(cand.size, -1, dtype=np.int64)
-    if n_max < 1:
+        The small ball B(x, 2^-n) must stay inside every support covering x,
+        and the doubled ball must miss all other supports.
+        """
+        chosen = np.full(cand.size, -1, dtype=np.int64)
+        tried = np.arange(1, ok.shape[1] + 1)
+        small = 2.0 ** -tried.astype(float)
+        wide = 2.0 * small
+        live = np.flatnonzero(ok.any(axis=1))
+        for lo, hi in _row_chunks(live.size, self.everything.size):
+            block = self.metric.dist_rows(cand[live[lo:hi]], self.everything)
+            for row, i in zip(block, live[lo:hi]):
+                # Only the largest doubled ball still in play needs support tests.
+                near = np.flatnonzero(row < wide[np.argmax(ok[i])])
+                cov_x = self.covering[cand[i]]
+                cov = self.covering[near]
+                d_ball = row[near]
+                d_out = d_ball[(cov_x & ~cov).any(axis=1)].min(initial=np.inf)  # leaves a support covering x
+                d_in = d_ball[(cov & ~cov_x).any(axis=1)].min(initial=np.inf)  # enters a support not covering x
+                good = ok[i] & (small <= d_out) & (wide <= d_in)
+                if good.any():
+                    chosen[i] = tried[np.argmax(good)]
         return chosen
-    grid = 2.0 ** -np.arange(n_max, -1, -1.0)
-    tried = np.arange(1, n_max + 1)
-    wide = n_max + 1 - tried  # grid index of 2^(1-n); 2^-n sits one below
-    nbins = n_max + 2
-    everything = np.arange(n)
-    for lo, hi in _row_chunks(cand.size, n):
-        block = metric.dist_rows(cand[lo:hi], everything)
-        rows = hi - lo
-        flat = (np.arange(rows)[:, None] * nbins + np.searchsorted(grid, block, side="right")).ravel()
-        # Extremes of f over Y on every grid ball of every candidate.
-        y_hi = np.full(rows * nbins, -np.inf)
-        y_lo = np.full(rows * nbins, np.inf)
-        np.maximum.at(y_hi, flat, np.tile(f_hi, rows))
-        np.minimum.at(y_lo, flat, np.tile(f_lo, rows))
-        y_hi = np.maximum.accumulate(y_hi.reshape(rows, nbins), axis=1)[:, wide]
-        y_lo = np.minimum.accumulate(y_lo.reshape(rows, nbins), axis=1)[:, wide]
-        l_c = lx[lo:hi, None]
-        ok = (tried >= l_c) & np.isfinite(y_hi) & (y_hi - y_lo < 2.0 ** -l_c.astype(float))
-        for r in np.flatnonzero(ok.any(axis=1)):
-            x = cand[lo + r]
-            row = block[r]
-            # Only the largest doubled ball still in play needs support tests.
-            near = np.flatnonzero(row < grid[wide[np.argmax(ok[r])]])
-            cov_x = covering[x]
-            cov = covering[near]
-            d_ball = row[near]
-            d_out = d_ball[(cov_x & ~cov).any(axis=1)].min(initial=np.inf)  # leaves a support covering x
-            d_in = d_ball[(cov & ~cov_x).any(axis=1)].min(initial=np.inf)  # enters a support not covering x
-            good = ok[r] & (grid[wide - 1] <= d_out) & (grid[wide] <= d_in)
-            if good.any():
-                chosen[lo + r] = tried[np.argmax(good)]
-    return chosen
 
 
-def _layered_cantor(space, Y, fY, max_layers, n_max, nearest_y, _dist_y):
-    """Cylinder-arithmetic layered construction for the prefix metric.
+class _CantorSupports:
+    """Supports of the layered construction from cylinder arithmetic, for the prefix metric.
 
     Balls are prefix cylinders, so supports are contiguous ranges of the
     code-sorted order, the ball-nesting condition holds automatically once
     n >= l, and the support-disjointness condition reduces to comparing
-    counts of deep elements inside the candidate window against those
-    covering the point.
+    counts of deep centers inside the candidate's doubled ball against
+    those covering it.
 
     Accumulation-order contract: each member's hat sums add its centers'
     terms one at a time in center-id order, starting from 0, exactly as
@@ -500,70 +501,33 @@ def _layered_cantor(space, Y, fY, max_layers, n_max, nearest_y, _dist_y):
     level and previous-level tables are order-free maxima and minima,
     painted per distinct depth over whole cylinders.
     """
-    metric = space.metric
-    n = space.n
-    width = metric.width
-    order = np.argsort(metric.codes[width], kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    sorted_codes = [metric.codes[c][order] for c in range(width + 1)]
 
-    def code_at(c):
-        return metric.codes[min(c, width)]
+    def __init__(self, space, Y, fY):
+        metric = self.metric = space.metric
+        n, width = space.n, metric.width
+        order = np.argsort(metric.codes[width], kind="stable")
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[order] = np.arange(n)
+        self.full_sorted = metric.codes[width][order]
+        # Per cylinder length: the cylinder of each sorted position, and the
+        # cylinder bounds in the sorted order.
+        self.cyl_of, self.bounds = [], []
+        for c in range(width + 1):
+            sc = metric.codes[c][order]
+            new = np.r_[True, sc[1:] != sc[:-1]]
+            self.cyl_of.append(np.cumsum(new) - 1)
+            self.bounds.append(np.r_[np.flatnonzero(new), n])
+        # Pair distance by common-prefix length; a center's own pair takes
+        # the extra slot, distance 0.
+        self.dist_of = np.r_[2.0 ** -(np.arange(width + 1) + 1.0), 0.0]
+        yids = Y.ids()
+        hi, lo = metric.ball_extremes(np.arange(n), np.full(n, space.resolution), yids, fY.values[yids])
+        self.osc_res = np.maximum(hi - lo, 0.0)
 
-    # Per-depth cylinder tables over the sorted order: the cylinder of each
-    # position, the cylinder bounds, and count / oscillation of f over Y.
-    y_sorted = Y.mask[order]
-    fv_sorted = np.where(Y.mask, fY.values, np.nan)[order]
-    cyl_of = []
-    bounds = []
-    ycnt = np.zeros((width + 1, n), dtype=np.int64)
-    yosc = np.zeros((width + 1, n))
-    for c in range(width + 1):
-        sc = sorted_codes[c]
-        new = np.r_[True, sc[1:] != sc[:-1]]
-        starts = np.flatnonzero(new)
-        gidx = np.cumsum(new) - 1
-        cnt = np.add.reduceat(y_sorted.astype(np.int64), starts)
-        fmax = np.maximum.reduceat(np.where(y_sorted, fv_sorted, -np.inf), starts)
-        fmin = np.minimum.reduceat(np.where(y_sorted, fv_sorted, np.inf), starts)
-        osc = np.where(cnt >= 2, fmax - fmin, 0.0)
-        ycnt[c][order] = cnt[gidx]
-        yosc[c][order] = osc[gidx]
-        cyl_of.append(gidx)
-        bounds.append(np.r_[starts, n])
-
-    def ycnt_at(ids, c):
-        if c >= width:
-            extra = Y.mask[ids].astype(np.int64)
-            return extra if c > width else ycnt[width][ids]
-        return ycnt[c][ids]
-
-    def yosc_at(ids, c):
-        if c > width:
-            return np.zeros(len(ids))
-        return yosc[min(c, width)][ids]
-
-    osc_res = yosc_at(np.arange(n), metric.cylinder_length(space.resolution))
-    full_sorted = sorted_codes[width]
-    # Pair distance by common-prefix length; a center's own pair takes the
-    # extra slot, distance 0.
-    dist_of = np.r_[2.0 ** -(np.arange(width + 1) + 1.0), 0.0]
-
-    centers = np.arange(n)
-    depths = np.zeros(n, dtype=np.int64)
-    layers = []
-    l_prev = None
-    for k in range(max_layers):
-        anchored = np.empty(centers.size, dtype=bool)
-        wide = np.maximum(depths - 1, 0)  # anchors live in the doubled ball
-        for c in np.unique(wide):
-            sel = wide == c
-            anchored[sel] = ycnt_at(centers[sel], int(c)) > 0
-        if not anchored.all():
-            s = int(centers[np.argmin(anchored)])
-            raise InvariantError(f"layer {k}: no anchor candidate near {s}")
-
+    def sums(self, centers, depths, a, l_prev):
+        """Hat sums num and den, the deepest covering depth and min l_prev per point."""
+        metric, rank = self.metric, self.rank
+        n, width = rank.size, metric.width
         # Support of each center: its cylinder, a range of sorted positions.
         cdep = np.minimum(depths, width)
         cyl = np.empty(centers.size, dtype=np.int64)
@@ -571,13 +535,12 @@ def _layered_cantor(space, Y, fY, max_layers, n_max, nearest_y, _dist_y):
         hi = np.empty(centers.size, dtype=np.int64)
         for c in np.unique(cdep):
             sel = cdep == c
-            cyl[sel] = cyl_of[c][rank[centers[sel]]]
-            lo[sel] = bounds[c][cyl[sel]]
-            hi[sel] = bounds[c][cyl[sel] + 1]
+            cyl[sel] = self.cyl_of[c][rank[centers[sel]]]
+            lo[sel] = self.bounds[c][cyl[sel]]
+            hi[sel] = self.bounds[c][cyl[sel] + 1]
 
-        # Hat sums, indexed by sorted position until the end of the layer.
+        # Hat sums, indexed by sorted position until the return.
         r = 2.0 ** -depths.astype(float)
-        a = fY.values[nearest_y[centers]]
         s_code = metric.codes[width][centers]
         counts = hi - lo
         ends = np.cumsum(counts)
@@ -591,9 +554,9 @@ def _layered_cantor(space, Y, fY, max_layers, n_max, nearest_y, _dist_y):
             q = max(p + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")))
             cnt = counts[p:q]
             pos = np.arange(base, int(ends[q - 1])) + np.repeat(shift[p:q], cnt)
-            lcp = metric.common_prefix(full_sorted[pos], np.repeat(s_code[p:q], cnt))
+            lcp = metric.common_prefix(self.full_sorted[pos], np.repeat(s_code[p:q], cnt))
             lcp[own[p:q] - base] = width + 1
-            w = np.repeat(r[p:q], cnt) - dist_of[lcp]
+            w = np.repeat(r[p:q], cnt) - self.dist_of[lcp]
             np.add.at(num, pos, w * np.repeat(a[p:q], cnt))
             np.add.at(den, pos, w)
             p = q
@@ -603,63 +566,37 @@ def _layered_cantor(space, Y, fY, max_layers, n_max, nearest_y, _dist_y):
         for nu in np.unique(depths):
             sel = depths == nu
             c = min(int(nu), width)
-            ngroups = bounds[c].size - 1
+            ngroups = self.bounds[c].size - 1
             covered = np.bincount(cyl[sel], minlength=ngroups) > 0
-            lmax[covered[cyl_of[c]]] = nu
+            lmax[covered[self.cyl_of[c]]] = nu
             if l_prev is not None:
                 gmin = np.full(ngroups, np.inf)
                 np.minimum.at(gmin, cyl[sel], l_prev[centers[sel]])
-                minlp = np.minimum(minlp, gmin[cyl_of[c]])
-        num, den, lmax, minlp = num[rank], den[rank], lmax[rank], minlp[rank]
+                minlp = np.minimum(minlp, gmin[self.cyl_of[c]])
+        self.centers, self.depths = centers, depths
+        return num[rank], den[rank], lmax[rank], minlp[rank]
 
-        carrier_mask = den > 0
-        carrier = SubsetMask(space, carrier_mask)
-        values = np.where(carrier_mask, num / np.where(carrier_mask, den, 1.0), np.nan)
-        lvl = np.where(carrier_mask, lmax + 1, 0).astype(np.int64)
-        layers.append(LayerState(k, centers.copy(), depths.copy(), carrier, values, lvl,
-                                 None if l_prev is None else minlp))
+    def next_depths(self, cand, ok):
+        """Per candidate x: the first depth n with ``ok[x, n - 1]`` that passes, or -1.
 
-        members = np.flatnonzero(carrier_mask)
-        cand = members[osc_res[members] < 2.0 ** -lvl[members].astype(float)]
-        if cand.size == 0 or k + 1 >= max_layers:
-            break
-        # Candidate depths are searched jointly per n; counting tables make
-        # the disjointness condition O(|S_k|) per depth.
-        pending = cand.copy()
-        lx = lvl[cand].astype(np.int64)
-        chosen = np.full(n, -1, dtype=np.int64)
-        for nn in range(int(lx.min()), n_max + 1):
-            if pending.size == 0:
-                break
-            active = pending[lx[np.searchsorted(cand, pending)] <= nn]
+        The deep centers (depth >= n) inside the doubled ball, a cylinder,
+        must be exactly the deep centers whose supports cover x.
+        """
+        codes, width = self.metric.codes, self.metric.width
+        chosen = np.full(cand.size, -1, dtype=np.int64)
+        for nn in range(1, ok.shape[1] + 1):
+            active = np.flatnonzero(ok[:, nn - 1] & (chosen < 0))
             if active.size == 0:
                 continue
-            ok = ycnt_at(active, nn - 1) > 0  # anchors live in the doubled ball
-            lact = lvl[active].astype(float)
-            ok &= yosc_at(active, nn - 1) < 2.0**-lact
-            deep = depths >= nn
-            if deep.any():
-                deep_centers = centers[deep]
-                deep_depths = depths[deep]
-                c1 = _match_counts(code_at(nn - 1), deep_centers, active)
-                c2 = np.zeros(active.size, dtype=np.int64)
-                for m in np.unique(deep_depths):
-                    sel = deep_centers[deep_depths == m]
-                    c2 += _match_counts(code_at(int(m)), sel, active)
-                ok &= c1 == c2
-            taken = active[ok]
-            chosen[taken] = nn
-            keep = chosen[pending] < 0
-            pending = pending[keep]
-        next_centers = np.flatnonzero(chosen >= 0)
-        if next_centers.size == 0:
-            break
-        centers = next_centers
-        depths = chosen[next_centers]
-        l_prev_full = np.zeros(n, dtype=np.int64)
-        l_prev_full[carrier_mask] = lvl[carrier_mask]
-        l_prev = l_prev_full
-    return layers
+            x = cand[active]
+            deep = self.depths >= nn
+            deep_centers, deep_depths = self.centers[deep], self.depths[deep]
+            inside = _match_counts(codes[min(nn - 1, width)], deep_centers, x)
+            covering = np.zeros(active.size, dtype=np.int64)
+            for m in np.unique(deep_depths):
+                covering += _match_counts(codes[min(int(m), width)], deep_centers[deep_depths == m], x)
+            chosen[active[inside == covering]] = nn
+        return chosen
 
 
 def _match_counts(codes, group_members, queries):

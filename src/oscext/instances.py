@@ -20,7 +20,6 @@ from .space import (
     ScalarField,
     SpaceInstance,
     SubsetMask,
-    _row_chunks,
     visibility_graph,
 )
 
@@ -63,6 +62,8 @@ class CantorPoint:
     @classmethod
     def from_label(cls, label: str) -> "CantorPoint":
         head, _, tail = label.rpartition("+")
+        if tail not in ("0", "1"):
+            raise ValidationError(f"cantor point label {label!r} does not end in +0 or +1")
         return cls(head, int(tail))
 
     def __eq__(self, other):
@@ -84,6 +85,8 @@ def cantor_prefix_bits(depth: int):
     """
     if depth < 2:
         raise ValidationError("depth must be >= 2")
+    if depth > 20:  # 2^(depth+1) Python points: deeper spaces cannot be enumerated in practice
+        raise ValidationError(f"depth must be at most 20 (2^21 points), got {depth}")
     points = []
     for tail in (0, 1):
         avoid = str(tail)
@@ -114,10 +117,15 @@ def cantor_instance(depth: int) -> SpaceInstance:
     y = np.zeros(space.n, dtype=bool)
     y[:n0] = True
     space.subsets["Y"] = SubsetMask(space, y)
-    space.meta["depth"] = depth
-    space.meta["points"] = [CantorPoint.from_label(lb) for lb in labels]
-    space.meta["id_by_label"] = {lb: i for i, lb in enumerate(labels)}
+    record_cantor_meta(space, depth)
     return space
+
+
+def record_cantor_meta(space: SpaceInstance, depth: int):
+    """Record a cantor space's depth, its points (from the labels) and the label index."""
+    space.meta["depth"] = depth
+    space.meta["points"] = [CantorPoint.from_label(lb) for lb in space.labels]
+    space.meta["id_by_label"] = {lb: i for i, lb in enumerate(space.labels)}
 
 
 def cantor_point_id(space: SpaceInstance, head: str, tail: int) -> int:
@@ -310,18 +318,8 @@ def random_instance(seed: int, n: int, dim: int = 2) -> SpaceInstance:
     rng = np.random.default_rng(seed)
     coords = rng.uniform(size=(n, dim))
     metric = EuclideanMetric(coords)
-    if n <= 2048:
-        best = np.inf
-        everything = np.arange(n)
-        for lo, hi in _row_chunks(n, n):
-            block = metric.dist_rows(everything[lo:hi], everything)
-            block[everything[: hi - lo], everything[lo:hi]] = np.inf
-            best = min(best, float(block.min()))
-    else:
-        d, _ = metric.tree.query(coords, k=2, workers=-1)
-        best = float(d[:, 1].min())
     return SpaceInstance(f"random_s{seed}_n{n}_d{dim}", metric,
-                         resolution=best, family="euclidean")
+                         resolution=float(metric.scales(np.arange(n))[0].min()), family="euclidean")
 
 
 def random_field(space: SpaceInstance, seed: int, domain: SubsetMask | None = None) -> ScalarField:

@@ -123,14 +123,7 @@ class EuclideanMetric(Metric):
         if self.coords.ndim == 1:
             self.coords = self.coords[:, None]
         self.n = self.coords.shape[0]
-        self._tree = None
         self._diameter = None
-
-    @property
-    def tree(self) -> cKDTree:
-        if self._tree is None:
-            self._tree = cKDTree(self.coords)
-        return self._tree
 
     def dist(self, i: int, j: int) -> float:
         d = self.coords[j] - self.coords[i]
@@ -845,7 +838,7 @@ def load_space(doc: dict) -> SpaceInstance:
         _require(depth <= 63, "cantor depth must be at most 63: codes pack depth + 1 coordinates in 64 bits")
         # 2^depth points per tail bit; checked before the space is enumerated.
         _require(n == 2 ** (depth + 1), f"cantor depth {depth} has {2 ** (depth + 1)} points, document lists {n}")
-        from .instances import cantor_prefix_bits  # local import to avoid a cycle
+        from .instances import cantor_prefix_bits, record_cantor_meta  # local import to avoid a cycle
 
         bits, canon_labels = cantor_prefix_bits(depth)
         metric = CantorMetric(bits)
@@ -857,11 +850,7 @@ def load_space(doc: dict) -> SpaceInstance:
 
     space = SpaceInstance(doc["name"], metric, doc["resolution"], labels=labels, family=family)
     if mtype == "cantor":
-        from .instances import CantorPoint
-
-        space.meta["depth"] = spec["depth"]
-        space.meta["points"] = [CantorPoint.from_label(lb) for lb in labels]
-        space.meta["id_by_label"] = {lb: i for i, lb in enumerate(labels)}
+        record_cantor_meta(space, depth)
 
     subsets = doc.get("subsets") or {}
     _require(isinstance(subsets, dict), "subsets must be an object of named id lists")

@@ -3,7 +3,8 @@
 local_scales and the one-step operators are checked against the brute-force
 oracles.  The layered construction is checked against the per-center loop it
 replaced, kept below as the reference: the arithmetic is unchanged, so every
-layer must be bit-identical, NaNs included.
+layer must be bit-identical, NaNs included.  The generic support backend run
+on the same prefix-metric spaces must build the same layers too.
 """
 
 import math
@@ -21,7 +22,7 @@ from oscext import (
     pair_step,
 )
 from oscext.errors import InvariantError
-from oscext.extend import LayerState, _layered_cantor, _match_counts, nearest_in_set
+from oscext.extend import LayerState, _CantorSupports, _GenericSupports, _layered, _match_counts, nearest_in_set
 from oscext.instances import block_parity_field
 from oscext.space import CantorMetric, SubsetMask, local_scales
 
@@ -260,17 +261,45 @@ def identical(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
 
 
-def assert_same_layers(space, Y, fY, max_layers=24):
-    n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
-    want = reference_layered_cantor(space, Y, fY, max_layers, n_max)
-    got = _layered_cantor(space, Y, fY, max_layers, n_max, *nearest_in_set(space, Y))
+def assert_identical_layers(got, want):
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.k == w.k
         assert identical(g.carrier.mask, w.carrier.mask)
         for name in ("centers", "depths", "values", "level_numbers", "min_prev_level"):
             assert identical(getattr(g, name), getattr(w, name)), (g.k, name)
+
+
+def n_max_of(space):
+    return int(math.ceil(math.log2(1.0 / space.resolution))) + 4
+
+
+def layered(space, Y, fY, backend, max_layers=24):
+    return _layered(space, Y, fY, max_layers, n_max_of(space), *nearest_in_set(space, Y), backend)
+
+
+def assert_same_layers(space, Y, fY, max_layers=24):
+    got = layered(space, Y, fY, _CantorSupports, max_layers)
+    assert_identical_layers(got, reference_layered_cantor(space, Y, fY, max_layers, n_max_of(space)))
     return got
+
+
+def noise_field(space):
+    """Block parity on Y plus seeded noise of a third of 2^-10: non-dyadic values."""
+    Y = space.subsets["Y"]
+    base = block_parity_field(space).values
+    noise = np.random.default_rng(8).uniform(-1.0, 1.0, space.n) * 2.0**-10 / 3
+    return ScalarField(Y, np.where(Y.mask, base + noise, np.nan))
+
+
+def dyadic_field(space):
+    """Block parity on Y rounded down to quarters: oscillations meet the bounds 2^-l exactly."""
+    Y = space.subsets["Y"]
+    return ScalarField(Y, np.where(Y.mask, np.floor(block_parity_field(space).values * 4) / 4, np.nan))
+
+
+FIELDS = {"block_parity": lambda space: block_parity_field(space).restrict(space.subsets["Y"]),
+          "noise": noise_field, "dyadic": dyadic_field}
 
 
 class TestLayeredBitIdentity:
@@ -283,11 +312,12 @@ class TestLayeredBitIdentity:
 
     def test_non_dyadic_random_field(self):
         space = cantor_instance(8)
-        Y = space.subsets["Y"]
-        base = block_parity_field(space).values
-        noise = np.random.default_rng(8).uniform(-1.0, 1.0, space.n) * 2.0**-10 / 3
-        fY = ScalarField(Y, np.where(Y.mask, base + noise, np.nan))
-        layers = assert_same_layers(space, Y, fY)
+        layers = assert_same_layers(space, space.subsets["Y"], noise_field(space))
+        assert len(layers) > 2
+
+    def test_dyadic_field(self):
+        space = cantor_instance(6)
+        layers = assert_same_layers(space, space.subsets["Y"], dyadic_field(space))
         assert len(layers) > 2
 
     def test_truncated(self):
@@ -302,3 +332,17 @@ class TestLayeredBitIdentity:
         Y = space.mask_from_ids(np.flatnonzero(rng.random(space.n) < 0.6))
         fY = ScalarField(Y, np.where(Y.mask, rng.random(space.n), np.nan))
         assert_same_layers(space, Y, fY)
+
+
+class TestBackendsAgree:
+    """On the prefix metric the generic support backend builds the cantor one's layers."""
+
+    @pytest.mark.parametrize("depth, field", [(6, "block_parity"), (8, "block_parity"), (8, "noise"),
+                                              (6, "dyadic")])
+    def test_same_layers(self, depth, field):
+        space = cantor_instance(depth)
+        Y = space.subsets["Y"]
+        fY = FIELDS[field](space)
+        want = layered(space, Y, fY, _CantorSupports)
+        assert len(want) > 2
+        assert_identical_layers(layered(space, Y, fY, _GenericSupports), want)

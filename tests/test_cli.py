@@ -137,6 +137,29 @@ class TestEx1:
         assert code == 0
         assert out.splitlines()[0] == "depth,method,epsilon,index"
 
+    def test_non_integer_depth_exits_one(self, capsys):
+        code, out, err = run(capsys, "ex1", "--depths", "6,x")
+        assert code == 1
+        assert out == ""
+        assert "bad depth list '6,x'" in err
+
+
+class TestCantorDepthCap:
+    """Depths above 20 are rejected before the 2^(depth+1) points are enumerated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--generate", "cantor:40"],
+        ["extend", "--generate", "cantor:21", "--method", "layered"],
+        ["ex1", "--depths", "6,40"],
+    ])
+    def test_exits_one_at_once(self, capsys, argv):
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - started < 1.0
+        assert code == 1
+        assert out == ""
+        assert "depth must be at most 20 (2^21 points)" in err
+
 
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("argv", [
@@ -237,11 +260,14 @@ class TestMalformedDocuments:
          "unknown point id 5"),
         (matrix_doc(subsets={"Y": [2**70]}), "subset 'Y' is malformed"),
         (cantor_doc(64), "cantor depth must be at most 63"),
+        ({**cantor_doc(2), "points": [{"id": i, "label": "zz"} for i in range(8)]},
+         "cantor point label 'zz' does not end in +0 or +1"),
     ], ids=["point_without_id", "string_resolution", "non_numeric_field", "ragged_matrix",
             "numeric_field_domain", "subsets_list", "fields_list", "equal_coordinates",
             "signed_zero_coordinates", "equal_1d_coordinates", "fractional_subset_ids",
             "numeric_subset", "bool_subset_ids", "fractional_domain_ids", "repeated_domain_id",
-            "unknown_domain_id", "oversized_subset_id", "cantor_depth_beyond_codes"])
+            "unknown_domain_id", "oversized_subset_id", "cantor_depth_beyond_codes",
+            "cantor_label_without_tail"])
     def test_exits_one(self, capsys, tmp_path, doc, message):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

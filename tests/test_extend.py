@@ -274,11 +274,11 @@ class TestLimsupRegression:
 
 class TestLayeredInvariants:
     def test_carriers_nest_and_level_numbers_grow(self, cantor6):
-        from oscext.extend import _layered_cantor, nearest_in_set
+        from oscext.extend import _CantorSupports, _layered, nearest_in_set
 
         f = block_parity_field(cantor6)
         Y = cantor6.subsets["Y"]
-        layers = _layered_cantor(cantor6, Y, f.restrict(Y), 24, 10, *nearest_in_set(cantor6, Y))
+        layers = _layered(cantor6, Y, f.restrict(Y), 24, 10, *nearest_in_set(cantor6, Y), _CantorSupports)
         for a, b in zip(layers, layers[1:]):
             assert b.carrier.issubset(a.carrier)
         for st in layers:

@@ -17,7 +17,7 @@ import pytest
 from oscext import AdaptiveScale, ScalarField, SpaceInstance, generate_from_spec, iterate, osc_at_point
 from oscext.errors import InvariantError, PreconditionError
 from oscext import extend
-from oscext.extend import (LayerState, _layered_generic, limsup_extension, nearest_in_set,
+from oscext.extend import (LayerState, _GenericSupports, _layered, limsup_extension, nearest_in_set,
                            scattered_extension, visibility_components)
 from oscext.instances import cantor_instance, random_instance
 from oscext.space import (_KD_BALL_MEMBERS, EuclideanMetric, MatrixMetric, SubsetMask, ball, cb_filtration,
@@ -586,7 +586,7 @@ class TestCoverPartitionBlend:
 def assert_same_layers(space, Y, fY, max_layers=24):
     n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
     want = reference_layered_generic(space, Y, fY, max_layers, n_max)
-    got = _layered_generic(space, Y, fY, max_layers, n_max, *nearest_in_set(space, Y))
+    got = _layered(space, Y, fY, max_layers, n_max, *nearest_in_set(space, Y), _GenericSupports)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.k == w.k
@@ -622,7 +622,7 @@ class TestLayeredGeneric:
         with pytest.raises(InvariantError) as want:
             reference_layered_generic(space, Y, fY, 24, 6)
         with pytest.raises(InvariantError) as got:
-            _layered_generic(space, Y, fY, 24, 6, *nearest_in_set(space, Y))
+            _layered(space, Y, fY, 24, 6, *nearest_in_set(space, Y), _GenericSupports)
         assert str(got.value) == str(want.value) == "layer 0: no anchor candidate near 2"
 
     def test_empty_target_rejected(self):
