@@ -28,9 +28,6 @@ from .derive import iterate, osc_at_point
 from .unity import blend, cover_for_piece, partition
 
 CLOPEN_FAMILIES = ("cantor", "ordinal", "sequence")
-# (center, member) pairs per chunk of the cantor layering kernel: bounds its
-# temporaries whatever the support sizes.
-_PAIR_CHUNK = 1 << 14
 
 
 @dataclass
@@ -487,36 +484,32 @@ class _GenericSupports:
 class _CantorSupports:
     """Supports of the layered construction from cylinder arithmetic, for the prefix metric.
 
-    Balls are prefix cylinders, so supports are contiguous ranges of the
-    code-sorted order, the ball-nesting condition holds automatically once
-    n >= l, and the support-disjointness condition reduces to comparing
-    counts of deep centers inside the candidate's doubled ball against
-    those covering it.
+    In code order a prefix metric is one array: ``adj[p]``, the common-prefix
+    length of sorted positions p - 1 and p (-1 at p = 0).  Cylinders are the
+    runs of ``adj >= c``, so supports are contiguous ranges of sorted
+    positions, the ball-nesting condition holds automatically once n >= l,
+    and the support-disjointness condition reduces to comparing counts of
+    deep centers inside the candidate's doubled ball against those covering
+    it.
 
-    Accumulation-order contract: each member's hat sums add its centers'
-    terms one at a time in center-id order, starting from 0, exactly as
-    the definition's per-center loop does.  The (center, member) pairs are
-    laid out flat in that order and fed to ``np.add.at`` in chunks, so the
-    field is bit-identical to the loop's even for non-dyadic values.  The
-    level and previous-level tables are order-free maxima and minima,
-    painted per distinct depth over whole cylinders.
+    Accumulation-order contract: the hat sums loop over the centers in id
+    order, and each member adds its centers' terms one at a time, starting
+    from +0.0.
     """
 
     def __init__(self, space, Y, fY):
-        metric = self.metric = space.metric
-        n, width = space.n, metric.width
-        order = np.argsort(metric.codes[width], kind="stable")
+        metric = space.metric
+        n = space.n
+        self.width = width = metric.width
+        full = metric.codes[width]
+        order = np.argsort(full, kind="stable")
         self.rank = np.empty(n, dtype=np.int64)
         self.rank[order] = np.arange(n)
-        self.full_sorted = metric.codes[width][order]
-        # Per cylinder length: the cylinder of each sorted position, and the
+        self.adj = np.r_[-1, metric.common_prefix(full[order[1:]], full[order[:-1]])]
+        # Per cylinder length c: the cylinder of each sorted position, and the
         # cylinder bounds in the sorted order.
-        self.cyl_of, self.bounds = [], []
-        for c in range(width + 1):
-            sc = metric.codes[c][order]
-            new = np.r_[True, sc[1:] != sc[:-1]]
-            self.cyl_of.append(np.cumsum(new) - 1)
-            self.bounds.append(np.r_[np.flatnonzero(new), n])
+        self.cyl_of = [np.cumsum(self.adj < c) - 1 for c in range(width + 1)]
+        self.bounds = [np.r_[np.flatnonzero(self.adj < c), n] for c in range(width + 1)]
         # Pair distance by common-prefix length; a center's own pair takes
         # the extra slot, distance 0.
         self.dist_of = np.r_[2.0 ** -(np.arange(width + 1) + 1.0), 0.0]
@@ -526,8 +519,8 @@ class _CantorSupports:
 
     def sums(self, centers, depths, a, l_prev):
         """Hat sums num and den, the deepest covering depth and min l_prev per point."""
-        metric, rank = self.metric, self.rank
-        n, width = rank.size, metric.width
+        adj, rank, width = self.adj, self.rank, self.width
+        n = adj.size
         # Support of each center: its cylinder, a range of sorted positions.
         cdep = np.minimum(depths, width)
         cyl = np.empty(centers.size, dtype=np.int64)
@@ -539,27 +532,19 @@ class _CantorSupports:
             lo[sel] = self.bounds[c][cyl[sel]]
             hi[sel] = self.bounds[c][cyl[sel] + 1]
 
-        # Hat sums, indexed by sorted position until the return.
+        # Hat sums, indexed by sorted position until the return.  A member's
+        # common prefix with the center is the minimum of adj between them.
         r = 2.0 ** -depths.astype(float)
-        s_code = metric.codes[width][centers]
-        counts = hi - lo
-        ends = np.cumsum(counts)
-        shift = lo - (ends - counts)  # flat pair index -> sorted position
-        own = rank[centers] - shift  # flat index of each center's own pair
         num = np.zeros(n)
         den = np.zeros(n)
-        p = 0
-        while p < centers.size:
-            base = int(ends[p - 1]) if p else 0
-            q = max(p + 1, int(np.searchsorted(ends, base + _PAIR_CHUNK, side="right")))
-            cnt = counts[p:q]
-            pos = np.arange(base, int(ends[q - 1])) + np.repeat(shift[p:q], cnt)
-            lcp = metric.common_prefix(self.full_sorted[pos], np.repeat(s_code[p:q], cnt))
-            lcp[own[p:q] - base] = width + 1
-            w = np.repeat(r[p:q], cnt) - self.dist_of[lcp]
-            np.add.at(num, pos, w * np.repeat(a[p:q], cnt))
-            np.add.at(den, pos, w)
-            p = q
+        lcp = np.empty(n, dtype=adj.dtype)
+        for s, b, e, rk, ak in zip(rank[centers].tolist(), lo.tolist(), hi.tolist(), r, a):
+            lcp[b:s] = np.minimum.accumulate(adj[s:b:-1])[::-1]
+            lcp[s] = width + 1
+            lcp[s + 1:e] = np.minimum.accumulate(adj[s + 1:e])
+            w = rk - self.dist_of[lcp[b:e]]
+            den[b:e] += w
+            num[b:e] += w * ak
 
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
@@ -576,13 +561,17 @@ class _CantorSupports:
         self.centers, self.depths = centers, depths
         return num[rank], den[rank], lmax[rank], minlp[rank]
 
+    def _share_cylinder(self, c, group, x):
+        """How many ids of ``group`` share each x's cylinder of length c."""
+        cyl_of = self.cyl_of[min(c, self.width)]
+        return np.bincount(cyl_of[self.rank[group]], minlength=cyl_of[-1] + 1)[cyl_of[self.rank[x]]]
+
     def next_depths(self, cand, ok):
         """Per candidate x: the first depth n with ``ok[x, n - 1]`` that passes, or -1.
 
         The deep centers (depth >= n) inside the doubled ball, a cylinder,
         must be exactly the deep centers whose supports cover x.
         """
-        codes, width = self.metric.codes, self.metric.width
         chosen = np.full(cand.size, -1, dtype=np.int64)
         for nn in range(1, ok.shape[1] + 1):
             active = np.flatnonzero(ok[:, nn - 1] & (chosen < 0))
@@ -591,22 +580,12 @@ class _CantorSupports:
             x = cand[active]
             deep = self.depths >= nn
             deep_centers, deep_depths = self.centers[deep], self.depths[deep]
-            inside = _match_counts(codes[min(nn - 1, width)], deep_centers, x)
+            inside = self._share_cylinder(nn - 1, deep_centers, x)
             covering = np.zeros(active.size, dtype=np.int64)
             for m in np.unique(deep_depths):
-                covering += _match_counts(codes[min(int(m), width)], deep_centers[deep_depths == m], x)
+                covering += self._share_cylinder(int(m), deep_centers[deep_depths == m], x)
             chosen[active[inside == covering]] = nn
         return chosen
-
-
-def _match_counts(codes, group_members, queries):
-    """How many of group_members share their ``codes`` value with each query."""
-    if group_members.size == 0:
-        return np.zeros(queries.size, dtype=np.int64)
-    gcodes = np.sort(codes[group_members])
-    lo = np.searchsorted(gcodes, codes[queries], side="left")
-    hi = np.searchsorted(gcodes, codes[queries], side="right")
-    return (hi - lo).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -823,7 +823,6 @@ def load_space(doc: dict) -> SpaceInstance:
         data = _as_array(spec.get("data"), np.float64, "metric matrix")
         _require(data.shape == (n, n), "metric matrix shape must match the point count")
         metric = MatrixMetric(data)
-        family = "matrix"
     elif mtype == "euclidean":
         coords = _as_array(spec.get("coords"), np.float64, "coordinates")
         _require(coords.ndim in (1, 2) and coords.shape[0] == n, "coordinate count must match the point count")
@@ -831,22 +830,29 @@ def load_space(doc: dict) -> SpaceInstance:
         _require(np.all(np.isfinite(coords)), "coordinates must be finite")
         _validate_distinct_points(coords.reshape(n, -1))
         metric = EuclideanMetric(coords)
-        family = "euclidean"
     elif mtype == "cantor":
         depth = spec.get("depth")
         _require(isinstance(depth, int) and depth >= 2, "cantor depth must be an integer >= 2")
         _require(depth <= 63, "cantor depth must be at most 63: codes pack depth + 1 coordinates in 64 bits")
         # 2^depth points per tail bit; checked before the space is enumerated.
         _require(n == 2 ** (depth + 1), f"cantor depth {depth} has {2 ** (depth + 1)} points, document lists {n}")
-        from .instances import cantor_prefix_bits, record_cantor_meta  # local import to avoid a cycle
+        from .instances import CantorPoint, cantor_prefix_bits, record_cantor_meta  # avoids a cycle
 
         bits, canon_labels = cantor_prefix_bits(depth)
         metric = CantorMetric(bits)
-        if labels is None:
-            labels = canon_labels
-        family = "cantor"
+        if labels is not None:
+            for label in labels:
+                CantorPoint.from_label(label)
+            for i, (label, canon) in enumerate(zip(labels, canon_labels)):
+                _require(label == canon, f"point {i} has label {label!r}; the cantor space "
+                         f"of depth {depth} has {canon!r} there")
+        labels = canon_labels
     else:
         raise ValidationError(f"unknown metric type {mtype!r}")
+    # The generating family; only the euclidean metric carries more than one.
+    family = doc.get("family", mtype)
+    _require(family == mtype or (mtype == "euclidean" and family in ("ordinal", "sequence")),
+             f"family {family!r} does not fit metric type {mtype!r}")
 
     space = SpaceInstance(doc["name"], metric, doc["resolution"], labels=labels, family=family)
     if mtype == "cantor":
@@ -898,6 +904,7 @@ def space_to_document(space: SpaceInstance, subsets=None, fields=None) -> dict:
         mdoc = {"type": "cantor", "depth": metric.width - 1}
     doc = {
         "name": space.name,
+        "family": space.family,
         "resolution": space.resolution,
         "points": points,
         "metric": mdoc,

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscext import (
     AdaptiveScale,
@@ -22,7 +23,7 @@ from oscext import (
     pair_step,
 )
 from oscext.errors import InvariantError
-from oscext.extend import LayerState, _CantorSupports, _GenericSupports, _layered, _match_counts, nearest_in_set
+from oscext.extend import LayerState, _CantorSupports, _GenericSupports, _layered, nearest_in_set
 from oscext.instances import block_parity_field
 from oscext.space import CantorMetric, SubsetMask, local_scales
 
@@ -128,6 +129,16 @@ class TestSteps:
 # ---------------------------------------------------------------------------
 # Layering: the per-center loop of the definition, kept as the reference
 # ---------------------------------------------------------------------------
+
+def _match_counts(codes, group_members, queries):
+    """How many of group_members share their ``codes`` value with each query."""
+    if group_members.size == 0:
+        return np.zeros(queries.size, dtype=np.int64)
+    gcodes = np.sort(codes[group_members])
+    lo = np.searchsorted(gcodes, codes[queries], side="left")
+    hi = np.searchsorted(gcodes, codes[queries], side="right")
+    return (hi - lo).astype(np.int64)
+
 
 def reference_layered_cantor(space, Y, fY, max_layers, n_max):
     metric = space.metric
@@ -332,6 +343,65 @@ class TestLayeredBitIdentity:
         Y = space.mask_from_ids(np.flatnonzero(rng.random(space.n) < 0.6))
         fY = ScalarField(Y, np.where(Y.mask, rng.random(space.n), np.nan))
         assert_same_layers(space, Y, fY)
+
+
+def reference_sums(space, centers, depths, a, l_prev):
+    """The hat sums by definition: one distance row per center, in center order."""
+    n = space.n
+    num = np.zeros(n)
+    den = np.zeros(n)
+    lmax = np.full(n, -1, dtype=np.int64)
+    minlp = np.full(n, np.inf)
+    for s, nu, a_s, row in zip(centers, depths, a, space.metric.dist_rows(centers, np.arange(n))):
+        r = 2.0 ** -float(nu)
+        inside = np.flatnonzero(row < r)
+        w = r - row[inside]
+        num[inside] += w * a_s
+        den[inside] += w
+        lmax[inside] = np.maximum(lmax[inside], nu)
+        if l_prev is not None:
+            minlp[inside] = np.minimum(minlp[inside], l_prev[s])
+    return num, den, lmax, minlp
+
+
+KERNEL_SPACES = {"cantor6": cantor_instance(6), "wide": wide_space()}
+
+
+@st.composite
+def sums_inputs(draw, space):
+    """Sorted distinct center ids, drawn with or without the first and last
+    points in code order; a depth in 0..width+3 per center; non-dyadic
+    anchor values; previous levels or None."""
+    n, width = space.n, space.metric.width
+    order = np.argsort(space.metric.codes[width], kind="stable")
+    ids = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    ids |= {int(order[0])} if draw(st.booleans()) else set()
+    ids |= {int(order[-1])} if draw(st.booleans()) else set()
+    centers = np.array(sorted(ids), dtype=np.int64)
+    depths = np.array(draw(st.lists(st.integers(0, width + 3), min_size=centers.size,
+                                    max_size=centers.size)), dtype=np.int64)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.uniform(-1.0, 1.0, centers.size) / 3
+    l_prev = rng.integers(0, width + 4, n) if draw(st.booleans()) else None
+    return centers, depths, a, l_prev
+
+
+class TestCantorSums:
+    """The hat sums read from the adjacent-prefix array equal the per-center
+    loop over distance rows bit for bit, dtypes included."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_distance_rows(self, name, data):
+        space = KERNEL_SPACES[name]
+        centers, depths, a, l_prev = data.draw(sums_inputs(space))
+        Y = space.full_mask()
+        fY = ScalarField(Y, np.zeros(space.n))
+        got = _CantorSupports(space, Y, fY).sums(centers, depths, a, l_prev)
+        want = reference_sums(space, centers, depths, a, l_prev)
+        for out, g, w in zip(("num", "den", "lmax", "minlp"), got, want):
+            assert identical(g, w), out
 
 
 class TestBackendsAgree:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -100,6 +101,17 @@ class TestExtend:
         assert code == 1
         assert "unknown method" in err
 
+    def test_scattered_on_ordinal_fixture(self, capsys):
+        # the document's family key admits the fixture to the scattered construction
+        code, out, _err = run(capsys, "extend", "--instance", str(FIXTURES / "ordinal_k1.json"),
+                              "--method", "scattered")
+        assert code == 0
+        from_fixture = json.loads(out)["instance"]
+        code, out, _err = run(capsys, "extend", "--generate", "ordinal:1", "--method", "scattered")
+        assert code == 0
+        assert from_fixture["family"] == "ordinal"
+        assert from_fixture["fields"]["F_scattered"] == json.loads(out)["instance"]["fields"]["F_scattered"]
+
 
 class TestCompare:
     def test_rows_and_determinism(self, capsys, tmp_path):
@@ -136,6 +148,13 @@ class TestEx1:
         code, out, _e = run(capsys, "ex1", "--depths", "2", "--format", "csv")
         assert code == 0
         assert out.splitlines()[0] == "depth,method,epsilon,index"
+
+    def test_depth_sweep_digest(self, capsys):
+        # byte stability of the cantor path: the sweep's CSV is pinned
+        code, out, _e = run(capsys, "ex1", "--depths", "6,8,10", "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e9b5c13141fb076a764492ec5402b5ff7853eb28335949bac77bc12b7fad6ad1")
 
     def test_non_integer_depth_exits_one(self, capsys):
         code, out, err = run(capsys, "ex1", "--depths", "6,x")
@@ -218,6 +237,21 @@ def cantor_doc(depth):
             "metric": {"type": "cantor", "depth": depth}}
 
 
+def cantor6_doc(edit):
+    """The depth-6 fixture with its point list passed through ``edit``."""
+    doc = json.loads((FIXTURES / "cantor_depth_6.json").read_text())
+    edit(doc["points"])
+    return doc
+
+
+def swap_labels(points):
+    points[0]["label"], points[1]["label"] = points[1]["label"], points[0]["label"]
+
+
+def repeat_label(points):
+    points[5]["label"] = points[4]["label"]
+
+
 def matrix_doc(**changes):
     doc = {
         "name": "doc",
@@ -262,12 +296,17 @@ class TestMalformedDocuments:
         (cantor_doc(64), "cantor depth must be at most 63"),
         ({**cantor_doc(2), "points": [{"id": i, "label": "zz"} for i in range(8)]},
          "cantor point label 'zz' does not end in +0 or +1"),
+        (cantor6_doc(swap_labels), "point 0 has label '1+0'; the cantor space of depth 6 has '+0' there"),
+        (cantor6_doc(repeat_label), "point 5 has label '001+0'; the cantor space of depth 6 has '011+0' there"),
+        (matrix_doc(family="ordinal"), "family 'ordinal' does not fit metric type 'matrix'"),
+        ({**two_point_doc([0.0, 1.0]), "family": "cantor"}, "family 'cantor' does not fit metric type 'euclidean'"),
     ], ids=["point_without_id", "string_resolution", "non_numeric_field", "ragged_matrix",
             "numeric_field_domain", "subsets_list", "fields_list", "equal_coordinates",
             "signed_zero_coordinates", "equal_1d_coordinates", "fractional_subset_ids",
             "numeric_subset", "bool_subset_ids", "fractional_domain_ids", "repeated_domain_id",
             "unknown_domain_id", "oversized_subset_id", "cantor_depth_beyond_codes",
-            "cantor_label_without_tail"])
+            "cantor_label_without_tail", "swapped_cantor_labels", "duplicated_cantor_label",
+            "family_of_another_metric", "cantor_family_on_euclidean"])
     def test_exits_one(self, capsys, tmp_path, doc, message):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
