@@ -381,13 +381,10 @@ def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
     n = space.n
     sup = backend(space, Y, fY)
     # spread[n - 1]: the oscillation of f over Y in each point's doubled ball
-    # at depth n, one ball_extremes call per depth; -inf where it misses Y.
-    everything = np.arange(n)
+    # at depth n, radius 2^(1-n); -inf where it misses Y.
     yids = Y.ids()
-    spread = np.empty((max(n_max, 0), n))
-    for j in range(spread.shape[0]):
-        hi, lo = space.metric.ball_extremes(everything, np.full(n, 2.0**-j), yids, fY.values[yids])
-        spread[j] = hi - lo
+    grid = 2.0 ** -np.arange(max(n_max, 0))
+    spread = np.subtract(*space.metric.grid_extremes(np.arange(n), grid, yids, fY.values[yids]))
     tried = np.arange(1, spread.shape[0] + 1)
     centers = np.arange(n)
     depths = np.zeros(n, dtype=np.int64)
@@ -466,18 +463,22 @@ class _GenericSupports:
         wide = 2.0 * small
         live = np.flatnonzero(ok.any(axis=1))
         for lo, hi in _row_chunks(live.size, self.everything.size):
-            block = self.metric.dist_rows(cand[live[lo:hi]], self.everything)
-            for row, i in zip(block, live[lo:hi]):
-                # Only the largest doubled ball still in play needs support tests.
-                near = np.flatnonzero(row < wide[np.argmax(ok[i])])
-                cov_x = self.covering[cand[i]]
-                cov = self.covering[near]
-                d_ball = row[near]
-                d_out = d_ball[(cov_x & ~cov).any(axis=1)].min(initial=np.inf)  # leaves a support covering x
-                d_in = d_ball[(cov & ~cov_x).any(axis=1)].min(initial=np.inf)  # enters a support not covering x
-                good = ok[i] & (small <= d_out) & (wide <= d_in)
-                if good.any():
-                    chosen[i] = tried[np.argmax(good)]
+            rows = live[lo:hi]
+            block = self.metric.dist_rows(cand[rows], self.everything)
+            # Only the largest doubled ball still in play needs support tests.
+            r, p = np.nonzero(block < wide[np.argmax(ok[rows], axis=1), None])  # flat (row, point) pairs
+            d, k = block[r, p], cand[rows][r]
+            d_out, d_in = np.full((2, rows.size), np.inf)
+            for plo, phi in _row_chunks(r.size, self.covering.shape[1]):
+                cov_x = self.covering[k[plo:phi]]
+                cov = self.covering[p[plo:phi]]
+                leaves = (cov_x & ~cov).any(axis=1)  # leaves a support covering x
+                enters = (cov & ~cov_x).any(axis=1)  # enters a support not covering x
+                np.minimum.at(d_out, r[plo:phi][leaves], d[plo:phi][leaves])
+                np.minimum.at(d_in, r[plo:phi][enters], d[plo:phi][enters])
+            good = ok[rows] & (small <= d_out[:, None]) & (wide <= d_in[:, None])
+            hit = good.any(axis=1)
+            chosen[rows[hit]] = tried[np.argmax(good[hit], axis=1)]
         return chosen
 
 

@@ -93,6 +93,21 @@ class Metric:
             minv[lo:hi] = np.where(inside, fvals, np.inf).min(axis=1)
         return maxv, minv
 
+    def grid_extremes(self, queries: np.ndarray, grid: np.ndarray, targets: np.ndarray, fvals: np.ndarray):
+        """``ball_extremes`` at each radius of the descending ``grid``, one row per radius."""
+        k, q = grid.size, queries.size
+        maxv, minv = np.full((2, (k + 1) * q), [[-np.inf], [np.inf]])
+        for lo, hi in _row_chunks(q, targets.size):
+            # One distance pass, binned by how many grid radii exceed each distance (open balls).
+            bins = k - np.searchsorted(grid[::-1], self.dist_rows(queries[lo:hi], targets), side="right")
+            flat = (bins * q + np.arange(lo, hi)[:, None]).ravel()
+            vals = np.broadcast_to(fvals, bins.shape).ravel()
+            np.maximum.at(maxv, flat, vals)
+            np.minimum.at(minv, flat, vals)
+        # Radius j holds the targets of bins j + 1 .. k: running extremes from bin k back.
+        maxv, minv = maxv.reshape(k + 1, q)[:0:-1], minv.reshape(k + 1, q)[:0:-1]
+        return np.maximum.accumulate(maxv, axis=0)[::-1], np.minimum.accumulate(minv, axis=0)[::-1]
+
 
 class MatrixMetric(Metric):
     """Dense pairwise distance matrix."""
@@ -305,6 +320,13 @@ class CantorMetric(Metric):
             hit = keys[g] == qkeys  # else no target shares the query's cylinder
             maxv[sel[hit]] = gmax[g[hit]]
             minv[sel[hit]] = gmin[g[hit]]
+        return maxv, minv
+
+    def grid_extremes(self, queries: np.ndarray, grid: np.ndarray, targets: np.ndarray, fvals: np.ndarray):
+        # One cylinder pass per radius costs less than a dense distance pass.
+        maxv, minv = np.empty((grid.size, queries.size)), np.empty((grid.size, queries.size))
+        for j, r in enumerate(grid):
+            maxv[j], minv[j] = self.ball_extremes(queries, np.full(queries.size, r), targets, fvals)
         return maxv, minv
 
     def diameter(self) -> float:

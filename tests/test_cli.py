@@ -89,6 +89,13 @@ class TestExtend:
         payload = json.loads(out_path.read_text())
         assert payload["report"]["assertion_log"] == []
 
+    def test_layered_generic_digest(self, capsys):
+        # byte stability of the generic layered path: the output document is pinned
+        code, out, _err = run(capsys, "extend", "--generate", "ordinal:2", "--method", "layered")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "38d80a506487d9b12355d6b05ca501203469b4f55a767764bc5995fdec1f415b")
+
     def test_glue_saturated_exits_two(self, capsys):
         code, _out, err = run(capsys, "extend", "--generate", "sequence",
                               "--method", "glue", "--policy", "adaptive:3",

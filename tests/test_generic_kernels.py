@@ -3,8 +3,9 @@
 ``dist_rows`` must equal the scalar ``dist`` bit for bit on every backend,
 and ``ball`` must select exactly the brute-force open ball.  The cover,
 partition, blend, nearest-point and generic layering kernels are checked
-against the per-point loops kept below as references: the arithmetic and
-its summation order are unchanged, so every output must be bit-identical,
+against the per-point loops kept below as references, and ``grid_extremes``
+against one ``ball_extremes`` call per radius: the arithmetic and its
+summation order are unchanged, so every output must be bit-identical,
 dtype and NaNs included.
 """
 
@@ -20,8 +21,8 @@ from oscext import extend
 from oscext.extend import (LayerState, _GenericSupports, _layered, limsup_extension, nearest_in_set,
                            scattered_extension, visibility_components)
 from oscext.instances import cantor_instance, random_instance
-from oscext.space import (_KD_BALL_MEMBERS, EuclideanMetric, MatrixMetric, SubsetMask, ball, cb_filtration,
-                          dists_among, load_space_file, local_scales)
+from oscext.space import (_BLOCK_ELEMS, _KD_BALL_MEMBERS, EuclideanMetric, MatrixMetric, SubsetMask, _row_chunks,
+                          ball, cb_filtration, dists_among, load_space_file, local_scales)
 from oscext.unity import BallCover, PartitionOfUnity, blend, cover_for_piece, partition
 
 from conftest import FIXTURES
@@ -275,6 +276,36 @@ def reference_layered_generic(space, Y, fY, max_layers, n_max):
     return layers
 
 
+def reference_next_depths(sup, cand, ok, chunk_pairs=None):
+    """``_GenericSupports.next_depths`` as a per-candidate loop.
+
+    Appends the number of near (candidate, point) pairs of each row chunk
+    to ``chunk_pairs`` when given.
+    """
+    chosen = np.full(cand.size, -1, dtype=np.int64)
+    tried = np.arange(1, ok.shape[1] + 1)
+    small = 2.0 ** -tried.astype(float)
+    wide = 2.0 * small
+    live = np.flatnonzero(ok.any(axis=1))
+    for lo, hi in _row_chunks(live.size, sup.everything.size):
+        block = sup.metric.dist_rows(cand[live[lo:hi]], sup.everything)
+        pairs = 0
+        for row, i in zip(block, live[lo:hi]):
+            near = np.flatnonzero(row < wide[np.argmax(ok[i])])
+            pairs += near.size
+            cov_x = sup.covering[cand[i]]
+            cov = sup.covering[near]
+            d_ball = row[near]
+            d_out = d_ball[(cov_x & ~cov).any(axis=1)].min(initial=np.inf)
+            d_in = d_ball[(cov & ~cov_x).any(axis=1)].min(initial=np.inf)
+            good = ok[i] & (small <= d_out) & (wide <= d_in)
+            if good.any():
+                chosen[i] = tried[np.argmax(good)]
+        if chunk_pairs is not None:
+            chunk_pairs.append(pairs)
+    return chosen
+
+
 # ---------------------------------------------------------------------------
 # Inputs
 # ---------------------------------------------------------------------------
@@ -468,6 +499,36 @@ class TestBallExtremes:
         assert all_identical(got, brute_ball_extremes(space, queries, radii, targets, fvals))
 
 
+def stacked_ball_extremes(space, queries, grid, targets, fvals):
+    """One ``ball_extremes`` call per radius of ``grid``, stacked in grid order."""
+    rows = [space.metric.ball_extremes(queries, np.full(queries.size, r), targets, fvals) for r in grid]
+    return tuple(np.array([row[i] for row in rows]).reshape(grid.size, queries.size) for i in (0, 1))
+
+
+class TestGridExtremes:
+    """One binned distance pass equals one ball_extremes call per radius."""
+
+    @pytest.mark.parametrize("name", ["matrix", "lattice", "random3d", "ordinal:2", "cantor:6", "cantor:8"])
+    def test_matches_stacked_ball_extremes(self, name):
+        space = case(name)[0]
+        queries, _radii, targets, fvals = extremes_inputs(space, 11, space.n // 3, min(space.n, 90))
+        n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
+        grids = {
+            "dyadic": 2.0 ** -np.arange(n_max),  # the layered spread table's grid
+            # Radii equal to query-to-target distances, 0 included: ties at the radius.
+            "tied": np.unique(space.metric.dist_rows(queries[:6], targets))[::-1][:16],
+            # Resolution 100 gives n_max = -2: no radius at all.
+            "empty": 2.0 ** -np.arange(max(int(math.ceil(math.log2(1.0 / 100.0))) + 4, 0)),
+        }
+        got = {label: space.metric.grid_extremes(queries, grid, targets, fvals) for label, grid in grids.items()}
+        for label, grid in grids.items():
+            assert all_identical(got[label], stacked_ball_extremes(space, queries, grid, targets, fvals)), label
+        # The smallest dyadic balls of queries off the targets miss every target.
+        missed = np.isneginf(got["dyadic"][0]) & np.isposinf(got["dyadic"][1])
+        assert missed[-1].any() and not missed[0].all()
+        assert not np.array_equal(np.sort(queries), queries)
+
+
 # ---------------------------------------------------------------------------
 # Limsup envelope
 # ---------------------------------------------------------------------------
@@ -596,6 +657,26 @@ def assert_same_layers(space, Y, fY, max_layers=24):
     return got
 
 
+def run_checked_layers(space, Y, fY, max_layers=24):
+    """Run ``_layered`` and check every ``next_depths`` call against the candidate loop.
+
+    Returns one (chosen, near pairs per row chunk, covering width) per call.
+    """
+    calls = []
+
+    class Checked(_GenericSupports):
+        def next_depths(self, cand, ok):
+            got = super().next_depths(cand, ok)
+            pairs = []
+            assert identical(got, reference_next_depths(self, cand, ok, pairs))
+            calls.append((got, pairs, self.covering.shape[1]))
+            return got
+
+    n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
+    _layered(space, Y, fY, max_layers, n_max, *nearest_in_set(space, Y), Checked)
+    return calls
+
+
 class TestLayeredGeneric:
     @pytest.mark.parametrize("name", CASES)
     def test_bit_identical_to_loop(self, name):
@@ -624,6 +705,33 @@ class TestLayeredGeneric:
         with pytest.raises(InvariantError) as got:
             _layered(space, Y, fY, 24, 6, *nearest_in_set(space, Y), _GenericSupports)
         assert str(got.value) == str(want.value) == "layer 0: no anchor candidate near 2"
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_next_depths_match_candidate_loop(self, name):
+        space, Y, f = case(name)
+        calls = run_checked_layers(space, Y, f.restrict(Y))
+        assert calls and any((chosen >= 0).any() for chosen, _pairs, _width in calls)
+
+    def test_pair_slices_cross_the_block_budget(self):
+        # A smooth field at a coarse resolution: nearly every point is in
+        # every candidate's doubled ball, so one row chunk's near pairs take
+        # several covering slices.
+        space, _Y, f = case("smooth2d")
+        coarse = SpaceInstance("smooth-coarse", space.metric, resolution=1 / 8, family="euclidean")
+        full = coarse.full_mask()
+        calls = run_checked_layers(coarse, full, ScalarField(full, f.values))
+        assert max(max(pairs) * width for _chosen, pairs, width in calls) > _BLOCK_ELEMS
+
+    def test_point_at_the_small_radius_is_outside_the_small_ball(self):
+        # Point 1 sits exactly 2^-2 from the candidate 0 and leaves the only
+        # support covering it; the open ball B(0, 2^-2) misses it, so depth 2 passes.
+        space = SpaceInstance("tie", EuclideanMetric(np.array([[0.0], [0.25], [3.0]])), resolution=0.125,
+                              family="euclidean")
+        full = space.full_mask()
+        sup = _GenericSupports(space, full, ScalarField(full, np.zeros(3)))
+        sup.covering = np.array([[True, False], [False, False], [False, True]])
+        cand, ok = np.array([0]), np.array([[False, True, True, True]])
+        assert sup.next_depths(cand, ok).tolist() == reference_next_depths(sup, cand, ok).tolist() == [2]
 
     def test_empty_target_rejected(self):
         space = case("random2d")[0]
