@@ -253,35 +253,45 @@ def cmd_ex1(args):
     return 0
 
 
-def _add_common(p):
-    p.add_argument("--instance", help="path to an instance JSON document")
-    p.add_argument("--generate", help="generator spec, e.g. cantor:8, ordinal:2, random:7:200:2")
-    p.add_argument("--field", help="field name (default 'f')")
-    p.add_argument("--subset", help="subset name playing Y")
-    p.add_argument("--epsilon-grid", dest="epsilon_grid", help="comma-separated, strictly decreasing")
-    p.add_argument("--policy", help="fixed:DELTA or adaptive:MULT")
-    p.add_argument("--epsilon", type=float, help="single epsilon (glue)")
-    p.add_argument("--max-layers", dest="max_layers", type=int, default=24)
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+# Every option, and the options each subcommand reads.  A subcommand takes
+# only its own and no abbreviation of them (``--epsilon`` would abbreviate
+# ``--epsilon-grid``), so any other flag is a usage error (exit 2).
+_OPTIONS = {
+    "--instance": dict(help="path to an instance JSON document"),
+    "--generate": dict(help="generator spec, e.g. cantor:8, ordinal:2, random:7:200:2"),
+    "--field": dict(help="field name (default 'f')"),
+    "--subset": dict(help="subset name playing Y"),
+    "--epsilon-grid": dict(help="comma-separated, strictly decreasing"),
+    "--policy": dict(help="fixed:DELTA or adaptive:MULT"),
+    "--epsilon": dict(type=float, help="single epsilon (glue)"),
+    "--max-layers": dict(type=int, default=24),
+    "--rounds": dict(type=int, default=10),
+    "--out": dict(help="output path (default stdout)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--method": dict(required=True),
+    "--methods": dict(required=True, help="comma-separated method list"),
+    "--timings": dict(action="store_true", help="append a wall-time column"),
+    "--depths": dict(default="6,8,10"),
+}
+_INPUT = ("--instance", "--generate", "--field", "--subset", "--policy")  # the space, f, Y and the scale
+_RUN = ("--epsilon", "--max-layers", "--rounds")
+_COMMANDS = {
+    "validate": (cmd_validate, ("--instance", "--generate", "--out")),
+    "index": (cmd_index, _INPUT + ("--epsilon-grid", "--out", "--format")),
+    "extend": (cmd_extend, _INPUT + _RUN + ("--out", "--method")),
+    "compare": (cmd_compare, _INPUT + _RUN + ("--epsilon-grid", "--out", "--format", "--methods", "--timings")),
+    "ex1": (cmd_ex1, ("--epsilon-grid", "--max-layers", "--out", "--format", "--depths")),
+}
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="oscext", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("validate", cmd_validate), ("index", cmd_index),
-                     ("extend", cmd_extend), ("compare", cmd_compare), ("ex1", cmd_ex1)):
-        p = sub.add_parser(name)
-        _add_common(p)
+    for name, (fn, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_OPTIONS[flag])
         p.set_defaults(fn=fn)
-        if name == "extend":
-            p.add_argument("--method", required=True)
-        if name == "compare":
-            p.add_argument("--methods", required=True, help="comma-separated method list")
-            p.add_argument("--timings", action="store_true", help="append a wall-time column")
-        if name == "ex1":
-            p.add_argument("--depths", default="6,8,10")
     return parser
 
 

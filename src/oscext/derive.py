@@ -54,19 +54,28 @@ def osc_at_point(f: ScalarField, x: int, Y: SubsetMask, scale: float) -> float:
 # One-step operators
 # ---------------------------------------------------------------------------
 
-def _step_keep(space, members, radii, fvals, epsilon, kind):
-    maxv, minv = space.metric.ball_extremes(members, radii, members, fvals)
-    if kind == "pair":
-        return (maxv - minv) >= epsilon
-    gap = np.maximum(maxv - fvals, fvals - minv)
-    return gap >= epsilon
-
-
 def _check_step_args(f, epsilon, P):
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ValidationError(f"epsilon must be a positive finite number, got {epsilon}")
     if not P.issubset(f.domain):
         raise PreconditionError("P is not contained in the field domain")
+
+
+def _step(f, epsilon, P, policy, kind):
+    """Both one-step operators; ``kind`` picks what must reach epsilon.
+
+    "pair" tests the spread max - min of f over each member's ball, "gap"
+    the largest gap between the member's own value and one in its ball.
+    """
+    _check_step_args(f, epsilon, P)
+    space = P.space
+    members = P.ids()
+    if members.size == 0:
+        return space.empty_mask()
+    fvals = f.values[members]
+    maxv, minv = space.metric.ball_extremes(members, policy.radii(space, members), members, fvals)
+    spread = maxv - minv if kind == "pair" else np.maximum(maxv - fvals, fvals - minv)
+    return space.mask_from_ids(members[spread >= epsilon])
 
 
 def pair_step(f: ScalarField, epsilon: float, P: SubsetMask, policy) -> SubsetMask:
@@ -75,26 +84,12 @@ def pair_step(f: ScalarField, epsilon: float, P: SubsetMask, policy) -> SubsetMa
     Isolated members get radius 0 under the adaptive policy and never
     qualify.
     """
-    _check_step_args(f, epsilon, P)
-    space = P.space
-    members = P.ids()
-    if members.size == 0:
-        return space.empty_mask()
-    radii = policy.radii(space, members)
-    keep = _step_keep(space, members, radii, f.values[members], epsilon, "pair")
-    return space.mask_from_ids(members[keep])
+    return _step(f, epsilon, P, policy, "pair")
 
 
 def gap_step(f: ScalarField, epsilon: float, P: SubsetMask, policy) -> SubsetMask:
     """Members of P with a single ball witness at f-gap >= epsilon from them."""
-    _check_step_args(f, epsilon, P)
-    space = P.space
-    members = P.ids()
-    if members.size == 0:
-        return space.empty_mask()
-    radii = policy.radii(space, members)
-    keep = _step_keep(space, members, radii, f.values[members], epsilon, "gap")
-    return space.mask_from_ids(members[keep])
+    return _step(f, epsilon, P, policy, "gap")
 
 
 _STEPS = {"pair": pair_step, "gap": gap_step}

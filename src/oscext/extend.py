@@ -485,13 +485,12 @@ class _GenericSupports:
 class _CantorSupports:
     """Supports of the layered construction from cylinder arithmetic, for the prefix metric.
 
-    In code order a prefix metric is one array: ``adj[p]``, the common-prefix
-    length of sorted positions p - 1 and p (-1 at p = 0).  Cylinders are the
-    runs of ``adj >= c``, so supports are contiguous ranges of sorted
-    positions, the ball-nesting condition holds automatically once n >= l,
-    and the support-disjointness condition reduces to comparing counts of
-    deep centers inside the candidate's doubled ball against those covering
-    it.
+    The metric's code order gives ``adj[p]``, the common-prefix length of
+    sorted positions p - 1 and p, and its cylinders, the runs of
+    ``adj >= c``.  Supports are contiguous ranges of sorted positions, the
+    ball-nesting condition holds automatically once n >= l, and the
+    support-disjointness condition reduces to comparing counts of deep
+    centers inside the candidate's doubled ball against those covering it.
 
     Accumulation-order contract: the hat sums loop over the centers in id
     order, and each member adds its centers' terms one at a time, starting
@@ -502,15 +501,9 @@ class _CantorSupports:
         metric = space.metric
         n = space.n
         self.width = width = metric.width
-        full = metric.codes[width]
-        order = np.argsort(full, kind="stable")
-        self.rank = np.empty(n, dtype=np.int64)
-        self.rank[order] = np.arange(n)
-        self.adj = np.r_[-1, metric.common_prefix(full[order[1:]], full[order[:-1]])]
-        # Per cylinder length c: the cylinder of each sorted position, and the
-        # cylinder bounds in the sorted order.
-        self.cyl_of = [np.cumsum(self.adj < c) - 1 for c in range(width + 1)]
-        self.bounds = [np.r_[np.flatnonzero(self.adj < c), n] for c in range(width + 1)]
+        self.rank, self.adj = metric.rank, metric.adj
+        # The metric's cylinders at every length, held while the construction runs.
+        self.cyl_of, self.bounds = zip(*(metric.cylinders(c) for c in range(width + 1)))
         # Pair distance by common-prefix length; a center's own pair takes
         # the extra slot, distance 0.
         self.dist_of = np.r_[2.0 ** -(np.arange(width + 1) + 1.0), 0.0]

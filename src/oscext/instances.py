@@ -77,7 +77,7 @@ class CantorPoint:
 
 
 def cantor_prefix_bits(depth: int):
-    """Enumerate canonical points of head length <= depth; bits + labels.
+    """Enumerate canonical points of head length <= depth; bits + points.
 
     Points are ordered by (tail, head length, head value), so the tail-0
     half occupies ids 0 .. 2^depth - 1.  Width depth+1 suffices: distinct
@@ -101,30 +101,29 @@ def cantor_prefix_bits(depth: int):
     for i, p in enumerate(points):
         for c in range(width):
             bits[i, c] = p.coordinate(c + 1)
-    labels = [p.label for p in points]
-    return bits, labels
+    return bits, points
 
 
 def cantor_instance(depth: int) -> SpaceInstance:
     """Truncated binary-sequence space with the dense tail-0 subset Y."""
-    bits, labels = cantor_prefix_bits(depth)
+    bits, points = cantor_prefix_bits(depth)
     metric = CantorMetric(bits)
     space = SpaceInstance(
         f"cantor_depth_{depth}", metric, resolution=2.0 ** -depth,
-        labels=labels, family="cantor",
+        labels=[p.label for p in points], family="cantor",
     )
     n0 = 1 << depth  # tail-0 block comes first in the enumeration
     y = np.zeros(space.n, dtype=bool)
     y[:n0] = True
     space.subsets["Y"] = SubsetMask(space, y)
-    record_cantor_meta(space, depth)
+    record_cantor_meta(space, depth, points)
     return space
 
 
-def record_cantor_meta(space: SpaceInstance, depth: int):
-    """Record a cantor space's depth, its points (from the labels) and the label index."""
+def record_cantor_meta(space: SpaceInstance, depth: int, points):
+    """Record a cantor space's depth, its canonical points in id order and the label index."""
     space.meta["depth"] = depth
-    space.meta["points"] = [CantorPoint.from_label(lb) for lb in space.labels]
+    space.meta["points"] = points
     space.meta["id_by_label"] = {lb: i for i, lb in enumerate(space.labels)}
 
 

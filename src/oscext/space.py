@@ -227,6 +227,20 @@ class CantorMetric(Metric):
         for c in range(1, self.width + 1):
             codes[c] = codes[c - 1] * np.uint64(2) + self.bits[:, c - 1]
         self.codes = codes
+        # Code order: rank[i] is point i's sorted position, and adj[p] the
+        # common-prefix length of sorted positions p - 1 and p (-1 at p = 0).
+        order = np.argsort(codes[self.width], kind="stable")
+        self.rank = np.argsort(order)  # the inverse permutation
+        self.adj = np.r_[-1, self.common_prefix(codes[self.width][order[1:]], codes[self.width][order[:-1]])]
+
+    def cylinders(self, c: int):
+        """The c-cylinder of each sorted position, and the cylinder bounds.
+
+        Cylinders are the runs of ``adj >= c``: cylinder g holds the sorted
+        positions ``bounds[g]`` up to ``bounds[g + 1]``.
+        """
+        starts = self.adj < c
+        return np.cumsum(starts) - 1, np.r_[np.flatnonzero(starts), self.n]
 
     def common_prefix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise common-prefix length of full-width codes ``a`` and ``b``.
@@ -273,53 +287,47 @@ class CantorMetric(Metric):
 
     def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
         # In code order a query's longest prefix with another target is the
-        # longer one with its sorted neighbours (the mate); the nearest other
-        # target is the smallest other id in that prefix's cylinder.
+        # longer one with its sorted neighbours; the nearest other target is
+        # the smallest other id in that prefix's cylinder.
         full = self.codes[self.width]
-        t = tids[np.argsort(full[tids], kind="stable")]
-        tcodes, qcodes = full[t], full[queries]
-        pos = np.searchsorted(tcodes, qcodes)
-        after = pos + (tcodes[np.minimum(pos, t.size - 1)] == qcodes)  # past the query itself
-        c_before = np.where(pos > 0, self.common_prefix(tcodes[pos - 1], qcodes), -1)
-        c_after = np.where(after < t.size, self.common_prefix(tcodes[np.minimum(after, t.size - 1)], qcodes), -1)
-        best = np.maximum(c_before, c_after)
-        mate = np.where(c_before >= c_after, pos - 1, after)
+        t = tids[np.argsort(self.rank[tids])]
+        tpos, qpos = self.rank[t], self.rank[queries]
+        pos = np.searchsorted(tpos, qpos)
+        after = pos + (tpos[np.minimum(pos, t.size - 1)] == qpos)  # past the query itself
+        near = np.stack([pos - 1, after])  # the sorted targets on either side
+        lcp = self.common_prefix(full[t[near % t.size]], full[queries])
+        best = np.where((near >= 0) & (near < t.size), lcp, -1).max(axis=0)
         ids = np.empty(queries.size, dtype=np.int64)
+        big = np.iinfo(np.int64).max
         for c in np.unique(best):
-            pre = self.codes[c][t]
-            new = np.r_[True, pre[1:] != pre[:-1]]
-            group = np.cumsum(new) - 1
-            starts = np.flatnonzero(new)
-            first = np.minimum.reduceat(t, starts)
-            second = np.minimum.reduceat(np.where(t == first[group], np.iinfo(np.int64).max, t), starts)
+            cyl, bounds = self.cylinders(c)
+            group = cyl[tpos]
+            first, second = np.full((2, bounds.size - 1), big)
+            np.minimum.at(first, group, t)
+            np.minimum.at(second, group, np.where(t == first[group], big, t))
             sel = best == c
-            g = group[mate[sel]]
+            g = cyl[qpos[sel]]
             ids[sel] = np.where(first[g] == queries[sel], second[g], first[g])
         return 2.0 ** -(best + 1.0), ids
 
     def ball_extremes(self, queries: np.ndarray, radii: np.ndarray,
                       targets: np.ndarray, fvals: np.ndarray):
-        # Open balls are cylinders: group the targets by code per cylinder
-        # length, then find each query's code among the groups.
-        maxv = np.full(queries.size, -np.inf)
-        minv = np.full(queries.size, np.inf)
+        # Open balls are cylinders: per cylinder length, the extremes of the
+        # targets in each cylinder, read at each query's cylinder.
+        maxv, minv = np.full((2, queries.size), [[-np.inf], [np.inf]])
         uniq, inv = np.unique(radii, return_inverse=True)
-        lengths = np.array([min(self.cylinder_length(r), self.width) if r > 0
-                            else -1  # empty ball sentinel
-                            for r in uniq], dtype=np.int64)
-        creq = lengths[inv.reshape(-1)]
+        lengths = np.array([min(self.cylinder_length(r), self.width) if r > 0 else -1 for r in uniq], dtype=np.int64)
+        creq = lengths[inv.reshape(-1)]  # -1: the empty ball of radius 0
         for c in np.unique(creq[creq >= 0]):
-            keys, group = np.unique(self.codes[c][targets], return_inverse=True)
-            gmax = np.full(keys.size, -np.inf)
-            gmin = np.full(keys.size, np.inf)
+            cyl, bounds = self.cylinders(c)
+            group = cyl[self.rank[targets]]
+            gmax, gmin = np.full((2, bounds.size - 1), [[-np.inf], [np.inf]])
             np.maximum.at(gmax, group, fvals)
             np.minimum.at(gmin, group, fvals)
             sel = np.flatnonzero(creq == c)
-            qkeys = self.codes[c][queries[sel]]
-            g = np.minimum(np.searchsorted(keys, qkeys), keys.size - 1)
-            hit = keys[g] == qkeys  # else no target shares the query's cylinder
-            maxv[sel[hit]] = gmax[g[hit]]
-            minv[sel[hit]] = gmin[g[hit]]
+            g = cyl[self.rank[queries[sel]]]
+            maxv[sel] = gmax[g]
+            minv[sel] = gmin[g]
         return maxv, minv
 
     def grid_extremes(self, queries: np.ndarray, grid: np.ndarray, targets: np.ndarray, fvals: np.ndarray):
@@ -330,10 +338,8 @@ class CantorMetric(Metric):
         return maxv, minv
 
     def diameter(self) -> float:
-        for c in range(self.width + 1):
-            if np.unique(self.codes[min(c + 1, self.width)]).size > 1:
-                return float(2.0 ** -(c + 1))
-        return 0.0
+        # The farthest pair has the shortest common prefix, the least adj.
+        return float(2.0 ** -(self.adj[1:].min() + 1.0)) if self.n > 1 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -860,15 +866,15 @@ def load_space(doc: dict) -> SpaceInstance:
         _require(n == 2 ** (depth + 1), f"cantor depth {depth} has {2 ** (depth + 1)} points, document lists {n}")
         from .instances import CantorPoint, cantor_prefix_bits, record_cantor_meta  # avoids a cycle
 
-        bits, canon_labels = cantor_prefix_bits(depth)
+        bits, canon_points = cantor_prefix_bits(depth)
         metric = CantorMetric(bits)
         if labels is not None:
             for label in labels:
                 CantorPoint.from_label(label)
-            for i, (label, canon) in enumerate(zip(labels, canon_labels)):
-                _require(label == canon, f"point {i} has label {label!r}; the cantor space "
-                         f"of depth {depth} has {canon!r} there")
-        labels = canon_labels
+            for i, (label, canon) in enumerate(zip(labels, canon_points)):
+                _require(label == canon.label, f"point {i} has label {label!r}; the cantor space "
+                         f"of depth {depth} has {canon.label!r} there")
+        labels = [p.label for p in canon_points]
     else:
         raise ValidationError(f"unknown metric type {mtype!r}")
     # The generating family; only the euclidean metric carries more than one.
@@ -878,7 +884,7 @@ def load_space(doc: dict) -> SpaceInstance:
 
     space = SpaceInstance(doc["name"], metric, doc["resolution"], labels=labels, family=family)
     if mtype == "cantor":
-        record_cantor_meta(space, depth)
+        record_cantor_meta(space, depth, canon_points)
 
     subsets = doc.get("subsets") or {}
     _require(isinstance(subsets, dict), "subsets must be an object of named id lists")

@@ -78,6 +78,70 @@ class TestCommonPrefix:
         assert metric.common_prefix(a, b).tolist() == want
 
 
+def brute_extremes(space, queries, radii, targets, fvals):
+    """Max and min of f over the targets strictly inside each query's ball, from ``dist_rows``."""
+    inside = space.metric.dist_rows(queries, targets) < radii[:, None]
+    return np.where(inside, fvals, -np.inf).max(axis=1), np.where(inside, fvals, np.inf).min(axis=1)
+
+
+def wide_inputs(space, seed=4):
+    """Unsorted queries over every point, a target subset, and radii that are 0,
+    double a query-to-target distance, sit just above or below one, or are half
+    the query's nearest positive target distance."""
+    rng = np.random.default_rng(seed)
+    queries = rng.permutation(space.n)
+    targets = np.sort(rng.choice(space.n, size=space.n // 2, replace=False))
+    d = space.metric.dist_rows(queries, targets)
+    radii = d[np.arange(space.n), rng.integers(0, targets.size, size=space.n)]
+    radii[1::5] *= 2.0
+    radii[2::5] = np.nextafter(radii[2::5], np.inf)
+    radii[3::5] = 0.5 * np.where(d > 0, d, np.inf).min(axis=1)[3::5]
+    radii[4::5] = np.nextafter(radii[4::5], 0.0)
+    radii[::5] = 0.0
+    return queries, radii, targets, rng.integers(0, 4, size=targets.size) / 3.0
+
+
+class TestWideCylinders:
+    """The cylinder kernels at width 64, where codes fill all 64 bits."""
+
+    def test_ball_extremes_match_distance_rows(self):
+        space = wide_space()
+        queries, radii, targets, fvals = wide_inputs(space)
+        got = space.metric.ball_extremes(queries, radii, targets, fvals)
+        want = brute_extremes(space, queries, radii, targets, fvals)
+        assert all(identical(g, w) for g, w in zip(got, want))
+        empty = got[0] < got[1]
+        assert empty[radii == 0].all() and (empty & (radii > 0)).any() and not empty.all()
+
+    def test_grid_extremes_match_stacked_ball_extremes(self):
+        space = wide_space()
+        queries, _radii, targets, fvals = wide_inputs(space, seed=9)
+        # Every cylinder length from 0 past the width, and radii tied to distances.
+        for grid in (2.0 ** -np.arange(space.metric.width + 3.0),
+                     np.unique(space.metric.dist_rows(queries[:8], targets))[::-1]):
+            got = space.metric.grid_extremes(queries, grid, targets, fvals)
+            for j, r in enumerate(grid):
+                radii = np.full(queries.size, r)
+                want = space.metric.ball_extremes(queries, radii, targets, fvals)
+                assert identical(got[0][j], want[0]) and identical(got[1][j], want[1])
+                assert all(identical(w, b) for w, b in zip(want, brute_extremes(space, queries, radii, targets, fvals)))
+
+
+class TestDiameter:
+    @pytest.mark.parametrize("space", [cantor_instance(6), cantor_instance(8), wide_space()],
+                             ids=["cantor6", "cantor8", "wide"])
+    def test_is_the_largest_pair_distance(self, space):
+        everything = np.arange(space.n)
+        assert space.diameter() == space.metric.dist_rows(everything, everything).max()
+
+    def test_narrow_cylinder_spaces(self):
+        # Every point shares its first 5 coordinates: the diameter is 2^-6, not 1/2.
+        bits = np.zeros((4, 8), dtype=np.uint8)
+        bits[:, 5:7] = [[0, 0], [0, 1], [1, 0], [1, 1]]
+        assert CantorMetric(bits).diameter() == 2.0**-6
+        assert CantorMetric(bits[:1]).diameter() == 0.0
+
+
 class TestLocalScales:
     @pytest.mark.parametrize("depth", [6, 8])
     def test_matches_oracles(self, depth):

@@ -213,6 +213,25 @@ class TestUsage:
         assert exc.value.code == 2
         assert "unrecognized arguments: --emit-plot-data" in capsys.readouterr().err
 
+    # Each subcommand with a valid argument list, and the shared flags it does not read.
+    BASE = {"validate": ["--generate", "cantor:5"], "index": ["--generate", "cantor:5"],
+            "extend": ["--generate", "cantor:5", "--method", "limsup"], "ex1": ["--depths", "6"]}
+    UNREAD = {"validate": ["--field", "--subset", "--epsilon-grid", "--policy", "--epsilon", "--max-layers",
+                           "--rounds", "--format"],
+              "index": ["--epsilon", "--max-layers", "--rounds"],
+              "extend": ["--epsilon-grid", "--format"],
+              "ex1": ["--instance", "--generate", "--field", "--subset", "--policy", "--epsilon", "--rounds"]}
+    VALUE = {"--instance": str(FIXTURES / "cantor_depth_6.json"), "--generate": "cantor:5", "--field": "f",
+             "--subset": "Y", "--epsilon-grid": "0.5", "--policy": "fixed:0.01", "--epsilon": "0.5",
+             "--max-layers": "3", "--rounds": "3", "--format": "csv"}
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in UNREAD.items() for f in flags])
+    def test_unread_flag_is_a_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *self.BASE[command], flag, self.VALUE[flag]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {self.VALUE[flag]}" in capsys.readouterr().err
+
 
 class TestFileErrors:
     def test_missing_instance_file(self, capsys):
