@@ -76,64 +76,50 @@ class CantorPoint:
         return f"CantorPoint({self.label!r})"
 
 
-def cantor_prefix_bits(depth: int):
-    """Enumerate canonical points of head length <= depth; bits + points.
+def cantor_codes(depth: int):
+    """Full-width codes and labels of the canonical points of head length <= depth.
 
     Points are ordered by (tail, head length, head value), so the tail-0
-    half occupies ids 0 .. 2^depth - 1.  Width depth+1 suffices: distinct
-    canonical points always differ within the first depth+1 coordinates.
+    half occupies ids 0 .. 2^depth - 1.  Inside a tail block, id j >= 1 has
+    head length L = bit_length(j) and head value 2(j - 2^(L-1)) + (1 - tail):
+    the heads that do not end in the tail bit.  Id 0 has the empty head.
+    A code packs the first W = depth + 1 coordinates, the first one highest:
+    distinct canonical points always differ within them.
     """
     if depth < 2:
         raise ValidationError("depth must be >= 2")
-    if depth > 20:  # 2^(depth+1) Python points: deeper spaces cannot be enumerated in practice
+    if depth > 20:  # 2^(depth+1) points and labels: deeper spaces cannot be enumerated in practice
         raise ValidationError(f"depth must be at most 20 (2^21 points), got {depth}")
-    points = []
-    for tail in (0, 1):
-        avoid = str(tail)
-        for length in range(depth + 1):
-            for value in range(1 << length):
-                head = format(value, f"0{length}b") if length else ""
-                if head and head.endswith(avoid):
-                    continue
-                points.append(CantorPoint(head, tail))
     width = depth + 1
-    bits = np.zeros((len(points), width), dtype=np.uint8)
-    for i, p in enumerate(points):
-        for c in range(width):
-            bits[i, c] = p.coordinate(c + 1)
-    return bits, points
+    j = np.tile(np.arange(1 << depth, dtype=np.int64), 2)
+    tail = np.repeat(np.arange(2, dtype=np.int64), 1 << depth)
+    length = np.frexp(j.astype(np.float64))[1].astype(np.int64)  # bit_length(j), 0 at j = 0
+    head = np.where(j > 0, 2 * j - (1 << length) + (1 - tail), 0)
+    rest = width - length
+    codes = ((head << rest) | tail * ((1 << rest) - 1)).astype(np.uint64)
+    labels = [f"{h:0{n}b}+{t}" if n else f"+{t}" for h, n, t in zip(head.tolist(), length.tolist(), tail.tolist())]
+    return codes, labels
 
 
 def cantor_instance(depth: int) -> SpaceInstance:
     """Truncated binary-sequence space with the dense tail-0 subset Y."""
-    bits, points = cantor_prefix_bits(depth)
-    metric = CantorMetric(bits)
+    codes, labels = cantor_codes(depth)
     space = SpaceInstance(
-        f"cantor_depth_{depth}", metric, resolution=2.0 ** -depth,
-        labels=[p.label for p in points], family="cantor",
+        f"cantor_depth_{depth}", CantorMetric(codes, depth + 1), resolution=2.0 ** -depth,
+        labels=labels, family="cantor",
     )
-    n0 = 1 << depth  # tail-0 block comes first in the enumeration
-    y = np.zeros(space.n, dtype=bool)
-    y[:n0] = True
-    space.subsets["Y"] = SubsetMask(space, y)
-    record_cantor_meta(space, depth, points)
+    # The tail-0 block comes first in the enumeration.
+    space.subsets["Y"] = SubsetMask(space, np.arange(space.n) < 1 << depth)
     return space
-
-
-def record_cantor_meta(space: SpaceInstance, depth: int, points):
-    """Record a cantor space's depth, its canonical points in id order and the label index."""
-    space.meta["depth"] = depth
-    space.meta["points"] = points
-    space.meta["id_by_label"] = {lb: i for i, lb in enumerate(space.labels)}
 
 
 def cantor_point_id(space: SpaceInstance, head: str, tail: int) -> int:
     """Id of the canonical point for (head, tail); errors if outside the space."""
     p = CantorPoint(head, tail)
-    try:
-        return space.meta["id_by_label"][p.label]
-    except KeyError:
-        raise ValidationError(f"point {p.label!r} is not in {space.name}") from None
+    if space.family != "cantor" or space.n != 2 ** space.metric.width or len(p.head) >= space.metric.width:
+        raise ValidationError(f"point {p.label!r} is not in {space.name}")
+    # The inverse of cantor_codes' enumeration: (2^L | head) >> 1 is j, and 0 for the empty head.
+    return p.tail * space.n // 2 + (((1 << len(p.head)) | int(p.head or "0", 2)) >> 1)
 
 
 def head_from_blocks(blocks) -> str:
@@ -170,21 +156,29 @@ def block_parity_value(head: str) -> Fraction:
 def block_parity_field(space: SpaceInstance) -> ScalarField:
     """The continuous block-parity function on the tail-0 subset Y.
 
-    Values are computed in exact ternary rationals and rounded once to
-    floats.  Evaluation is undefined off Y (tail-1 points).
+    One pass over the W coordinates of the codes, first coordinate first,
+    tracks each point's run parity and block index i, and adds 2 * 3^(W-i)
+    to an integer numerator for every odd run a zero closes.  Numerators
+    and 3^W are exact float64 integers below 2^53 (W <= 21), so the one
+    division equals ``float(block_parity_value(head))``.  The last
+    coordinate is the tail bit: evaluation is undefined on tail-1 points.
     """
-    if space.family != "cantor" or "Y" not in space.subsets:
+    if space.family != "cantor" or space.n != 2 ** space.metric.width or "Y" not in space.subsets:
         raise PreconditionError("block_parity_field requires a cantor_instance space")
-    y_mask = space.subsets["Y"]
-    ids = y_mask.ids()
-    points = space.meta["points"]
-    vals = np.empty(ids.size)
-    for k, i in enumerate(ids):
-        p = points[int(i)]
-        if p.tail != 0:
-            raise PreconditionError("block-parity function is undefined on tail-1 points")
-        vals[k] = float(block_parity_value(p.head))
-    return ScalarField.on_ids(space, ids, vals)
+    ids, width = space.subsets["Y"].ids(), space.metric.width
+    code = space.metric.code[ids]
+    if np.any(code & np.uint64(1)):
+        raise PreconditionError("block-parity function is undefined on tail-1 points")
+    pow3 = 3 ** np.arange(width + 1, dtype=np.int64)
+    num = np.zeros(ids.size, dtype=np.int64)
+    block = np.ones(ids.size, dtype=np.int64)
+    odd = np.zeros(ids.size, dtype=bool)
+    for shift in range(width - 1, -1, -1):
+        one = ((code >> np.uint64(shift)) & np.uint64(1)).astype(bool)
+        num += np.where(odd & ~one, 2 * pow3[width - block], 0)  # a zero closes block i
+        block += ~one
+        odd = one & ~odd
+    return ScalarField.on_ids(space, ids, num / 3**width)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +206,9 @@ def ordinal_instance(k: int, branching: int = 10) -> SpaceInstance:
         raise ValidationError("k must be >= 1")
     if branching < 3:
         raise ValidationError("branching must be >= 3")
+    count = (branching ** (k + 1) - 1) // (branching - 1)  # counted before any point is built
+    if count > 1 << 14:  # the position field reads a dense n x n block
+        raise ValidationError(f"ordinal:{k}:{branching} has {count} points, more than 16384 (2^14)")
     positions: list = []
     ranks: list = []
     _build_cluster(k, 0.0, 1.0, branching, positions, ranks)

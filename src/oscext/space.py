@@ -212,26 +212,23 @@ class EuclideanMetric(Metric):
 class CantorMetric(Metric):
     """Prefix metric 2^-(first differing coordinate) on binary sequences.
 
-    Each point is an eventually constant sequence stored as its first
-    ``width`` coordinates; distinct points always differ within that window,
-    so the metric is total.  Balls are prefix cylinders.
+    Each point is an eventually constant sequence stored as one ``uint64``
+    code packing its first ``width`` coordinates (width <= 64); distinct
+    points always differ within that window, so the metric is total.  Balls
+    are prefix cylinders.
     """
 
     kind = "cantor"
 
-    def __init__(self, prefix_bits: np.ndarray):
-        self.bits = np.ascontiguousarray(prefix_bits, dtype=np.uint8)
-        self.n, self.width = self.bits.shape
-        # codes[c][i] packs the first c coordinates of point i.
-        codes = np.zeros((self.width + 1, self.n), dtype=np.uint64)
-        for c in range(1, self.width + 1):
-            codes[c] = codes[c - 1] * np.uint64(2) + self.bits[:, c - 1]
-        self.codes = codes
+    def __init__(self, code: np.ndarray, width: int):
+        # Coordinate 1 is the highest of the width packed bits.
+        self.code = np.ascontiguousarray(code, dtype=np.uint64)
+        self.n, self.width = self.code.size, int(width)
         # Code order: rank[i] is point i's sorted position, and adj[p] the
         # common-prefix length of sorted positions p - 1 and p (-1 at p = 0).
-        order = np.argsort(codes[self.width], kind="stable")
+        order = np.argsort(self.code, kind="stable")
         self.rank = np.argsort(order)  # the inverse permutation
-        self.adj = np.r_[-1, self.common_prefix(codes[self.width][order[1:]], codes[self.width][order[:-1]])]
+        self.adj = np.r_[-1, self.common_prefix(self.code[order[1:]], self.code[order[:-1]])]
 
     def cylinders(self, c: int):
         """The c-cylinder of each sorted position, and the cylinder bounds.
@@ -258,16 +255,12 @@ class CantorMetric(Metric):
         return self.width - np.frexp(top.astype(np.float64))[1].astype(np.int64)
 
     def dist(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        diff = np.flatnonzero(self.bits[i] != self.bits[j])
-        if diff.size == 0:
-            return 0.0
-        return float(2.0 ** -(diff[0] + 1.0))
+        # Python ints, independent of common_prefix: the bit length of the XOR is exact.
+        x = int(self.code[i]) ^ int(self.code[j])
+        return 2.0 ** (x.bit_length() - self.width - 1) if x else 0.0
 
     def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        full = self.codes[self.width]
-        lcp = self.common_prefix(full[rows][:, None], full[cols][None, :])
+        lcp = self.common_prefix(self.code[rows][:, None], self.code[cols][None, :])
         d = 2.0 ** -(lcp + 1.0)
         d[rows[:, None] == cols[None, :]] = 0.0
         return d
@@ -289,13 +282,12 @@ class CantorMetric(Metric):
         # In code order a query's longest prefix with another target is the
         # longer one with its sorted neighbours; the nearest other target is
         # the smallest other id in that prefix's cylinder.
-        full = self.codes[self.width]
         t = tids[np.argsort(self.rank[tids])]
         tpos, qpos = self.rank[t], self.rank[queries]
         pos = np.searchsorted(tpos, qpos)
         after = pos + (tpos[np.minimum(pos, t.size - 1)] == qpos)  # past the query itself
         near = np.stack([pos - 1, after])  # the sorted targets on either side
-        lcp = self.common_prefix(full[t[near % t.size]], full[queries])
+        lcp = self.common_prefix(self.code[t[near % t.size]], self.code[queries])
         best = np.where((near >= 0) & (near < t.size), lcp, -1).max(axis=0)
         ids = np.empty(queries.size, dtype=np.int64)
         big = np.iinfo(np.int64).max
@@ -831,6 +823,10 @@ def load_space(doc: dict) -> SpaceInstance:
         _require(key in doc, f"instance document is missing {key!r}")
     res = doc["resolution"]
     _require(isinstance(res, (int, float)) and not isinstance(res, bool), "resolution must be a number")
+    try:
+        res = float(res)
+    except OverflowError:
+        raise ValidationError("resolution is too large to be a float") from None
     points = doc["points"]
     _require(isinstance(points, list) and points, "points must be a nonempty list")
     n = len(points)
@@ -864,17 +860,17 @@ def load_space(doc: dict) -> SpaceInstance:
         _require(depth <= 63, "cantor depth must be at most 63: codes pack depth + 1 coordinates in 64 bits")
         # 2^depth points per tail bit; checked before the space is enumerated.
         _require(n == 2 ** (depth + 1), f"cantor depth {depth} has {2 ** (depth + 1)} points, document lists {n}")
-        from .instances import CantorPoint, cantor_prefix_bits, record_cantor_meta  # avoids a cycle
+        from .instances import CantorPoint, cantor_codes  # avoids a cycle
 
-        bits, canon_points = cantor_prefix_bits(depth)
-        metric = CantorMetric(bits)
+        codes, canon_labels = cantor_codes(depth)
+        metric = CantorMetric(codes, depth + 1)
         if labels is not None:
             for label in labels:
                 CantorPoint.from_label(label)
-            for i, (label, canon) in enumerate(zip(labels, canon_points)):
-                _require(label == canon.label, f"point {i} has label {label!r}; the cantor space "
-                         f"of depth {depth} has {canon.label!r} there")
-        labels = [p.label for p in canon_points]
+            for i, (label, canon) in enumerate(zip(labels, canon_labels)):
+                _require(label == canon, f"point {i} has label {label!r}; the cantor space "
+                         f"of depth {depth} has {canon!r} there")
+        labels = canon_labels
     else:
         raise ValidationError(f"unknown metric type {mtype!r}")
     # The generating family; only the euclidean metric carries more than one.
@@ -882,9 +878,7 @@ def load_space(doc: dict) -> SpaceInstance:
     _require(family == mtype or (mtype == "euclidean" and family in ("ordinal", "sequence")),
              f"family {family!r} does not fit metric type {mtype!r}")
 
-    space = SpaceInstance(doc["name"], metric, doc["resolution"], labels=labels, family=family)
-    if mtype == "cantor":
-        record_cantor_meta(space, depth, canon_points)
+    space = SpaceInstance(doc["name"], metric, res, labels=labels, family=family)
 
     subsets = doc.get("subsets") or {}
     _require(isinstance(subsets, dict), "subsets must be an object of named id lists")

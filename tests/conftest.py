@@ -14,7 +14,7 @@ from oscext import (
     random_instance,
     sequence_space,
 )
-from oscext.space import MatrixMetric
+from oscext.space import CantorMetric, MatrixMetric
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -56,3 +56,21 @@ def rand60():
 
 def tiny_matrix_space(data, resolution=0.5, name="tiny"):
     return SpaceInstance(name, MatrixMetric(np.asarray(data, dtype=float)), resolution)
+
+
+def prefix_codes(metric, c):
+    """Each point's first c coordinates, packed: the full code shifted right, 0 at c = 0."""
+    return metric.code >> np.uint64(metric.width - c) if c else np.zeros_like(metric.code)
+
+
+def wide_space(width=64, n=40, seed=5):
+    """Random distinct points of a wide prefix metric, plus pairs whose code
+    XOR is 2^b - 1 for b > 53: a float64 bit length rounds those up."""
+    rng = np.random.default_rng(seed)
+    rows = {tuple(r) for r in rng.integers(0, 2, size=(n, width))}
+    for lead in (0, 3, 9):
+        low = [0] * lead + [0] + [1] * (width - lead - 1)
+        high = [0] * lead + [1] + [0] * (width - lead - 1)
+        rows.update({tuple(low), tuple(high)})
+    codes = np.array([int("".join(map(str, r)), 2) for r in sorted(rows)], dtype=np.uint64)
+    return SpaceInstance(f"wide_{width}", CantorMetric(codes, width), resolution=2.0**-8, family="cantor")

@@ -95,3 +95,25 @@ def o_adaptive_filtration(space, members, mult):
         levels.append(nxt)
         current = nxt
     return levels, ("emptied", len(levels))
+
+
+def o_cantor_points(depth):
+    """The canonical prefix-metric points, one CantorPoint per (tail, head length, head value)."""
+    from oscext.instances import CantorPoint
+
+    points = []
+    for tail in (0, 1):
+        for length in range(depth + 1):
+            for value in range(1 << length):
+                head = format(value, f"0{length}b") if length else ""
+                if not (head and head.endswith(str(tail))):
+                    points.append(CantorPoint(head, tail))
+    return points
+
+
+def o_cantor_code(point, width):
+    """The first ``width`` coordinates of a point, packed first-highest from ``coordinate``."""
+    code = 0
+    for j in range(1, width + 1):
+        code = 2 * code + point.coordinate(j)
+    return code

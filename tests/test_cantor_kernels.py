@@ -17,7 +17,6 @@ from oscext import (
     AdaptiveScale,
     FixedScale,
     ScalarField,
-    SpaceInstance,
     cantor_instance,
     gap_step,
     pair_step,
@@ -27,6 +26,7 @@ from oscext.extend import LayerState, _CantorSupports, _GenericSupports, _layere
 from oscext.instances import block_parity_field
 from oscext.space import CantorMetric, SubsetMask, local_scales
 
+from conftest import prefix_codes, wide_space
 from oracles import o_gap_step, o_local_scale, o_pair_step
 
 
@@ -51,19 +51,6 @@ def member_sets(space, seed):
     return [np.sort(s) for s in sets] + [np.arange(n)]
 
 
-def wide_space(width=64, n=40, seed=5):
-    """Random distinct points of a wide prefix metric, plus pairs whose code
-    XOR is 2^b - 1 for b > 53: a float64 bit length rounds those up."""
-    rng = np.random.default_rng(seed)
-    rows = {tuple(r) for r in rng.integers(0, 2, size=(n, width))}
-    for lead in (0, 3, 9):
-        low = [0] * lead + [0] + [1] * (width - lead - 1)
-        high = [0] * lead + [1] + [0] * (width - lead - 1)
-        rows.update({tuple(low), tuple(high)})
-    bits = np.array(sorted(rows), dtype=np.uint8)
-    return SpaceInstance(f"wide_{width}", CantorMetric(bits), resolution=2.0**-8, family="cantor")
-
-
 class TestCommonPrefix:
     @pytest.mark.parametrize("width", [3, 13, 52, 53, 54, 63, 64])
     def test_exact_at_every_width(self, width):
@@ -73,7 +60,7 @@ class TestCommonPrefix:
         vals += [int(v) for v in rng.integers(0, 2**63, size=40, dtype=np.uint64) >> (64 - width)]
         a = np.array([v for v in vals for _ in vals], dtype=np.uint64)
         b = np.array([w for _ in vals for w in vals], dtype=np.uint64)
-        metric = CantorMetric(np.zeros((1, width), dtype=np.uint8))
+        metric = CantorMetric(np.zeros(1, dtype=np.uint64), width)
         want = [width - (int(x) ^ int(y)).bit_length() for x, y in zip(a, b)]
         assert metric.common_prefix(a, b).tolist() == want
 
@@ -136,10 +123,9 @@ class TestDiameter:
 
     def test_narrow_cylinder_spaces(self):
         # Every point shares its first 5 coordinates: the diameter is 2^-6, not 1/2.
-        bits = np.zeros((4, 8), dtype=np.uint8)
-        bits[:, 5:7] = [[0, 0], [0, 1], [1, 0], [1, 1]]
-        assert CantorMetric(bits).diameter() == 2.0**-6
-        assert CantorMetric(bits[:1]).diameter() == 0.0
+        codes = np.array([0b00000000, 0b00000010, 0b00000100, 0b00000110], dtype=np.uint64)
+        assert CantorMetric(codes, 8).diameter() == 2.0**-6
+        assert CantorMetric(codes[:1], 8).diameter() == 0.0
 
 
 class TestLocalScales:
@@ -208,16 +194,17 @@ def reference_layered_cantor(space, Y, fY, max_layers, n_max):
     metric = space.metric
     n = space.n
     width = metric.width
-    order = np.argsort(metric.codes[width], kind="stable")
-    sorted_codes = [metric.codes[c][order] for c in range(width + 1)]
+    codes = [prefix_codes(metric, c) for c in range(width + 1)]
+    order = np.argsort(codes[width], kind="stable")
+    sorted_codes = [codes[c][order] for c in range(width + 1)]
 
     def code_at(c):
-        return metric.codes[min(c, width)]
+        return codes[min(c, width)]
 
     def cyl_range(i, c):
         c = min(c, width)
         sc = sorted_codes[c]
-        code = metric.codes[c][i]
+        code = codes[c][i]
         return np.searchsorted(sc, code, side="left"), np.searchsorted(sc, code, side="right")
 
     y_sorted = Y.mask[order]
@@ -437,7 +424,7 @@ def sums_inputs(draw, space):
     points in code order; a depth in 0..width+3 per center; non-dyadic
     anchor values; previous levels or None."""
     n, width = space.n, space.metric.width
-    order = np.argsort(space.metric.codes[width], kind="stable")
+    order = np.argsort(space.metric.code, kind="stable")
     ids = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
     ids |= {int(order[0])} if draw(st.booleans()) else set()
     ids |= {int(order[-1])} if draw(st.booleans()) else set()

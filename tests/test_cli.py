@@ -187,6 +187,28 @@ class TestCantorDepthCap:
         assert "depth must be at most 20 (2^21 points)" in err
 
 
+class TestOrdinalSizeCap:
+    """Ladders above 2^14 points are rejected before any point is built."""
+
+    @pytest.mark.parametrize("spec, ladder, count", [
+        ("ordinal:5", "ordinal:5:10", 111111),
+        ("ordinal:40", "ordinal:40:10", (10**41 - 1) // 9),
+        ("ordinal:2:100000", "ordinal:2:100000", 10000100001),
+    ])
+    def test_exits_one_at_once(self, capsys, spec, ladder, count):
+        started = time.monotonic()
+        code, out, err = run(capsys, "validate", "--generate", spec)
+        assert time.monotonic() - started < 1.0
+        assert code == 1
+        assert out == ""
+        assert f"{ladder} has {count} points, more than 16384 (2^14)" in err
+
+    def test_largest_default_ladder_is_kept(self):
+        from oscext.instances import ordinal_instance
+
+        assert ordinal_instance(4).n == 11111
+
+
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("argv", [
         ["index", "--generate", "cantor:4", "--policy", "adaptive:nan"],
@@ -326,13 +348,14 @@ class TestMalformedDocuments:
         (cantor6_doc(repeat_label), "point 5 has label '001+0'; the cantor space of depth 6 has '011+0' there"),
         (matrix_doc(family="ordinal"), "family 'ordinal' does not fit metric type 'matrix'"),
         ({**two_point_doc([0.0, 1.0]), "family": "cantor"}, "family 'cantor' does not fit metric type 'euclidean'"),
+        (matrix_doc(resolution=10**400), "resolution is too large to be a float"),
     ], ids=["point_without_id", "string_resolution", "non_numeric_field", "ragged_matrix",
             "numeric_field_domain", "subsets_list", "fields_list", "equal_coordinates",
             "signed_zero_coordinates", "equal_1d_coordinates", "fractional_subset_ids",
             "numeric_subset", "bool_subset_ids", "fractional_domain_ids", "repeated_domain_id",
             "unknown_domain_id", "oversized_subset_id", "cantor_depth_beyond_codes",
             "cantor_label_without_tail", "swapped_cantor_labels", "duplicated_cantor_label",
-            "family_of_another_metric", "cantor_family_on_euclidean"])
+            "family_of_another_metric", "cantor_family_on_euclidean", "huge_integer_resolution"])
     def test_exits_one(self, capsys, tmp_path, doc, message):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
@@ -340,6 +363,16 @@ class TestMalformedDocuments:
         assert code == 1
         assert err.startswith("validation error:")
         assert message in err
+
+    @pytest.mark.parametrize("argv", [["index"], ["extend", "--method", "limsup"]])
+    def test_huge_integer_resolution_exits_one(self, capsys, tmp_path, argv):
+        # used to end in a TypeError from np.isfinite on the Python int
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(matrix_doc(resolution=10**400)))
+        code, out, err = run(capsys, *argv, "--instance", str(path))
+        assert code == 1
+        assert out == ""
+        assert "resolution is too large to be a float" in err
 
     def test_duplicate_coordinates_glue_exits_one(self, capsys, tmp_path):
         # used to pass validation and then exit 3 from the glue cover

@@ -25,7 +25,7 @@ from oscext.space import (_BLOCK_ELEMS, _KD_BALL_MEMBERS, EuclideanMetric, Matri
                           ball, cb_filtration, dists_among, load_space_file, local_scales)
 from oscext.unity import BallCover, PartitionOfUnity, blend, cover_for_piece, partition
 
-from conftest import FIXTURES
+from conftest import FIXTURES, prefix_codes, wide_space
 from oracles import o_ball
 
 
@@ -377,10 +377,12 @@ def all_identical(got, want):
 # Distance kernels
 # ---------------------------------------------------------------------------
 
-BACKENDS = SMALL_CASES + ["cantor"]
+BACKENDS = SMALL_CASES + ["cantor", "wide"]
 
 
 def backend_space(name):
+    if name == "wide":  # a 64-bit prefix metric: code XORs of 2^b - 1 for b > 53
+        return wide_space()
     return cantor_instance(7) if name == "cantor" else case(name)[0]
 
 
@@ -420,7 +422,8 @@ class TestBallMembership:
         for c in range(0, space.n, 5):
             for r in 2.0 ** -np.arange(1, 9.0):
                 length = min(metric.cylinder_length(r), metric.width)
-                cylinder = np.flatnonzero(metric.codes[length] == metric.codes[length][c])
+                codes = prefix_codes(metric, length)
+                cylinder = np.flatnonzero(codes == codes[c])
                 assert np.array_equal(ball_ids(space, c, r), cylinder)
 
 

@@ -18,13 +18,17 @@ from oscext.instances import (
     CantorPoint,
     block_parity_field,
     block_parity_value,
+    cantor_codes,
     cantor_point_id,
     head_from_blocks,
     parse_blocks,
     scaled_position_field,
 )
 
-from oracles import o_adaptive_filtration
+from oscext.space import load_space_file
+
+from conftest import FIXTURES, wide_space
+from oracles import o_adaptive_filtration, o_cantor_code, o_cantor_points
 
 
 class TestCantorPoints:
@@ -61,8 +65,7 @@ class TestCantorInstance:
         assert cantor_point_id(cantor6, "10", 0) == cantor_point_id(cantor6, "1", 0)
 
     def test_distinct_points_have_positive_distance(self, cantor6):
-        codes = cantor6.metric.codes[cantor6.metric.width]
-        assert np.unique(codes).size == cantor6.n
+        assert np.unique(cantor6.metric.code).size == cantor6.n
 
     def test_y_is_dense_at_resolution(self, cantor6):
         from oscext.extend import nearest_in_set
@@ -119,13 +122,65 @@ class TestBlockParityField:
         # osc over the m-cylinder is bounded by 3 * 3^-(completed blocks)
         f = block_parity_field(cantor6)
         Y = cantor6.subsets["Y"]
-        points = cantor6.meta["points"]
         for y in Y.ids()[:40]:
-            head = points[int(y)].head
+            head = CantorPoint.from_label(cantor6.labels[int(y)]).head
             for m in (3, 5, 6):
                 blocks = head[: m - 1].count("0") if head else 0
                 got = osc_at_point(f, int(y), Y, 2.0**-m)
                 assert got <= 3.0 * 3.0**-blocks + 1e-12
+
+
+class TestCantorClosedForms:
+    """Codes, labels, ids and block parity from closed forms, against the
+    per-point enumeration of CantorPoint objects."""
+
+    @pytest.mark.parametrize("depth", range(2, 15))
+    def test_match_the_enumeration(self, depth):
+        points = o_cantor_points(depth)
+        codes, labels = cantor_codes(depth)
+        assert codes.dtype == np.uint64
+        assert codes.tolist() == [o_cantor_code(p, depth + 1) for p in points]
+        assert labels == [p.label for p in points]
+        space = cantor_instance(depth)
+        f = block_parity_field(space)
+        ids = space.subsets["Y"].ids()
+        assert ids.tolist() == list(range(2**depth))
+        assert f.values[ids].tolist() == [float(block_parity_value(points[i].head)) for i in ids]
+
+    @pytest.mark.parametrize("depth, loaded", [(6, False), (8, False), (8, True)])
+    def test_point_ids_round_trip(self, depth, loaded):
+        space = load_space_file(FIXTURES / f"cantor_depth_{depth}.json") if loaded else cantor_instance(depth)
+        for i, label in enumerate(space.labels):
+            p = CantorPoint.from_label(label)
+            assert cantor_point_id(space, p.head, p.tail) == i
+
+    def test_point_id_rejects_long_heads(self, cantor6):
+        # the first head of length 6 in the tail-1 block
+        assert cantor_point_id(cantor6, "0" * 6, 1) == 2**6 + 2**5
+        for head, tail in (("1" * 7, 0), ("0" * 7, 1), ("0" * 6 + "1" * 3, 0)):
+            with pytest.raises(ValidationError, match="is not in"):
+                cantor_point_id(cantor6, head, tail)
+        # a head ending in the tail bit is shortened first, so this point is in the space
+        assert cantor_point_id(cantor6, "1" * 6 + "0", 0) == cantor_point_id(cantor6, "1" * 6, 0)
+
+    def test_point_id_rejects_other_spaces(self, ordinal1, seq10):
+        # wide_space is a prefix metric, but not the canonical points in enumeration order
+        for space in (ordinal1, seq10, wide_space()):
+            with pytest.raises(ValidationError, match="is not in"):
+                cantor_point_id(space, "", 0)
+
+    def test_field_equals_the_fixture(self):
+        space = load_space_file(FIXTURES / "cantor_depth_8.json")
+        stored = space.fields["f"]
+        f = block_parity_field(space)
+        assert np.array_equal(f.domain.mask, stored.domain.mask)
+        assert np.array_equal(f.values, stored.values, equal_nan=True)
+
+    def test_field_refuses_tail_one_points(self):
+        space = cantor_instance(6)
+        space.subsets["Y"] = space.mask_from_ids([0, 2**6])
+        with pytest.raises(PreconditionError, match="tail-1"):
+            block_parity_field(space)
 
 
 class TestOrdinalInstance:
