@@ -28,6 +28,16 @@ from .derive import iterate, osc_at_point
 from .unity import blend, cover_for_piece, partition
 
 CLOPEN_FAMILIES = ("cantor", "ordinal", "sequence")
+# Cantor hat sums: a center whose cylinder has fewer members than this joins
+# the flat (center, member) pairs of its run; a larger one adds to its
+# cylinder's slice.  On cantor depth 12 (2-core x86-64, numpy 2.4) the sums
+# of a whole layered run took 0.54-0.60 s for any threshold from 128 to 2048;
+# at 4096 the 1024-2048-member cylinders of layer 1 went flat and that layer
+# took 0.22 s instead of 0.14 s.
+_FLAT_BELOW = 512
+# Pairs per flat batch: at 2^14 the peak RSS of ``ex1 --depths 6,8,10,12``
+# stayed at the per-center loop's 77 MB; 2^16 raised it to 80 MB.
+_FLAT_PAIRS = 1 << 14
 
 
 @dataclass
@@ -175,6 +185,8 @@ def iterated_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
     """
     if rounds < 1:
         raise ValidationError("rounds must be >= 1")
+    if rounds > 1074:  # 2^-1074 is the smallest positive double
+        raise ValidationError(f"rounds must be at most 1074 (2^-1075 underflows to 0.0), got {rounds}")
     _check_subset_field(Y, f)
     fY = f.restrict(Y)
     total = np.zeros(space.n)
@@ -491,30 +503,36 @@ class _CantorSupports:
     ball-nesting condition holds automatically once n >= l, and the
     support-disjointness condition reduces to comparing counts of deep
     centers inside the candidate's doubled ball against those covering it.
+    A center's distance to each member of its support is the metric's
+    ``code_dist`` of their codes.
 
-    Accumulation-order contract: the hat sums loop over the centers in id
-    order, and each member adds its centers' terms one at a time, starting
-    from +0.0.
+    Accumulation-order contract: each member adds its centers' terms one at
+    a time, in the order the centers are given (id order), starting from
+    +0.0.  The hat sums walk the centers in that order along two paths that
+    interleave: a center whose cylinder has at least ``_FLAT_BELOW``
+    members adds its terms to the cylinder's slice, and each run of smaller
+    centers between them is laid out as flat (center, member) pairs,
+    center-major, cut into batches of at most ``_FLAT_PAIRS`` pairs and fed
+    to ``np.add.at``, which adds them in that order.
     """
 
     def __init__(self, space, Y, fY):
         metric = space.metric
         n = space.n
         self.width = width = metric.width
-        self.rank, self.adj = metric.rank, metric.adj
+        self.rank, self.code_dist = metric.rank, metric.code_dist
+        self.sorted_code = np.empty_like(metric.code)
+        self.sorted_code[metric.rank] = metric.code
         # The metric's cylinders at every length, held while the construction runs.
         self.cyl_of, self.bounds = zip(*(metric.cylinders(c) for c in range(width + 1)))
-        # Pair distance by common-prefix length; a center's own pair takes
-        # the extra slot, distance 0.
-        self.dist_of = np.r_[2.0 ** -(np.arange(width + 1) + 1.0), 0.0]
         yids = Y.ids()
         hi, lo = metric.ball_extremes(np.arange(n), np.full(n, space.resolution), yids, fY.values[yids])
         self.osc_res = np.maximum(hi - lo, 0.0)
 
     def sums(self, centers, depths, a, l_prev):
         """Hat sums num and den, the deepest covering depth and min l_prev per point."""
-        adj, rank, width = self.adj, self.rank, self.width
-        n = adj.size
+        rank, width, code = self.rank, self.width, self.sorted_code
+        n = rank.size
         # Support of each center: its cylinder, a range of sorted positions.
         cdep = np.minimum(depths, width)
         cyl = np.empty(centers.size, dtype=np.int64)
@@ -526,19 +544,29 @@ class _CantorSupports:
             lo[sel] = self.bounds[c][cyl[sel]]
             hi[sel] = self.bounds[c][cyl[sel] + 1]
 
-        # Hat sums, indexed by sorted position until the return.  A member's
-        # common prefix with the center is the minimum of adj between them.
+        # Hat sums, indexed by sorted position until the return, in center
+        # order: a large cylinder adds to its slice, and each run of small
+        # ones between them goes through flat pairs in batches.
         r = 2.0 ** -depths.astype(float)
         num = np.zeros(n)
         den = np.zeros(n)
-        lcp = np.empty(n, dtype=adj.dtype)
-        for s, b, e, rk, ak in zip(rank[centers].tolist(), lo.tolist(), hi.tolist(), r, a):
-            lcp[b:s] = np.minimum.accumulate(adj[s:b:-1])[::-1]
-            lcp[s] = width + 1
-            lcp[s + 1:e] = np.minimum.accumulate(adj[s + 1:e])
-            w = rk - self.dist_of[lcp[b:e]]
+        pos = rank[centers]
+        size = hi - lo
+        before = np.r_[0, np.cumsum(size)]  # pairs of the centers before each
+        i = 0
+        for g in np.r_[np.flatnonzero(size >= _FLAT_BELOW), centers.size].tolist():
+            while i < g:  # the small centers before the large center g
+                j = np.searchsorted(before, before[i] + _FLAT_PAIRS, side="right") - 1
+                j = min(max(int(j), i + 1), g)
+                self._flat_sums(num, den, pos[i:j], lo[i:j], size[i:j], r[i:j], a[i:j])
+                i = j
+            if g == centers.size:
+                break
+            b, e = int(lo[g]), int(hi[g])
+            w = r[g] - self.code_dist(code[b:e], code[pos[g]])
             den[b:e] += w
-            num[b:e] += w * ak
+            num[b:e] += w * a[g]
+            i = g + 1
 
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
@@ -554,6 +582,15 @@ class _CantorSupports:
                 minlp = np.minimum(minlp, gmin[self.cyl_of[c]])
         self.centers, self.depths = centers, depths
         return num[rank], den[rank], lmax[rank], minlp[rank]
+
+    def _flat_sums(self, num, den, s, b, size, rk, ak):
+        """Add several centers' terms through flat (center, member) pairs, center-major."""
+        # Member positions: each center's cylinder start plus the offset
+        # inside it.
+        p = np.arange(size.sum()) + np.repeat(b - (np.cumsum(size) - size), size)
+        w = np.repeat(rk, size) - self.code_dist(self.sorted_code[p], np.repeat(self.sorted_code[s], size))
+        np.add.at(den, p, w)
+        np.add.at(num, p, w * np.repeat(ak, size))
 
     def _share_cylinder(self, c, group, x):
         """How many ids of ``group`` share each x's cylinder of length c."""

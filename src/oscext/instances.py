@@ -20,7 +20,7 @@ from .space import (
     ScalarField,
     SpaceInstance,
     SubsetMask,
-    visibility_graph,
+    _row_chunks,
 )
 
 # Ladder decay per step.  The adaptive filtration separates an accumulation
@@ -263,9 +263,23 @@ def scaled_position_field(space: SpaceInstance, gap_bound: float = 2.0**-9,
     domain = domain if domain is not None else space.full_mask()
     coords = space.metric.coords[:, 0]
     members = domain.ids()
-    visible = visibility_graph(space, members, 3.0)
-    gaps = np.abs(coords[members][:, None] - coords[members][None, :])
-    worst = float(gaps[visible].max()) if visible.any() else 0.0
+    x = coords[members]
+
+    def blocks():  # row blocks of the member distances; no member is its own neighbour
+        for lo, hi in _row_chunks(members.size, members.size):
+            block = space.metric.dist_rows(members[lo:hi], members)
+            block[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+            yield lo, hi, block
+
+    # Two passes, compared as in ``visibility_graph``: the in-set nearest
+    # distances, then the largest gap across a visible pair.
+    ls = np.empty(members.size)
+    for lo, hi, block in blocks():
+        ls[lo:hi] = block.min(axis=1)
+    worst = 0.0
+    for lo, hi, block in blocks():
+        visible = block < 3.0 * np.maximum(ls[lo:hi, None], ls[None, :])
+        worst = max(worst, float(np.abs(x[lo:hi, None] - x[None, :])[visible].max(initial=0.0)))
     scale = gap_bound / (2.0 * worst) if worst > 0 else 1.0
     return ScalarField(domain, np.where(domain.mask, coords * scale, np.nan))
 

@@ -254,16 +254,27 @@ class CantorMetric(Metric):
         top = x - (x >> np.uint64(1))
         return self.width - np.frexp(top.astype(np.float64))[1].astype(np.int64)
 
+    def code_dist(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise distance of full-width codes ``a`` and ``b``, 0 where equal.
+
+        Up to width 53 the XOR converts to float64 exactly, and its exponent
+        bits alone are 2^(b-1) for bit length b, so the distance
+        2^(b - 1 - width) is one exact scaling away.  Wider codes go through
+        ``common_prefix``.
+        """
+        x = a ^ b
+        if self.width <= 53:
+            top = x.view(np.int64).astype(np.float64).view(np.int64) & np.int64(0x7FF << 52)
+            return top.view(np.float64) * 2.0 ** -self.width
+        return np.where(x == 0, 0.0, 2.0 ** -(self.common_prefix(a, b) + 1.0))
+
     def dist(self, i: int, j: int) -> float:
         # Python ints, independent of common_prefix: the bit length of the XOR is exact.
         x = int(self.code[i]) ^ int(self.code[j])
         return 2.0 ** (x.bit_length() - self.width - 1) if x else 0.0
 
     def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        lcp = self.common_prefix(self.code[rows][:, None], self.code[cols][None, :])
-        d = 2.0 ** -(lcp + 1.0)
-        d[rows[:, None] == cols[None, :]] = 0.0
-        return d
+        return self.code_dist(self.code[rows][:, None], self.code[cols][None, :])
 
     @staticmethod
     def cylinder_length(radius: float) -> int:

@@ -22,6 +22,7 @@ from oscext import (
     pair_step,
 )
 from oscext.errors import InvariantError
+from oscext import extend
 from oscext.extend import LayerState, _CantorSupports, _GenericSupports, _layered, nearest_in_set
 from oscext.instances import block_parity_field
 from oscext.space import CantorMetric, SubsetMask, local_scales
@@ -52,17 +53,31 @@ def member_sets(space, seed):
 
 
 class TestCommonPrefix:
-    @pytest.mark.parametrize("width", [3, 13, 52, 53, 54, 63, 64])
-    def test_exact_at_every_width(self, width):
+    WIDTHS = [3, 13, 52, 53, 54, 63, 64]
+
+    @staticmethod
+    def code_pairs(width):
+        """All pairs of the extreme codes of a width and 40 random ones."""
         rng = np.random.default_rng(width)
         top = (1 << width) - 1
         vals = [0, top, 1, top - 1, 1 << (width - 1), (1 << (width - 1)) - 1]
         vals += [int(v) for v in rng.integers(0, 2**63, size=40, dtype=np.uint64) >> (64 - width)]
         a = np.array([v for v in vals for _ in vals], dtype=np.uint64)
         b = np.array([w for _ in vals for w in vals], dtype=np.uint64)
-        metric = CantorMetric(np.zeros(1, dtype=np.uint64), width)
+        return CantorMetric(np.zeros(1, dtype=np.uint64), width), a, b
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_exact_at_every_width(self, width):
+        metric, a, b = self.code_pairs(width)
         want = [width - (int(x) ^ int(y)).bit_length() for x, y in zip(a, b)]
         assert metric.common_prefix(a, b).tolist() == want
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_code_dist_exact_at_every_width(self, width):
+        metric, a, b = self.code_pairs(width)
+        want = [2.0 ** ((int(x) ^ int(y)).bit_length() - width - 1) if x != y else 0.0 for x, y in zip(a, b)]
+        got = metric.code_dist(a, b)
+        assert got.dtype == np.float64 and got.tolist() == want
 
 
 def brute_extremes(space, queries, radii, targets, fvals):
@@ -395,6 +410,11 @@ class TestLayeredBitIdentity:
         fY = ScalarField(Y, np.where(Y.mask, rng.random(space.n), np.nan))
         assert_same_layers(space, Y, fY)
 
+    def test_every_flat_setting(self, flat_setting):
+        space = cantor_instance(8)
+        layers = assert_same_layers(space, space.subsets["Y"], noise_field(space))
+        assert len(layers) > 2
+
 
 def reference_sums(space, centers, depths, a, l_prev):
     """The hat sums by definition: one distance row per center, in center order."""
@@ -415,22 +435,37 @@ def reference_sums(space, centers, depths, a, l_prev):
     return num, den, lmax, minlp
 
 
-KERNEL_SPACES = {"cantor6": cantor_instance(6), "wide": wide_space()}
+KERNEL_SPACES = {"cantor6": cantor_instance(6), "cantor10": cantor_instance(10), "wide": wide_space()}
+
+# (_FLAT_BELOW, _FLAT_PAIRS) settings of the cantor hat sums: every center
+# flat, large and flat interleaved, no center flat, and batches that split
+# the runs of flat centers.
+FLAT_SETTINGS = [(1, extend._FLAT_PAIRS), (8, extend._FLAT_PAIRS), (1 << 20, extend._FLAT_PAIRS),
+                 (extend._FLAT_BELOW, extend._FLAT_PAIRS), (1, 1), (8, 1), (8, 7), (extend._FLAT_BELOW, 7)]
+
+
+@pytest.fixture(params=FLAT_SETTINGS, ids=lambda v: f"below{v[0]}-pairs{v[1]}")
+def flat_setting(request, monkeypatch):
+    below, pairs = request.param
+    monkeypatch.setattr(extend, "_FLAT_BELOW", below)
+    monkeypatch.setattr(extend, "_FLAT_PAIRS", pairs)
+    return request.param
 
 
 @st.composite
 def sums_inputs(draw, space):
-    """Sorted distinct center ids, drawn with or without the first and last
-    points in code order; a depth in 0..width+3 per center; non-dyadic
+    """Sorted distinct center ids (at most 128), drawn with or without the
+    first and last points in code order; a depth per center, 0 (the whole
+    space as support) half the time and otherwise in 0..width+3; non-dyadic
     anchor values; previous levels or None."""
     n, width = space.n, space.metric.width
     order = np.argsort(space.metric.code, kind="stable")
-    ids = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    ids = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 128)))
     ids |= {int(order[0])} if draw(st.booleans()) else set()
     ids |= {int(order[-1])} if draw(st.booleans()) else set()
     centers = np.array(sorted(ids), dtype=np.int64)
-    depths = np.array(draw(st.lists(st.integers(0, width + 3), min_size=centers.size,
-                                    max_size=centers.size)), dtype=np.int64)
+    depth = st.just(0) | st.integers(0, width + 3)
+    depths = np.array(draw(st.lists(depth, min_size=centers.size, max_size=centers.size)), dtype=np.int64)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.uniform(-1.0, 1.0, centers.size) / 3
     l_prev = rng.integers(0, width + 4, n) if draw(st.booleans()) else None
@@ -438,14 +473,12 @@ def sums_inputs(draw, space):
 
 
 class TestCantorSums:
-    """The hat sums read from the adjacent-prefix array equal the per-center
-    loop over distance rows bit for bit, dtypes included."""
+    """The cylinder hat sums equal the per-center loop over distance rows bit
+    for bit, dtypes included, whichever centers take the slice path and the
+    flat path and however the flat runs are cut."""
 
-    @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
-    @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_matches_distance_rows(self, name, data):
-        space = KERNEL_SPACES[name]
+    @staticmethod
+    def check(space, data):
         centers, depths, a, l_prev = data.draw(sums_inputs(space))
         Y = space.full_mask()
         fY = ScalarField(Y, np.zeros(space.n))
@@ -453,6 +486,28 @@ class TestCantorSums:
         want = reference_sums(space, centers, depths, a, l_prev)
         for out, g, w in zip(("num", "den", "lmax", "minlp"), got, want):
             assert identical(g, w), out
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_distance_rows(self, name, data):
+        self.check(KERNEL_SPACES[name], data)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+    @pytest.mark.parametrize("below, pairs", FLAT_SETTINGS)
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_every_flat_setting(self, name, below, pairs, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extend, "_FLAT_BELOW", below)
+            mp.setattr(extend, "_FLAT_PAIRS", pairs)
+            self.check(KERNEL_SPACES[name], data)
+
+    def test_cantor10_reaches_both_paths(self):
+        """At the default threshold the depth-0 and depth-1 cylinders of
+        cantor10 take the slice path and those of depth 3 the flat path."""
+        bounds = [KERNEL_SPACES["cantor10"].metric.cylinders(c)[1] for c in (1, 3)]
+        assert np.diff(bounds[0]).min() >= extend._FLAT_BELOW > np.diff(bounds[1]).max()
 
 
 class TestBackendsAgree:
@@ -467,3 +522,9 @@ class TestBackendsAgree:
         want = layered(space, Y, fY, _CantorSupports)
         assert len(want) > 2
         assert_identical_layers(layered(space, Y, fY, _GenericSupports), want)
+
+    def test_every_flat_setting(self, flat_setting):
+        space = cantor_instance(6)
+        Y = space.subsets["Y"]
+        fY = dyadic_field(space)
+        assert_identical_layers(layered(space, Y, fY, _CantorSupports), layered(space, Y, fY, _GenericSupports))

@@ -209,6 +209,17 @@ class TestOrdinalSizeCap:
         assert ordinal_instance(4).n == 11111
 
 
+class TestRoundsCap:
+    def test_above_1074_exits_one_at_once(self, capsys):
+        started = time.monotonic()
+        code, out, err = run(capsys, "extend", "--generate", "ordinal:3", "--method", "iterated",
+                             "--rounds", "1075")
+        assert time.monotonic() - started < 1.0
+        assert code == 1
+        assert out == ""
+        assert "rounds must be at most 1074" in err
+
+
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("argv", [
         ["index", "--generate", "cantor:4", "--policy", "adaptive:nan"],

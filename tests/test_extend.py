@@ -93,6 +93,15 @@ class TestIterated:
         with pytest.raises(ValidationError):
             iterated_extension(seq10, seq10.full_mask(), seq_indicator, AdaptiveScale(2.0), 0)
 
+    def test_rounds_above_1074_rejected_up_front(self, seq10, seq_indicator):
+        with pytest.raises(ValidationError, match="at most 1074"):
+            iterated_extension(seq10, seq10.full_mask(), seq_indicator, AdaptiveScale(2.0), 1075)
+
+    def test_1074_rounds_run(self, seq10, seq_indicator):
+        rep = iterated_extension(seq10, seq10.full_mask(), seq_indicator, AdaptiveScale(2.0), 1074)
+        assert len(rep.diagnostics["residual_norms"]) == 1074
+        assert rep.restriction_error == 0.0
+
 
 class TestLimsup:
     def test_patch_on_y(self, seq10, seq_indicator):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from oscext.instances import (
     scaled_position_field,
 )
 
-from oscext.space import load_space_file
+from oscext.space import load_space_file, visibility_graph
 
 from conftest import FIXTURES, wide_space
 from oracles import o_adaptive_filtration, o_cantor_code, o_cantor_points
@@ -250,3 +251,25 @@ class TestScaledPositionField:
         f = scaled_position_field(ordinal2)
         for eps in (2.0**-8, 2.0**-6):
             assert gap_step(f, eps, ordinal2.full_mask(), AdaptiveScale(3.0)).is_empty()
+
+    def test_equals_dense_visibility_graph(self):
+        space = ordinal_instance(3)
+        rng = np.random.default_rng(2)
+        for domain in (space.full_mask(), space.mask_from_ids(np.flatnonzero(rng.random(space.n) < 0.3))):
+            members = domain.ids()
+            visible = visibility_graph(space, members, 3.0)
+            x = space.metric.coords[members, 0]
+            worst = float(np.abs(x[:, None] - x[None, :])[visible].max())
+            want = np.where(domain.mask, space.metric.coords[:, 0] * (2.0**-9 / (2.0 * worst)), np.nan)
+            got = scaled_position_field(space, domain=domain).values
+            assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+
+    def test_no_dense_blocks(self):
+        space = ordinal_instance(4)
+        tracemalloc.start()
+        try:
+            scaled_position_field(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20
