@@ -113,6 +113,7 @@ def cmd_validate(args):
         "diameter": space.diameter(),
         "subsets": {k: v.size for k, v in sorted(space.subsets.items())},
         "fields": {k: v.domain.size for k, v in sorted(space.fields.items())},
+        "triangle_check": space.metric.triangle_check,
     }
     _emit(args, json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return 0

@@ -182,6 +182,16 @@ def iterated_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
     output, which keeps the norm chain
     ||g_{n+1}|| <= ||f - sum_{i<=n} g_i||_Y <= 2^-n exact; the chain is
     asserted every round.
+
+    The series ends at the first round that leaves the residual on Y
+    exactly zero, and the rounds left record a residual norm of 0.0.  That
+    is exact, not a truncation: every later round would extend the zero
+    field, whose trace is [Y, empty] at any epsilon and whose cover radius
+    is half the cap (no smaller than any radius the first round used), so
+    every anchor is +-0.0, the blend is +-0.0 everywhere, and adding it
+    leaves the running total unchanged bit for bit (the total starts at
+    +0.0 and a sum is -0.0 only when both terms are).  Each check such a
+    round would run holds trivially, so the output is the same.
     """
     if rounds < 1:
         raise ValidationError("rounds must be >= 1")
@@ -209,6 +219,11 @@ def iterated_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
             raise InvariantError(
                 f"round {nround}: residual norm {rnorm} exceeds 2^-{nround}"
             )
+        if rnorm == 0.0:
+            # Every later round would glue the zero field and add +-0.0 to
+            # the total, which leaves it unchanged (see the docstring).
+            residual_norms += [0.0] * (rounds - nround)
+            break
     diagnostics = {
         "rounds": rounds,
         "policy": policy.describe(),

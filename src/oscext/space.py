@@ -42,6 +42,10 @@ class Metric:
     temporaries stay within ``_BLOCK_ELEMS``.
     """
 
+    # How loading checks the triangle inequality; Euclidean and prefix
+    # distances satisfy it by construction.
+    triangle_check = "by_construction"
+
     def scales(self, m: np.ndarray):
         """Nearest-other-member distance and the neighbour's id, per member."""
         if m.size < 2:  # an isolated member: scale 0, no neighbour
@@ -126,6 +130,11 @@ class MatrixMetric(Metric):
 
     def diameter(self) -> float:
         return float(self.data.max()) if self.n else 0.0
+
+    @property
+    def triangle_check(self) -> str:
+        """Every triple up to ``EXHAUSTIVE_TRIANGLE_LIMIT`` points, random triples above."""
+        return "exhaustive" if self.n <= EXHAUSTIVE_TRIANGLE_LIMIT else "sampled"
 
 
 class EuclideanMetric(Metric):
@@ -370,7 +379,7 @@ class SpaceInstance:
         self.fields: dict[str, ScalarField] = {}
         self.meta: dict = {}
         if metric.kind == "matrix":
-            _validate_matrix(self.metric.data)
+            _validate_matrix(self.metric)
 
     def check_id(self, i: int) -> int:
         i = int(i)
@@ -756,7 +765,8 @@ def cb_filtration(space: SpaceInstance, A: SubsetMask, policy) -> ScatteredDecom
 # Instance documents (JSON schema)
 # ---------------------------------------------------------------------------
 
-def _validate_matrix(data: np.ndarray):
+def _validate_matrix(metric: MatrixMetric):
+    data = metric.data
     n = data.shape[0]
     if data.shape != (n, n):
         raise ValidationError("metric matrix must be square")
@@ -768,11 +778,11 @@ def _validate_matrix(data: np.ndarray):
     if not np.array_equal(data, data.T):
         i, j = np.argwhere(data != data.T)[0]
         raise ValidationError(f"metric is not symmetric at ({i},{j})")
-    off = data + np.eye(n)  # lift the diagonal so the positivity scan skips it
-    if np.any(off <= 0):
-        i, j = np.argwhere(off <= 0)[0]
-        raise ValidationError(f"metric({i},{j}) must be positive for distinct points")
-    if n <= EXHAUSTIVE_TRIANGLE_LIMIT:
+    off = data + np.eye(n)  # lift the diagonal so the scan skips it
+    if np.any(off < 2.0**-1022):  # the lower end of load_space's distance range
+        i, j = np.argwhere(off < 2.0**-1022)[0]
+        raise ValidationError(f"metric({i},{j}) must be at least 2^-1022 for distinct points")
+    if metric.triangle_check == "exhaustive":
         for i in range(n):
             slack = data[:, [i]] + data[[i], :]
             bad = np.argwhere(data > slack + 0.0)
@@ -795,16 +805,25 @@ def _validate_matrix(data: np.ndarray):
 
 
 def _validate_distinct_points(coords: np.ndarray):
-    """Distinct points must sit at positive distance: no two equal coordinate rows.
+    """Distinct points must sit at positive distance.
 
-    Sorting brings equal rows together; ``==`` then also equates -0.0 and 0.0.
+    A distance is 0.0 exactly when every squared coordinate difference is
+    0.0, whatever the summation order: equal rows (``==`` also equates -0.0
+    and 0.0), or differences that underflow when squared.  So each point's
+    nearest other point from the kd-tree finds any such pair.  A positive
+    distance is at least sqrt(2^-1074) > 2^-1022.
     """
-    order = np.lexsort(coords.T[::-1])
-    srt = coords[order]
-    same = np.flatnonzero((srt[1:] == srt[:-1]).all(axis=1))
-    if same.size:
-        i, j = sorted(order[same[0]:same[0] + 2])
-        raise ValidationError(f"points {i} and {j} have equal coordinates")
+    if coords.shape[0] < 2:
+        return
+    d, j = cKDTree(coords).query(coords, k=2)
+    i = int(np.argmin(d[:, 1]))
+    if d[i, 1] == 0.0:
+        other = int(j[i, 0] if j[i, 0] != i else j[i, 1])
+        a, b = sorted((i, other))
+        if np.array_equal(coords[a], coords[b]):
+            raise ValidationError(f"points {a} and {b} have equal coordinates")
+        raise ValidationError(f"points {a} and {b} are at distance 0.0: "
+                              "their coordinate differences underflow when squared")
 
 
 def _require(cond, msg):
@@ -838,6 +857,11 @@ def load_space(doc: dict) -> SpaceInstance:
         res = float(res)
     except OverflowError:
         raise ValidationError("resolution is too large to be a float") from None
+    # The constructions' dyadic radii run from above the diameter down to the
+    # resolution, and cover radii halve the distance between two points.  With
+    # the resolution and every distance in [2^-1022, 2^1022] all of them are
+    # finite normal doubles.
+    _require(2.0**-1022 <= res <= 2.0**1022, f"resolution must lie in [2^-1022, 2^1022], got {res}")
     points = doc["points"]
     _require(isinstance(points, list) and points, "points must be a nonempty list")
     n = len(points)
@@ -863,8 +887,8 @@ def load_space(doc: dict) -> SpaceInstance:
         _require(coords.ndim in (1, 2) and coords.shape[0] == n, "coordinate count must match the point count")
         _require(coords.size > 0, "coordinates need at least one dimension")
         _require(np.all(np.isfinite(coords)), "coordinates must be finite")
-        _validate_distinct_points(coords.reshape(n, -1))
         metric = EuclideanMetric(coords)
+        _validate_distinct_points(metric.coords)
     elif mtype == "cantor":
         depth = spec.get("depth")
         _require(isinstance(depth, int) and depth >= 2, "cantor depth must be an integer >= 2")
@@ -884,6 +908,7 @@ def load_space(doc: dict) -> SpaceInstance:
         labels = canon_labels
     else:
         raise ValidationError(f"unknown metric type {mtype!r}")
+    _require(metric.diameter() <= 2.0**1022, f"the diameter {metric.diameter()} exceeds 2^1022")
     # The generating family; only the euclidean metric carries more than one.
     family = doc.get("family", mtype)
     _require(family == mtype or (mtype == "euclidean" and family in ("ordinal", "sequence")),

@@ -2,6 +2,7 @@ import hashlib
 import json
 import time
 
+import numpy as np
 import pytest
 
 from oscext.cli import main
@@ -31,6 +32,27 @@ class TestValidate:
         code, out, _err = run(capsys, "validate", "--generate", "cantor:5")
         assert code == 0
         assert json.loads(out)["points"] == 64
+
+    @pytest.mark.parametrize("source, check", [
+        (["--generate", "cantor:5"], "by_construction"),
+        (["--instance", str(FIXTURES / "sequence_space.json")], "by_construction"),
+    ])
+    def test_triangle_check_reported(self, capsys, source, check):
+        code, out, _err = run(capsys, "validate", *source)
+        assert code == 0
+        assert json.loads(out)["triangle_check"] == check
+
+    @pytest.mark.parametrize("n, check", [(3, "exhaustive"), (500, "exhaustive"), (501, "sampled")])
+    def test_triangle_check_by_matrix_size(self, capsys, tmp_path, n, check):
+        # the discrete metric: every distinct pair at distance 1
+        data = np.ones((n, n)) - np.eye(n)
+        path = tmp_path / "discrete.json"
+        path.write_text(json.dumps(matrix_doc(points=[{"id": i} for i in range(n)],
+                                              metric={"type": "matrix", "data": data.tolist()},
+                                              fields={})))
+        code, out, _err = run(capsys, "validate", "--instance", str(path))
+        assert code == 0
+        assert json.loads(out)["triangle_check"] == check
 
     def test_requires_one_source(self, capsys):
         code, _out, err = run(capsys, "validate")
@@ -95,6 +117,15 @@ class TestExtend:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "38d80a506487d9b12355d6b05ca501203469b4f55a767764bc5995fdec1f415b")
+
+    def test_iterated_position_digest(self, capsys):
+        # the position field's residual never reaches zero, so all ten rounds
+        # run; an early exit that fired here would change the document
+        code, out, _err = run(capsys, "extend", "--generate", "ordinal:2", "--method", "iterated",
+                              "--field", "pos")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bf03ba7a9e556f80b2b02a3364a50081343b87a34282279d2a2f0af757b7d8a1")
 
     def test_glue_saturated_exits_two(self, capsys):
         code, _out, err = run(capsys, "extend", "--generate", "sequence",
@@ -360,13 +391,23 @@ class TestMalformedDocuments:
         (matrix_doc(family="ordinal"), "family 'ordinal' does not fit metric type 'matrix'"),
         ({**two_point_doc([0.0, 1.0]), "family": "cantor"}, "family 'cantor' does not fit metric type 'euclidean'"),
         (matrix_doc(resolution=10**400), "resolution is too large to be a float"),
+        (matrix_doc(resolution=5e-324), "resolution must lie in [2^-1022, 2^1022]"),
+        (matrix_doc(resolution=1e308), "resolution must lie in [2^-1022, 2^1022]"),
+        (two_point_doc([0.0, 1e200]), "the diameter inf exceeds 2^1022"),
+        (matrix_doc(metric={"type": "matrix", "data": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]}),
+         "the diameter 1e+308 exceeds 2^1022"),
+        (two_point_doc([[0.0, 0.0], [1e-300, 1e-300]]), "points 0 and 1 are at distance 0.0"),
+        (matrix_doc(metric={"type": "matrix", "data": [[0, 5e-324, 1], [5e-324, 0, 1], [1, 1, 0]]}),
+         "metric(0,1) must be at least 2^-1022 for distinct points"),
     ], ids=["point_without_id", "string_resolution", "non_numeric_field", "ragged_matrix",
             "numeric_field_domain", "subsets_list", "fields_list", "equal_coordinates",
             "signed_zero_coordinates", "equal_1d_coordinates", "fractional_subset_ids",
             "numeric_subset", "bool_subset_ids", "fractional_domain_ids", "repeated_domain_id",
             "unknown_domain_id", "oversized_subset_id", "cantor_depth_beyond_codes",
             "cantor_label_without_tail", "swapped_cantor_labels", "duplicated_cantor_label",
-            "family_of_another_metric", "cantor_family_on_euclidean", "huge_integer_resolution"])
+            "family_of_another_metric", "cantor_family_on_euclidean", "huge_integer_resolution",
+            "subnormal_resolution", "huge_resolution", "overflowing_distance", "huge_matrix_distance",
+            "underflowing_distance", "subnormal_matrix_distance"])
     def test_exits_one(self, capsys, tmp_path, doc, message):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
@@ -384,6 +425,24 @@ class TestMalformedDocuments:
         assert code == 1
         assert out == ""
         assert "resolution is too large to be a float" in err
+
+    @pytest.mark.parametrize("doc, method", [
+        (matrix_doc(resolution=5e-324), "limsup"),
+        (two_point_doc([0.0, 1.0]) | {"resolution": 5e-324}, "layered"),
+        (matrix_doc(resolution=1e308), "limsup"),
+        (two_point_doc([0.0, 1e200]), "limsup"),
+        (two_point_doc([[0.0, 0.0], [1e-300, 1e-300]]), "glue"),
+    ], ids=["subnormal_resolution_limsup", "subnormal_resolution_layered", "huge_resolution_limsup",
+            "overflowing_distance_limsup", "underflowing_distance_glue"])
+    def test_scale_range_extend_exits_one(self, capsys, tmp_path, doc, method):
+        # found by the document fuzzer: OverflowError tracebacks from the radius
+        # grids, and exit 3 from a cover radius that underflowed to zero
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "extend", "--instance", str(path), "--method", method)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("validation error:")
 
     def test_duplicate_coordinates_glue_exits_one(self, capsys, tmp_path):
         # used to pass validation and then exit 3 from the glue cover

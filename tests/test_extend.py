@@ -18,8 +18,8 @@ from oscext import (
     scattered_extension,
     visibility_components,
 )
-from oscext.errors import PreconditionError, ValidationError
-from oscext.instances import cantor_point_id, scaled_position_field
+from oscext.errors import InvariantError, PreconditionError, ValidationError
+from oscext.instances import cantor_point_id, generate_from_spec, ordinal_instance, scaled_position_field
 
 
 class TestGlue:
@@ -101,6 +101,78 @@ class TestIterated:
         rep = iterated_extension(seq10, seq10.full_mask(), seq_indicator, AdaptiveScale(2.0), 1074)
         assert len(rep.diagnostics["residual_norms"]) == 1074
         assert rep.restriction_error == 0.0
+
+
+def reference_iterated(space, Y, f, policy, rounds):
+    """The iterated series with no early exit: one glue construction per
+    round, also once the residual is zero."""
+    fY = f.restrict(Y)
+    total = np.zeros(space.n)
+    residual_norms = []
+    residual = fY
+    for nround in range(1, rounds + 1):
+        eps = 2.0**-nround
+        g = glue_extension(space, Y, residual, eps, policy).prepatch
+        if g.norm() > residual.norm():
+            raise InvariantError(f"round {nround}: ||g|| exceeds the residual norm")
+        total = total + g.values
+        residual = ScalarField(Y, np.where(Y.mask, fY.values - total, np.nan))
+        residual_norms.append(residual.norm())
+        if residual_norms[-1] > eps:
+            raise InvariantError(f"round {nround}: residual norm exceeds 2^-{nround}")
+    return total, residual_norms
+
+
+def _ordinal2_case(field, first_half=False, negative_zeros=False):
+    space = generate_from_spec("ordinal:2")
+    f = space.fields[field]
+    if negative_zeros:
+        f = ScalarField(f.domain, np.where(f.values == 0.0, -0.0, f.values))
+    Y = space.mask_from_ids(np.arange(space.n // 2)) if first_half else space.subsets["Y"]
+    return space, Y, f, AdaptiveScale(3.0)
+
+
+def _late_zero_case():
+    # The residual is nonzero for three rounds and exactly zero from round 4.
+    space = ordinal_instance(1, 4)
+    f = ScalarField(space.full_mask(), np.array([0.5, 0.0, 0.0, -0.125, -0.25]))
+    return space, space.full_mask(), f, AdaptiveScale(1.5)
+
+
+ITERATED_CASES = {
+    "ordinal2_f": lambda: _ordinal2_case("f"),  # zero after round 1
+    "ordinal2_pos": lambda: _ordinal2_case("pos"),  # never zero
+    "ordinal2_negative_zeros": lambda: _ordinal2_case("f", negative_zeros=True),
+    "ordinal2_subset_f": lambda: _ordinal2_case("f", first_half=True),
+    "ordinal2_subset_pos": lambda: _ordinal2_case("pos", first_half=True),
+    "ordinal1_late_zero": _late_zero_case,
+}
+
+
+class TestIteratedMatchesReference:
+    """The series stops at the first exactly zero residual; its output must be
+    the one the full series gives, signed zeros included."""
+
+    @pytest.mark.parametrize("rounds", [1, 2, 12])
+    @pytest.mark.parametrize("case", sorted(ITERATED_CASES))
+    def test_bit_identical(self, case, rounds):
+        space, Y, f, policy = ITERATED_CASES[case]()
+        rep = iterated_extension(space, Y, f, policy, rounds)
+        total, norms = reference_iterated(space, Y, f, policy, rounds)
+        patched = total.copy()
+        patched[Y.mask] = f.values[Y.mask]
+        assert rep.prepatch.values.tobytes() == total.tobytes()
+        assert rep.field.values.tobytes() == patched.tobytes()
+        assert rep.diagnostics["residual_norms"] == norms
+        assert rep.patch_magnitude == float(np.max(np.abs(total[Y.mask] - f.values[Y.mask])))
+        assert rep.restriction_error == 0.0
+
+    def test_cases_reach_what_they_name(self):
+        assert 0.0 not in reference_iterated(*ITERATED_CASES["ordinal2_pos"](), 12)[1]
+        norms = reference_iterated(*ITERATED_CASES["ordinal1_late_zero"](), 12)[1]
+        assert norms.index(0.0) == 3 and set(norms[3:]) == {0.0}
+        _space, Y, f, _policy = ITERATED_CASES["ordinal2_negative_zeros"]()
+        assert np.signbit(f.values[Y.mask]).any()
 
 
 class TestLimsup:
