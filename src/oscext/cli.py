@@ -163,8 +163,6 @@ def cmd_extend(args):
     space = _load_instance(args)
     f, Y = _field_and_subset(space, args)
     policy = _policy_for(space, args)
-    if args.method not in _METHODS:
-        raise ValidationError(f"unknown method {args.method!r} (expected one of {_METHODS})")
     report = _run_method(args.method, space, Y, f, policy, args)
     fields = dict(space.fields)
     fields[f"F_{args.method}"] = report.field

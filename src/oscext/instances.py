@@ -20,7 +20,7 @@ from .space import (
     ScalarField,
     SpaceInstance,
     SubsetMask,
-    _row_chunks,
+    local_scales,
 )
 
 # Ladder decay per step.  The adaptive filtration separates an accumulation
@@ -76,6 +76,14 @@ class CantorPoint:
         return f"CantorPoint({self.label!r})"
 
 
+def check_cantor_depth(depth: int):
+    """Refuse a cantor depth outside 2..20, before any point is built."""
+    if depth < 2:
+        raise ValidationError("depth must be >= 2")
+    if depth > 20:  # 2^(depth+1) points and labels: deeper spaces cannot be enumerated in practice
+        raise ValidationError(f"depth must be at most 20 (2^21 points), got {depth}")
+
+
 def cantor_codes(depth: int):
     """Full-width codes and labels of the canonical points of head length <= depth.
 
@@ -86,10 +94,7 @@ def cantor_codes(depth: int):
     A code packs the first W = depth + 1 coordinates, the first one highest:
     distinct canonical points always differ within them.
     """
-    if depth < 2:
-        raise ValidationError("depth must be >= 2")
-    if depth > 20:  # 2^(depth+1) points and labels: deeper spaces cannot be enumerated in practice
-        raise ValidationError(f"depth must be at most 20 (2^21 points), got {depth}")
+    check_cantor_depth(depth)
     width = depth + 1
     j = np.tile(np.arange(1 << depth, dtype=np.int64), 2)
     tail = np.repeat(np.arange(2, dtype=np.int64), 1 << depth)
@@ -207,7 +212,7 @@ def ordinal_instance(k: int, branching: int = 10) -> SpaceInstance:
     if branching < 3:
         raise ValidationError("branching must be >= 3")
     count = (branching ** (k + 1) - 1) // (branching - 1)  # counted before any point is built
-    if count > 1 << 14:  # the position field reads a dense n x n block
+    if count > 1 << 14:  # extend's visibility graph over a ladder is a dense n x n block
         raise ValidationError(f"ordinal:{k}:{branching} has {count} points, more than 16384 (2^14)")
     positions: list = []
     ranks: list = []
@@ -264,22 +269,12 @@ def scaled_position_field(space: SpaceInstance, gap_bound: float = 2.0**-9,
     coords = space.metric.coords[:, 0]
     members = domain.ids()
     x = coords[members]
-
-    def blocks():  # row blocks of the member distances; no member is its own neighbour
-        for lo, hi in _row_chunks(members.size, members.size):
-            block = space.metric.dist_rows(members[lo:hi], members)
-            block[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-            yield lo, hi, block
-
-    # Two passes, compared as in ``visibility_graph``: the in-set nearest
-    # distances, then the largest gap across a visible pair.
-    ls = np.empty(members.size)
-    for lo, hi, block in blocks():
-        ls[lo:hi] = block.min(axis=1)
-    worst = 0.0
-    for lo, hi, block in blocks():
-        visible = block < 3.0 * np.maximum(ls[lo:hi, None], ls[None, :])
-        worst = max(worst, float(np.abs(x[lo:hi, None] - x[None, :])[visible].max(initial=0.0)))
+    # A visible pair lies inside either point's ball of radius 3 ls, and
+    # 3 * max(a, b) = max(3a, 3b) in floats: the largest visible gap is the
+    # largest reach from a member to the extremes of x inside its own ball.
+    ls, _ = local_scales(space, members)
+    hi, lo = space.metric.ball_extremes(members, 3.0 * ls, members, x)
+    worst = float(np.maximum(hi - x, x - lo).max(initial=0.0))
     scale = gap_bound / (2.0 * worst) if worst > 0 else 1.0
     return ScalarField(domain, np.where(domain.mask, coords * scale, np.nan))
 

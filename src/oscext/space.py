@@ -222,14 +222,18 @@ class CantorMetric(Metric):
     """Prefix metric 2^-(first differing coordinate) on binary sequences.
 
     Each point is an eventually constant sequence stored as one ``uint64``
-    code packing its first ``width`` coordinates (width <= 64); distinct
-    points always differ within that window, so the metric is total.  Balls
-    are prefix cylinders.
+    code packing its first ``width`` coordinates (1 <= width <= 53);
+    distinct points always differ within that window, so the metric is
+    total.  Balls are prefix cylinders.  A code of at most 53 bits, and so
+    the XOR of two codes, converts to float64 exactly: prefix lengths and
+    distances are read from float exponents.
     """
 
     kind = "cantor"
 
     def __init__(self, code: np.ndarray, width: int):
+        if not 1 <= width <= 53:
+            raise ValidationError(f"prefix codes must be 1 to 53 bits wide, got {width}")
         # Coordinate 1 is the highest of the width packed bits.
         self.code = np.ascontiguousarray(code, dtype=np.uint64)
         self.n, self.width = self.code.size, int(width)
@@ -251,31 +255,19 @@ class CantorMetric(Metric):
     def common_prefix(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise common-prefix length of full-width codes ``a`` and ``b``.
 
-        Exact at every width up to 64.  The leading set bit of ``a ^ b`` is
-        smeared downwards, giving 2^b - 1 for bit length b; its top bit
-        alone, 2^(b-1), is a power of two and so converts to float64 exactly.
+        The frexp exponent of the exact float ``a ^ b`` is its bit length.
         """
-        x = a ^ b
-        shift = 1
-        while shift < self.width:
-            x |= x >> np.uint64(shift)
-            shift *= 2
-        top = x - (x >> np.uint64(1))
-        return self.width - np.frexp(top.astype(np.float64))[1].astype(np.int64)
+        return self.width - np.frexp((a ^ b).astype(np.float64))[1].astype(np.int64)
 
     def code_dist(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise distance of full-width codes ``a`` and ``b``, 0 where equal.
 
-        Up to width 53 the XOR converts to float64 exactly, and its exponent
-        bits alone are 2^(b-1) for bit length b, so the distance
-        2^(b - 1 - width) is one exact scaling away.  Wider codes go through
-        ``common_prefix``.
+        The exponent bits alone of the exact float ``a ^ b`` are 2^(b-1) for
+        bit length b, so the distance 2^(b - 1 - width) is one exact scaling
+        away.
         """
-        x = a ^ b
-        if self.width <= 53:
-            top = x.view(np.int64).astype(np.float64).view(np.int64) & np.int64(0x7FF << 52)
-            return top.view(np.float64) * 2.0 ** -self.width
-        return np.where(x == 0, 0.0, 2.0 ** -(self.common_prefix(a, b) + 1.0))
+        x = (a ^ b).view(np.int64).astype(np.float64).view(np.int64)
+        return (x & np.int64(0x7FF << 52)).view(np.float64) * 2.0 ** -self.width
 
     def dist(self, i: int, j: int) -> float:
         # Python ints, independent of common_prefix: the bit length of the XOR is exact.
@@ -285,18 +277,15 @@ class CantorMetric(Metric):
     def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return self.code_dist(self.code[rows][:, None], self.code[cols][None, :])
 
-    @staticmethod
-    def cylinder_length(radius: float) -> int:
-        """Smallest c with 2^-(c+1) < radius: the open ball is the c-cylinder."""
-        if radius > 0.5:
-            return 0
-        c = int(np.ceil(-np.log2(radius))) - 1
-        c = max(c, 0)
-        while 2.0 ** -(c + 1) >= radius:
-            c += 1
-        while c > 0 and 2.0 ** -c < radius:
-            c -= 1
-        return c
+    def cylinder_length(self, radii: np.ndarray) -> np.ndarray:
+        """Per radius r > 0: the smallest c with 2^-(c+1) < r, at most ``width``.
+
+        The open ball of radius r is the c-cylinder.  With r = m * 2^e and
+        m in [1/2, 1), 2^-(c+1) < r <= 2^-c gives c = -e, or 1 - e when r is
+        the power of two 2^(e-1).
+        """
+        m, e = np.frexp(radii)
+        return np.clip((m == 0.5) - e, 0, self.width)
 
     def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
         # In code order a query's longest prefix with another target is the
@@ -327,9 +316,7 @@ class CantorMetric(Metric):
         # Open balls are cylinders: per cylinder length, the extremes of the
         # targets in each cylinder, read at each query's cylinder.
         maxv, minv = np.full((2, queries.size), [[-np.inf], [np.inf]])
-        uniq, inv = np.unique(radii, return_inverse=True)
-        lengths = np.array([min(self.cylinder_length(r), self.width) if r > 0 else -1 for r in uniq], dtype=np.int64)
-        creq = lengths[inv.reshape(-1)]  # -1: the empty ball of radius 0
+        creq = np.where(radii > 0, self.cylinder_length(radii), -1)  # -1: the empty ball of radius 0
         for c in np.unique(creq[creq >= 0]):
             cyl, bounds = self.cylinders(c)
             group = cyl[self.rank[targets]]
@@ -891,12 +878,13 @@ def load_space(doc: dict) -> SpaceInstance:
         _validate_distinct_points(metric.coords)
     elif mtype == "cantor":
         depth = spec.get("depth")
-        _require(isinstance(depth, int) and depth >= 2, "cantor depth must be an integer >= 2")
-        _require(depth <= 63, "cantor depth must be at most 63: codes pack depth + 1 coordinates in 64 bits")
-        # 2^depth points per tail bit; checked before the space is enumerated.
-        _require(n == 2 ** (depth + 1), f"cantor depth {depth} has {2 ** (depth + 1)} points, document lists {n}")
-        from .instances import CantorPoint, cantor_codes  # avoids a cycle
+        _require(isinstance(depth, int), "cantor depth must be an integer")
+        from .instances import CantorPoint, cantor_codes, check_cantor_depth  # avoids a cycle
 
+        # The generators' bound, then 2^depth points per tail bit; both
+        # checked before the space is enumerated.
+        check_cantor_depth(depth)
+        _require(n == 2 ** (depth + 1), f"cantor depth {depth} has {2 ** (depth + 1)} points, document lists {n}")
         codes, canon_labels = cantor_codes(depth)
         metric = CantorMetric(codes, depth + 1)
         if labels is not None:

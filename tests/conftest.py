@@ -63,9 +63,10 @@ def prefix_codes(metric, c):
     return metric.code >> np.uint64(metric.width - c) if c else np.zeros_like(metric.code)
 
 
-def wide_space(width=64, n=40, seed=5):
-    """Random distinct points of a wide prefix metric, plus pairs whose code
-    XOR is 2^b - 1 for b > 53: a float64 bit length rounds those up."""
+def wide_space(width=53, n=40, seed=5):
+    """Random distinct points of the widest prefix metric, plus pairs whose
+    code XOR is 2^b - 1 with b up to the width: the longest mantissas a
+    float64 exponent must still read exactly."""
     rng = np.random.default_rng(seed)
     rows = {tuple(r) for r in rng.integers(0, 2, size=(n, width))}
     for lead in (0, 3, 9):

@@ -8,6 +8,7 @@ on the same prefix-metric spaces must build the same layers too.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from oscext import (
     gap_step,
     pair_step,
 )
-from oscext.errors import InvariantError
+from oscext.errors import InvariantError, ValidationError
 from oscext import extend
 from oscext.extend import LayerState, _CantorSupports, _GenericSupports, _layered, nearest_in_set
 from oscext.instances import block_parity_field
@@ -53,7 +54,7 @@ def member_sets(space, seed):
 
 
 class TestCommonPrefix:
-    WIDTHS = [3, 13, 52, 53, 54, 63, 64]
+    WIDTHS = [1, 3, 13, 52, 53]
 
     @staticmethod
     def code_pairs(width):
@@ -78,6 +79,36 @@ class TestCommonPrefix:
         want = [2.0 ** ((int(x) ^ int(y)).bit_length() - width - 1) if x != y else 0.0 for x, y in zip(a, b)]
         got = metric.code_dist(a, b)
         assert got.dtype == np.float64 and got.tolist() == want
+
+    @pytest.mark.parametrize("width", [0, 54])
+    def test_refuses_inexact_widths(self, width):
+        with pytest.raises(ValidationError, match="1 to 53 bits wide"):
+            CantorMetric(np.zeros(1, dtype=np.uint64), width)
+
+
+class TestCylinderLength:
+    """The closed form against its definition: the smallest c >= 0 with
+    2^-(c+1) < r, clamped at the width, checked by exact ldexp comparisons."""
+
+    @staticmethod
+    def radii():
+        powers = [math.ldexp(1.0, k) for k in range(-1074, 6)]
+        near = [math.nextafter(p, to) for p in powers for to in (0.0, math.inf)]
+        subnormal = [k * 5e-324 for k in (1, 2, 3, 5, 7, 1000, 2**51 + 1)] + [math.nextafter(2.0**-1022, 0.0)]
+        rng = np.random.default_rng(8)
+        scattered = (rng.random(2000) * 2.0 ** rng.integers(-1074, 8, size=2000)).tolist()
+        large = [1.0, 1.5, 3.0, 1e300, sys.float_info.max, math.inf]
+        return np.array([r for r in powers + near + subnormal + scattered + large if r > 0])
+
+    @pytest.mark.parametrize("width", [1, 8, 53])
+    def test_matches_definition(self, width):
+        radii = self.radii()
+        got = CantorMetric(np.zeros(1, dtype=np.uint64), width).cylinder_length(radii)
+        assert got.shape == radii.shape and got.min() == 0 and got.max() == width
+        for r, c in zip(radii.tolist(), got.tolist()):
+            assert 0 <= c <= width
+            assert c == width or math.ldexp(1.0, -(c + 1)) < r, (r, c)  # the c-cylinder ball
+            assert c == 0 or math.ldexp(1.0, -c) >= r, (r, c)  # and no shorter one
 
 
 def brute_extremes(space, queries, radii, targets, fvals):
@@ -104,7 +135,7 @@ def wide_inputs(space, seed=4):
 
 
 class TestWideCylinders:
-    """The cylinder kernels at width 64, where codes fill all 64 bits."""
+    """The cylinder kernels at width 53, the widest exact float64 code."""
 
     def test_ball_extremes_match_distance_rows(self):
         space = wide_space()

@@ -383,7 +383,8 @@ class TestMalformedDocuments:
         (matrix_doc(fields={"f": {"domain": [0, 1, 5], "values": [0.0, 1.0, 2.0]}}),
          "unknown point id 5"),
         (matrix_doc(subsets={"Y": [2**70]}), "subset 'Y' is malformed"),
-        (cantor_doc(64), "cantor depth must be at most 63"),
+        (cantor_doc(64), "depth must be at most 20 (2^21 points), got 64"),
+        (cantor_doc(21), "depth must be at most 20 (2^21 points), got 21"),
         ({**cantor_doc(2), "points": [{"id": i, "label": "zz"} for i in range(8)]},
          "cantor point label 'zz' does not end in +0 or +1"),
         (cantor6_doc(swap_labels), "point 0 has label '1+0'; the cantor space of depth 6 has '+0' there"),
@@ -404,8 +405,8 @@ class TestMalformedDocuments:
             "signed_zero_coordinates", "equal_1d_coordinates", "fractional_subset_ids",
             "numeric_subset", "bool_subset_ids", "fractional_domain_ids", "repeated_domain_id",
             "unknown_domain_id", "oversized_subset_id", "cantor_depth_beyond_codes",
-            "cantor_label_without_tail", "swapped_cantor_labels", "duplicated_cantor_label",
-            "family_of_another_metric", "cantor_family_on_euclidean", "huge_integer_resolution",
+            "cantor_depth_beyond_generators", "cantor_label_without_tail", "swapped_cantor_labels",
+            "duplicated_cantor_label", "family_of_another_metric", "cantor_family_on_euclidean", "huge_integer_resolution",
             "subnormal_resolution", "huge_resolution", "overflowing_distance", "huge_matrix_distance",
             "underflowing_distance", "subnormal_matrix_distance"])
     def test_exits_one(self, capsys, tmp_path, doc, message):
@@ -455,11 +456,14 @@ class TestMalformedDocuments:
         assert "equal coordinates" in err
 
     def test_cantor_point_count_checked_before_enumeration(self, capsys, tmp_path):
-        # enumerating 2^41 points would never finish; the count check comes first
-        path = tmp_path / "deep.json"
-        path.write_text(json.dumps(cantor_doc(40)))
-        started = time.monotonic()
-        code, _out, err = run(capsys, "validate", "--instance", str(path))
-        assert time.monotonic() - started < 1.0
-        assert code == 1
-        assert "cantor depth 40 has 2199023255552 points, document lists 1" in err
+        # enumerating 2^41 points would never finish, and 2^21 points take
+        # seconds; the depth bound, then the count check, come first
+        for depth, message in [(40, "depth must be at most 20 (2^21 points), got 40"),
+                               (20, "cantor depth 20 has 2097152 points, document lists 1")]:
+            path = tmp_path / "deep.json"
+            path.write_text(json.dumps(cantor_doc(depth)))
+            started = time.monotonic()
+            code, _out, err = run(capsys, "validate", "--instance", str(path))
+            assert time.monotonic() - started < 1.0
+            assert code == 1
+            assert message in err

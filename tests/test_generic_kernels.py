@@ -421,7 +421,7 @@ class TestBallMembership:
         metric = space.metric
         for c in range(0, space.n, 5):
             for r in 2.0 ** -np.arange(1, 9.0):
-                length = min(metric.cylinder_length(r), metric.width)
+                length = metric.cylinder_length(r)
                 codes = prefix_codes(metric, length)
                 cylinder = np.flatnonzero(codes == codes[c])
                 assert np.array_equal(ball_ids(space, c, r), cylinder)

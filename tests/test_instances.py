@@ -24,8 +24,10 @@ from oscext.instances import (
     head_from_blocks,
     parse_blocks,
     scaled_position_field,
+    sequence_space,
 )
 
+from oscext import space as space_module
 from oscext.space import load_space_file, visibility_graph
 
 from conftest import FIXTURES, wide_space
@@ -252,17 +254,22 @@ class TestScaledPositionField:
         for eps in (2.0**-8, 2.0**-6):
             assert gap_step(f, eps, ordinal2.full_mask(), AdaptiveScale(3.0)).is_empty()
 
-    def test_equals_dense_visibility_graph(self):
-        space = ordinal_instance(3)
-        rng = np.random.default_rng(2)
-        for domain in (space.full_mask(), space.mask_from_ids(np.flatnonzero(rng.random(space.n) < 0.3))):
-            members = domain.ids()
-            visible = visibility_graph(space, members, 3.0)
-            x = space.metric.coords[members, 0]
-            worst = float(np.abs(x[:, None] - x[None, :])[visible].max())
-            want = np.where(domain.mask, space.metric.coords[:, 0] * (2.0**-9 / (2.0 * worst)), np.nan)
-            got = scaled_position_field(space, domain=domain).values
-            assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+    def test_equals_dense_visibility_graph(self, monkeypatch):
+        for space in (ordinal_instance(3), sequence_space(50), random_instance(6, 400, 2)):
+            rng = np.random.default_rng(2)
+            for domain in (space.full_mask(), space.mask_from_ids(np.flatnonzero(rng.random(space.n) < 0.3))):
+                members = domain.ids()
+                visible = visibility_graph(space, members, 3.0)
+                x = space.metric.coords[members, 0]
+                worst = float(np.abs(x[:, None] - x[None, :])[visible].max())
+                want = np.where(domain.mask, space.metric.coords[:, 0] * (2.0**-9 / (2.0 * worst)), np.nan)
+                for kd in (False, True):
+                    with monkeypatch.context() as m:
+                        if kd:  # kd-tree local scales and ball extremes at every member-set size
+                            m.setattr(space_module, "_KD_SCALE_MEMBERS", 0)
+                            m.setattr(space_module, "_KD_BALL_MEMBERS", 0)
+                        got = scaled_position_field(space, domain=domain).values
+                    assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), (space.name, kd)
 
     def test_no_dense_blocks(self):
         space = ordinal_instance(4)
