@@ -83,7 +83,7 @@ def _check_subset_field(Y: SubsetMask, f: ScalarField):
         raise PreconditionError("Y is not contained in the field domain")
 
 
-def _patched(space, Y, f, pre_values, method, diagnostics, assertion_log=None):
+def _patched(space, Y, f, pre_values, method, diagnostics):
     pre = ScalarField(space.full_mask(), pre_values)
     patched_values = pre_values.copy()
     patch = 0.0
@@ -99,7 +99,6 @@ def _patched(space, Y, f, pre_values, method, diagnostics, assertion_log=None):
         restriction_error=err,
         patch_magnitude=patch,
         diagnostics=diagnostics,
-        assertion_log=assertion_log or [],
     )
 
 
@@ -338,7 +337,7 @@ def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
     backend = _CantorSupports if space.metric.kind == "cantor" else _GenericSupports
     layers = _layered(space, Y, fY, max_layers, n_max, nearest_y, dY, backend)
 
-    log = _assert_layer_bounds(space, Y, fY, layers)
+    _assert_layer_bounds(space, Y, fY, layers)
 
     deepest = np.zeros(space.n, dtype=np.int64)
     for st in layers[1:]:
@@ -356,7 +355,7 @@ def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
         "n_max": n_max,
         "policy": policy.describe() if policy is not None else None,
     }
-    report = _patched(space, Y, fY, pre, "layered", diagnostics, log)
+    report = _patched(space, Y, fY, pre, "layered", diagnostics)
     if report.patch_magnitude > 2.0 ** (1 - k_star):
         raise InvariantError(
             f"patch magnitude {report.patch_magnitude} exceeds the geometric "
@@ -392,7 +391,6 @@ def _assert_layer_bounds(space, Y, fY, layers):
                     log.append(f"layer {j}: |F_{j}-f| bound fails on Y at point {idx}")
     if log:
         raise InvariantError("layer difference bounds failed: " + "; ".join(log))
-    return log
 
 
 def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
@@ -658,16 +656,16 @@ def visibility_components(space: SpaceInstance, region: SubsetMask, multiplier: 
 
 def scattered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
                         policy=None) -> ExtensionReport:
-    """Recursive extension over the derived-set structure of the space.
+    """Extension over the derived-set structure of the space, in one loop.
 
     Only the shipped clopen-at-resolution metric families are accepted, and
-    the filtration of the whole space must empty.  The recursion splits a
-    region into mutual-visibility components (the finite form of a disjoint
-    clopen refinement), anchors the top-depth points of each component (own
-    f value on Y; the nearest carrier value when the point sits inside the
-    Y-closure at its own scale; 0 otherwise), and recurses on the component
-    minus its top points.  Components whose Y part is empty are filled
-    with 0.
+    the filtration of the whole space must empty.  The loop splits each
+    region once into mutual-visibility components (the finite form of a
+    disjoint clopen refinement), anchors the top-depth points of each
+    component (own f value on Y; the nearest carrier value when the point
+    sits inside the Y-closure at its own scale; 0 otherwise), and queues
+    the component minus its top points as a new region.  Components whose
+    Y part is empty are filled with 0.
     """
     _check_subset_field(Y, f)
     if space.family not in CLOPEN_FAMILIES:
@@ -693,40 +691,39 @@ def scattered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
 
 
 def _scatter_region(space, region, Y, fY, policy, mult, out, stats):
-    if region.is_empty():
-        return
-    comps = visibility_components(space, region, mult)
-    if len(comps) > 1:
-        for comp in comps:
-            _scatter_region(space, comp, Y, fY, policy, mult, out, stats)
-        return
-    comp = comps[0]
-    stats["components"] += 1
-    members = comp.ids()
-    y_comp = Y & comp
-    if y_comp.is_empty():
-        out[comp.mask] = 0.0
-        stats["default_zero_regions"] += 1
-        return
-    if members.size == 1:
-        i = int(members[0])
-        out[i] = fY.values[i] if Y.mask[i] else 0.0
-        return
-    dec = cb_filtration(space, comp, policy)
-    if not dec.emptied:
-        raise PreconditionError("a recursion region is not scattered at resolution")
-    if len(dec.filtration) == 1:
-        nearest, _d = nearest_in_set(space, y_comp)
-        out[members] = fY.values[nearest[members]]
-        return
-    tops = dec.filtration[-1]
-    top_ids = tops.ids()
-    ls_comp, _nn = local_scales(space, members)
-    scale = ls_comp[np.searchsorted(members, top_ids)]  # members are sorted ids
-    nearest_y, dist_y = nearest_in_set(space, y_comp)
-    near = dist_y[top_ids] <= mult * scale  # inside the Y-closure at its scale
-    out[top_ids] = np.where(Y.mask[top_ids], fY.values[top_ids],
-                            np.where(near, fY.values[nearest_y[top_ids]], 0.0))
-    stats["anchored_tops"] += int(top_ids.size)
-    rest = comp - tops
-    _scatter_region(space, rest, Y, fY, policy, mult, out, stats)
+    """Anchor every point of ``region`` in ``out``: one loop over a work list.
+
+    Each region is split into visibility components once.  A component is
+    one component of itself: restricting a region to it only raises in-set
+    nearest distances, and ``mult * max(ls_x, ls_y)`` is monotone in floats,
+    so every visibility edge survives (the clopen families compute each
+    distance elementwise: 1-D Euclidean or prefix).  A singleton meeting Y
+    has filtration ``[comp]`` and takes its own f value; ``comp - tops`` is
+    never empty, as the filtration strictly decreases.
+    """
+    work = [region]
+    while work:
+        for comp in visibility_components(space, work.pop(), mult):
+            stats["components"] += 1
+            members = comp.ids()
+            y_comp = Y & comp
+            if y_comp.is_empty():
+                out[members] = 0.0
+                stats["default_zero_regions"] += 1
+                continue
+            dec = cb_filtration(space, comp, policy)
+            if not dec.emptied:
+                raise PreconditionError("a recursion region is not scattered at resolution")
+            nearest_y, dist_y = nearest_in_set(space, y_comp)
+            if len(dec.filtration) == 1:
+                out[members] = fY.values[nearest_y[members]]
+                continue
+            tops = dec.filtration[-1]
+            top_ids = tops.ids()
+            ls_comp, _nn = local_scales(space, members)
+            scale = ls_comp[np.searchsorted(members, top_ids)]  # members are sorted ids
+            near = dist_y[top_ids] <= mult * scale  # inside the Y-closure at its scale
+            out[top_ids] = np.where(Y.mask[top_ids], fY.values[top_ids],
+                                    np.where(near, fY.values[nearest_y[top_ids]], 0.0))
+            stats["anchored_tops"] += int(top_ids.size)
+            work.append(comp - tops)

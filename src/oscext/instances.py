@@ -247,9 +247,7 @@ def rank_parity_field(space: SpaceInstance) -> ScalarField:
 def indicator_field(space: SpaceInstance, ones, domain: SubsetMask | None = None) -> ScalarField:
     """Field that is 1 on the given ids and 0 elsewhere on the domain."""
     domain = domain if domain is not None else space.full_mask()
-    vals = np.zeros(space.n)
-    for i in np.atleast_1d(np.asarray(ones, dtype=np.int64)):
-        vals[space.check_id(int(i))] = 1.0
+    vals = space.mask_from_ids(ones).mask.astype(np.float64)
     return ScalarField(domain, np.where(domain.mask, vals, np.nan))
 
 

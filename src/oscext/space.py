@@ -164,13 +164,15 @@ class EuclideanMetric(Metric):
         ls, nn = np.empty(k), np.empty(k, dtype=np.int64)
         pts = self.coords[m]
         tree = cKDTree(pts)
-        # Query more neighbours while none of those returned lies beyond the
-        # nearest distance: every tied neighbour must be seen for the
-        # smallest-id rule.
+        # Candidates get the dist_rows formula's distances.  Query more while
+        # the farthest tree distance is within a relative 2^-40 of the nearest:
+        # every tied neighbour must be seen for the smallest-id rule.
         rows = np.arange(k)
         kq = min(4, k)
         while rows.size:
-            d, j = tree.query(pts[rows], k=kq, workers=-1)
+            dkd, j = tree.query(pts[rows], k=kq, workers=-1)
+            diff = pts[j] - pts[rows][:, None, :]
+            d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
             d[j == rows[:, None]] = np.inf
             near = d.min(axis=1)
             tie = d == near[:, None]
@@ -178,7 +180,7 @@ class EuclideanMetric(Metric):
             nn[rows] = np.where(tie, m[j], np.iinfo(np.int64).max).min(axis=1)
             if kq == k:
                 break
-            rows = rows[(tie | np.isinf(d)).all(axis=1)]
+            rows = rows[dkd[:, -1] <= near * (1 + 2**-40)]
             kq = min(2 * kq, k)
         return ls, nn
 
@@ -189,7 +191,8 @@ class EuclideanMetric(Metric):
         k = queries.size
         qcoords = self.coords[queries]
         tcoords = self.coords[targets]
-        lists = cKDTree(tcoords).query_ball_point(qcoords, r=np.maximum(radii, 0.0), workers=-1)
+        # Widened by a relative 2^-40 past the tree's rounding; the re-filter decides.
+        lists = cKDTree(tcoords).query_ball_point(qcoords, r=np.maximum(radii, 0.0) * (1 + 2**-40), workers=-1)
         lengths = np.fromiter((len(l) for l in lists), dtype=np.int64, count=k)
         flat = np.concatenate([np.asarray(l, dtype=np.int64) for l in lists]) if lengths.sum() else np.empty(0, dtype=np.int64)
         seg = np.repeat(np.arange(k), lengths)

@@ -19,6 +19,7 @@ from oscext import (
     random_instance,
 )
 from oscext.errors import PreconditionError, ValidationError
+from oscext import space as space_mod
 from oscext.space import _KD_BALL_MEMBERS, EuclideanMetric, SpaceInstance
 
 from oracles import o_gap_step, o_iterate, o_pair_step
@@ -232,6 +233,26 @@ class TestKdBallExtremes:
             want_max, want_min = dense_ball_extremes(space, members, radii, fvals)
             assert np.array_equal(maxv, want_max), pol
             assert np.array_equal(minv, want_min), pol
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 8])
+    def test_random_cloud_matches_forced_dense(self, monkeypatch, dim):
+        # 4000 targets, above the dense limit.  A radius one ulp above each
+        # member's nearest dist_rows distance puts that neighbour strictly
+        # inside; from dim 4 up the tree's own rounding used to drop some.
+        space = random_instance(7, 4000, dim)
+        members = np.arange(space.n)
+        assert members.size > _KD_BALL_MEMBERS
+        fvals = np.random.default_rng(5).uniform(size=space.n)
+        with monkeypatch.context() as m:
+            m.setattr(space_mod, "_KD_SCALE_MEMBERS", 10**9)
+            m.setattr(space_mod, "_KD_BALL_MEMBERS", 10**9)
+            ls = space.metric.scales(members)[0]
+            cases = [3.0 * ls, FixedScale(0.1).radii(space, members), np.nextafter(ls, np.inf)]
+            wants = [space.metric.ball_extremes(members, r, members, fvals) for r in cases]
+        for radii, (want_max, want_min) in zip(cases, wants):
+            maxv, minv = space.metric.ball_extremes(members, radii, members, fvals)
+            assert np.array_equal(maxv, want_max)
+            assert np.array_equal(minv, want_min)
 
 
 class TestIndexProfile:

@@ -319,6 +319,19 @@ class TestScattered:
             total[comp.mask] += 1
         assert np.all(total == 1)
 
+    @pytest.mark.parametrize("spec", ["ordinal:1", "ordinal:2", "ordinal:3", "sequence", "cantor:6", "cantor:8"])
+    @pytest.mark.parametrize("mult", [1.0, 1.5, 3.0])
+    def test_components_are_not_split_again(self, spec, mult):
+        # The scattered loop splits each region once: restricted to one of
+        # its components, every in-set nearest distance can only grow.
+        space = generate_from_spec(spec)
+        rng = np.random.default_rng(len(spec))
+        regions = [space.full_mask()] + [
+            space.mask_from_ids(np.flatnonzero(rng.uniform(size=space.n) < keep)) for keep in (0.2, 0.5, 0.8)]
+        for region in regions:
+            for comp in visibility_components(space, region, mult):
+                assert visibility_components(space, comp, mult) == [comp]
+
 
 class TestRestrictionIdentityEverywhere:
     def test_all_methods_restrict_exactly(self, seq10, seq_indicator, ordinal2, cantor6):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from oscext import AdaptiveScale, ScalarField, SpaceInstance, generate_from_spec, iterate, osc_at_point
+from oscext import AdaptiveScale, FixedScale, ScalarField, SpaceInstance, generate_from_spec, iterate, osc_at_point
 from oscext.errors import InvariantError, PreconditionError
 from oscext import extend
 from oscext.extend import (LayerState, _GenericSupports, _layered, limsup_extension, nearest_in_set,
@@ -580,14 +580,16 @@ class TestLimsup:
 
 class TestScattered:
     @pytest.mark.parametrize("spec", ["ordinal:1", "ordinal:2", "ordinal:3", "ordinal:2:6", "sequence", "cantor:6"])
-    @pytest.mark.parametrize("mult", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mult", [1.0, 1.5, 2.0, 3.0, pytest.param(None, id="fixed")])
     def test_matches_loop(self, monkeypatch, spec, mult):
         for keep in (0.2, 0.5):
             space, Y, f = with_subset_field(generate_from_spec(spec), 3, keep)
-            got = scattered_extension(space, Y, f, AdaptiveScale(mult))
+            # A fixed radius below the smallest gap empties the filtration in one step.
+            policy = AdaptiveScale(mult) if mult else FixedScale(space.resolution / 2)
+            got = scattered_extension(space, Y, f, policy)
             with monkeypatch.context() as m:
                 m.setattr(extend, "_scatter_region", reference_scatter_region)
-                want = scattered_extension(space, Y, f, AdaptiveScale(mult))
+                want = scattered_extension(space, Y, f, policy)
             assert identical(got.prepatch.values, want.prepatch.values)
             assert got.diagnostics == want.diagnostics
 

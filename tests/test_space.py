@@ -16,9 +16,11 @@ from oscext import (
     load_space,
     local_scale,
     parse_policy,
+    random_instance,
     space_to_document,
 )
 from oscext.errors import PreconditionError
+from oscext import space as space_mod
 from oscext.space import EuclideanMetric, local_scales
 
 from conftest import FIXTURES, tiny_matrix_space
@@ -210,6 +212,22 @@ class TestKdLocalScales:
         want_ls, want_nn = dense_local_scales(space, members)
         assert np.array_equal(ls, want_ls)
         assert np.array_equal(nn, want_nn)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 8])
+    def test_random_cloud_matches_forced_dense(self, monkeypatch, dim):
+        # From dim 3 up the tree's distances can differ from dist_rows in
+        # the last bits; the kd path must still return the dense path's bits.
+        space = random_instance(7, 3000, dim)
+        members = np.arange(space.n)
+        assert members.size > space_mod._KD_SCALE_MEMBERS
+        got = local_scales(space, members)
+        with monkeypatch.context() as m:
+            m.setattr(space_mod, "_KD_SCALE_MEMBERS", 10**9)
+            want = local_scales(space, members)
+            want_resolution = random_instance(7, 3000, dim).resolution
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+        assert space.resolution == want_resolution
 
 
 class TestDeltaLimitPoints:
