@@ -107,7 +107,7 @@ def nearest_in_set(space: SpaceInstance, target: SubsetMask):
     tids = target.ids()
     if tids.size == 0:
         raise PreconditionError("target set is empty")
-    return space.metric.nearest(tids)
+    return space.metric.nearest(np.arange(space.n), tids)
 
 
 # ---------------------------------------------------------------------------
@@ -442,11 +442,12 @@ def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
 
 
 class _GenericSupports:
-    """Supports of the layered construction from distance row blocks, on any metric.
+    """Supports of the layered construction from ``Metric.ball_pairs``, on any metric.
 
     Accumulation-order contract: each point's hat sums add its centers'
     terms one at a time in center order, starting from 0, as a per-center
-    loop does (flat (center, member) pairs fed to ``np.add.at``).
+    loop does: the (center, member) pairs of ``ball_pairs``, in its order,
+    fed to ``np.add.at``.
     """
 
     def __init__(self, space, Y, fY):
@@ -463,17 +464,14 @@ class _GenericSupports:
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
         self.covering = np.zeros((n, centers.size), dtype=bool)
-        for lo, hi in _row_chunks(centers.size, n):
-            block = self.metric.dist_rows(centers[lo:hi], self.everything)
-            inside = block < radii[lo:hi, None]
-            rows, ids = np.nonzero(inside)
-            w = radii[lo:hi][rows] - block[rows, ids]
-            np.add.at(num, ids, w * a[lo:hi][rows])
+        for rows, ids, d in self.metric.ball_pairs(centers, radii, self.everything):
+            w = radii[rows] - d
+            np.add.at(num, ids, w * a[rows])
             np.add.at(den, ids, w)
-            np.maximum.at(lmax, ids, depths[lo:hi][rows])
+            np.maximum.at(lmax, ids, depths[rows])
             if l_prev is not None:
-                np.minimum.at(minlp, ids, l_prev[centers[lo:hi]][rows])
-            self.covering[:, lo:hi] = inside.T
+                np.minimum.at(minlp, ids, l_prev[centers[rows]])
+            self.covering[ids, rows] = True
         return num, den, lmax, minlp
 
     def next_depths(self, cand, ok):
@@ -487,13 +485,12 @@ class _GenericSupports:
         small = 2.0 ** -tried.astype(float)
         wide = 2.0 * small
         live = np.flatnonzero(ok.any(axis=1))
-        for lo, hi in _row_chunks(live.size, self.everything.size):
-            rows = live[lo:hi]
-            block = self.metric.dist_rows(cand[rows], self.everything)
-            # Only the largest doubled ball still in play needs support tests.
-            r, p = np.nonzero(block < wide[np.argmax(ok[rows], axis=1), None])  # flat (row, point) pairs
-            d, k = block[r, p], cand[rows][r]
-            d_out, d_in = np.full((2, rows.size), np.inf)
+        if live.size == 0:  # no depth in play; ok may have no columns at all
+            return chosen
+        d_out, d_in = np.full((2, live.size), np.inf)
+        # Only the largest doubled ball still in play needs support tests.
+        for r, p, d in self.metric.ball_pairs(cand[live], wide[np.argmax(ok[live], axis=1)], self.everything):
+            k = cand[live[r]]
             for plo, phi in _row_chunks(r.size, self.covering.shape[1]):
                 cov_x = self.covering[k[plo:phi]]
                 cov = self.covering[p[plo:phi]]
@@ -501,9 +498,9 @@ class _GenericSupports:
                 enters = (cov & ~cov_x).any(axis=1)  # enters a support not covering x
                 np.minimum.at(d_out, r[plo:phi][leaves], d[plo:phi][leaves])
                 np.minimum.at(d_in, r[plo:phi][enters], d[plo:phi][enters])
-            good = ok[rows] & (small <= d_out[:, None]) & (wide <= d_in[:, None])
-            hit = good.any(axis=1)
-            chosen[rows[hit]] = tried[np.argmax(good[hit], axis=1)]
+        good = ok[live] & (small <= d_out[:, None]) & (wide <= d_in[:, None])
+        hit = good.any(axis=1)
+        chosen[live[hit]] = tried[np.argmax(good[hit], axis=1)]
         return chosen
 
 
@@ -714,16 +711,16 @@ def _scatter_region(space, region, Y, fY, policy, mult, out, stats):
             dec = cb_filtration(space, comp, policy)
             if not dec.emptied:
                 raise PreconditionError("a recursion region is not scattered at resolution")
-            nearest_y, dist_y = nearest_in_set(space, y_comp)
+            nearest_y, dist_y = space.metric.nearest(members, y_comp.ids())
             if len(dec.filtration) == 1:
-                out[members] = fY.values[nearest_y[members]]
+                out[members] = fY.values[nearest_y]
                 continue
             tops = dec.filtration[-1]
             top_ids = tops.ids()
             ls_comp, _nn = local_scales(space, members)
-            scale = ls_comp[np.searchsorted(members, top_ids)]  # members are sorted ids
-            near = dist_y[top_ids] <= mult * scale  # inside the Y-closure at its scale
+            pos = np.searchsorted(members, top_ids)  # members are sorted ids
+            near = dist_y[pos] <= mult * ls_comp[pos]  # inside the Y-closure at its scale
             out[top_ids] = np.where(Y.mask[top_ids], fY.values[top_ids],
-                                    np.where(near, fY.values[nearest_y[top_ids]], 0.0))
+                                    np.where(near, fY.values[nearest_y[pos]], 0.0))
             stats["anchored_tops"] += int(top_ids.size)
             work.append(comp - tops)

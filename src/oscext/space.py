@@ -52,12 +52,12 @@ class Metric:
             return np.zeros(m.size), np.full(m.size, -1, dtype=np.int64)
         return self._nearest_other(m, m)
 
-    def nearest(self, tids: np.ndarray):
-        """Per point: (nearest target id, distance); a target is its own nearest."""
-        ids = np.arange(self.n, dtype=np.int64)
-        dist = np.zeros(self.n)
-        q = np.setdiff1d(ids, tids, assume_unique=True)
-        dist[q], ids[q] = self._nearest_other(q, tids)
+    def nearest(self, queries: np.ndarray, tids: np.ndarray):
+        """Per query: (nearest target id, distance); a target is its own nearest."""
+        ids = np.array(queries, dtype=np.int64)
+        dist = np.zeros(ids.size)
+        q = np.flatnonzero(~np.isin(ids, tids))
+        dist[q], ids[q] = self._nearest_other(ids[q], tids)
         return ids, dist
 
     def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
@@ -81,6 +81,19 @@ class Metric:
             dist[lo:hi] = block[rows, j]
         return dist, ids
 
+    def ball_pairs(self, centers: np.ndarray, radii: np.ndarray, targets: np.ndarray):
+        """Yield (rows, cols, dist) for every target strictly inside each center's open ball.
+
+        ``rows`` index ``centers``, counted from the first center, ``cols``
+        index ``targets`` and ``dist`` is their ``dist_rows`` distance.  One
+        ``_row_chunks`` block of centers per chunk; pairs come center-major
+        with columns ascending (the ``np.nonzero`` order of the block).
+        """
+        for lo, hi in _row_chunks(centers.size, targets.size):
+            block = self.dist_rows(centers[lo:hi], targets)
+            rows, cols = np.nonzero(block < radii[lo:hi, None])
+            yield rows + lo, cols, block[rows, cols]
+
     def ball_extremes(self, queries: np.ndarray, radii: np.ndarray,
                       targets: np.ndarray, fvals: np.ndarray):
         """Per query: max and min of f over the targets inside its open ball.
@@ -89,25 +102,21 @@ class Metric:
         target; ``targets`` must be nonempty.  Empty balls yield max < min
         so every gap test fails for them.
         """
-        maxv = np.empty(queries.size)
-        minv = np.empty(queries.size)
-        for lo, hi in _row_chunks(queries.size, targets.size):
-            inside = self.dist_rows(queries[lo:hi], targets) < radii[lo:hi, None]
-            maxv[lo:hi] = np.where(inside, fvals, -np.inf).max(axis=1)
-            minv[lo:hi] = np.where(inside, fvals, np.inf).min(axis=1)
+        maxv, minv = np.full((2, queries.size), [[-np.inf], [np.inf]])
+        for rows, cols, _d in self.ball_pairs(queries, radii, targets):
+            np.maximum.at(maxv, rows, fvals[cols])
+            np.minimum.at(minv, rows, fvals[cols])
         return maxv, minv
 
     def grid_extremes(self, queries: np.ndarray, grid: np.ndarray, targets: np.ndarray, fvals: np.ndarray):
         """``ball_extremes`` at each radius of the descending ``grid``, one row per radius."""
         k, q = grid.size, queries.size
         maxv, minv = np.full((2, (k + 1) * q), [[-np.inf], [np.inf]])
-        for lo, hi in _row_chunks(q, targets.size):
-            # One distance pass, binned by how many grid radii exceed each distance (open balls).
-            bins = k - np.searchsorted(grid[::-1], self.dist_rows(queries[lo:hi], targets), side="right")
-            flat = (bins * q + np.arange(lo, hi)[:, None]).ravel()
-            vals = np.broadcast_to(fvals, bins.shape).ravel()
-            np.maximum.at(maxv, flat, vals)
-            np.minimum.at(minv, flat, vals)
+        # The pairs inside the largest radius, binned by how many grid radii exceed each distance.
+        for rows, cols, d in self.ball_pairs(queries, np.full(q, grid[0] if k else 0.0), targets):
+            flat = (k - np.searchsorted(grid[::-1], d, side="right")) * q + rows
+            np.maximum.at(maxv, flat, fvals[cols])
+            np.minimum.at(minv, flat, fvals[cols])
         # Radius j holds the targets of bins j + 1 .. k: running extremes from bin k back.
         maxv, minv = maxv.reshape(k + 1, q)[:0:-1], minv.reshape(k + 1, q)[:0:-1]
         return np.maximum.accumulate(maxv, axis=0)[::-1], np.minimum.accumulate(minv, axis=0)[::-1]
@@ -904,6 +913,11 @@ def load_space(doc: dict) -> SpaceInstance:
     family = doc.get("family", mtype)
     _require(family == mtype or (mtype == "euclidean" and family in ("ordinal", "sequence")),
              f"family {family!r} does not fit metric type {mtype!r}")
+    # The ladder and sequence families live on the line; the scattered
+    # construction's argument assumes their distances are 1-D.
+    if family in ("ordinal", "sequence"):
+        _require(metric.coords.shape[1] == 1,
+                 f"family {family!r} needs one coordinate column, the document has {metric.coords.shape[1]}")
 
     space = SpaceInstance(doc["name"], metric, res, labels=labels, family=family)
 

@@ -113,30 +113,24 @@ def partition(space: SpaceInstance, cover: BallCover) -> PartitionOfUnity:
 
     Accumulation-order contract: each point's total adds its elements' raw
     weights one at a time in element order, starting from 0, as a
-    per-element loop does.  The (element, member) pairs of a chunk of
-    elements are laid out flat in that order and fed to ``np.add.at``.
+    per-element loop does: the (element, member) pairs of
+    ``Metric.ball_pairs``, in its order, fed to ``np.add.at``.
     """
     if cover.carrier.is_empty():
         raise PreconditionError("cover carrier is empty")
     centers = np.array([c for c, _r in cover.elements], dtype=np.int64)
     radii = np.array([r for _c, r in cover.elements], dtype=np.float64)
-    everything = np.arange(space.n)
     chunks = []
     totals = np.zeros(space.n)
-    for lo, hi in _row_chunks(centers.size, space.n):
-        block = space.metric.dist_rows(centers[lo:hi], everything)
-        rows, ids = np.nonzero(block < radii[lo:hi, None])
-        raw = radii[lo:hi][rows] - block[rows, ids]  # strictly positive on the open ball
+    for rows, ids, d in space.metric.ball_pairs(centers, radii, np.arange(space.n)):
+        raw = radii[rows] - d  # strictly positive on the open ball
         np.add.at(totals, ids, raw)
-        chunks.append((ids, raw, np.cumsum(np.bincount(rows, minlength=hi - lo))[:-1]))
+        chunks.append((rows, ids, raw))
     if np.any(totals[cover.carrier.mask] <= 0):
         raise InvariantError("carrier point with zero total raw weight")
-    support_ids = []
-    weights = []
-    for ids, raw, cuts in chunks:
-        support_ids += np.split(ids, cuts)
-        weights += np.split(raw / totals[ids], cuts)
-    return PartitionOfUnity(space, cover, support_ids, weights, cover.carrier)
+    rows, ids, raw = (np.concatenate(parts) for parts in zip(*chunks))
+    cuts = np.cumsum(np.bincount(rows, minlength=centers.size))[:-1]
+    return PartitionOfUnity(space, cover, np.split(ids, cuts), np.split(raw / totals[ids], cuts), cover.carrier)
 
 
 def blend(pou: PartitionOfUnity, anchor_values) -> ScalarField:

@@ -164,6 +164,25 @@ class TestCompare:
         scattered = [r for r in rows if r[0] == "scattered"]
         assert scattered and all(r[2] != "SATURATED" and int(r[2]) <= 2 for r in scattered)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_timings_add_a_last_column(self, capsys, fmt):
+        args = ["compare", "--generate", "ordinal:1", "--methods", "scattered,limsup", "--format", fmt]
+        code, plain, _err = run(capsys, *args)
+        assert code == 0
+        code, timed, _err = run(capsys, *args, "--timings")
+        assert code == 0
+        if fmt == "csv":
+            plain_rows = [line.split(",") for line in plain.splitlines()]
+            timed_rows = [line.split(",") for line in timed.splitlines()]
+            assert timed_rows[0] == plain_rows[0] + ["wall_ms"]
+            assert [row[:-1] for row in timed_rows[1:]] == plain_rows[1:]
+            walls = [row[-1] for row in timed_rows[1:]]
+        else:
+            timed_rows = json.loads(timed)
+            walls = [row.pop("wall_ms") for row in timed_rows]
+            assert timed_rows == json.loads(plain)
+        assert walls and all(float(w) >= 0 for w in walls)
+
     def test_needs_two_methods(self, capsys):
         code, _out, err = run(capsys, "compare", "--generate", "sequence", "--methods", "limsup")
         assert code == 1
@@ -444,6 +463,20 @@ class TestMalformedDocuments:
         assert code == 1
         assert out == ""
         assert err.startswith("validation error:")
+
+    @pytest.mark.parametrize("fixture, family", [("ordinal_k1.json", "ordinal"),
+                                                 ("sequence_space.json", "sequence")])
+    def test_line_family_with_two_columns_exits_one(self, capsys, tmp_path, fixture, family):
+        # used to pass validation and run the scattered construction, whose
+        # argument assumes 1-D distances, on two coordinate columns
+        doc = json.loads((FIXTURES / fixture).read_text())
+        doc["metric"]["coords"] = [p + [0.25] for p in doc["metric"]["coords"]]
+        path = tmp_path / "plane.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "extend", "--instance", str(path), "--method", "scattered")
+        assert code == 1
+        assert out == ""
+        assert f"family '{family}' needs one coordinate column, the document has 2" in err
 
     def test_duplicate_coordinates_glue_exits_one(self, capsys, tmp_path):
         # used to pass validation and then exit 3 from the glue cover

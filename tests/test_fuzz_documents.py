@@ -55,8 +55,8 @@ def _parent(doc, path):
 
 
 def _mutate(data, doc):
-    kind = data.draw(st.sampled_from(("drop", "replace", "depth", "family", "label", "resolution", "scale")),
-                     label="kind")
+    kind = data.draw(st.sampled_from(("drop", "replace", "depth", "family", "label", "resolution", "scale",
+                                      "column")), label="kind")
     if kind in ("drop", "replace"):
         paths = list(_paths(doc))
         if not paths:
@@ -82,6 +82,13 @@ def _mutate(data, doc):
         if isinstance(coords, list) and all(isinstance(p, list) for p in coords):
             factor = data.draw(st.sampled_from(EXTREMES), label="factor")
             metric["coords"] = [[c * factor if isinstance(c, float) else c for c in p] for p in coords]
+    elif kind == "column":
+        # One more coordinate per point: 2-D documents of the 1-D families.
+        metric = doc.get("metric")
+        coords = metric.get("coords") if isinstance(metric, dict) else None
+        if isinstance(coords, list) and all(isinstance(p, list) for p in coords):
+            value = data.draw(st.sampled_from((0.0, 0.25, -3.0)), label="column value")
+            metric["coords"] = [p + [value] for p in coords]
     elif kind == "family":
         doc["family"] = data.draw(st.sampled_from(FAMILIES), label="family")
     else:

@@ -1,7 +1,8 @@
 """The generic backends' row-block kernels against the per-point loops they replaced.
 
 ``dist_rows`` must equal the scalar ``dist`` bit for bit on every backend,
-and ``ball`` must select exactly the brute-force open ball.  The cover,
+``ball`` must select exactly the brute-force open ball, and ``ball_pairs``
+must give the pairs of a scalar ``dist`` loop in its order.  The cover,
 partition, blend, nearest-point and generic layering kernels are checked
 against the per-point loops kept below as references, and ``grid_extremes``
 against one ``ball_extremes`` call per radius: the arithmetic and its
@@ -20,6 +21,7 @@ from oscext.errors import InvariantError, PreconditionError
 from oscext import extend
 from oscext.extend import (LayerState, _GenericSupports, _layered, limsup_extension, nearest_in_set,
                            scattered_extension, visibility_components)
+from oscext import space as space_mod
 from oscext.instances import cantor_instance, random_instance
 from oscext.space import (_BLOCK_ELEMS, _KD_BALL_MEMBERS, EuclideanMetric, MatrixMetric, SubsetMask, _row_chunks,
                           ball, cb_filtration, dists_among, load_space_file, local_scales)
@@ -383,6 +385,10 @@ BACKENDS = SMALL_CASES + ["cantor", "wide"]
 def backend_space(name):
     if name == "wide":  # a 64-bit prefix metric: code XORs of 2^b - 1 for b > 53
         return wide_space()
+    if name == "lattice3d":  # tie-heavy: a dyadic cube lattice
+        g = np.arange(5) / 4.0
+        coords = np.array([(x, y, z) for x in g for y in g for z in g])
+        return SpaceInstance("lattice3d", EuclideanMetric(coords), resolution=1 / 8, family="euclidean")
     return cantor_instance(7) if name == "cantor" else case(name)[0]
 
 
@@ -427,6 +433,41 @@ class TestBallMembership:
                 assert np.array_equal(ball_ids(space, c, r), cylinder)
 
 
+def scalar_ball_pairs(space, centers, radii, targets):
+    """(row, col, d) of every target strictly inside each center's ball, from the scalar ``dist``."""
+    return [(i, j, d) for i, (c, r) in enumerate(zip(centers, radii)) for j, t in enumerate(targets)
+            for d in [space.metric.dist(int(c), int(t))] if d < r]
+
+
+class TestBallPairs:
+    """The open-ball pair kernel against a scalar loop, center-major with columns ascending."""
+
+    @pytest.mark.parametrize("name", BACKENDS + ["lattice3d"])
+    @pytest.mark.parametrize("budget", [None, 5], ids=["default_budget", "five_rows"])
+    def test_matches_scalar_loop(self, monkeypatch, name, budget):
+        space = backend_space(name)
+        queries, radii, targets, _fvals = extremes_inputs(space, 13, max(space.n // 3, 2), min(space.n, 90))
+        if budget is not None:  # blocks of five centers: several chunks, rows counted across them
+            monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", budget * targets.size)
+        chunks = list(space.metric.ball_pairs(queries, radii, targets))
+        rows, cols, dist = (np.concatenate(parts) for parts in zip(*chunks))
+        want = scalar_ball_pairs(space, queries, radii, targets)
+        assert list(zip(rows.tolist(), cols.tolist(), dist.tolist())) == want
+        assert rows.dtype == cols.dtype == np.int64 and dist.dtype == np.float64
+        # Each chunk is one block of whole centers within the element budget.
+        limit = space_mod._BLOCK_ELEMS // targets.size
+        spans = [(r.min(), r.max()) for r, _c, _d in chunks if r.size]
+        assert all(hi - lo < limit for lo, hi in spans)
+        assert len(chunks) == -(-queries.size // limit)
+        if budget is not None:
+            assert len(spans) > 1
+        # A target at exactly the radius is excluded, and radius 0 yields no pairs.
+        tied = [(i, j) for i, q in enumerate(queries) for j, t in enumerate(targets)
+                if space.metric.dist(int(q), int(t)) == radii[i]]
+        assert tied and not set(tied) & set(zip(rows.tolist(), cols.tolist()))
+        assert (radii == 0).any() and not np.isin(rows, np.flatnonzero(radii == 0)).any()
+
+
 class TestNearestInSet:
     @pytest.mark.parametrize("name", SMALL_CASES + ["cantor:6", "cantor:8"])
     def test_matches_row_loop(self, name):
@@ -437,6 +478,23 @@ class TestNearestInSet:
         for target in targets:
             got = nearest_in_set(space, target)
             assert all_identical(got, reference_nearest_in_set(space, target))
+
+    @pytest.mark.parametrize("name", ["matrix", "ordinal:2", "lattice", "cantor:6", "cantor:8"])
+    def test_member_queries_match_whole_space(self, name):
+        # The scattered loop asks for the nearest Y points of a component's
+        # members only; each must be the whole-space answer at that member.
+        space, Y, _f = case(name)
+        rng = np.random.default_rng(4)
+        full = space.full_mask()
+        groups = [comp for mult in (1.0, 1.5, 3.0) for comp in visibility_components(space, full, mult)]
+        groups += [space.mask_from_ids(rng.choice(space.n, size=space.n // 4, replace=False)) for _ in range(3)]
+        for group in groups:
+            target = Y & group
+            if target.is_empty():
+                continue
+            members = group.ids()
+            whole = nearest_in_set(space, target)
+            assert all_identical(space.metric.nearest(members, target.ids()), tuple(w[members] for w in whole))
 
     def test_lattice_ties_go_to_smallest_id(self):
         space, _Y, _f = case("lattice")
