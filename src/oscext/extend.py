@@ -21,7 +21,6 @@ from .space import (
     SubsetMask,
     _row_chunks,
     cb_filtration,
-    local_scales,
     visibility_graph,
 )
 from .derive import iterate, osc_at_point
@@ -717,9 +716,8 @@ def _scatter_region(space, region, Y, fY, policy, mult, out, stats):
                 continue
             tops = dec.filtration[-1]
             top_ids = tops.ids()
-            ls_comp, _nn = local_scales(space, members)
             pos = np.searchsorted(members, top_ids)  # members are sorted ids
-            near = dist_y[pos] <= mult * ls_comp[pos]  # inside the Y-closure at its scale
+            near = dist_y[pos] <= mult * dec.scales[pos]  # inside the Y-closure at its scale
             out[top_ids] = np.where(Y.mask[top_ids], fY.values[top_ids],
                                     np.where(near, fY.values[nearest_y[pos]], 0.0))
             stats["anchored_tops"] += int(top_ids.size)

@@ -9,6 +9,7 @@ are compared exactly, so fixtures are built from dyadic or triadic rationals.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -147,7 +148,8 @@ class MatrixMetric(Metric):
 
 
 class EuclideanMetric(Metric):
-    """Points in R^dim; large scale and ball-extreme queries go through a kd-tree."""
+    """Points in R^dim; large scale and ball-extreme queries go through a kd-tree, and
+    on the line (dim 1) open-ball pairs come from runs in coordinate order."""
 
     kind = "euclidean"
 
@@ -193,6 +195,35 @@ class EuclideanMetric(Metric):
             kq = min(2 * kq, k)
         return ls, nn
 
+    def ball_pairs(self, centers: np.ndarray, radii: np.ndarray, targets: np.ndarray):
+        if self.coords.shape[1] != 1:
+            yield from super().ball_pairs(centers, radii, targets)
+            return
+        # On the line a ball is a run of the targets in coordinate order.
+        # fl(y - c), its square and the root are monotone in y on each side
+        # of c, so a member (computed d < r) has exact |y - c| < r(1 + 2^-50),
+        # or below r + 2^-537.5 where the square is subnormal; the window
+        # [fl(c - w), fl(c + w)] holds every such y, and the re-filter decides.
+        t = targets.size
+        x = self.coords[targets, 0]
+        order = np.argsort(x, kind="stable")
+        line = x[order]
+        reach = np.maximum(radii, 0.0) * (1 + 2**-40) + 2.0**-537
+        for lo, hi in _row_chunks(centers.size, t):
+            c = self.coords[centers[lo:hi], 0]
+            start = np.searchsorted(line, c - reach[lo:hi], side="left")
+            counts = np.searchsorted(line, c + reach[lo:hi], side="right") - start
+            pos = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+            # Center-major with columns ascending: sorting the keys row * t + col
+            # leaves the rows where they are and orders the columns in each.
+            rows = np.repeat(np.arange(lo, hi), counts)
+            base = rows * t
+            cols = np.sort(base + order[pos]) - base
+            diff = x[cols] - np.repeat(c, counts)
+            dist = np.sqrt(diff * diff)
+            keep = dist < np.repeat(radii[lo:hi], counts)
+            yield rows[keep], cols[keep], dist[keep]
+
     def ball_extremes(self, queries: np.ndarray, radii: np.ndarray,
                       targets: np.ndarray, fvals: np.ndarray):
         if targets.size <= _KD_BALL_MEMBERS:
@@ -203,7 +234,7 @@ class EuclideanMetric(Metric):
         # Widened by a relative 2^-40 past the tree's rounding; the re-filter decides.
         lists = cKDTree(tcoords).query_ball_point(qcoords, r=np.maximum(radii, 0.0) * (1 + 2**-40), workers=-1)
         lengths = np.fromiter((len(l) for l in lists), dtype=np.int64, count=k)
-        flat = np.concatenate([np.asarray(l, dtype=np.int64) for l in lists]) if lengths.sum() else np.empty(0, dtype=np.int64)
+        flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=lengths.sum())
         seg = np.repeat(np.arange(k), lengths)
         diff = tcoords[flat] - qcoords[seg]
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -695,6 +726,7 @@ class ScatteredDecomposition:
     ranks: np.ndarray  # -1 outside A
     iso_radius: np.ndarray  # delta_x; +inf when a level is a singleton
     terminal: tuple  # ("emptied" | "saturated", step)
+    scales: np.ndarray  # local_scales of the first level's members, in id order
 
     @property
     def emptied(self) -> bool:
@@ -738,6 +770,8 @@ def cb_filtration(space: SpaceInstance, A: SubsetMask, policy) -> ScatteredDecom
     for step in range(space.n + 1):
         members = current.ids()
         ls, nn = local_scales(space, members)
+        if step == 0:
+            first_scales = ls
         if isinstance(policy, FixedScale):
             nxt_ids = members[(ls > 0) & (ls < policy.delta)]  # as in delta_limit_points
         else:
@@ -757,7 +791,7 @@ def cb_filtration(space: SpaceInstance, A: SubsetMask, policy) -> ScatteredDecom
         current = nxt
     if terminal is None:  # strictly decreasing loop must have ended already
         terminal = ("saturated", len(levels) - 1)
-    return ScatteredDecomposition(space, levels, ranks, iso, terminal)
+    return ScatteredDecomposition(space, levels, ranks, iso, terminal, first_scales)
 
 
 # ---------------------------------------------------------------------------

@@ -358,10 +358,28 @@ def case(name):
     if name == "matrix":
         space = SpaceInstance("manhattan", MatrixMetric(manhattan_matrix(8)), resolution=1 / 16)
         return with_subset_field(space, 8)
+    if name == "line":
+        # Tie-heavy dyadic line with negative coordinates, ids shuffled
+        # against coordinate order: 1-D balls are runs in coordinate order.
+        rng = np.random.default_rng(6)
+        coords = rng.permutation(np.r_[np.arange(-40, 0), np.arange(0, 80, 2)] / 16.0)
+        space = SpaceInstance("line", EuclideanMetric(coords), resolution=1 / 32, family="euclidean")
+        k = np.rint(coords * 16).astype(np.int64)
+        ids = np.flatnonzero(k % 5 != 2)
+        return space, space.mask_from_ids(ids), ScalarField.on_ids(space, ids, (k[ids] % 3) / 3.0)
+    if name == "offset_line":
+        # +-(2^40 + x) with sub-unit gaps x on the 2^-12 grid, the ulp of 2^40.
+        # Across the two halves fl(c_y - c_x) rounds to the 2^-11 grid of
+        # 2^41, so neighbouring targets tie on one side of a center.
+        rng = np.random.default_rng(9)
+        x = np.cumsum(rng.choice([1, 2, 3, 512, 1024], size=50)) * 2.0**-12
+        coords = rng.permutation(np.r_[2.0**40 + x, -(2.0**40 + x[::2])])
+        space = SpaceInstance("offset_line", EuclideanMetric(coords), resolution=2.0**-12, family="euclidean")
+        return with_subset_field(space, 9)
     raise KeyError(name)
 
 
-CASES = ["ordinal:1", "ordinal:2", "ordinal:3", "random2d", "random3d", "lattice", "matrix"]
+CASES = ["ordinal:1", "ordinal:2", "ordinal:3", "random2d", "random3d", "lattice", "matrix", "line", "offset_line"]
 SMALL_CASES = [c for c in CASES if c != "ordinal:3"]
 
 
@@ -389,6 +407,12 @@ def backend_space(name):
         g = np.arange(5) / 4.0
         coords = np.array([(x, y, z) for x in g for y in g for z in g])
         return SpaceInstance("lattice3d", EuclideanMetric(coords), resolution=1 / 8, family="euclidean")
+    if name == "subnormal_line":
+        # Gaps below 2^-511 square to subnormals, which round by up to a
+        # relative 2^-15: a distance can read up to 2^-16 below the gap.
+        gaps = np.random.default_rng(12).integers(1, 9, size=40) * 2.0**-530 * (1 + 2**-17)
+        coords = np.random.default_rng(13).permutation(np.cumsum(gaps))
+        return SpaceInstance("subnormal_line", EuclideanMetric(coords), resolution=2.0**-1022, family="euclidean")
     return cantor_instance(7) if name == "cantor" else case(name)[0]
 
 
@@ -467,6 +491,24 @@ class TestBallPairs:
         assert tied and not set(tied) & set(zip(rows.tolist(), cols.tolist()))
         assert (radii == 0).any() and not np.isin(rows, np.flatnonzero(radii == 0)).any()
 
+    @pytest.mark.parametrize("name", ["line", "offset_line", "subnormal_line"])
+    def test_line_radii(self, name):
+        # Per center: radius 0, -1 and inf, and every distinct distance to a
+        # target with the floats just below and above it.
+        space = backend_space(name)
+        targets = np.random.default_rng(3).permutation(space.n)[: space.n // 2]
+        centers, radii = [], []
+        for c in range(0, space.n, space.n // 4):
+            d = np.unique(space.metric.dist_rows(np.array([c]), targets))
+            r = np.r_[0.0, -1.0, np.inf, d, np.nextafter(d, -np.inf), np.nextafter(d, np.inf)]
+            centers += [c] * r.size
+            radii.append(r)
+        centers, radii = np.array(centers), np.concatenate(radii)
+        rows, cols, dist = (np.concatenate(parts) for parts in zip(*space.metric.ball_pairs(centers, radii, targets)))
+        assert list(zip(rows.tolist(), cols.tolist(), dist.tolist())) == scalar_ball_pairs(space, centers, radii, targets)
+        full = np.flatnonzero(np.isinf(radii))
+        assert np.array_equal(np.bincount(rows, minlength=radii.size)[full], np.full(full.size, targets.size))
+
 
 class TestNearestInSet:
     @pytest.mark.parametrize("name", SMALL_CASES + ["cantor:6", "cantor:8"])
@@ -542,7 +584,7 @@ def kd_lattice():
 class TestBallExtremes:
     """Queries differ from targets: some queries are not targets, some balls are empty."""
 
-    @pytest.mark.parametrize("name", ["lattice", "matrix", "random3d", "cantor:6", "cantor:8"])
+    @pytest.mark.parametrize("name", ["lattice", "matrix", "random3d", "cantor:6", "cantor:8", "line", "offset_line"])
     def test_matches_brute_force(self, name):
         space = case(name)[0]
         queries, radii, targets, fvals = extremes_inputs(space, 7, space.n // 3, min(space.n, 90))
@@ -569,7 +611,8 @@ def stacked_ball_extremes(space, queries, grid, targets, fvals):
 class TestGridExtremes:
     """One binned distance pass equals one ball_extremes call per radius."""
 
-    @pytest.mark.parametrize("name", ["matrix", "lattice", "random3d", "ordinal:2", "cantor:6", "cantor:8"])
+    @pytest.mark.parametrize("name", ["matrix", "lattice", "random3d", "ordinal:2", "cantor:6", "cantor:8",
+                                      "line", "offset_line"])
     def test_matches_stacked_ball_extremes(self, name):
         space = case(name)[0]
         queries, _radii, targets, fvals = extremes_inputs(space, 11, space.n // 3, min(space.n, 90))
