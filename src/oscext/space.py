@@ -161,12 +161,10 @@ class EuclideanMetric(Metric):
         self._diameter = None
 
     def dist(self, i: int, j: int) -> float:
-        d = self.coords[j] - self.coords[i]
-        return float(np.sqrt(np.einsum("k,k->", d, d)))  # the summation of dist_rows
+        return float(_euclidean(self.coords[i], self.coords[j]))
 
     def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        d = self.coords[cols][None, :, :] - self.coords[rows][:, None, :]
-        return np.sqrt(np.einsum("ijk,ijk->ij", d, d))
+        return _euclidean(self.coords[rows][:, None, :], self.coords[cols][None, :, :])
 
     def scales(self, m: np.ndarray):
         if m.size <= _KD_SCALE_MEMBERS:
@@ -175,15 +173,14 @@ class EuclideanMetric(Metric):
         ls, nn = np.empty(k), np.empty(k, dtype=np.int64)
         pts = self.coords[m]
         tree = cKDTree(pts)
-        # Candidates get the dist_rows formula's distances.  Query more while
+        # Candidates get the _euclidean distances.  Query more while
         # the farthest tree distance is within a relative 2^-40 of the nearest:
         # every tied neighbour must be seen for the smallest-id rule.
         rows = np.arange(k)
         kq = min(4, k)
         while rows.size:
             dkd, j = tree.query(pts[rows], k=kq, workers=-1)
-            diff = pts[j] - pts[rows][:, None, :]
-            d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            d = _euclidean(pts[rows][:, None, :], pts[j])
             d[j == rows[:, None]] = np.inf
             near = d.min(axis=1)
             tie = d == near[:, None]
@@ -219,8 +216,7 @@ class EuclideanMetric(Metric):
             rows = np.repeat(np.arange(lo, hi), counts)
             base = rows * t
             cols = np.sort(base + order[pos]) - base
-            diff = x[cols] - np.repeat(c, counts)
-            dist = np.sqrt(diff * diff)
+            dist = _euclidean(np.repeat(c, counts)[:, None], x[cols, None])
             keep = dist < np.repeat(radii[lo:hi], counts)
             yield rows[keep], cols[keep], dist[keep]
 
@@ -236,8 +232,7 @@ class EuclideanMetric(Metric):
         lengths = np.fromiter((len(l) for l in lists), dtype=np.int64, count=k)
         flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=lengths.sum())
         seg = np.repeat(np.arange(k), lengths)
-        diff = tcoords[flat] - qcoords[seg]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dist = _euclidean(qcoords[seg], tcoords[flat])
         keep = dist < radii[seg]  # kd queries are closed; re-filter strictly
         maxv = np.full(k, -np.inf)
         minv = np.full(k, np.inf)
@@ -256,9 +251,32 @@ class EuclideanMetric(Metric):
             else:
                 # Bounding-box diagonal: an upper bound, used only as the
                 # finite stand-in for "infinite" caps on large instances.
+                # Not a point distance, so not _euclidean, whose order would
+                # change its last ulp in dim 3 and up.
                 span = self.coords.max(axis=0) - self.coords.min(axis=0)
                 self._diameter = float(np.sqrt(np.sum(span**2)))
         return self._diameter
+
+
+def _euclidean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Euclidean distances between broadcast coordinate rows, coordinates on the last axis.
+
+    The one summation order of every Euclidean distance: the squared
+    coordinate differences add up in two lanes, the even coordinates in
+    order and the odd coordinates in order, then lane 0 + lane 1.  One
+    coordinate at a time, so no temporary has a coordinate axis.  An
+    overflowing difference or square is a silent inf.
+    """
+    lanes = []
+    with np.errstate(over="ignore"):
+        for k in range(p.shape[-1]):
+            sq = q[..., k] - p[..., k]
+            sq *= sq
+            if k < 2:
+                lanes.append(sq)
+            else:
+                lanes[k % 2] += sq
+        return np.sqrt(lanes[0] + lanes[1] if len(lanes) == 2 else lanes[0])
 
 
 class CantorMetric(Metric):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, PreconditionError, ValidationError
-from .space import ScalarField, SpaceInstance, SubsetMask, _row_chunks
+from .space import ScalarField, SpaceInstance, SubsetMask
 
 
 @dataclass
@@ -71,39 +71,42 @@ def cover_for_piece(space: SpaceInstance, Ybeta: SubsetMask, Ynext: SubsetMask,
     cap = space.diameter()
     if cap <= 0:
         cap = space.resolution
-    next_ids = Ynext.ids()
-    beta_ids = Ybeta.ids()
+    metric = space.metric
+    next_ids, beta_ids, piece_ids = Ynext.ids(), Ybeta.ids(), piece.ids()
     beta_vals = f.values[beta_ids]
-    piece_ids = piece.ids()
-    everything = np.arange(space.n)
-    radii = np.empty(piece_ids.size)
+    fy = f.values[piece_ids]
+    # min(d_next, d_bad): the distance to the next level (cap when it is
+    # empty), lowered to the nearest f-jump strictly inside it.  Where Ybeta
+    # holds no f-jump from f(y) at all, d_bad reads cap; |f - f(y)| is
+    # largest at the extremes of f.
+    d = metric.nearest(piece_ids, next_ids)[1] if next_ids.size else np.full(piece_ids.size, cap)
+    smooth = (np.abs(beta_vals.max() - fy) < epsilon) & (np.abs(beta_vals.min() - fy) < epsilon)
+    d[smooth] = np.minimum(d[smooth], cap)
+    near = d.copy()
+    for rows, cols, dist in metric.ball_pairs(piece_ids, d, beta_ids):
+        bad = np.abs(beta_vals[cols] - fy[rows]) >= epsilon
+        np.minimum.at(near, rows[bad], dist[bad])
+    radii = 0.5 * near
+    # Both defining conditions, and the carrier, from the balls' members.
+    meets_next, breaks_window = np.zeros((2, piece_ids.size), dtype=bool)
     carrier = np.zeros(space.n, dtype=bool)
-    for lo, hi in _row_chunks(piece_ids.size, space.n):
-        ys = piece_ids[lo:hi]
-        block = space.metric.dist_rows(ys, everything)
-        d_next = block[:, next_ids].min(axis=1) if next_ids.size else np.full(ys.size, cap)
-        bad = np.abs(beta_vals[None, :] - f.values[ys][:, None]) >= epsilon
-        d_bad = np.where(bad, block[:, beta_ids], np.inf).min(axis=1)
-        d_bad[~bad.any(axis=1)] = cap
-        r = 0.5 * np.minimum(d_next, d_bad)
-        inside = block < r[:, None]
-        no_radius = ~(r > 0)
-        meets_next = inside[:, next_ids].any(axis=1)
-        breaks_window = (inside[:, beta_ids] & bad).any(axis=1)
-        failing = np.flatnonzero(no_radius | meets_next | breaks_window)
-        if failing.size:
-            i = failing[0]
-            y = int(ys[i])
-            if no_radius[i]:
-                raise InvariantError(
-                    f"point {y} admits no positive cover radius; "
-                    "it should have been removed by the derivation step"
-                )
-            if meets_next[i]:
-                raise InvariantError(f"cover ball at {y} meets the next level")
-            raise InvariantError(f"cover ball at {y} breaks the epsilon window")
-        radii[lo:hi] = r
-        carrier |= inside.any(axis=0)
+    for rows, cols, _dist in metric.ball_pairs(piece_ids, radii, np.arange(space.n)):
+        carrier[cols] = True
+        meets_next[rows[Ynext.mask[cols]]] = True
+        breaks_window[rows[Ybeta.mask[cols] & (np.abs(f.values[cols] - fy[rows]) >= epsilon)]] = True
+    no_radius = ~(radii > 0)
+    failing = np.flatnonzero(no_radius | meets_next | breaks_window)
+    if failing.size:
+        i = failing[0]
+        y = int(piece_ids[i])
+        if no_radius[i]:
+            raise InvariantError(
+                f"point {y} admits no positive cover radius; "
+                "it should have been removed by the derivation step"
+            )
+        if meets_next[i]:
+            raise InvariantError(f"cover ball at {y} meets the next level")
+        raise InvariantError(f"cover ball at {y} breaks the epsilon window")
     elements = [(int(y), float(r)) for y, r in zip(piece_ids, radii)]
     return BallCover(space, elements, SubsetMask(space, carrier))
 
@@ -148,14 +151,11 @@ def blend(pou: PartitionOfUnity, anchor_values) -> ScalarField:
     out = np.zeros(n)
     amin = np.full(n, np.inf)
     amax = np.full(n, -np.inf)
-    # Supports hold at most n points, so a chunk's pairs fit the row budget.
-    for lo, hi in _row_chunks(len(pou.support_ids), n):
-        supports = pou.support_ids[lo:hi]
-        ids = np.concatenate(supports)
-        a = np.repeat(anchors[lo:hi], [s.size for s in supports])
-        np.add.at(out, ids, np.concatenate(pou.weights[lo:hi]) * a)
-        np.minimum.at(amin, ids, a)
-        np.maximum.at(amax, ids, a)
+    ids = np.concatenate(pou.support_ids)
+    a = np.repeat(anchors, [s.size for s in pou.support_ids])
+    np.add.at(out, ids, np.concatenate(pou.weights) * a)
+    np.minimum.at(amin, ids, a)
+    np.maximum.at(amax, ids, a)
     mask = pou.carrier.mask
     out[mask] = np.clip(out[mask], amin[mask], amax[mask])
     vals = np.where(mask, out, np.nan)

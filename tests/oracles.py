@@ -3,8 +3,11 @@
 These intentionally share no code with the package implementations: they
 read point distances via space.dist(i, j) and apply the definitions
 directly, so tests can compare the optimized paths against them.
+``o_euclidean`` is the Euclidean distance itself, from coordinates.
 Policies are passed as plain tuples ("fixed", delta) / ("adaptive", mult).
 """
+
+import math
 
 
 def o_local_scale(space, x, members):
@@ -117,3 +120,15 @@ def o_cantor_code(point, width):
     for j in range(1, width + 1):
         code = 2 * code + point.coordinate(j)
     return code
+
+
+def o_euclidean(p, q):
+    """Euclidean distance of two coordinate lists, summed in two lanes.
+
+    Lane 0 adds the squared differences of the even coordinates in order,
+    lane 1 those of the odd coordinates; the root is taken of lane 0 + lane 1.
+    """
+    lanes = [0.0, 0.0]
+    for k, (a, b) in enumerate(zip(p, q)):
+        lanes[k % 2] += (b - a) * (b - a)
+    return math.sqrt(lanes[0] + lanes[1])

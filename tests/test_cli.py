@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -463,6 +464,20 @@ class TestMalformedDocuments:
         assert code == 1
         assert out == ""
         assert err.startswith("validation error:")
+
+    @pytest.mark.parametrize("coords", [[0.0, 1e200], [[1e200, -1e200, 1e200], [-1e200, 1e200, 0.0]]],
+                             ids=["line", "space3d"])
+    @pytest.mark.parametrize("argv", [["validate"], ["extend", "--method", "limsup"]])
+    def test_overflowing_distance_is_silent(self, capsys, tmp_path, coords, argv):
+        # A squared difference past the double range is a silent inf: the
+        # validation message is all of stderr, and no warning is raised.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(two_point_doc(coords)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, "--instance", str(path))
+        assert (code, out, [str(w.message) for w in caught]) == (1, "", [])
+        assert err == "validation error: the diameter inf exceeds 2^1022\n"
 
     @pytest.mark.parametrize("fixture, family", [("ordinal_k1.json", "ordinal"),
                                                  ("sequence_space.json", "sequence")])

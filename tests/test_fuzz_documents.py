@@ -1,9 +1,9 @@
 """A document fuzzer: mutated fixtures through ``cli.main``.
 
 Bad input must end in exit 1 (validation) or 2 (precondition), never in a
-traceback or in exit 3, which is kept for implementation bugs.  Each example
-runs under an alarm, which catches documents that would make a command run
-away (the depth-bomb class).
+traceback, a warning or exit 3, which is kept for implementation bugs.
+Each example runs under an alarm, which catches documents that would make a
+command run away (the depth-bomb class).
 """
 
 import contextlib
@@ -11,6 +11,7 @@ import copy
 import io
 import json
 import signal
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -133,6 +134,9 @@ def test_mutated_documents_exit_cleanly(doc_path, data):
     doc_path.write_text(json.dumps(doc))
     argv = [*data.draw(st.sampled_from(COMMANDS), label="command"), "--instance", str(doc_path)]
     out, err = io.StringIO(), io.StringIO()
-    with _alarm(SECONDS_PER_EXAMPLE), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with (_alarm(SECONDS_PER_EXAMPLE), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("always")
         code = main(argv)
     assert code in (0, 1, 2), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]  # numpy warnings would print to stderr

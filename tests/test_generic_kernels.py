@@ -1,7 +1,8 @@
 """The generic backends' row-block kernels against the per-point loops they replaced.
 
 ``dist_rows`` must equal the scalar ``dist`` bit for bit on every backend,
-``ball`` must select exactly the brute-force open ball, and ``ball_pairs``
+every Euclidean kernel path must give ``oracles.o_euclidean``'s two-lane
+sums, ``ball`` must select exactly the brute-force open ball, and ``ball_pairs``
 must give the pairs of a scalar ``dist`` loop in its order.  The cover,
 partition, blend, nearest-point and generic layering kernels are checked
 against the per-point loops kept below as references, and ``grid_extremes``
@@ -28,7 +29,7 @@ from oscext.space import (_BLOCK_ELEMS, _KD_BALL_MEMBERS, EuclideanMetric, Matri
 from oscext.unity import BallCover, PartitionOfUnity, blend, cover_for_piece, partition
 
 from conftest import FIXTURES, prefix_codes, wide_space
-from oracles import o_ball
+from oracles import o_ball, o_euclidean
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +438,80 @@ class TestDistRows:
         assert identical(dists_among(space, m), scalar_block(space, m, m))
 
 
+def order_space(kind, dim):
+    """A small Euclidean space in ``dim`` dimensions on which the summation order shows.
+
+    ``cloud``: normal coordinates scaled by 2^-3 .. 2^3, so squared
+    differences of comparable size round differently in another order.
+    ``dyadic``: points of the 1/8 lattice, with many tied distances.
+    ``subnormal``: gaps below 2^-511, whose squares are subnormal.
+    """
+    if kind == "offset_line":
+        return case("offset_line")[0]
+    rng = np.random.default_rng(10 * dim + len(kind))
+    if kind == "cloud":
+        coords = rng.standard_normal((60, dim)) * 2.0 ** rng.integers(-3, 4, size=(60, dim))
+    else:
+        coords = np.unique(rng.integers(0, 16, size=(60, dim)), axis=0) / 8.0
+        if kind == "subnormal":
+            coords *= 2.0**-527 * (1 + 2**-17)
+    return SpaceInstance(f"{kind}{dim}", EuclideanMetric(coords), resolution=2.0**-1022, family="euclidean")
+
+
+ORDER_SPACES = [(kind, dim) for kind in ("cloud", "dyadic", "subnormal") for dim in range(1, 10)]
+ORDER_SPACES.append(("offset_line", 1))
+
+
+class TestEuclideanOrder:
+    """Every Euclidean distance is ``oracles.o_euclidean``'s two-lane sum, bit for bit.
+
+    Each kernel path is compared with the plain loop: the scalar ``dist``,
+    ``dist_rows``, the pairs of ``ball_pairs`` (runs in coordinate order on
+    the line), and the kd paths of ``scales`` and ``ball_extremes``, forced
+    onto these small spaces.
+    """
+
+    @pytest.fixture(params=ORDER_SPACES, ids=[f"{kind}{dim}" for kind, dim in ORDER_SPACES])
+    def spaced(self, request):
+        space = order_space(*request.param)
+        coords = space.metric.coords.tolist()
+        return space, np.array([[o_euclidean(p, q) for q in coords] for p in coords])
+
+    def test_dist_and_dist_rows(self, spaced):
+        space, want = spaced
+        everything = np.arange(space.n)
+        assert identical(space.metric.dist_rows(everything, everything), want)
+        assert identical(scalar_block(space, everything, everything), want)
+
+    def test_ball_pairs(self, spaced):
+        space, want = spaced
+        # Radii equal to distances: a tie at the radius is decided by the last bit.
+        centers = np.repeat(np.arange(space.n), 3)
+        radii = want[centers, np.random.default_rng(1).integers(0, space.n, size=centers.size)]
+        rows, cols, dist = (np.concatenate(parts) for parts in zip(*space.metric.ball_pairs(centers, radii,
+                                                                                          np.arange(space.n))))
+        inside = want[centers] < radii[:, None]
+        assert np.array_equal(rows, np.nonzero(inside)[0]) and np.array_equal(cols, np.nonzero(inside)[1])
+        assert identical(dist, want[centers][inside])
+
+    def test_kd_paths(self, monkeypatch, spaced):
+        space, want = spaced
+        monkeypatch.setattr(space_mod, "_KD_SCALE_MEMBERS", 0)
+        monkeypatch.setattr(space_mod, "_KD_BALL_MEMBERS", 0)
+        everything = np.arange(space.n)
+        others = np.where(np.eye(space.n, dtype=bool), np.inf, want)
+        ls, nn = space.metric.scales(everything)
+        assert identical(ls, others.min(axis=1))
+        assert identical(nn, np.argmin(others, axis=1))  # first minimum = smallest id
+        rng = np.random.default_rng(2)
+        radii = want[everything, rng.integers(0, space.n, size=space.n)]
+        fvals = rng.integers(0, 4, size=space.n) / 3.0
+        inside = want < radii[:, None]
+        got = space.metric.ball_extremes(everything, radii, everything, fvals)
+        assert all_identical(got, (np.where(inside, fvals, -np.inf).max(axis=1),
+                                   np.where(inside, fvals, np.inf).min(axis=1)))
+
+
 class TestBallMembership:
     @pytest.mark.parametrize("name", ["lattice", "matrix", "ordinal:2"])
     def test_row_below_radius_is_the_ball(self, name):
@@ -731,6 +806,39 @@ class TestCoverPartitionBlend:
             out = blend(pou, anchors)
             assert identical(out.values, reference_blend(ref, anchors).values)
             assert identical(out.domain.mask, got.carrier.mask)
+
+    @pytest.mark.parametrize("name", ["random2d", "lattice", "matrix", "line", "cantor:6"])
+    def test_cap_below_a_distance(self, monkeypatch, name):
+        # The bounding-box diameter of a large space may read an ulp below its
+        # farthest pair.  With a cap below many distances: a point with no
+        # f-jump in Ybeta has its distance to the next level capped, a point
+        # with one keeps it.
+        space, Y, f = case(name)
+        fY = f.restrict(Y)
+        monkeypatch.setattr(space, "diameter", lambda: space.metric.diameter() / 4)
+        for ynext in (space.mask_from_ids(Y.ids()[:1]), space.empty_mask()):
+            for epsilon in (0.5, 4.0):
+                got = cover_for_piece(space, Y, ynext, fY, epsilon)
+                want = reference_cover_for_piece(space, Y, ynext, fY, epsilon)
+                assert got.elements == want.elements
+                assert identical(got.carrier.mask, want.carrier.mask)
+
+    def test_bounding_box_cap_below_the_farthest_pair(self):
+        # Above _EXACT_DIAMETER_LIMIT points the diameter is the bounding-box
+        # diagonal, summed in another order: here it reads an ulp below the
+        # distance of the box's opposite corners, points 0 and 1.
+        corner = np.array([5.328, 5.227, 2.587])
+        inner = np.random.default_rng(3).uniform(0.1, 2.5, size=(space_mod._EXACT_DIAMETER_LIMIT - 1, 3))
+        coords = np.vstack([np.zeros(3), corner, inner])
+        space = SpaceInstance("box", EuclideanMetric(coords), resolution=2.0**-10, family="euclidean")
+        assert space.metric.dist(0, 1) > space.diameter()
+        ybeta = space.mask_from_ids(np.arange(8))
+        f = ScalarField.on_ids(space, np.arange(8), np.arange(8) // 4)
+        for epsilon in (0.5, 2.0):
+            got = cover_for_piece(space, ybeta, space.mask_from_ids([0]), f, epsilon)
+            want = reference_cover_for_piece(space, ybeta, space.mask_from_ids([0]), f, epsilon)
+            assert got.elements == want.elements
+            assert identical(got.carrier.mask, want.carrier.mask)
 
     def test_radius_failure_names_the_first_point(self):
         # Points 1 and 2 coincide but differ in f: neither admits a radius.
