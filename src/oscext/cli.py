@@ -95,6 +95,11 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _emit_json(args, obj):
+    """Emit ``obj`` as byte-stable JSON: sorted keys, two-space indent, final newline."""
+    _emit(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def _csv_text(header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -115,7 +120,7 @@ def cmd_validate(args):
         "fields": {k: v.domain.size for k, v in sorted(space.fields.items())},
         "triangle_check": space.metric.triangle_check,
     }
-    _emit(args, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    _emit_json(args, summary)
     return 0
 
 
@@ -132,8 +137,7 @@ def cmd_index(args):
             {"epsilon": e.epsilon, "index": e.index, "level_sizes": e.level_sizes}
             for e in profile.entries
         ]
-        _emit(args, json.dumps({"policy": policy.describe(), "entries": payload},
-                               sort_keys=True, indent=2) + "\n")
+        _emit_json(args, {"policy": policy.describe(), "entries": payload})
     else:
         _emit(args, _csv_text(["epsilon", "index", "level_sizes"], rows))
     return 0
@@ -167,8 +171,7 @@ def cmd_extend(args):
     fields = dict(space.fields)
     fields[f"F_{args.method}"] = report.field
     doc = space_to_document(space, space.subsets, fields)
-    payload = {"instance": doc, "report": report.to_dict()}
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit_json(args, {"instance": doc, "report": report.to_dict()})
     print(f"method={args.method} patch_magnitude={report.patch_magnitude!r} "
           f"assertion_log={'empty' if not report.assertion_log else report.assertion_log}",
           file=sys.stderr)
@@ -200,8 +203,7 @@ def cmd_compare(args):
     if args.timings:
         header.append("wall_ms")
     if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit_json(args, [dict(zip(header, row)) for row in rows])
     else:
         _emit(args, _csv_text(header, rows))
     widths = [max(len(str(r[i])) for r in [header] + rows) for i in range(len(header))]
@@ -248,7 +250,7 @@ def cmd_ex1(args):
                     rows.append([depth, method, repr(e["epsilon"]), label])
         _emit(args, _csv_text(["depth", "method", "epsilon", "index"], rows))
     else:
-        _emit(args, json.dumps(blocks, sort_keys=True, indent=2) + "\n")
+        _emit_json(args, blocks)
     return 0
 
 

@@ -329,6 +329,6 @@ def trace_to_dict(trace: DerivationTrace) -> dict:
         "kind": trace.kind,
         "epsilon": trace.epsilon,
         "policy": trace.policy.describe(),
-        "levels": [[int(i) for i in lvl.ids()] for lvl in trace.levels],
+        "levels": [lvl.ids().tolist() for lvl in trace.levels],
         "terminal": {"state": trace.terminal[0], "step": trace.terminal[1]},
     }

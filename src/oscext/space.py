@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import PreconditionError, ValidationError
 
@@ -37,10 +36,12 @@ _KD_BALL_MEMBERS = 3000
 class Metric:
     """The kernels every backend shares, read through ``dist_rows`` blocks.
 
-    A backend provides ``n``, ``kind``, the scalar ``dist`` and the block
-    ``dist_rows``, its only row method; it overrides a kernel here only
-    for a fast path.  Blocks are chunked by ``_row_chunks`` so their
-    temporaries stay within ``_BLOCK_ELEMS``.
+    A backend provides ``n``, ``kind``, the scalar ``dist``, the block
+    ``dist_rows``, its only row method, and ``diameter``, which is at least
+    every distance: the constructions' finite stand-in for an absent
+    constraint.  It overrides a kernel here only for a fast path.  Blocks
+    are chunked by ``_row_chunks`` so their temporaries stay within
+    ``_BLOCK_ELEMS``.
     """
 
     # How loading checks the triangle inequality; Euclidean and prefix
@@ -169,6 +170,8 @@ class EuclideanMetric(Metric):
     def scales(self, m: np.ndarray):
         if m.size <= _KD_SCALE_MEMBERS:
             return super().scales(m)
+        from scipy.spatial import cKDTree
+
         k = m.size
         ls, nn = np.empty(k), np.empty(k, dtype=np.int64)
         pts = self.coords[m]
@@ -224,6 +227,8 @@ class EuclideanMetric(Metric):
                       targets: np.ndarray, fvals: np.ndarray):
         if targets.size <= _KD_BALL_MEMBERS:
             return super().ball_extremes(queries, radii, targets, fvals)
+        from scipy.spatial import cKDTree
+
         k = queries.size
         qcoords = self.coords[queries]
         tcoords = self.coords[targets]
@@ -249,12 +254,8 @@ class EuclideanMetric(Metric):
                     for lo, hi in _row_chunks(self.n, self.n)
                 ), default=0.0)
             else:
-                # Bounding-box diagonal: an upper bound, used only as the
-                # finite stand-in for "infinite" caps on large instances.
-                # Not a point distance, so not _euclidean, whose order would
-                # change its last ulp in dim 3 and up.
-                span = self.coords.max(axis=0) - self.coords.min(axis=0)
-                self._diameter = float(np.sqrt(np.sum(span**2)))
+                # The box corners: _euclidean is monotone and |fl(y_k - x_k)| <= fl(hi_k - lo_k).
+                self._diameter = float(_euclidean(self.coords.min(axis=0), self.coords.max(axis=0)))
         return self._diameter
 
 
@@ -866,6 +867,8 @@ def _validate_distinct_points(coords: np.ndarray):
     """
     if coords.shape[0] < 2:
         return
+    from scipy.spatial import cKDTree
+
     d, j = cKDTree(coords).query(coords, k=2)
     i = int(np.argmin(d[:, 1]))
     if d[i, 1] == 0.0:
@@ -1004,12 +1007,8 @@ def load_space_file(path) -> SpaceInstance:
 
 def space_to_document(space: SpaceInstance, subsets=None, fields=None) -> dict:
     """Serialize back to the instance schema (metric emitted per backend)."""
-    points = []
-    for i in range(space.n):
-        p = {"id": i}
-        if space.labels is not None:
-            p["label"] = space.labels[i]
-        points.append(p)
+    labels = space.labels
+    points = [{"id": i} if labels is None else {"id": i, "label": labels[i]} for i in range(space.n)]
     metric = space.metric
     if metric.kind == "matrix":
         mdoc = {"type": "matrix", "data": metric.data.tolist()}
@@ -1027,12 +1026,12 @@ def space_to_document(space: SpaceInstance, subsets=None, fields=None) -> dict:
     subsets = subsets if subsets is not None else space.subsets
     fields = fields if fields is not None else space.fields
     if subsets:
-        doc["subsets"] = {name: [int(i) for i in m.ids()] for name, m in subsets.items()}
+        doc["subsets"] = {name: m.ids().tolist() for name, m in subsets.items()}
     if fields:
         doc["fields"] = {
             name: {
-                "domain": [int(i) for i in f.domain.ids()],
-                "values": [float(v) for v in f.values[f.domain.mask]],
+                "domain": f.domain.ids().tolist(),
+                "values": f.values[f.domain.mask].tolist(),
             }
             for name, f in fields.items()
         }

@@ -41,8 +41,8 @@ class PartitionOfUnity:
                 {
                     "center": int(c),
                     "radius": float(r),
-                    "support": [int(i) for i in ids],
-                    "weights": [float(w) for w in ws],
+                    "support": ids.tolist(),
+                    "weights": ws.tolist(),
                 }
                 for (c, r), ids, ws in zip(self.cover.elements, self.support_ids, self.weights)
             ]
@@ -76,12 +76,8 @@ def cover_for_piece(space: SpaceInstance, Ybeta: SubsetMask, Ynext: SubsetMask,
     beta_vals = f.values[beta_ids]
     fy = f.values[piece_ids]
     # min(d_next, d_bad): the distance to the next level (cap when it is
-    # empty), lowered to the nearest f-jump strictly inside it.  Where Ybeta
-    # holds no f-jump from f(y) at all, d_bad reads cap; |f - f(y)| is
-    # largest at the extremes of f.
+    # empty), lowered to the nearest f-jump strictly inside it.
     d = metric.nearest(piece_ids, next_ids)[1] if next_ids.size else np.full(piece_ids.size, cap)
-    smooth = (np.abs(beta_vals.max() - fy) < epsilon) & (np.abs(beta_vals.min() - fy) < epsilon)
-    d[smooth] = np.minimum(d[smooth], cap)
     near = d.copy()
     for rows, cols, dist in metric.ball_pairs(piece_ids, d, beta_ids):
         bad = np.abs(beta_vals[cols] - fy[rows]) >= epsilon

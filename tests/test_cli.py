@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscext
 from oscext.cli import main
 
 from conftest import FIXTURES
@@ -15,6 +20,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_loads_no_kd_tree():
+    # scipy.spatial is imported where a kd-tree is built, so starting the
+    # command line does not pay for it.
+    env = dict(os.environ, PYTHONPATH=str(Path(oscext.__file__).resolve().parents[1]))
+    check = "import sys, oscext.cli; sys.exit('scipy.spatial' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
 
 
 class TestValidate:

@@ -783,6 +783,29 @@ def level_pairs(space, Y, f, epsilon):
     return pairs + [(Y, space.mask_from_ids(some)), (Y, space.empty_mask())]
 
 
+BIG_CLOUDS = {f"cloud{dim}d_2^{e}": (dim, e) for dim in (1, 2, 3, 9) for e in (-20, 0, 20)}
+
+
+@functools.lru_cache(maxsize=None)
+def large_space(name):
+    """Spaces above ``_EXACT_DIAMETER_LIMIT`` points, where the diameter is the box corners' distance.
+
+    ``box``: 4097 points in 3-D, the box's corners at ids 0 and 1, whose
+    diagonal summed in another order than ``_euclidean``'s reads an ulp
+    below ``dist(0, 1)``.  ``cloudKd_2^E``: normal points in K dimensions
+    scaled by 2^E, with the box's corners at ids 0 and 1.
+    """
+    n = space_mod._EXACT_DIAMETER_LIMIT + 1
+    if name == "box":
+        inner = np.random.default_rng(3).uniform(0.1, 2.5, size=(n - 2, 3))
+        coords = np.vstack([np.zeros(3), [5.328, 5.227, 2.587], inner])
+    else:
+        dim, e = BIG_CLOUDS[name]
+        inner = np.random.default_rng(dim).standard_normal((n - 2, dim)) * 2.0**e
+        coords = np.vstack([inner.min(axis=0), inner.max(axis=0), inner])
+    return SpaceInstance(name, EuclideanMetric(coords), resolution=2.0**-1022, family="euclidean")
+
+
 class TestCoverPartitionBlend:
     @pytest.mark.parametrize("name", CASES + ["smooth2d"])
     @pytest.mark.parametrize("epsilon", [0.5, 2.0**-4])
@@ -807,31 +830,25 @@ class TestCoverPartitionBlend:
             assert identical(out.values, reference_blend(ref, anchors).values)
             assert identical(out.domain.mask, got.carrier.mask)
 
-    @pytest.mark.parametrize("name", ["random2d", "lattice", "matrix", "line", "cantor:6"])
-    def test_cap_below_a_distance(self, monkeypatch, name):
-        # The bounding-box diameter of a large space may read an ulp below its
-        # farthest pair.  With a cap below many distances: a point with no
-        # f-jump in Ybeta has its distance to the next level capped, a point
-        # with one keeps it.
-        space, Y, f = case(name)
-        fY = f.restrict(Y)
-        monkeypatch.setattr(space, "diameter", lambda: space.metric.diameter() / 4)
-        for ynext in (space.mask_from_ids(Y.ids()[:1]), space.empty_mask()):
-            for epsilon in (0.5, 4.0):
-                got = cover_for_piece(space, Y, ynext, fY, epsilon)
-                want = reference_cover_for_piece(space, Y, ynext, fY, epsilon)
-                assert got.elements == want.elements
-                assert identical(got.carrier.mask, want.carrier.mask)
+    @pytest.mark.parametrize("name", ["random2d", "lattice", "matrix", "line", "cantor:6", *BIG_CLOUDS, "box"])
+    def test_diameter_bounds_every_distance(self, name):
+        # The cover caps an absent constraint at the diameter, so it must be
+        # at least every distance.
+        space = large_space(name) if name in BIG_CLOUDS or name == "box" else case(name)[0]
+        everything = np.arange(space.n)
+        farthest = max(float(space.metric.dist_rows(everything[lo:hi], everything).max())
+                       for lo, hi in _row_chunks(space.n, space.n))
+        assert space.diameter() >= farthest
+        # Equal where the exact pass runs, for the matrix and prefix metrics,
+        # and above the pass wherever the box's corners are points.
+        assert space.diameter() == farthest
 
     def test_bounding_box_cap_below_the_farthest_pair(self):
-        # Above _EXACT_DIAMETER_LIMIT points the diameter is the bounding-box
-        # diagonal, summed in another order: here it reads an ulp below the
-        # distance of the box's opposite corners, points 0 and 1.
-        corner = np.array([5.328, 5.227, 2.587])
-        inner = np.random.default_rng(3).uniform(0.1, 2.5, size=(space_mod._EXACT_DIAMETER_LIMIT - 1, 3))
-        coords = np.vstack([np.zeros(3), corner, inner])
-        space = SpaceInstance("box", EuclideanMetric(coords), resolution=2.0**-10, family="euclidean")
-        assert space.metric.dist(0, 1) > space.diameter()
+        # Above _EXACT_DIAMETER_LIMIT points the diameter is the distance of
+        # the bounding box's corners, points 0 and 1 here; summed in another
+        # order than _euclidean's it read an ulp below dist(0, 1).
+        space = large_space("box")
+        assert space.diameter() >= space.metric.dist(0, 1)
         ybeta = space.mask_from_ids(np.arange(8))
         f = ScalarField.on_ids(space, np.arange(8), np.arange(8) // 4)
         for epsilon in (0.5, 2.0):
