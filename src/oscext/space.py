@@ -23,8 +23,8 @@ _EXACT_DIAMETER_LIMIT = 4096
 # Element budget of one distance block (rows x columns) in the chunked
 # row-block kernels; bounds their temporaries whatever the input size.
 _BLOCK_ELEMS = 1 << 16
-# Euclidean member sets above these sizes query a kd-tree instead of
-# distance row blocks: for local scales, and for ball extremes.
+# Euclidean kernels query a kd-tree instead of distance row blocks: nearest
+# points above _KD_SCALE_MEMBERS**2 queries x targets, ball extremes above _KD_BALL_MEMBERS targets.
 _KD_SCALE_MEMBERS = 2048
 _KD_BALL_MEMBERS = 3000
 
@@ -149,8 +149,8 @@ class MatrixMetric(Metric):
 
 
 class EuclideanMetric(Metric):
-    """Points in R^dim; large scale and ball-extreme queries go through a kd-tree, and
-    on the line (dim 1) open-ball pairs come from runs in coordinate order."""
+    """Points in R^dim; large nearest-point and ball-extreme queries go through a kd-tree.
+    On the line (dim 1) balls are runs in coordinate order, and the diameter is the two ends' distance."""
 
     kind = "euclidean"
 
@@ -167,33 +167,34 @@ class EuclideanMetric(Metric):
     def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return _euclidean(self.coords[rows][:, None, :], self.coords[cols][None, :, :])
 
-    def scales(self, m: np.ndarray):
-        if m.size <= _KD_SCALE_MEMBERS:
-            return super().scales(m)
+    def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
+        if queries.size * tids.size <= _KD_SCALE_MEMBERS**2:
+            return super()._nearest_other(queries, tids)
         from scipy.spatial import cKDTree
 
-        k = m.size
-        ls, nn = np.empty(k), np.empty(k, dtype=np.int64)
-        pts = self.coords[m]
+        k = tids.size
+        dist, ids = np.empty(queries.size), np.empty(queries.size, dtype=np.int64)
+        qpts, pts = self.coords[queries], self.coords[tids]
         tree = cKDTree(pts)
         # Candidates get the _euclidean distances.  Query more while
         # the farthest tree distance is within a relative 2^-40 of the nearest:
         # every tied neighbour must be seen for the smallest-id rule.
-        rows = np.arange(k)
+        rows = np.arange(queries.size)
         kq = min(4, k)
         while rows.size:
-            dkd, j = tree.query(pts[rows], k=kq, workers=-1)
-            d = _euclidean(pts[rows][:, None, :], pts[j])
-            d[j == rows[:, None]] = np.inf
+            dkd, j = tree.query(qpts[rows], k=kq, workers=-1)
+            dkd, j = dkd.reshape(rows.size, kq), j.reshape(rows.size, kq)  # k = 1 gives 1-D arrays
+            d = _euclidean(qpts[rows][:, None, :], pts[j])
+            d[tids[j] == queries[rows, None]] = np.inf
             near = d.min(axis=1)
             tie = d == near[:, None]
-            ls[rows] = near
-            nn[rows] = np.where(tie, m[j], np.iinfo(np.int64).max).min(axis=1)
+            dist[rows] = near
+            ids[rows] = np.where(tie, tids[j], np.iinfo(np.int64).max).min(axis=1)
             if kq == k:
                 break
             rows = rows[dkd[:, -1] <= near * (1 + 2**-40)]
             kq = min(2 * kq, k)
-        return ls, nn
+        return dist, ids
 
     def ball_pairs(self, centers: np.ndarray, radii: np.ndarray, targets: np.ndarray):
         if self.coords.shape[1] != 1:
@@ -247,14 +248,14 @@ class EuclideanMetric(Metric):
 
     def diameter(self) -> float:
         if self._diameter is None:
-            if self.n <= _EXACT_DIAMETER_LIMIT:
+            if self.n <= _EXACT_DIAMETER_LIMIT and self.coords.shape[1] > 1:
                 everything = np.arange(self.n)
                 self._diameter = max((
                     float(self.dist_rows(everything[lo:hi], everything).max())
                     for lo, hi in _row_chunks(self.n, self.n)
                 ), default=0.0)
             else:
-                # The box corners: _euclidean is monotone and |fl(y_k - x_k)| <= fl(hi_k - lo_k).
+                # The box corners, on the line its ends: _euclidean is monotone and |fl(y_k - x_k)| <= fl(hi_k - lo_k).
                 self._diameter = float(_euclidean(self.coords.min(axis=0), self.coords.max(axis=0)))
         return self._diameter
 

@@ -13,6 +13,7 @@ dtype and NaNs included.
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from oscext.extend import (LayerState, _GenericSupports, _layered, limsup_extens
 from oscext import space as space_mod
 from oscext.instances import cantor_instance, random_instance
 from oscext.space import (_BLOCK_ELEMS, _KD_BALL_MEMBERS, EuclideanMetric, MatrixMetric, SubsetMask, _row_chunks,
-                          ball, cb_filtration, dists_among, load_space_file, local_scales)
+                          ball, cb_filtration, dists_among, load_space_file, local_scale, local_scales)
 from oscext.unity import BallCover, PartitionOfUnity, blend, cover_for_piece, partition
 
 from conftest import FIXTURES, prefix_codes, wide_space
@@ -414,6 +415,12 @@ def backend_space(name):
         gaps = np.random.default_rng(12).integers(1, 9, size=40) * 2.0**-530 * (1 + 2**-17)
         coords = np.random.default_rng(13).permutation(np.cumsum(gaps))
         return SpaceInstance("subnormal_line", EuclideanMetric(coords), resolution=2.0**-1022, family="euclidean")
+    if name == "long_line":
+        # _EXACT_DIAMETER_LIMIT points on the 2^-12 grid of 2^40, tied gaps, shuffled.
+        rng = np.random.default_rng(14)
+        gaps = rng.choice([1, 2, 3, 4096], size=space_mod._EXACT_DIAMETER_LIMIT) * 2.0**-12
+        coords = rng.permutation(2.0**40 + np.cumsum(gaps))
+        return SpaceInstance("long_line", EuclideanMetric(coords), resolution=2.0**-12, family="euclidean")
     return cantor_instance(7) if name == "cantor" else case(name)[0]
 
 
@@ -619,6 +626,72 @@ class TestNearestInSet:
         got_id, _d = nearest_in_set(space, target)
         want_id, _ = reference_nearest_in_set(space, target)
         assert np.array_equal(got_id, want_id)
+
+
+def kernel_space(name):
+    """A Euclidean input of the nearest-point kernel.
+
+    ``cloudK``: 300 uniform points in K dimensions.  ``lattice``: the
+    tie-heavy dyadic lattice.  ``offset``: a 2-D normal cloud moved by
+    2^40, so its coordinates keep only 12 or 13 fractional bits.
+    """
+    if name == "lattice":
+        return case("lattice")[0]
+    if name == "offset":
+        coords = 2.0**40 + np.random.default_rng(8).standard_normal((300, 2))
+    else:
+        dim = int(name[len("cloud"):])
+        coords = np.random.default_rng(dim).uniform(size=(300, dim))
+    return SpaceInstance(name, EuclideanMetric(coords), resolution=2.0**-1022, family="euclidean")
+
+
+class TestNearestKernel:
+    """The Euclidean kd path of ``_nearest_other`` against its dense row blocks, bit for bit."""
+
+    @staticmethod
+    def calls(space, queries, targets):
+        """``nearest``, ``scales`` and ``local_scale`` on one query and target set."""
+        within = space.mask_from_ids(targets)
+        local = [local_scale(space, int(x), within) for x in targets[:25]]
+        return (*space.metric.nearest(queries, targets), *space.metric.scales(targets),
+                *space.metric.scales(queries), np.array(local))
+
+    @pytest.mark.parametrize("name", ["cloud1", "cloud2", "cloud3", "cloud9", "lattice", "offset"])
+    @pytest.mark.parametrize("sets", ["disjoint", "overlapping", "equal", "single_target"])
+    def test_kd_path_matches_dense(self, monkeypatch, name, sets):
+        space = kernel_space(name)
+        perm = np.random.default_rng(len(name)).permutation(space.n)
+        queries, targets = {
+            "disjoint": (perm[:100], perm[100:]),
+            "overlapping": (perm[:150], perm[100:]),
+            "equal": (perm[:200], perm[:200]),
+            "single_target": (perm[:60], perm[60:61]),
+        }[sets]
+        from scipy.spatial import cKDTree
+
+        built = []  # the size of each tree the kd path builds
+        monkeypatch.setattr("scipy.spatial.cKDTree", lambda pts: built.append(len(pts)) or cKDTree(pts))
+        monkeypatch.setattr(space_mod, "_KD_SCALE_MEMBERS", 10**9)
+        want = self.calls(space, queries, targets)
+        assert not built
+        monkeypatch.setattr(space_mod, "_KD_SCALE_MEMBERS", 0)
+        got = self.calls(space, queries, targets)
+        assert built and (sets != "single_target" or 1 in built)
+        assert all_identical(got, want)
+
+    def test_single_target_stays_one_column(self, monkeypatch):
+        # cKDTree.query gives 1-D arrays for k = 1.  Broadcast as they come,
+        # they would still give the right answers, from a queries^2 block.
+        space = random_instance(7, 3000, 2)
+        monkeypatch.setattr(space_mod, "_KD_SCALE_MEMBERS", 0)
+        tracemalloc.start()
+        try:
+            ids, _dist = space.metric.nearest(np.arange(1, space.n), np.array([0]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ids, np.zeros(space.n - 1, dtype=np.int64))
+        assert peak < 8 * space.n**2 / 10
 
 
 def brute_ball_extremes(space, queries, radii, targets, fvals):
@@ -830,17 +903,19 @@ class TestCoverPartitionBlend:
             assert identical(out.values, reference_blend(ref, anchors).values)
             assert identical(out.domain.mask, got.carrier.mask)
 
-    @pytest.mark.parametrize("name", ["random2d", "lattice", "matrix", "line", "cantor:6", *BIG_CLOUDS, "box"])
+    @pytest.mark.parametrize("name", ["random2d", "lattice", "matrix", "line", "offset_line", "subnormal_line",
+                                      "long_line", "cantor:6", *BIG_CLOUDS, "box"])
     def test_diameter_bounds_every_distance(self, name):
         # The cover caps an absent constraint at the diameter, so it must be
         # at least every distance.
-        space = large_space(name) if name in BIG_CLOUDS or name == "box" else case(name)[0]
+        space = large_space(name) if name in BIG_CLOUDS or name == "box" else backend_space(name)
         everything = np.arange(space.n)
         farthest = max(float(space.metric.dist_rows(everything[lo:hi], everything).max())
                        for lo, hi in _row_chunks(space.n, space.n))
         assert space.diameter() >= farthest
         # Equal where the exact pass runs, for the matrix and prefix metrics,
-        # and above the pass wherever the box's corners are points.
+        # on lines of any size, whose two ends are the farthest pair, and
+        # above the pass wherever the box's corners are points.
         assert space.diameter() == farthest
 
     def test_bounding_box_cap_below_the_farthest_pair(self):
