@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .space import ScalarField, SubsetMask, ball
+from .space import ScalarField, SubsetMask, _descend, ball
 
 
 # ---------------------------------------------------------------------------
@@ -143,24 +143,7 @@ def iterate(kind: str, f: ScalarField, epsilon: float, P: SubsetMask, policy,
         max_steps = P.size + 1
     if max_steps < 1:
         raise ValidationError("max_steps must be >= 1")
-    if P.is_empty():
-        return DerivationTrace(kind, epsilon, policy, [P], ("emptied", 0))
-    step = _STEPS[kind]
-    levels = [P]
-    current = P
-    terminal = None
-    for n in range(max_steps):
-        nxt = step(f, epsilon, current, policy)
-        if nxt == current:
-            terminal = ("saturated", n)
-            break
-        levels.append(nxt)
-        current = nxt
-        if nxt.is_empty():
-            terminal = ("emptied", n + 1)
-            break
-    if terminal is None:
-        terminal = ("truncated", len(levels) - 1)
+    levels, terminal = _descend(P, lambda level: _STEPS[kind](f, epsilon, level, policy), max_steps)
     return DerivationTrace(kind, epsilon, policy, levels, terminal)
 
 

@@ -48,7 +48,7 @@ class ExtensionReport:
     prepatch: ScalarField | None
     restriction_error: float  # exact max |F - f| on Y after patching (0)
     patch_magnitude: float  # max overwrite applied on Y
-    diagnostics: dict = dc_field(default_factory=dict)
+    diagnostics: dict = dc_field(default_factory=dict)  # plain Python values, emitted as they are
     assertion_log: list = dc_field(default_factory=list)
 
     def to_dict(self):
@@ -56,23 +56,9 @@ class ExtensionReport:
             "method": self.method,
             "restriction_error": self.restriction_error,
             "patch_magnitude": self.patch_magnitude,
-            "diagnostics": _plain(self.diagnostics),
+            "diagnostics": self.diagnostics,
             "assertion_log": list(self.assertion_log),
         }
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _check_subset_field(Y: SubsetMask, f: ScalarField):

@@ -622,6 +622,10 @@ class FixedScale:
     def radii(self, space: SpaceInstance, members: np.ndarray) -> np.ndarray:
         return np.full(members.size, self.delta)
 
+    def survivors(self, members, ls, nn):
+        """Members with another member strictly within delta, as in delta_limit_points."""
+        return members[(ls > 0) & (ls < self.delta)]
+
     def describe(self) -> str:
         return f"fixed:{self.delta}"
 
@@ -639,6 +643,20 @@ class AdaptiveScale:
     def radii(self, space: SpaceInstance, members: np.ndarray) -> np.ndarray:
         ls, _ = local_scales(space, members)
         return self.multiplier * ls
+
+    def survivors(self, members, ls, nn):
+        """Members whose nearest neighbour lives at a strictly finer scale.
+
+        x survives when its nearest neighbour y satisfies
+        multiplier * local_scale(y) < d(x, y): y's own adaptive ball has moved
+        on past x, so structure keeps refining towards x.  Companion points at
+        comparable scale eliminate each other, which makes the iteration
+        strictly decreasing.  ``ls`` and ``nn`` are local_scales of members.
+        """
+        if members.size < 2:
+            return members[:0]
+        nn_ls = ls[np.searchsorted(members, nn)]  # members are sorted ids
+        return members[self.multiplier * nn_ls < ls]
 
     def describe(self) -> str:
         return f"adaptive:{self.multiplier}"
@@ -756,62 +774,58 @@ class ScatteredDecomposition:
         return int(self.ranks[i])
 
 
-def _adaptive_survivors(members, ls, nn, multiplier):
-    """Members whose nearest neighbour lives at a strictly finer scale.
+def _descend(start: SubsetMask, step, max_steps: int):
+    """Apply ``step`` from ``start`` until a level empties or repeats, or ``max_steps`` steps ran.
 
-    x survives when its nearest neighbour y satisfies
-    multiplier * local_scale(y) < d(x, y): y's own adaptive ball has moved
-    on past x, so structure keeps refining towards x.  Companion points at
-    comparable scale eliminate each other, which makes the iteration
-    strictly decreasing.  ``ls`` and ``nn`` are local_scales of members.
+    Returns the levels, down to the empty one when a level empties, and the
+    terminal: ("emptied", n) with levels[n] empty, ("saturated", n) when
+    step(levels[n]) == levels[n], or ("truncated", n) after max_steps steps.
     """
-    if members.size < 2:
-        return members[:0]
-    nn_ls = ls[np.searchsorted(members, nn)]  # members are sorted ids
-    keep = multiplier * nn_ls < ls
-    return members[keep]
+    levels = [start]
+    while not levels[-1].is_empty():
+        n = len(levels) - 1
+        if n == max_steps:
+            return levels, ("truncated", n)
+        nxt = step(levels[-1])
+        if nxt == levels[-1]:
+            return levels, ("saturated", n)
+        levels.append(nxt)
+    return levels, ("emptied", len(levels) - 1)
 
 
 def cb_filtration(space: SpaceInstance, A: SubsetMask, policy) -> ScatteredDecomposition:
     """Iterate the derived-set surrogate until empty or a fixed point.
 
-    Fixed policy: keep points with another member strictly within delta.
-    Adaptive policy: keep points whose nearest neighbour is strictly finer
-    scaled (see _adaptive_survivors); this recovers the ranks of the shipped
-    truncated-convergence fixtures where a fixed radius saturates.
+    Each level keeps the survivors of ``policy.survivors``.  Fixed policy:
+    points with another member strictly within delta.  Adaptive policy:
+    points whose nearest neighbour is strictly finer scaled; this recovers
+    the ranks of the shipped truncated-convergence fixtures where a fixed
+    radius saturates.  A point of level k missing from level k + 1 gets
+    rank k and its scale in level k as isolation radius (inf where 0).
     """
     if A.is_empty():
         raise PreconditionError("cb_filtration requires a nonempty starting set")
+    scales = []  # local_scales of each level's members
+
+    def step(level):
+        members = level.ids()
+        ls, nn = local_scales(space, members)
+        scales.append(ls)
+        return space.mask_from_ids(policy.survivors(members, ls, nn))
+
+    # Every step removes a point, so A.size steps always empty or saturate.
+    levels, terminal = _descend(A, step, A.size)
     ranks = np.full(space.n, -1, dtype=np.int64)
     iso = np.full(space.n, np.nan)
-    levels = [A]
-    current = A
-    terminal = None
-    for step in range(space.n + 1):
-        members = current.ids()
-        ls, nn = local_scales(space, members)
-        if step == 0:
-            first_scales = ls
-        if isinstance(policy, FixedScale):
-            nxt_ids = members[(ls > 0) & (ls < policy.delta)]  # as in delta_limit_points
-        else:
-            nxt_ids = _adaptive_survivors(members, ls, nn, policy.multiplier)
-        nxt = space.mask_from_ids(nxt_ids)
-        if nxt == current:
-            terminal = ("saturated", step)
-            break
-        dropped = np.setdiff1d(members, nxt_ids, assume_unique=True)
-        d = ls[np.searchsorted(members, dropped)]
-        ranks[dropped] = step
-        iso[dropped] = np.where(d > 0, d, np.inf)
-        if nxt.is_empty():
-            terminal = ("emptied", step + 1)
-            break
-        levels.append(nxt)
-        current = nxt
-    if terminal is None:  # strictly decreasing loop must have ended already
-        terminal = ("saturated", len(levels) - 1)
-    return ScatteredDecomposition(space, levels, ranks, iso, terminal, first_scales)
+    for k, (level, nxt) in enumerate(zip(levels, levels[1:])):
+        members = level.ids()
+        gone = ~nxt.mask[members]
+        d = scales[k][gone]
+        ranks[members[gone]] = k
+        iso[members[gone]] = np.where(d > 0, d, np.inf)
+    if terminal[0] == "emptied":
+        levels.pop()
+    return ScatteredDecomposition(space, levels, ranks, iso, terminal, scales[0])
 
 
 # ---------------------------------------------------------------------------
@@ -857,25 +871,23 @@ def _validate_matrix(metric: MatrixMetric):
             raise ValidationError(f"triangle inequality fails for sampled triple ({j},{i},{k})")
 
 
-def _validate_distinct_points(coords: np.ndarray):
+def _validate_distinct_points(metric: EuclideanMetric):
     """Distinct points must sit at positive distance.
 
     A distance is 0.0 exactly when every squared coordinate difference is
     0.0, whatever the summation order: equal rows (``==`` also equates -0.0
-    and 0.0), or differences that underflow when squared.  So each point's
-    nearest other point from the kd-tree finds any such pair.  A positive
-    distance is at least sqrt(2^-1074) > 2^-1022.
+    and 0.0), or differences that underflow when squared.  So a zero
+    nearest-point scale marks such a pair; the smallest id with one is
+    named with its nearest neighbour.  A positive distance is at least
+    sqrt(2^-1074) > 2^-1022.
     """
-    if coords.shape[0] < 2:
+    if metric.n < 2:
         return
-    from scipy.spatial import cKDTree
-
-    d, j = cKDTree(coords).query(coords, k=2)
-    i = int(np.argmin(d[:, 1]))
-    if d[i, 1] == 0.0:
-        other = int(j[i, 0] if j[i, 0] != i else j[i, 1])
-        a, b = sorted((i, other))
-        if np.array_equal(coords[a], coords[b]):
+    ls, nn = metric.scales(np.arange(metric.n))
+    a = int(np.argmin(ls))
+    if ls[a] == 0.0:
+        b = int(nn[a])
+        if np.array_equal(metric.coords[a], metric.coords[b]):
             raise ValidationError(f"points {a} and {b} have equal coordinates")
         raise ValidationError(f"points {a} and {b} are at distance 0.0: "
                               "their coordinate differences underflow when squared")
@@ -943,7 +955,7 @@ def load_space(doc: dict) -> SpaceInstance:
         _require(coords.size > 0, "coordinates need at least one dimension")
         _require(np.all(np.isfinite(coords)), "coordinates must be finite")
         metric = EuclideanMetric(coords)
-        _validate_distinct_points(metric.coords)
+        _validate_distinct_points(metric)
     elif mtype == "cantor":
         depth = spec.get("depth")
         _require(isinstance(depth, int), "cantor depth must be an integer")

@@ -22,12 +22,23 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def _loads_kd_tree(code):
+    """Whether running ``code`` in a fresh interpreter imports scipy.spatial."""
+    env = dict(os.environ, PYTHONPATH=str(Path(oscext.__file__).resolve().parents[1]))
+    check = f"import sys, oscext.cli\n{code}\nsys.exit('scipy.spatial' in sys.modules)"
+    return subprocess.run([sys.executable, "-c", check], env=env, stdout=subprocess.DEVNULL).returncode != 0
+
+
 def test_import_loads_no_kd_tree():
     # scipy.spatial is imported where a kd-tree is built, so starting the
     # command line does not pay for it.
-    env = dict(os.environ, PYTHONPATH=str(Path(oscext.__file__).resolve().parents[1]))
-    check = "import sys, oscext.cli; sys.exit('scipy.spatial' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+    assert not _loads_kd_tree("")
+
+
+def test_small_euclidean_document_loads_no_kd_tree():
+    # Up to 2048 points the coincident-point check reads dense blocks.
+    instance = str(FIXTURES / "ordinal_k1.json")
+    assert not _loads_kd_tree(f"oscext.cli.main(['validate', '--instance', {instance!r}])")
 
 
 class TestValidate:

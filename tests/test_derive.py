@@ -175,7 +175,17 @@ class TestIterate:
     def test_truncation(self, rand60):
         f = random_field(rand60, 8)
         tr = iterate("pair", f, 0.05, rand60.full_mask(), AdaptiveScale(3.0), max_steps=1)
-        assert tr.terminal[0] in ("saturated", "truncated", "emptied")
+        # A fixed point inside the step budget is a saturation, not a truncation.
+        assert tr.terminal == ("saturated", 0)
+        assert tr.level_sizes() == [60]
+
+    def test_saturation_and_truncation_at_step_one(self, seq10, seq_indicator):
+        tr = iterate("pair", seq_indicator, 0.5, seq10.full_mask(), AdaptiveScale(3.0))
+        assert tr.terminal == ("saturated", 1)
+        assert tr.level_sizes() == [11, 2]
+        tr = iterate("pair", seq_indicator, 0.5, seq10.full_mask(), AdaptiveScale(3.0), max_steps=1)
+        assert tr.terminal == ("truncated", 1)
+        assert tr.level_sizes() == [11, 2]
 
     def test_empty_start_is_emptied_at_zero(self, seq10):
         f = ScalarField.constant(seq10.full_mask(), 1.0)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from oscext import (
     scattered_extension,
     visibility_components,
 )
+from oscext.cli import _field_and_subset, _policy_for, _run_method, build_parser
 from oscext.errors import InvariantError, PreconditionError, ValidationError
 from oscext.instances import cantor_point_id, generate_from_spec, ordinal_instance, scaled_position_field
 
@@ -352,6 +355,33 @@ class TestRestrictionIdentityEverywhere:
         a = layered_extension(cantor6, cantor6.subsets["Y"], f)
         b = layered_extension(cantor6, cantor6.subsets["Y"], f)
         assert np.array_equal(a.field.values, b.field.values)
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from _leaves(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
+class TestReportDict:
+    @pytest.mark.parametrize("spec, method", [
+        *[("ordinal:2", m) for m in ("glue", "iterated", "layered", "limsup", "retract", "scattered")],
+        *[("cantor:6", m) for m in ("layered", "limsup", "scattered")],
+    ])
+    def test_to_dict_is_plain_json(self, spec, method):
+        # to_dict hands the diagnostics out as built: every construction
+        # builds them from Python scalars, strings and lists.
+        args = build_parser().parse_args(["extend", "--generate", spec, "--method", method])
+        space = generate_from_spec(spec)
+        f, Y = _field_and_subset(space, args)
+        d = _run_method(method, space, Y, f, _policy_for(space, args), args).to_dict()
+        assert json.loads(json.dumps(d)) == d
+        assert not [leaf for leaf in _leaves(d) if isinstance(leaf, (np.generic, np.ndarray))]
 
 
 class TestLimsupRegression:

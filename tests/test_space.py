@@ -37,7 +37,22 @@ def make_doc(matrix, resolution=0.5):
     }
 
 
+def coincident_doc(n, same):
+    # Uniform points in the unit square with the ids in ``same`` moved onto the first.
+    pts = np.random.default_rng(3).uniform(size=(n, 2))
+    pts[list(same)] = pts[same[0]]
+    return {"name": "coincident", "resolution": 2.0**-40, "points": [{"id": i} for i in range(n)],
+            "metric": {"type": "euclidean", "coords": pts.tolist()}}
+
+
 class TestLoadSpace:
+    @pytest.mark.parametrize("n, same", [(50, (17, 25, 40)), (5000, (17, 2500, 4000))])
+    def test_coincident_points_name_the_smallest_pair(self, n, same):
+        # Dense blocks up to 2048 points, the kd search above: both name the
+        # smallest id at distance 0 and its smallest partner.
+        with pytest.raises(ValidationError, match=f"points {same[0]} and {same[1]} have equal coordinates"):
+            load_space(coincident_doc(n, same))
+
     def test_valid_three_point_space(self):
         space = load_space(make_doc([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
         assert space.n == 3
@@ -306,6 +321,21 @@ class TestCbFiltration:
     def test_requires_nonempty(self, seq10):
         with pytest.raises(PreconditionError):
             cb_filtration(seq10, seq10.empty_mask(), FixedScale(0.5))
+
+    def test_saturated_at_start(self):
+        space = tiny_matrix_space([[0, 1], [1, 0]])
+        dec = cb_filtration(space, space.full_mask(), FixedScale(2.0))
+        assert dec.terminal == ("saturated", 0) and len(dec.filtration) == 1
+        assert dec.ranks.tolist() == [-1, -1]
+        assert np.isnan(dec.iso_radius).all()
+
+    def test_saturated_after_one_step(self):
+        space = tiny_matrix_space([[0, 1, 4], [1, 0, 4], [4, 4, 0]])
+        dec = cb_filtration(space, space.full_mask(), FixedScale(2.0))
+        assert dec.terminal == ("saturated", 1)
+        assert [l.ids().tolist() for l in dec.filtration] == [[0, 1, 2], [0, 1]]
+        assert dec.ranks.tolist() == [-1, -1, 0]
+        assert dec.iso_radius[2] == 4
 
     def test_fixed_terminates_within_size(self, rand60):
         dec = cb_filtration(rand60, rand60.full_mask(), FixedScale(0.1))
