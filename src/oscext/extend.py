@@ -56,7 +56,7 @@ class ExtensionReport:
             "method": self.method,
             "restriction_error": self.restriction_error,
             "patch_magnitude": self.patch_magnitude,
-            "diagnostics": self.diagnostics,
+            "diagnostics": dict(self.diagnostics),
             "assertion_log": list(self.assertion_log),
         }
 
@@ -143,7 +143,7 @@ def glue_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
         raise InvariantError(f"pre-patch error {pre_err} on Y exceeds epsilon={epsilon}")
     diagnostics = {
         "alpha": alpha,
-        "epsilon": epsilon,
+        "epsilon": float(epsilon),
         "policy": policy.describe(),
         "piece_sizes": piece_sizes,
         "norm_f": norm_f,
@@ -209,7 +209,7 @@ def iterated_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
             residual_norms += [0.0] * (rounds - nround)
             break
     diagnostics = {
-        "rounds": rounds,
+        "rounds": int(rounds),
         "policy": policy.describe(),
         "residual_norms": residual_norms,
     }

@@ -65,8 +65,9 @@ class Metric:
     def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
         """Per query: (distance, id) of the nearest target other than itself.
 
-        Ties go to the smallest id.  Every query must have a target other
-        than itself.
+        Ties go to the smallest id; at distance 0, which only coincident
+        points under validation reach, a backend may name any of them.
+        Every query must have a target other than itself.
         """
         t = np.sort(tids)
         ids = np.empty(queries.size, dtype=np.int64)
@@ -178,7 +179,9 @@ class EuclideanMetric(Metric):
         tree = cKDTree(pts)
         # Candidates get the _euclidean distances.  Query more while
         # the farthest tree distance is within a relative 2^-40 of the nearest:
-        # every tied neighbour must be seen for the smallest-id rule.
+        # every tied neighbour must be seen for the smallest-id rule.  A row at
+        # distance 0 stops after one query, so the cost does not grow with the
+        # number of coincident points; its id is the smallest one seen.
         rows = np.arange(queries.size)
         kq = min(4, k)
         while rows.size:
@@ -192,7 +195,7 @@ class EuclideanMetric(Metric):
             ids[rows] = np.where(tie, tids[j], np.iinfo(np.int64).max).min(axis=1)
             if kq == k:
                 break
-            rows = rows[dkd[:, -1] <= near * (1 + 2**-40)]
+            rows = rows[(near > 0) & (dkd[:, -1] <= near * (1 + 2**-40))]
             kq = min(2 * kq, k)
         return dist, ids
 
@@ -878,15 +881,18 @@ def _validate_distinct_points(metric: EuclideanMetric):
     0.0, whatever the summation order: equal rows (``==`` also equates -0.0
     and 0.0), or differences that underflow when squared.  So a zero
     nearest-point scale marks such a pair; the smallest id with one is
-    named with its nearest neighbour.  A positive distance is at least
-    sqrt(2^-1074) > 2^-1022.
+    named with the smallest id at distance 0 from it, read from one
+    distance row.  A positive distance is at least sqrt(2^-1074) > 2^-1022.
     """
     if metric.n < 2:
         return
-    ls, nn = metric.scales(np.arange(metric.n))
-    a = int(np.argmin(ls))
-    if ls[a] == 0.0:
-        b = int(nn[a])
+    ids = np.arange(metric.n)
+    zero = np.flatnonzero(metric.scales(ids)[0] == 0.0)
+    if zero.size:
+        a = int(zero[0])
+        row = metric.dist_rows(zero[:1], ids)[0]
+        row[a] = np.inf
+        b = int(np.argmin(row))
         if np.array_equal(metric.coords[a], metric.coords[b]):
             raise ValidationError(f"points {a} and {b} have equal coordinates")
         raise ValidationError(f"points {a} and {b} are at distance 0.0: "

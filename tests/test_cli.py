@@ -23,10 +23,14 @@ def run(capsys, *argv):
 
 
 def _loads_kd_tree(code):
-    """Whether running ``code`` in a fresh interpreter imports scipy.spatial."""
+    """Whether running ``code`` in a fresh interpreter imports scipy.spatial.
+
+    Raises ``CalledProcessError`` if ``code`` fails.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(oscext.__file__).resolve().parents[1]))
-    check = f"import sys, oscext.cli\n{code}\nsys.exit('scipy.spatial' in sys.modules)"
-    return subprocess.run([sys.executable, "-c", check], env=env, stdout=subprocess.DEVNULL).returncode != 0
+    check = f"import sys, oscext.cli\n{code}\nprint('scipy.spatial' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
+    return run.stdout.splitlines()[-1] == "True"
 
 
 def test_import_loads_no_kd_tree():
@@ -38,7 +42,7 @@ def test_import_loads_no_kd_tree():
 def test_small_euclidean_document_loads_no_kd_tree():
     # Up to 2048 points the coincident-point check reads dense blocks.
     instance = str(FIXTURES / "ordinal_k1.json")
-    assert not _loads_kd_tree(f"oscext.cli.main(['validate', '--instance', {instance!r}])")
+    assert not _loads_kd_tree(f"assert oscext.cli.main(['validate', '--instance', {instance!r}]) == 0")
 
 
 class TestValidate:

@@ -383,6 +383,16 @@ class TestReportDict:
         assert json.loads(json.dumps(d)) == d
         assert not [leaf for leaf in _leaves(d) if isinstance(leaf, (np.generic, np.ndarray))]
 
+    def test_numpy_arguments_reach_json_as_python(self, seq10, seq_indicator):
+        # epsilon and rounds are the diagnostics a caller passes in.
+        reps = [glue_extension(seq10, seq10.full_mask(), seq_indicator, np.float32(0.5), AdaptiveScale(2.0)),
+                iterated_extension(seq10, seq10.full_mask(), seq_indicator, AdaptiveScale(2.0), np.int64(3))]
+        for rep in reps:
+            d = rep.to_dict()
+            assert json.loads(json.dumps(d)) == d
+            d["diagnostics"].clear()  # a copy: the report keeps its own
+            assert rep.diagnostics
+
 
 class TestLimsupRegression:
     def test_depth8_ternary_profile_frozen(self, cantor8):

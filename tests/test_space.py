@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,12 +47,28 @@ def coincident_doc(n, same):
 
 
 class TestLoadSpace:
-    @pytest.mark.parametrize("n, same", [(50, (17, 25, 40)), (5000, (17, 2500, 4000))])
+    @pytest.mark.parametrize("n, same", [(50, (17, 25, 40)), (5000, (17, 2500, 4000)),
+                                         (5000, (17, 30, 2500, 4000, 4001, 4002))])
     def test_coincident_points_name_the_smallest_pair(self, n, same):
         # Dense blocks up to 2048 points, the kd search above: both name the
         # smallest id at distance 0 and its smallest partner.
         with pytest.raises(ValidationError, match=f"points {same[0]} and {same[1]} have equal coordinates"):
             load_space(coincident_doc(n, same))
+
+    def test_many_identical_points_fail_in_bounded_memory(self):
+        # The kd search stops at distance 0, so rejecting 3000 copies of one
+        # point costs no 3000 x 3000 arrays (one is 72 MB).
+        import scipy.spatial  # noqa: F401  (its import is not the cost measured)
+
+        doc = coincident_doc(3000, range(3000))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="points 0 and 1 have equal coordinates"):
+                load_space(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_valid_three_point_space(self):
         space = load_space(make_doc([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
