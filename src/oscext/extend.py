@@ -280,15 +280,26 @@ def retract_extension(space: SpaceInstance, f_on_closed: ScalarField) -> Extensi
 
 @dataclass
 class LayerState:
-    """One layer of the shrinking-ball construction."""
+    """One layer of the shrinking-ball construction.
+
+    ``values`` is given either as an array or as a function of no arguments
+    that computes it at the first read: the construction defers layer 0's
+    hat sums, n^2 pairs that only a point left in layer 0 reads.
+    """
 
     k: int
     centers: np.ndarray  # S_k
     depths: np.ndarray  # n_k per center (ball radius 2^-n)
-    carrier: SubsetMask  # X_k
-    values: np.ndarray  # F_k over the space, NaN off the carrier
+    carrier: SubsetMask  # X_k, the points some support covers
+    _values: object  # F_k over the space, NaN off the carrier, or the function computing it
     level_numbers: np.ndarray  # l_k per carrier point
     min_prev_level: np.ndarray | None  # min l_{k-1} over covering elements
+
+    @property
+    def values(self) -> np.ndarray:
+        if callable(self._values):
+            self._values = self._values()
+        return self._values
 
 
 def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
@@ -330,7 +341,8 @@ def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
     pre = np.empty(space.n)
     for k, st in enumerate(layers):
         sel = deepest == k
-        pre[sel] = st.values[sel]
+        if sel.any():  # a layer nothing ends in keeps its values unread
+            pre[sel] = st.values[sel]
     k_star = int(deepest[Y.mask].min())
     diagnostics = {
         "layers": len(layers),
@@ -382,11 +394,14 @@ def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
     """The layer loop, with the support sums and support test of ``backend``.
 
     Layer 0 puts a ball of radius 1 on every point.  Every center's anchor
-    is its nearest Y point, which must lie in the doubled ball.  The next
-    centers are the carrier points x whose oscillation at resolution beats
-    2^-l_x, each at the smallest depth n in [l_x, n_max] whose doubled ball
-    B(x, 2^(1-n)) meets Y with oscillation below 2^-l_x and passes the
-    backend's support test.
+    is its nearest Y point, which must lie in the doubled ball.  The carrier
+    is the points some support covers (``lmax >= 0``): each hat weight
+    r - d with d < r is a positive float, so that is where den > 0.  The
+    next centers are the carrier points x whose oscillation at resolution
+    beats 2^-l_x, each at the smallest depth n in [l_x, n_max] whose doubled
+    ball B(x, 2^(1-n)) meets Y with oscillation below 2^-l_x and passes the
+    backend's support test.  Layer 0's hat sums run only when its values
+    are first read, through the same backend kernel.
     """
     n = space.n
     sup = backend(space, Y, fY)
@@ -405,9 +420,13 @@ def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
         if not anchored.all():
             s = int(centers[np.argmin(anchored)])
             raise InvariantError(f"layer {k}: no anchor candidate near {s}")
-        num, den, lmax, minlp = sup.sums(centers, depths, fY.values[nearest_y[centers]], l_prev)
-        carrier_mask = den > 0
-        values = np.where(carrier_mask, num / np.where(carrier_mask, den, 1.0), np.nan)
+        a = fY.values[nearest_y[centers]]
+        num, den, lmax, minlp = sup.sums(centers, depths, None if k == 0 else a, l_prev)
+        carrier_mask = lmax >= 0
+        if k == 0:
+            values = _deferred_values(sup, centers, depths, a, carrier_mask)
+        else:
+            values = _hat_values(num, den, carrier_mask)
         lvl = np.where(carrier_mask, lmax + 1, 0).astype(np.int64)  # 0 off the carrier
         layers.append(LayerState(k, centers, depths, SubsetMask(space, carrier_mask),
                                  values, lvl, None if l_prev is None else minlp))
@@ -426,13 +445,25 @@ def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
     return layers
 
 
+def _hat_values(num, den, carrier):
+    return np.where(carrier, num / np.where(carrier, den, 1.0), np.nan)
+
+
+def _deferred_values(sup, centers, depths, a, carrier):
+    """A layer's values as a function: its hat sums run when it is called."""
+    return lambda: _hat_values(*sup.sums(centers, depths, a, None, record=False)[:2], carrier)
+
+
 class _GenericSupports:
     """Supports of the layered construction from ``Metric.ball_pairs``, on any metric.
 
     Accumulation-order contract: each point's hat sums add its centers'
     terms one at a time in center order, starting from 0, as a per-center
     loop does: the (center, member) pairs of ``ball_pairs``, in its order,
-    fed to ``np.add.at``.
+    fed to ``np.add.at``.  The supports' pass also records the covering
+    matrix that ``next_depths`` reads; at layer 0, whose radius-1 balls
+    hold every point within 1, that pass stays n^2 pairs even though the
+    hat sums are skipped.
     """
 
     def __init__(self, space, Y, fY):
@@ -440,23 +471,30 @@ class _GenericSupports:
         self.everything = np.arange(space.n)
         self.osc_res = np.array([osc_at_point(fY, x, Y, space.resolution) for x in range(space.n)])
 
-    def sums(self, centers, depths, a, l_prev):
-        """Hat sums num and den, the deepest covering depth and min l_prev per point."""
+    def sums(self, centers, depths, a, l_prev, record=True):
+        """Hat sums num and den, the deepest covering depth and min l_prev per point.
+
+        With ``a`` None the hat sums are skipped and num, den are None;
+        ``record`` keeps the covering matrix for ``next_depths``.
+        """
         n = self.everything.size
         radii = 2.0 ** -depths.astype(float)
-        num = np.zeros(n)
-        den = np.zeros(n)
+        num, den = (None, None) if a is None else (np.zeros(n), np.zeros(n))
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
-        self.covering = np.zeros((n, centers.size), dtype=bool)
+        covering = np.zeros((n, centers.size), dtype=bool) if record else None
         for rows, ids, d in self.metric.ball_pairs(centers, radii, self.everything):
-            w = radii[rows] - d
-            np.add.at(num, ids, w * a[rows])
-            np.add.at(den, ids, w)
+            if a is not None:
+                w = radii[rows] - d
+                np.add.at(num, ids, w * a[rows])
+                np.add.at(den, ids, w)
             np.maximum.at(lmax, ids, depths[rows])
             if l_prev is not None:
                 np.minimum.at(minlp, ids, l_prev[centers[rows]])
-            self.covering[ids, rows] = True
+            if record:
+                covering[ids, rows] = True
+        if record:
+            self.covering = covering
         return num, den, lmax, minlp
 
     def next_depths(self, cand, ok):
@@ -508,7 +546,10 @@ class _CantorSupports:
     members adds its terms to the cylinder's slice, and each run of smaller
     centers between them is laid out as flat (center, member) pairs,
     center-major, cut into batches of at most ``_FLAT_PAIRS`` pairs and fed
-    to ``np.add.at``, which adds them in that order.
+    to ``np.add.at``, which adds them in that order.  The supports
+    themselves (covering depths and cylinder counts) cost a few bincounts
+    per depth, so at layer 0, where every cylinder is the whole space, the
+    n^2 pairs are all in the hat sums, which run only when read.
     """
 
     def __init__(self, space, Y, fY):
@@ -524,9 +565,13 @@ class _CantorSupports:
         hi, lo = metric.ball_extremes(np.arange(n), np.full(n, space.resolution), yids, fY.values[yids])
         self.osc_res = np.maximum(hi - lo, 0.0)
 
-    def sums(self, centers, depths, a, l_prev):
-        """Hat sums num and den, the deepest covering depth and min l_prev per point."""
-        rank, width, code = self.rank, self.width, self.sorted_code
+    def sums(self, centers, depths, a, l_prev, record=True):
+        """Hat sums num and den, the deepest covering depth and min l_prev per point.
+
+        With ``a`` None the hat sums are skipped and num, den are None;
+        ``record`` keeps the centers and depths for ``next_depths``.
+        """
+        rank, width = self.rank, self.width
         n = rank.size
         # Support of each center: its cylinder, a range of sorted positions.
         cdep = np.minimum(depths, width)
@@ -539,13 +584,37 @@ class _CantorSupports:
             lo[sel] = self.bounds[c][cyl[sel]]
             hi[sel] = self.bounds[c][cyl[sel] + 1]
 
-        # Hat sums, indexed by sorted position until the return, in center
-        # order: a large cylinder adds to its slice, and each run of small
-        # ones between them goes through flat pairs in batches.
+        num = den = None
+        if a is not None:
+            num, den = self._hat_sums(centers, depths, a, lo, hi)
+
+        lmax = np.full(n, -1, dtype=np.int64)
+        minlp = np.full(n, np.inf)
+        for nu in np.unique(depths):
+            sel = depths == nu
+            c = min(int(nu), width)
+            ngroups = self.bounds[c].size - 1
+            covered = np.bincount(cyl[sel], minlength=ngroups) > 0
+            lmax[covered[self.cyl_of[c]]] = nu
+            if l_prev is not None:
+                gmin = np.full(ngroups, np.inf)
+                np.minimum.at(gmin, cyl[sel], l_prev[centers[sel]])
+                minlp = np.minimum(minlp, gmin[self.cyl_of[c]])
+        if record:
+            self.centers, self.depths = centers, depths
+        return num, den, lmax[rank], minlp[rank]
+
+    def _hat_sums(self, centers, depths, a, lo, hi):
+        """num and den by id, for supports given as sorted-position ranges [lo, hi)."""
+        # Indexed by sorted position until the return, in center order: a
+        # large cylinder adds to its slice, and each run of small ones
+        # between them goes through flat pairs in batches.
+        code = self.sorted_code
+        n = code.size
         r = 2.0 ** -depths.astype(float)
         num = np.zeros(n)
         den = np.zeros(n)
-        pos = rank[centers]
+        pos = self.rank[centers]
         size = hi - lo
         before = np.r_[0, np.cumsum(size)]  # pairs of the centers before each
         i = 0
@@ -562,21 +631,7 @@ class _CantorSupports:
             den[b:e] += w
             num[b:e] += w * a[g]
             i = g + 1
-
-        lmax = np.full(n, -1, dtype=np.int64)
-        minlp = np.full(n, np.inf)
-        for nu in np.unique(depths):
-            sel = depths == nu
-            c = min(int(nu), width)
-            ngroups = self.bounds[c].size - 1
-            covered = np.bincount(cyl[sel], minlength=ngroups) > 0
-            lmax[covered[self.cyl_of[c]]] = nu
-            if l_prev is not None:
-                gmin = np.full(ngroups, np.inf)
-                np.minimum.at(gmin, cyl[sel], l_prev[centers[sel]])
-                minlp = np.minimum(minlp, gmin[self.cyl_of[c]])
-        self.centers, self.depths = centers, depths
-        return num[rank], den[rank], lmax[rank], minlp[rank]
+        return num[self.rank], den[self.rank]
 
     def _flat_sums(self, num, den, s, b, size, rk, ak):
         """Add several centers' terms through flat (center, member) pairs, center-major."""

@@ -175,28 +175,35 @@ class EuclideanMetric(Metric):
 
         k = tids.size
         dist, ids = np.empty(queries.size), np.empty(queries.size, dtype=np.int64)
-        qpts, pts = self.coords[queries], self.coords[tids]
+        pts = self.coords[tids]
         tree = cKDTree(pts)
         # Candidates get the _euclidean distances.  Query more while
         # the farthest tree distance is within a relative 2^-40 of the nearest:
         # every tied neighbour must be seen for the smallest-id rule.  A row at
         # distance 0 stops after one query, so the cost does not grow with the
         # number of coincident points; its id is the smallest one seen.
-        rows = np.arange(queries.size)
-        kq = min(4, k)
-        while rows.size:
-            dkd, j = tree.query(qpts[rows], k=kq, workers=-1)
-            dkd, j = dkd.reshape(rows.size, kq), j.reshape(rows.size, kq)  # k = 1 gives 1-D arrays
-            d = _euclidean(qpts[rows][:, None, :], pts[j])
-            d[tids[j] == queries[rows, None]] = np.inf
-            near = d.min(axis=1)
-            tie = d == near[:, None]
-            dist[rows] = near
-            ids[rows] = np.where(tie, tids[j], np.iinfo(np.int64).max).min(axis=1)
-            if kq == k:
-                break
-            rows = rows[(near > 0) & (dkd[:, -1] <= near * (1 + 2**-40))]
-            kq = min(2 * kq, k)
+        # The rounds run over blocks of rows whose first-round candidate
+        # coordinates, rows x 4 x dim, fit _BLOCK_ELEMS.  When the queries are
+        # the targets (``scales``) the rows go in the tree's leaf order, so
+        # the queries of a block share tree nodes.
+        order = tree.indices if queries is tids else np.arange(queries.size)
+        for lo, hi in _row_chunks(queries.size, min(4, k) * pts.shape[1]):
+            rows = order[lo:hi]
+            kq = min(4, k)
+            while rows.size:
+                qpts = self.coords[queries[rows]]
+                dkd, j = tree.query(qpts, k=kq, workers=-1)
+                dkd, j = dkd.reshape(rows.size, kq), j.reshape(rows.size, kq)  # k = 1 gives 1-D arrays
+                d = _euclidean(qpts[:, None, :], pts[j])
+                d[tids[j] == queries[rows, None]] = np.inf
+                near = d.min(axis=1)
+                tie = d == near[:, None]
+                dist[rows] = near
+                ids[rows] = np.where(tie, tids[j], np.iinfo(np.int64).max).min(axis=1)
+                if kq == k:
+                    break
+                rows = rows[(near > 0) & (dkd[:, -1] <= near * (1 + 2**-40))]
+                kq = min(2 * kq, k)
         return dist, ids
 
     def ball_pairs(self, centers: np.ndarray, radii: np.ndarray, targets: np.ndarray):

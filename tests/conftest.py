@@ -75,3 +75,20 @@ def wide_space(width=53, n=40, seed=5):
         rows.update({tuple(low), tuple(high)})
     codes = np.array([int("".join(map(str, r)), 2) for r in sorted(rows)], dtype=np.uint64)
     return SpaceInstance(f"wide_{width}", CantorMetric(codes, width), resolution=2.0**-8, family="cantor")
+
+
+def assert_report_reads_layers(report, Y, fY, layers):
+    """A layered report against the layers of an oracle, bit for bit: each
+    point takes the values of the deepest layer that carries it."""
+    deepest = np.zeros(Y.space.n, dtype=np.int64)
+    for st in layers[1:]:
+        deepest[st.carrier.mask] = st.k
+    pre = np.array([layers[k].values[x] for x, k in enumerate(deepest)])
+    for got, want in ((report.prepatch.values, pre), (report.field.values, np.where(Y.mask, fY.values, pre))):
+        assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True)
+    assert report.patch_magnitude == float(np.max(np.abs(pre[Y.mask] - fY.values[Y.mask])))
+    assert report.restriction_error == 0.0
+    assert report.diagnostics["layers"] == len(layers)
+    assert report.diagnostics["layer_sizes"] == [int(st.centers.size) for st in layers]
+    assert report.diagnostics["carrier_sizes"] == [st.carrier.size for st in layers]
+    assert report.diagnostics["k_star"] == int(deepest[Y.mask].min())

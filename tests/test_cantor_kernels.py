@@ -20,15 +20,16 @@ from oscext import (
     ScalarField,
     cantor_instance,
     gap_step,
+    generate_from_spec,
     pair_step,
 )
 from oscext.errors import InvariantError, ValidationError
 from oscext import extend
-from oscext.extend import LayerState, _CantorSupports, _GenericSupports, _layered, nearest_in_set
+from oscext.extend import LayerState, _CantorSupports, _GenericSupports, _layered, layered_extension, nearest_in_set
 from oscext.instances import block_parity_field
 from oscext.space import CantorMetric, SubsetMask, local_scales
 
-from conftest import prefix_codes, wide_space
+from conftest import assert_report_reads_layers, prefix_codes, wide_space
 from oracles import o_gap_step, o_local_scale, o_pair_step
 
 
@@ -534,6 +535,20 @@ class TestCantorSums:
             mp.setattr(extend, "_FLAT_PAIRS", pairs)
             self.check(KERNEL_SPACES[name], data)
 
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_carrier_is_where_den_is_positive(self, name, data):
+        """Each hat weight r - d with d < r is a positive float, so the
+        covered points (lmax >= 0), the layered carrier, are where den > 0."""
+        space = KERNEL_SPACES[name]
+        centers, depths, a, l_prev = data.draw(sums_inputs(space))
+        Y = space.full_mask()
+        sup = _CantorSupports(space, Y, ScalarField(Y, np.zeros(space.n)))
+        for _num, den, lmax, _minlp in (sup.sums(centers, depths, a, l_prev),
+                                        reference_sums(space, centers, depths, a, l_prev)):
+            assert np.array_equal(den > 0, lmax >= 0)
+
     def test_cantor10_reaches_both_paths(self):
         """At the default threshold the depth-0 and depth-1 cylinders of
         cantor10 take the slice path and those of depth 3 the flat path."""
@@ -559,3 +574,57 @@ class TestBackendsAgree:
         Y = space.subsets["Y"]
         fY = dyadic_field(space)
         assert_identical_layers(layered(space, Y, fY, _CantorSupports), layered(space, Y, fY, _GenericSupports))
+
+
+def rank_parity(space):
+    """0 and 1 alternating in code order on the full mask: every cylinder
+    with two members holds both, so the oscillation at resolution is 1."""
+    full = space.full_mask()
+    return full, ScalarField(full, (space.metric.rank % 2).astype(float))
+
+
+class TestLayerZeroRead:
+    """Layer 0's hat sums run only when its values are read, through the
+    same kernel, so reports that read them match the oracle bit for bit."""
+
+    @pytest.mark.parametrize("inputs, max_layers", [("block_parity", 1), ("rank_parity", 24)])
+    def test_report_matches_oracle_layers(self, inputs, max_layers):
+        space = cantor_instance(8)
+        if inputs == "rank_parity":
+            Y, fY = rank_parity(space)
+        else:
+            Y, fY = space.subsets["Y"], FIELDS[inputs](space)
+        want = reference_layered_cantor(space, Y, fY, max_layers, n_max_of(space))
+        assert len(want) == 1
+        assert_report_reads_layers(layered_extension(space, Y, fY, max_layers=max_layers), Y, fY, want)
+
+    @pytest.mark.parametrize("spec, backend", [("cantor:8", _CantorSupports), ("ordinal:2", _GenericSupports)])
+    @pytest.mark.parametrize("max_layers, reads", [(24, 0), (1, 1)])
+    def test_hat_sums_run_only_when_read(self, monkeypatch, spec, backend, max_layers, reads):
+        """A hat-sum call over depth-0 centers is layer 0's."""
+        calls = []
+        sums = backend.sums
+
+        def spy(self, centers, depths, a, l_prev, record=True):
+            if a is not None and not depths.any():
+                calls.append(centers.size)
+            return sums(self, centers, depths, a, l_prev, record)
+
+        monkeypatch.setattr(backend, "sums", spy)
+        space = generate_from_spec(spec)
+        report = layered_extension(space, space.subsets["Y"], space.fields["f"], max_layers=max_layers)
+        assert report.diagnostics["layers"] > 1 or max_layers == 1
+        assert calls == [space.n] * reads
+
+    def test_values_are_computed_once(self, monkeypatch):
+        space = cantor_instance(6)
+        Y = space.subsets["Y"]
+        fY = block_parity_field(space).restrict(Y)
+        got = layered(space, Y, fY, _CantorSupports)
+        calls = []
+        hat_sums = _CantorSupports._hat_sums
+        monkeypatch.setattr(_CantorSupports, "_hat_sums", lambda self, *args: calls.append(1) or hat_sums(self, *args))
+        first = got[0].values
+        assert got[0].values is first and len(calls) == 1
+        want = reference_layered_cantor(space, Y, fY, 24, n_max_of(space))
+        assert identical(first, want[0].values)

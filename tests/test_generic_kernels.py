@@ -17,19 +17,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oscext import AdaptiveScale, FixedScale, ScalarField, SpaceInstance, generate_from_spec, iterate, osc_at_point
 from oscext.errors import InvariantError, PreconditionError
 from oscext import extend
-from oscext.extend import (LayerState, _GenericSupports, _layered, limsup_extension, nearest_in_set,
-                           scattered_extension, visibility_components)
+from oscext.extend import (LayerState, _GenericSupports, _layered, layered_extension, limsup_extension,
+                           nearest_in_set, scattered_extension, visibility_components)
 from oscext import space as space_mod
 from oscext.instances import cantor_instance, random_instance
 from oscext.space import (_BLOCK_ELEMS, _KD_BALL_MEMBERS, EuclideanMetric, MatrixMetric, SubsetMask, _row_chunks,
                           ball, cb_filtration, dists_among, load_space_file, local_scale, local_scales)
 from oscext.unity import BallCover, PartitionOfUnity, blend, cover_for_piece, partition
 
-from conftest import FIXTURES, prefix_codes, wide_space
+from conftest import FIXTURES, assert_report_reads_layers, prefix_codes, wide_space
 from oracles import o_ball, o_euclidean
 
 
@@ -679,6 +680,37 @@ class TestNearestKernel:
         assert built and (sets != "single_target" or 1 in built)
         assert all_identical(got, want)
 
+    @pytest.mark.parametrize("name", ["cloud2", "cloud9", "lattice"])
+    @pytest.mark.parametrize("sets", ["disjoint", "equal"])
+    def test_kd_row_blocks_match_dense(self, monkeypatch, name, sets):
+        # A 200-element block budget cuts the kd rounds into blocks of
+        # 200 // (4 * dim) rows, taken in the tree's leaf order for ``scales``.
+        space = kernel_space(name)
+        perm = np.random.default_rng(len(name)).permutation(space.n)
+        queries, targets = (perm[:100], perm[100:]) if sets == "disjoint" else (perm[:200], perm[:200])
+        monkeypatch.setattr(space_mod, "_KD_SCALE_MEMBERS", 10**9)
+        want = self.calls(space, queries, targets)
+        monkeypatch.setattr(space_mod, "_KD_SCALE_MEMBERS", 0)
+        monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", 200)
+        assert all_identical(self.calls(space, queries, targets), want)
+
+    @pytest.mark.parametrize("n, dim", [(50000, 2), (20000, 9)])
+    def test_kd_scales_peak_memory(self, n, dim):
+        # The kd rounds run over row blocks, so their (rows, 4, dim)
+        # candidate arrays stay within the block budget; one round over all
+        # rows at once takes about 16 and 14.5 MiB on these clouds.
+        metric = EuclideanMetric(np.random.default_rng(0).uniform(size=(n, dim)))
+        ids = np.arange(n)
+        import scipy.spatial  # noqa: F401  (its import is not the cost measured)
+
+        tracemalloc.start()
+        try:
+            metric.scales(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
     def test_single_target_stays_one_column(self, monkeypatch):
         # cKDTree.query gives 1-D arrays for k = 1.  Broadcast as they come,
         # they would still give the right answers, from a queries^2 block.
@@ -963,6 +995,12 @@ def assert_same_layers(space, Y, fY, max_layers=24):
     return got
 
 
+@functools.lru_cache(maxsize=None)
+def supports_of(name):
+    space, Y, f = case(name)
+    return _GenericSupports(space, Y, f.restrict(Y))
+
+
 def run_checked_layers(space, Y, fY, max_layers=24):
     """Run ``_layered`` and check every ``next_depths`` call against the candidate loop.
 
@@ -1038,6 +1076,39 @@ class TestLayeredGeneric:
         sup.covering = np.array([[True, False], [False, False], [False, True]])
         cand, ok = np.array([0]), np.array([[False, True, True, True]])
         assert sup.next_depths(cand, ok).tolist() == reference_next_depths(sup, cand, ok).tolist() == [2]
+
+    @pytest.mark.parametrize("name, max_layers", [("ordinal:2", 1), ("alternating_line", 24)])
+    def test_report_reads_layer_zero(self, name, max_layers):
+        """Reports whose points end in layer 0 read its deferred hat sums."""
+        if name == "alternating_line":
+            # 0 and 1 alternating along the line: every ball at resolution
+            # holds both, so no point gets past layer 0.
+            space = SpaceInstance(name, EuclideanMetric(np.arange(64) / 64), resolution=1 / 16, family="euclidean")
+            Y = space.full_mask()
+            fY = ScalarField(Y, np.arange(64) % 2.0)
+        else:
+            space, Y, f = case(name)
+            fY = f.restrict(Y)
+        n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
+        want = reference_layered_generic(space, Y, fY, max_layers, n_max)
+        assert len(want) == 1
+        assert_report_reads_layers(layered_extension(space, Y, fY, max_layers=max_layers), Y, fY, want)
+
+    @pytest.mark.parametrize("name", CASES)
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_carrier_is_where_den_is_positive(self, name, data):
+        """Each hat weight r - d with d < r is a positive float, so the
+        covered points (lmax >= 0), the layered carrier, are where den > 0."""
+        sup = supports_of(name)
+        n = sup.everything.size
+        centers = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=64))))
+        depths = np.array(data.draw(st.lists(st.just(0) | st.integers(0, 16), min_size=centers.size,
+                                             max_size=centers.size)), dtype=np.int64)
+        a = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, centers.size) / 3
+        l_prev = np.arange(n) % 7 if data.draw(st.booleans()) else None
+        _num, den, lmax, _minlp = sup.sums(centers, depths, a, l_prev)
+        assert np.array_equal(den > 0, lmax >= 0)
 
     def test_empty_target_rejected(self):
         space = case("random2d")[0]
