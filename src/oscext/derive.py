@@ -61,35 +61,45 @@ def _check_step_args(f, epsilon, P):
         raise PreconditionError("P is not contained in the field domain")
 
 
-def _step(f, epsilon, P, policy, kind):
+def _step(f, epsilon, P, policy, kind, spreads=None):
     """Both one-step operators; ``kind`` picks what must reach epsilon.
 
     "pair" tests the spread max - min of f over each member's ball, "gap"
     the largest gap between the member's own value and one in its ball.
+    Neither spread depends on epsilon, so ``spreads``, a dict from level to
+    its per-member spread for one f, policy and kind, lets steps at other
+    epsilons reuse the balls of a level seen before.
     """
     _check_step_args(f, epsilon, P)
     space = P.space
     members = P.ids()
     if members.size == 0:
         return space.empty_mask()
-    fvals = f.values[members]
-    maxv, minv = space.metric.ball_extremes(members, policy.radii(space, members), members, fvals)
-    spread = maxv - minv if kind == "pair" else np.maximum(maxv - fvals, fvals - minv)
+    spread = None if spreads is None else spreads.get(P)
+    if spread is None:
+        fvals = f.values[members]
+        maxv, minv = space.metric.ball_extremes(members, policy.radii(space, members), members, fvals)
+        spread = maxv - minv if kind == "pair" else np.maximum(maxv - fvals, fvals - minv)
+        if spreads is not None:
+            spreads[P] = spread
     return space.mask_from_ids(members[spread >= epsilon])
 
 
-def pair_step(f: ScalarField, epsilon: float, P: SubsetMask, policy) -> SubsetMask:
+def pair_step(f: ScalarField, epsilon: float, P: SubsetMask, policy, *, spreads=None) -> SubsetMask:
     """Members of P whose policy ball contains a pair with f-gap >= epsilon.
 
     Isolated members get radius 0 under the adaptive policy and never
-    qualify.
+    qualify.  ``spreads`` is the cache of ``_step``.
     """
-    return _step(f, epsilon, P, policy, "pair")
+    return _step(f, epsilon, P, policy, "pair", spreads)
 
 
-def gap_step(f: ScalarField, epsilon: float, P: SubsetMask, policy) -> SubsetMask:
-    """Members of P with a single ball witness at f-gap >= epsilon from them."""
-    return _step(f, epsilon, P, policy, "gap")
+def gap_step(f: ScalarField, epsilon: float, P: SubsetMask, policy, *, spreads=None) -> SubsetMask:
+    """Members of P with a single ball witness at f-gap >= epsilon from them.
+
+    ``spreads`` is the cache of ``_step``.
+    """
+    return _step(f, epsilon, P, policy, "gap", spreads)
 
 
 _STEPS = {"pair": pair_step, "gap": gap_step}
@@ -130,11 +140,13 @@ class DerivationTrace:
 
 
 def iterate(kind: str, f: ScalarField, epsilon: float, P: SubsetMask, policy,
-            max_steps: int | None = None) -> DerivationTrace:
+            max_steps: int | None = None, *, spreads=None) -> DerivationTrace:
     """Apply the chosen step until empty, a fixed point, or max_steps.
 
     max_steps defaults to |P| + 1, which the strictly decreasing levels can
-    never exhaust; smaller values may truncate.
+    never exhaust; smaller values may truncate.  ``spreads`` is passed to
+    every step: traces of one f, policy and kind at several epsilons can
+    share one dict.
     """
     if kind not in _STEPS:
         raise ValidationError(f"unknown derivation kind {kind!r}")
@@ -143,7 +155,8 @@ def iterate(kind: str, f: ScalarField, epsilon: float, P: SubsetMask, policy,
         max_steps = P.size + 1
     if max_steps < 1:
         raise ValidationError("max_steps must be >= 1")
-    levels, terminal = _descend(P, lambda level: _STEPS[kind](f, epsilon, level, policy), max_steps)
+    levels, terminal = _descend(P, lambda level: _STEPS[kind](f, epsilon, level, policy, spreads=spreads),
+                               max_steps)
     return DerivationTrace(kind, epsilon, policy, levels, terminal)
 
 
@@ -182,15 +195,20 @@ class IndexProfile:
 
 
 def index_profile(f: ScalarField, P: SubsetMask, policy, epsilon_grid) -> IndexProfile:
-    """Emptying step of the pair-step trace for every epsilon in the grid."""
+    """Emptying step of the pair-step trace for every epsilon in the grid.
+
+    The traces share their ball spreads: a level that recurs at several
+    epsilons costs one ball pass, and the cache is dropped on return.
+    """
     grid = [float(e) for e in epsilon_grid]
     if not grid:
         raise ValidationError("epsilon grid must be nonempty")
     if any(b >= a for a, b in zip(grid, grid[1:])) or not all(0 < e < math.inf for e in grid):
         raise ValidationError("epsilon grid must be positive, finite and strictly decreasing")
     entries = []
+    spreads = {}
     for eps in grid:
-        tr = iterate("pair", f, eps, P, policy)
+        tr = iterate("pair", f, eps, P, policy, spreads=spreads)
         entries.append(ProfileEntry(eps, tr.index, tr.level_sizes()))
     return IndexProfile(entries, policy)
 

@@ -29,13 +29,15 @@ from .unity import blend, cover_for_piece, partition
 CLOPEN_FAMILIES = ("cantor", "ordinal", "sequence")
 # Cantor hat sums: a center whose cylinder has fewer members than this joins
 # the flat (center, member) pairs of its run; a larger one adds to its
-# cylinder's slice.  On cantor depth 12 (2-core x86-64, numpy 2.4) the sums
-# of a whole layered run took 0.54-0.60 s for any threshold from 128 to 2048;
-# at 4096 the 1024-2048-member cylinders of layer 1 went flat and that layer
-# took 0.22 s instead of 0.14 s.
+# cylinder's slice.  On cantor depth 12 (2-core x86-64, numpy 2.4, median of
+# 5) the sums of a whole layered run took 0.18-0.19 s for any threshold from
+# 128 to 2048; at 4096 the 1024-2048-member cylinders of layer 1 went flat
+# and they took 0.24 s.
 _FLAT_BELOW = 512
-# Pairs per flat batch: at 2^14 the peak RSS of ``ex1 --depths 6,8,10,12``
-# stayed at the per-center loop's 77 MB; 2^16 raised it to 80 MB.
+# Pairs per flat batch, and per row block of a run of large centers on one
+# slice.  Same host: at 2^14 ``ex1 --depths 6,8,10,12`` peaked at 41 MB RSS
+# and the depth-12 sums took 0.19 s; 2^12 took 0.23 s, and 2^16 took 0.16 s
+# but peaked at 44 MB.
 _FLAT_PAIRS = 1 << 14
 
 
@@ -474,24 +476,27 @@ class _GenericSupports:
     def sums(self, centers, depths, a, l_prev, record=True):
         """Hat sums num and den, the deepest covering depth and min l_prev per point.
 
-        With ``a`` None the hat sums are skipped and num, den are None;
-        ``record`` keeps the covering matrix for ``next_depths``.
+        With ``a`` None the hat sums are skipped and num, den are None.
+        ``record`` keeps the covering matrix for ``next_depths``; without it
+        only the hat sums run, and lmax, minlp are None.
         """
         n = self.everything.size
         radii = 2.0 ** -depths.astype(float)
         num, den = (None, None) if a is None else (np.zeros(n), np.zeros(n))
-        lmax = np.full(n, -1, dtype=np.int64)
-        minlp = np.full(n, np.inf)
-        covering = np.zeros((n, centers.size), dtype=bool) if record else None
+        lmax = minlp = covering = None
+        if record:
+            lmax = np.full(n, -1, dtype=np.int64)
+            minlp = np.full(n, np.inf)
+            covering = np.zeros((n, centers.size), dtype=bool)
         for rows, ids, d in self.metric.ball_pairs(centers, radii, self.everything):
             if a is not None:
                 w = radii[rows] - d
                 np.add.at(num, ids, w * a[rows])
                 np.add.at(den, ids, w)
-            np.maximum.at(lmax, ids, depths[rows])
-            if l_prev is not None:
-                np.minimum.at(minlp, ids, l_prev[centers[rows]])
             if record:
+                np.maximum.at(lmax, ids, depths[rows])
+                if l_prev is not None:
+                    np.minimum.at(minlp, ids, l_prev[centers[rows]])
                 covering[ids, rows] = True
         if record:
             self.covering = covering
@@ -542,14 +547,20 @@ class _CantorSupports:
     Accumulation-order contract: each member adds its centers' terms one at
     a time, in the order the centers are given (id order), starting from
     +0.0.  The hat sums walk the centers in that order along two paths that
-    interleave: a center whose cylinder has at least ``_FLAT_BELOW``
-    members adds its terms to the cylinder's slice, and each run of smaller
-    centers between them is laid out as flat (center, member) pairs,
-    center-major, cut into batches of at most ``_FLAT_PAIRS`` pairs and fed
-    to ``np.add.at``, which adds them in that order.  The supports
-    themselves (covering depths and cylinder counts) cost a few bincounts
-    per depth, so at layer 0, where every cylinder is the whole space, the
-    n^2 pairs are all in the hat sums, which run only when read.
+    interleave.  A maximal run of consecutive centers whose cylinder, one
+    slice, has at least ``_FLAT_BELOW`` members is cut into row blocks of
+    at most ``_FLAT_PAIRS`` pairs; each block is one distance matrix, rows
+    in center order, stacked under the slice's running sums and reduced
+    along axis 0.  That reduction runs over a C-contiguous block, so numpy
+    adds it row by row (pairwise summation applies only along a contiguous
+    reduction axis); a slice of one member holds one distinct center, so
+    its block has one row.  Each run of smaller centers between them is laid
+    out as flat (center, member) pairs, center-major, cut into batches of at
+    most ``_FLAT_PAIRS`` pairs and fed to ``np.add.at``, which adds them in
+    that order.  The supports themselves (covering depths and cylinder
+    counts) cost a few bincounts per depth, so at layer 0, where every
+    cylinder is the whole space, the n^2 pairs are all in the hat sums,
+    which run only when read.
     """
 
     def __init__(self, space, Y, fY):
@@ -568,8 +579,9 @@ class _CantorSupports:
     def sums(self, centers, depths, a, l_prev, record=True):
         """Hat sums num and den, the deepest covering depth and min l_prev per point.
 
-        With ``a`` None the hat sums are skipped and num, den are None;
-        ``record`` keeps the centers and depths for ``next_depths``.
+        With ``a`` None the hat sums are skipped and num, den are None.
+        ``record`` keeps the centers and depths for ``next_depths``; without
+        it only the hat sums run, and lmax, minlp are None.
         """
         rank, width = self.rank, self.width
         n = rank.size
@@ -587,6 +599,8 @@ class _CantorSupports:
         num = den = None
         if a is not None:
             num, den = self._hat_sums(centers, depths, a, lo, hi)
+        if not record:
+            return num, den, None, None
 
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
@@ -600,15 +614,15 @@ class _CantorSupports:
                 gmin = np.full(ngroups, np.inf)
                 np.minimum.at(gmin, cyl[sel], l_prev[centers[sel]])
                 minlp = np.minimum(minlp, gmin[self.cyl_of[c]])
-        if record:
-            self.centers, self.depths = centers, depths
+        self.centers, self.depths = centers, depths
         return num, den, lmax[rank], minlp[rank]
 
     def _hat_sums(self, centers, depths, a, lo, hi):
         """num and den by id, for supports given as sorted-position ranges [lo, hi)."""
-        # Indexed by sorted position until the return, in center order: a
-        # large cylinder adds to its slice, and each run of small ones
-        # between them goes through flat pairs in batches.
+        # Indexed by sorted position until the return, in center order: each
+        # run of consecutive large centers on one slice adds to that slice
+        # in row blocks, and each run of small ones between them goes
+        # through flat pairs in batches.
         code = self.sorted_code
         n = code.size
         r = 2.0 ** -depths.astype(float)
@@ -617,9 +631,12 @@ class _CantorSupports:
         pos = self.rank[centers]
         size = hi - lo
         before = np.r_[0, np.cumsum(size)]  # pairs of the centers before each
+        # A center on the slice of the one before it is as large as that one.
+        same = np.r_[False, (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])]
+        breaks = np.r_[np.flatnonzero(~same), centers.size]
         i = 0
-        for g in np.r_[np.flatnonzero(size >= _FLAT_BELOW), centers.size].tolist():
-            while i < g:  # the small centers before the large center g
+        for g in np.r_[np.flatnonzero((size >= _FLAT_BELOW) & ~same), centers.size].tolist():
+            while i < g:  # the small centers before the run starting at g
                 j = np.searchsorted(before, before[i] + _FLAT_PAIRS, side="right") - 1
                 j = min(max(int(j), i + 1), g)
                 self._flat_sums(num, den, pos[i:j], lo[i:j], size[i:j], r[i:j], a[i:j])
@@ -627,10 +644,14 @@ class _CantorSupports:
             if g == centers.size:
                 break
             b, e = int(lo[g]), int(hi[g])
-            w = r[g] - self.code_dist(code[b:e], code[pos[g]])
-            den[b:e] += w
-            num[b:e] += w * a[g]
-            i = g + 1
+            end = int(breaks[np.searchsorted(breaks, g, side="right")])
+            step = max(_FLAT_PAIRS // (e - b), 1)
+            for k in range(g, end, step):
+                rows = slice(k, min(k + step, end))
+                w = r[rows, None] - self.code_dist(code[None, b:e], code[pos[rows], None])
+                den[b:e] = np.add.reduce(np.vstack([den[None, b:e], w]), axis=0)
+                num[b:e] = np.add.reduce(np.vstack([num[None, b:e], w * a[rows, None]]), axis=0)
+            i = end
         return num[self.rank], den[self.rank]
 
     def _flat_sums(self, num, den, s, b, size, rk, ak):
@@ -684,9 +705,11 @@ def visibility_components(space: SpaceInstance, region: SubsetMask, multiplier: 
     members = region.ids()
     if members.size <= 1:
         return [region]
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    adj = visibility_graph(space, members, multiplier)
+    # Sparse input skips the masked-array check scipy runs on dense graphs.
+    adj = csr_matrix(visibility_graph(space, members, multiplier))
     count, labels = connected_components(adj, directed=False)
     return [space.mask_from_ids(members[labels == i]) for i in range(count)]
 

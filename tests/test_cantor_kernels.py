@@ -470,10 +470,12 @@ def reference_sums(space, centers, depths, a, l_prev):
 KERNEL_SPACES = {"cantor6": cantor_instance(6), "cantor10": cantor_instance(10), "wide": wide_space()}
 
 # (_FLAT_BELOW, _FLAT_PAIRS) settings of the cantor hat sums: every center
-# flat, large and flat interleaved, no center flat, and batches that split
-# the runs of flat centers.
+# flat, large and flat interleaved, no center flat, batches that split the
+# runs of flat centers, and row blocks of two centers on cantor10's
+# 2048-member depth-0 slice (four on its 1024-member depth-1 slices).
 FLAT_SETTINGS = [(1, extend._FLAT_PAIRS), (8, extend._FLAT_PAIRS), (1 << 20, extend._FLAT_PAIRS),
-                 (extend._FLAT_BELOW, extend._FLAT_PAIRS), (1, 1), (8, 1), (8, 7), (extend._FLAT_BELOW, 7)]
+                 (extend._FLAT_BELOW, extend._FLAT_PAIRS), (1, 1), (8, 1), (8, 7), (extend._FLAT_BELOW, 7),
+                 (1, 5000)]
 
 
 @pytest.fixture(params=FLAT_SETTINGS, ids=lambda v: f"below{v[0]}-pairs{v[1]}")
@@ -504,14 +506,44 @@ def sums_inputs(draw, space):
     return centers, depths, a, l_prev
 
 
+@st.composite
+def slice_run_inputs(draw, space):
+    """Long runs of consecutive centers on one slice: up to four blocks, each
+    of 1 to 256 distinct centers drawn from one cylinder of length 0..3 and
+    given that length as depth.  The blocks follow each other in the order
+    drawn, each in id order; the sums add in the order the centers are
+    given, whatever it is.  Non-dyadic anchor values; previous levels or
+    None."""
+    metric = space.metric
+    n, width = space.n, metric.width
+    by_position = np.argsort(metric.code, kind="stable")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taken = np.zeros(n, dtype=bool)
+    centers, depths = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(st.integers(0, min(width, 3)))
+        bounds = metric.cylinders(c)[1]
+        g = draw(st.integers(0, bounds.size - 2))
+        free = by_position[bounds[g]:bounds[g + 1]]
+        free = free[~taken[free]]
+        block = np.sort(rng.permutation(free)[:draw(st.integers(min(free.size, 1), min(free.size, 256)))])
+        taken[block] = True
+        centers.append(block)
+        depths.append(np.full(block.size, c, dtype=np.int64))
+    centers, depths = np.concatenate(centers).astype(np.int64), np.concatenate(depths)
+    a = rng.uniform(-1.0, 1.0, centers.size) / 3
+    l_prev = rng.integers(0, width + 4, n) if draw(st.booleans()) else None
+    return centers, depths, a, l_prev
+
+
 class TestCantorSums:
     """The cylinder hat sums equal the per-center loop over distance rows bit
     for bit, dtypes included, whichever centers take the slice path and the
-    flat path and however the flat runs are cut."""
+    flat path and however the flat runs and the slice runs are cut."""
 
     @staticmethod
-    def check(space, data):
-        centers, depths, a, l_prev = data.draw(sums_inputs(space))
+    def check(space, data, inputs=sums_inputs):
+        centers, depths, a, l_prev = data.draw(inputs(space))
         Y = space.full_mask()
         fY = ScalarField(Y, np.zeros(space.n))
         got = _CantorSupports(space, Y, fY).sums(centers, depths, a, l_prev)
@@ -534,6 +566,17 @@ class TestCantorSums:
             mp.setattr(extend, "_FLAT_BELOW", below)
             mp.setattr(extend, "_FLAT_PAIRS", pairs)
             self.check(KERNEL_SPACES[name], data)
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+    @pytest.mark.parametrize("below, pairs", [(extend._FLAT_BELOW, extend._FLAT_PAIRS), (1, 5000), (1, 1)])
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_long_slice_runs(self, name, below, pairs, data):
+        """Runs of equal depths on one slice, added in row blocks."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extend, "_FLAT_BELOW", below)
+            mp.setattr(extend, "_FLAT_PAIRS", pairs)
+            self.check(KERNEL_SPACES[name], data, slice_run_inputs)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
     @settings(derandomize=True, max_examples=40, deadline=None)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,8 +21,10 @@ from oscext import (
     random_instance,
 )
 from oscext.errors import PreconditionError, ValidationError
+from oscext import cli, derive
 from oscext import space as space_mod
-from oscext.space import _KD_BALL_MEMBERS, EuclideanMetric, SpaceInstance
+from oscext.instances import generate_from_spec
+from oscext.space import _KD_BALL_MEMBERS, CantorMetric, EuclideanMetric, SpaceInstance
 
 from oracles import o_gap_step, o_iterate, o_pair_step
 
@@ -265,6 +269,53 @@ class TestKdBallExtremes:
             assert np.array_equal(minv, want_min)
 
 
+def dyadic_line():
+    """128 points of the 1/8 lattice on a line, ids shuffled; values in
+    quarters, so distances and differences tie everywhere."""
+    rng = np.random.default_rng(11)
+    xs = rng.permutation(np.arange(-64, 64)) / 8.0
+    space = SpaceInstance("dyadic_line", EuclideanMetric(xs), resolution=1 / 16)
+    return space, ScalarField(space.full_mask(), rng.integers(0, 5, space.n) / 4.0)
+
+
+def cloud2d():
+    space = random_instance(3, 400, 2)
+    return space, random_field(space, 4)
+
+
+def generated(spec):
+    space = generate_from_spec(spec)
+    return space, space.fields["f"]
+
+
+PROFILE_SPACES = {"cantor8": lambda: generated("cantor:8"), "ordinal3": lambda: generated("ordinal:3"),
+                  "dyadic_line": dyadic_line, "cloud2d": cloud2d}
+PROFILE_GRID = sorted(set(cli.DEFAULT_GRID + cli.CANTOR_EXTRA), reverse=True)
+
+
+def count_profile_calls(monkeypatch, metric_cls, run):
+    """Pair steps taken by ``run``, and the ball passes made inside them."""
+    counts = {"steps": 0, "balls": 0, "inside": False}
+    step, extremes = derive._STEPS["pair"], metric_cls.ball_extremes
+
+    def spy_step(*args, **kwargs):
+        counts["steps"] += 1
+        counts["inside"] = True
+        try:
+            return step(*args, **kwargs)
+        finally:
+            counts["inside"] = False
+
+    def spy_extremes(self, *args):
+        counts["balls"] += counts["inside"]
+        return extremes(self, *args)
+
+    monkeypatch.setitem(derive._STEPS, "pair", spy_step)
+    monkeypatch.setattr(metric_cls, "ball_extremes", spy_extremes)
+    run()
+    return counts["steps"], counts["balls"]
+
+
 class TestIndexProfile:
     def test_constant_all_ones(self, seq10):
         f = ScalarField.constant(seq10.full_mask(), 2.0)
@@ -294,6 +345,55 @@ class TestIndexProfile:
         prof = index_profile(seq_indicator, seq10.full_mask(), AdaptiveScale(3.0), [0.5])
         rows = prof.csv_rows()
         assert rows[0][1] == "SATURATED"
+
+    @pytest.mark.parametrize("name", sorted(PROFILE_SPACES))
+    @pytest.mark.parametrize("policy", [FixedScale(0.01), AdaptiveScale(1.5)], ids=lambda p: p.describe())
+    def test_matches_one_trace_per_epsilon(self, name, policy):
+        """The shared ball spreads change no entry: each equals a fresh
+        ``iterate`` at its epsilon."""
+        space, f = PROFILE_SPACES[name]()
+        P = f.domain
+        prof = index_profile(f, P, policy, PROFILE_GRID)
+        want = [iterate("pair", f, eps, P, policy) for eps in PROFILE_GRID]
+        assert [e.epsilon for e in prof.entries] == PROFILE_GRID
+        assert [e.index for e in prof.entries] == [tr.index for tr in want]
+        assert [e.level_sizes for e in prof.entries] == [tr.level_sizes() for tr in want]
+
+    @pytest.mark.parametrize("policy", [FixedScale(1.5), AdaptiveScale(1.5)], ids=lambda p: p.describe())
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_small_lines_match_one_trace_per_epsilon(self, policy, data):
+        """Small integer lines with quarter values: levels of equal size but
+        other members recur across the grid, and must not share spreads."""
+        n = data.draw(st.integers(2, 24))
+        xs = np.array(data.draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True)), dtype=float)
+        vals = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))) / 4.0
+        space = SpaceInstance("line", EuclideanMetric(xs), resolution=0.5)
+        f = ScalarField(space.full_mask(), vals)
+        grid = [1.0, 0.75, 0.5, 0.25]
+        prof = index_profile(f, f.domain, policy, grid)
+        want = [iterate("pair", f, eps, f.domain, policy) for eps in grid]
+        assert [(e.index, e.level_sizes) for e in prof.entries] == [(tr.index, tr.level_sizes()) for tr in want]
+
+    @pytest.mark.parametrize("name", ["cantor8", "cloud2d"])
+    def test_one_ball_pass_per_distinct_level(self, monkeypatch, name):
+        """Each step still runs, but the balls of a level recurring at another
+        epsilon are not queried again."""
+        space, f = PROFILE_SPACES[name]()
+        P, policy = f.domain, AdaptiveScale(1.5)
+        traces = [iterate("pair", f, eps, P, policy) for eps in PROFILE_GRID]
+        stepped = [lvl for tr in traces for lvl in tr.levels if not lvl.is_empty()]
+        steps, balls = count_profile_calls(monkeypatch, type(space.metric),
+                                           lambda: index_profile(f, P, policy, PROFILE_GRID))
+        assert steps == len(stepped)
+        assert balls == len(set(stepped)) < steps
+
+    def test_ex1_pass_counts(self, monkeypatch):
+        """One ``ex1 --depths 6,8,10,12`` pass: 144 pair steps over 28 distinct levels."""
+        steps, balls = count_profile_calls(
+            monkeypatch, CantorMetric,
+            lambda: cli.main(["ex1", "--depths", "6,8,10,12", "--format", "csv", "--out", os.devnull]))
+        assert (steps, balls) == (144, 28)
 
 
 class TestInclusionLaws:
