@@ -89,8 +89,11 @@ def _field_and_subset(space, args):
 
 def _emit(args, text):
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write output file {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -146,6 +149,10 @@ def cmd_index(args):
 _METHODS = ("glue", "iterated", "layered", "limsup", "scattered", "retract")
 
 
+def _unknown_method(method):
+    return ValidationError(f"unknown method {method!r} (expected one of {_METHODS})")
+
+
 def _run_method(method, space, Y, f, policy, args):
     if method == "glue":
         eps = args.epsilon if args.epsilon is not None else 0.5
@@ -160,7 +167,7 @@ def _run_method(method, space, Y, f, policy, args):
         return scattered_extension(space, Y, f, policy)
     if method == "retract":
         return retract_extension(space, f.restrict(Y & f.domain))
-    raise ValidationError(f"unknown method {method!r} (expected one of {_METHODS})")
+    raise _unknown_method(method)
 
 
 def cmd_extend(args):
@@ -185,6 +192,9 @@ def cmd_compare(args):
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if len(methods) < 2:
         raise ValidationError("compare needs at least two methods")
+    for method in methods:  # before any construction runs
+        if method not in _METHODS:
+            raise _unknown_method(method)
     grid = _grid_for(space, args.epsilon_grid)
     rows = []
     for method in methods:

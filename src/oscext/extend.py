@@ -8,6 +8,7 @@ restriction identity is a hard invariant rather than a limit statement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -285,8 +286,10 @@ class LayerState:
     """One layer of the shrinking-ball construction.
 
     ``values`` is given either as an array or as a function of no arguments
-    that computes it at the first read: the construction defers layer 0's
-    hat sums, n^2 pairs that only a point left in layer 0 reads.
+    that computes it at the first read.  The construction gives every layer
+    a function, so a layer's hat sums run once if something reads its
+    values and not at all otherwise (layer 0's are n^2 pairs, which only a
+    point left in layer 0 reads).
     """
 
     k: int
@@ -393,7 +396,7 @@ def _assert_layer_bounds(space, Y, fY, layers):
 
 
 def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
-    """The layer loop, with the support sums and support test of ``backend``.
+    """The layer loop, with the two kernels and the support test of ``backend``.
 
     Layer 0 puts a ball of radius 1 on every point.  Every center's anchor
     is its nearest Y point, which must lie in the doubled ball.  The carrier
@@ -402,8 +405,10 @@ def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
     next centers are the carrier points x whose oscillation at resolution
     beats 2^-l_x, each at the smallest depth n in [l_x, n_max] whose doubled
     ball B(x, 2^(1-n)) meets Y with oscillation below 2^-l_x and passes the
-    backend's support test.  Layer 0's hat sums run only when its values
-    are first read, through the same backend kernel.
+    backend's support test.  Every layer is handled alike: the backend's
+    ``supports`` runs at once, since the carrier, the levels and
+    ``next_depths`` read it, and the layer's values are a function that
+    runs the backend's ``hat_sums`` at the first read.
     """
     n = space.n
     sup = backend(space, Y, fY)
@@ -422,13 +427,9 @@ def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
         if not anchored.all():
             s = int(centers[np.argmin(anchored)])
             raise InvariantError(f"layer {k}: no anchor candidate near {s}")
-        a = fY.values[nearest_y[centers]]
-        num, den, lmax, minlp = sup.sums(centers, depths, None if k == 0 else a, l_prev)
+        lmax, minlp = sup.supports(centers, depths, l_prev)
         carrier_mask = lmax >= 0
-        if k == 0:
-            values = _deferred_values(sup, centers, depths, a, carrier_mask)
-        else:
-            values = _hat_values(num, den, carrier_mask)
+        values = functools.partial(_hat_values, sup, centers, depths, fY.values[nearest_y[centers]], carrier_mask)
         lvl = np.where(carrier_mask, lmax + 1, 0).astype(np.int64)  # 0 off the carrier
         layers.append(LayerState(k, centers, depths, SubsetMask(space, carrier_mask),
                                  values, lvl, None if l_prev is None else minlp))
@@ -447,25 +448,24 @@ def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
     return layers
 
 
-def _hat_values(num, den, carrier):
+def _hat_values(sup, centers, depths, a, carrier):
+    """A layer's values F_k: the hat sums' ratio on the carrier, NaN off it."""
+    num, den = sup.hat_sums(centers, depths, a)
     return np.where(carrier, num / np.where(carrier, den, 1.0), np.nan)
-
-
-def _deferred_values(sup, centers, depths, a, carrier):
-    """A layer's values as a function: its hat sums run when it is called."""
-    return lambda: _hat_values(*sup.sums(centers, depths, a, None, record=False)[:2], carrier)
 
 
 class _GenericSupports:
     """Supports of the layered construction from ``Metric.ball_pairs``, on any metric.
 
-    Accumulation-order contract: each point's hat sums add its centers'
-    terms one at a time in center order, starting from 0, as a per-center
-    loop does: the (center, member) pairs of ``ball_pairs``, in its order,
-    fed to ``np.add.at``.  The supports' pass also records the covering
-    matrix that ``next_depths`` reads; at layer 0, whose radius-1 balls
-    hold every point within 1, that pass stays n^2 pairs even though the
-    hat sums are skipped.
+    Two kernels walk the (center, member) pairs of ``ball_pairs``, each on
+    its own pass.  ``supports`` gives the covering depths and records the
+    covering matrix that ``next_depths`` reads; at layer 0, whose radius-1
+    balls hold every point within 1, that pass is n^2 pairs.  ``hat_sums``
+    reads and writes nothing ``supports`` records, so it may run for any
+    layer at any time.  Accumulation-order contract: each point's hat sums add its
+    centers' terms one at a time in center order, starting from 0, as a
+    per-center loop does: the pairs in ``ball_pairs`` order, fed to
+    ``np.add.at``.
     """
 
     def __init__(self, space, Y, fY):
@@ -473,34 +473,32 @@ class _GenericSupports:
         self.everything = np.arange(space.n)
         self.osc_res = np.array([osc_at_point(fY, x, Y, space.resolution) for x in range(space.n)])
 
-    def sums(self, centers, depths, a, l_prev, record=True):
-        """Hat sums num and den, the deepest covering depth and min l_prev per point.
+    def supports(self, centers, depths, l_prev):
+        """The deepest covering depth and min l_prev per point (-1 and inf where
+        no support covers it); records the covering matrix for ``next_depths``."""
+        n = self.everything.size
+        lmax = np.full(n, -1, dtype=np.int64)
+        minlp = np.full(n, np.inf)
+        covering = np.zeros((n, centers.size), dtype=bool)
+        for rows, ids, _d in self.metric.ball_pairs(centers, 2.0 ** -depths.astype(float), self.everything):
+            np.maximum.at(lmax, ids, depths[rows])
+            if l_prev is not None:
+                np.minimum.at(minlp, ids, l_prev[centers[rows]])
+            covering[ids, rows] = True
+        self.covering = covering
+        return lmax, minlp
 
-        With ``a`` None the hat sums are skipped and num, den are None.
-        ``record`` keeps the covering matrix for ``next_depths``; without it
-        only the hat sums run, and lmax, minlp are None.
-        """
+    def hat_sums(self, centers, depths, a):
+        """Hat sums num and den per point; reads and writes nothing ``supports`` records."""
         n = self.everything.size
         radii = 2.0 ** -depths.astype(float)
-        num, den = (None, None) if a is None else (np.zeros(n), np.zeros(n))
-        lmax = minlp = covering = None
-        if record:
-            lmax = np.full(n, -1, dtype=np.int64)
-            minlp = np.full(n, np.inf)
-            covering = np.zeros((n, centers.size), dtype=bool)
+        num = np.zeros(n)
+        den = np.zeros(n)
         for rows, ids, d in self.metric.ball_pairs(centers, radii, self.everything):
-            if a is not None:
-                w = radii[rows] - d
-                np.add.at(num, ids, w * a[rows])
-                np.add.at(den, ids, w)
-            if record:
-                np.maximum.at(lmax, ids, depths[rows])
-                if l_prev is not None:
-                    np.minimum.at(minlp, ids, l_prev[centers[rows]])
-                covering[ids, rows] = True
-        if record:
-            self.covering = covering
-        return num, den, lmax, minlp
+            w = radii[rows] - d
+            np.add.at(num, ids, w * a[rows])
+            np.add.at(den, ids, w)
+        return num, den
 
     def next_depths(self, cand, ok):
         """Per candidate x: the first depth n with ``ok[x, n - 1]`` that passes, or -1.
@@ -557,10 +555,14 @@ class _CantorSupports:
     its block has one row.  Each run of smaller centers between them is laid
     out as flat (center, member) pairs, center-major, cut into batches of at
     most ``_FLAT_PAIRS`` pairs and fed to ``np.add.at``, which adds them in
-    that order.  The supports themselves (covering depths and cylinder
-    counts) cost a few bincounts per depth, so at layer 0, where every
-    cylinder is the whole space, the n^2 pairs are all in the hat sums,
-    which run only when read.
+    that order.
+
+    Both kernels find each center's cylinder and its range of sorted
+    positions through ``_supports_of``.  ``supports`` (covering depths and
+    cylinder counts) costs a few bincounts per depth and records the
+    centers and depths that ``next_depths`` reads; ``hat_sums`` reads and
+    writes none of them.  So at layer 0, where every cylinder is the
+    whole space, the n^2 pairs are all in the hat sums.
     """
 
     def __init__(self, space, Y, fY):
@@ -576,37 +578,30 @@ class _CantorSupports:
         hi, lo = metric.ball_extremes(np.arange(n), np.full(n, space.resolution), yids, fY.values[yids])
         self.osc_res = np.maximum(hi - lo, 0.0)
 
-    def sums(self, centers, depths, a, l_prev, record=True):
-        """Hat sums num and den, the deepest covering depth and min l_prev per point.
-
-        With ``a`` None the hat sums are skipped and num, den are None.
-        ``record`` keeps the centers and depths for ``next_depths``; without
-        it only the hat sums run, and lmax, minlp are None.
-        """
-        rank, width = self.rank, self.width
-        n = rank.size
-        # Support of each center: its cylinder, a range of sorted positions.
-        cdep = np.minimum(depths, width)
+    def _supports_of(self, centers, depths):
+        """Each center's support: its cylinder at its depth (capped at the
+        width) and that cylinder's range [lo, hi) of sorted positions."""
+        cdep = np.minimum(depths, self.width)
         cyl = np.empty(centers.size, dtype=np.int64)
         lo = np.empty(centers.size, dtype=np.int64)
         hi = np.empty(centers.size, dtype=np.int64)
         for c in np.unique(cdep):
             sel = cdep == c
-            cyl[sel] = self.cyl_of[c][rank[centers[sel]]]
+            cyl[sel] = self.cyl_of[c][self.rank[centers[sel]]]
             lo[sel] = self.bounds[c][cyl[sel]]
             hi[sel] = self.bounds[c][cyl[sel] + 1]
+        return cyl, lo, hi
 
-        num = den = None
-        if a is not None:
-            num, den = self._hat_sums(centers, depths, a, lo, hi)
-        if not record:
-            return num, den, None, None
-
+    def supports(self, centers, depths, l_prev):
+        """The deepest covering depth and min l_prev per point (-1 and inf where
+        no support covers it); records the centers and depths for ``next_depths``."""
+        cyl, _lo, _hi = self._supports_of(centers, depths)
+        n = self.rank.size
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
         for nu in np.unique(depths):
             sel = depths == nu
-            c = min(int(nu), width)
+            c = min(int(nu), self.width)
             ngroups = self.bounds[c].size - 1
             covered = np.bincount(cyl[sel], minlength=ngroups) > 0
             lmax[covered[self.cyl_of[c]]] = nu
@@ -615,10 +610,11 @@ class _CantorSupports:
                 np.minimum.at(gmin, cyl[sel], l_prev[centers[sel]])
                 minlp = np.minimum(minlp, gmin[self.cyl_of[c]])
         self.centers, self.depths = centers, depths
-        return num, den, lmax[rank], minlp[rank]
+        return lmax[self.rank], minlp[self.rank]
 
-    def _hat_sums(self, centers, depths, a, lo, hi):
-        """num and den by id, for supports given as sorted-position ranges [lo, hi)."""
+    def hat_sums(self, centers, depths, a):
+        """Hat sums num and den by id; reads and writes nothing ``supports`` records."""
+        _cyl, lo, hi = self._supports_of(centers, depths)
         # Indexed by sorted position until the return, in center order: each
         # run of consecutive large centers on one slice adds to that slice
         # in row blocks, and each run of small ones between them goes

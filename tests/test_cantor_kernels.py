@@ -545,8 +545,8 @@ class TestCantorSums:
     def check(space, data, inputs=sums_inputs):
         centers, depths, a, l_prev = data.draw(inputs(space))
         Y = space.full_mask()
-        fY = ScalarField(Y, np.zeros(space.n))
-        got = _CantorSupports(space, Y, fY).sums(centers, depths, a, l_prev)
+        sup = _CantorSupports(space, Y, ScalarField(Y, np.zeros(space.n)))
+        got = sup.hat_sums(centers, depths, a) + sup.supports(centers, depths, l_prev)
         want = reference_sums(space, centers, depths, a, l_prev)
         for out, g, w in zip(("num", "den", "lmax", "minlp"), got, want):
             assert identical(g, w), out
@@ -588,7 +588,7 @@ class TestCantorSums:
         centers, depths, a, l_prev = data.draw(sums_inputs(space))
         Y = space.full_mask()
         sup = _CantorSupports(space, Y, ScalarField(Y, np.zeros(space.n)))
-        for _num, den, lmax, _minlp in (sup.sums(centers, depths, a, l_prev),
+        for _num, den, lmax, _minlp in (sup.hat_sums(centers, depths, a) + sup.supports(centers, depths, l_prev),
                                         reference_sums(space, centers, depths, a, l_prev)):
             assert np.array_equal(den > 0, lmax >= 0)
 
@@ -646,14 +646,14 @@ class TestLayerZeroRead:
     def test_hat_sums_run_only_when_read(self, monkeypatch, spec, backend, max_layers, reads):
         """A hat-sum call over depth-0 centers is layer 0's."""
         calls = []
-        sums = backend.sums
+        hat_sums = backend.hat_sums
 
-        def spy(self, centers, depths, a, l_prev, record=True):
-            if a is not None and not depths.any():
+        def spy(self, centers, depths, a):
+            if not depths.any():
                 calls.append(centers.size)
-            return sums(self, centers, depths, a, l_prev, record)
+            return hat_sums(self, centers, depths, a)
 
-        monkeypatch.setattr(backend, "sums", spy)
+        monkeypatch.setattr(backend, "hat_sums", spy)
         space = generate_from_spec(spec)
         report = layered_extension(space, space.subsets["Y"], space.fields["f"], max_layers=max_layers)
         assert report.diagnostics["layers"] > 1 or max_layers == 1
@@ -665,9 +665,65 @@ class TestLayerZeroRead:
         fY = block_parity_field(space).restrict(Y)
         got = layered(space, Y, fY, _CantorSupports)
         calls = []
-        hat_sums = _CantorSupports._hat_sums
-        monkeypatch.setattr(_CantorSupports, "_hat_sums", lambda self, *args: calls.append(1) or hat_sums(self, *args))
+        hat_sums = _CantorSupports.hat_sums
+        monkeypatch.setattr(_CantorSupports, "hat_sums", lambda self, *args: calls.append(1) or hat_sums(self, *args))
         first = got[0].values
         assert got[0].values is first and len(calls) == 1
         want = reference_layered_cantor(space, Y, fY, 24, n_max_of(space))
         assert identical(first, want[0].values)
+
+
+class TestValuesAtFirstRead:
+    """Each layer's values are a function that runs the backend's
+    ``hat_sums`` at the first read, and ``hat_sums`` reads and writes no
+    state that ``supports`` records for ``next_depths``."""
+
+    BACKENDS = [("cantor:8", _CantorSupports), ("ordinal:2", _GenericSupports)]
+
+    @staticmethod
+    def inputs(spec):
+        space = generate_from_spec(spec)
+        Y = space.subsets["Y"]
+        return space, Y, space.fields["f"].restrict(Y)
+
+    @pytest.mark.parametrize("spec, backend", BACKENDS)
+    def test_earlier_hat_sums_leave_next_depths_unchanged(self, spec, backend):
+        space, Y, fY = self.inputs(spec)
+        recorded = []
+
+        class Interleaved(backend):
+            def supports(self, centers, depths, l_prev):
+                recorded.append((centers, depths))
+                return super().supports(centers, depths, l_prev)
+
+            def next_depths(self, cand, ok):
+                state = dict(vars(self))
+                for centers, depths in recorded[:-1]:  # every earlier layer
+                    self.hat_sums(centers, depths, np.ones(centers.size))
+                assert vars(self).keys() == state.keys()
+                assert all(vars(self)[name] is value for name, value in state.items())
+                return super().next_depths(cand, ok)
+
+        got = layered(space, Y, fY, Interleaved)
+        assert len(got) > 2
+        assert_identical_layers(got, layered(space, Y, fY, backend))
+
+    @pytest.mark.parametrize("spec, backend", BACKENDS)
+    def test_each_layer_sums_at_most_once_and_only_when_read(self, monkeypatch, spec, backend):
+        calls = []
+        hat_sums = backend.hat_sums
+
+        def spy(self, centers, depths, a):
+            calls.append(centers)
+            return hat_sums(self, centers, depths, a)
+
+        monkeypatch.setattr(backend, "hat_sums", spy)
+        space, Y, fY = self.inputs(spec)
+        layers = layered(space, Y, fY, backend)
+        assert len(layers) > 2 and calls == []
+        for st in layers:
+            assert st.values is st.values
+            assert len(calls) == st.k + 1 and calls[-1] is st.centers
+        calls.clear()
+        report = layered_extension(space, Y, fY)
+        assert len({id(c) for c in calls}) == len(calls) <= report.diagnostics["layers"]

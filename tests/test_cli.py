@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oscext
+from oscext import cli
 from oscext.cli import main
 
 from conftest import FIXTURES
@@ -216,6 +217,14 @@ class TestCompare:
         code, _out, err = run(capsys, "compare", "--generate", "sequence", "--methods", "limsup")
         assert code == 1
 
+    def test_unknown_method_is_refused_before_any_construction(self, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "_run_method", lambda method, *args: ran.append(method))
+        code, out, err = run(capsys, "compare", "--generate", "ordinal:3", "--methods", "layered,scattered,bogus")
+        assert code == 1 and out == ""
+        assert "unknown method 'bogus'" in err
+        assert ran == []
+
 
 class TestEx1:
     def test_small_depth_sweep(self, capsys, tmp_path):
@@ -350,6 +359,12 @@ class TestFileErrors:
         code, _out, err = run(capsys, "validate", "--instance", "/nonexistent/x.json")
         assert code == 1
         assert "cannot read" in err
+
+    @pytest.mark.parametrize("target", ["missing_dir/x.json", "."], ids=["missing_directory", "directory"])
+    def test_unwritable_output_path_exits_one(self, capsys, tmp_path, target):
+        code, out, err = run(capsys, "validate", "--generate", "ordinal:1", "--out", str(tmp_path / target))
+        assert code == 1 and out == ""
+        assert "cannot write output file" in err
 
     def test_non_json_instance_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1107,7 +1107,7 @@ class TestLayeredGeneric:
                                              max_size=centers.size)), dtype=np.int64)
         a = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, centers.size) / 3
         l_prev = np.arange(n) % 7 if data.draw(st.booleans()) else None
-        _num, den, lmax, _minlp = sup.sums(centers, depths, a, l_prev)
+        (_num, den), (lmax, _minlp) = sup.hat_sums(centers, depths, a), sup.supports(centers, depths, l_prev)
         assert np.array_equal(den > 0, lmax >= 0)
 
     def test_empty_target_rejected(self):
