@@ -459,8 +459,14 @@ class _GenericSupports:
 
     Two kernels walk the (center, member) pairs of ``ball_pairs``, each on
     its own pass.  ``supports`` gives the covering depths and records the
-    covering matrix that ``next_depths`` reads; at layer 0, whose radius-1
-    balls hold every point within 1, that pass is n^2 pairs.  ``hat_sums``
+    covering matrix that ``next_depths`` reads.  A layer whose every radius
+    exceeds the diameter, which bounds every computed distance, covers every
+    point with every support: ``supports`` then walks no pairs and records
+    the covering matrix as one all-True row broadcast to every point, and
+    ``next_depths`` makes no pair pass, since no point can leave or enter a
+    support.  Layer 0's radius-1 balls are such a layer on every space of
+    diameter below 1, the ordinal ladders among them; on wider spaces that
+    pass is n^2 pairs.  ``hat_sums``
     reads and writes nothing ``supports`` records, so it may run for any
     layer at any time.  Accumulation-order contract: each point's hat sums add its
     centers' terms one at a time in center order, starting from 0, as a
@@ -470,6 +476,7 @@ class _GenericSupports:
 
     def __init__(self, space, Y, fY):
         self.metric = space.metric
+        self.diameter = space.diameter()
         self.everything = np.arange(space.n)
         self.osc_res = np.array([osc_at_point(fY, x, Y, space.resolution) for x in range(space.n)])
 
@@ -477,6 +484,10 @@ class _GenericSupports:
         """The deepest covering depth and min l_prev per point (-1 and inf where
         no support covers it); records the covering matrix for ``next_depths``."""
         n = self.everything.size
+        if 2.0 ** -float(depths.max()) > self.diameter:  # every support covers every point
+            self.covering = np.broadcast_to(True, (n, centers.size))
+            minlp = np.inf if l_prev is None else float(l_prev[centers].min())
+            return np.full(n, depths.max(), dtype=np.int64), np.full(n, minlp)
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
         covering = np.zeros((n, centers.size), dtype=bool)
@@ -515,15 +526,18 @@ class _GenericSupports:
             return chosen
         d_out, d_in = np.full((2, live.size), np.inf)
         # Only the largest doubled ball still in play needs support tests.
-        for r, p, d in self.metric.ball_pairs(cand[live], wide[np.argmax(ok[live], axis=1)], self.everything):
-            k = cand[live[r]]
-            for plo, phi in _row_chunks(r.size, self.covering.shape[1]):
-                cov_x = self.covering[k[plo:phi]]
-                cov = self.covering[p[plo:phi]]
-                leaves = (cov_x & ~cov).any(axis=1)  # leaves a support covering x
-                enters = (cov & ~cov_x).any(axis=1)  # enters a support not covering x
-                np.minimum.at(d_out, r[plo:phi][leaves], d[plo:phi][leaves])
-                np.minimum.at(d_in, r[plo:phi][enters], d[plo:phi][enters])
+        # When every row is one broadcast row, no point leaves or enters a
+        # support, and there is no pair to test.
+        if self.covering.strides[0]:
+            for r, p, d in self.metric.ball_pairs(cand[live], wide[np.argmax(ok[live], axis=1)], self.everything):
+                k = cand[live[r]]
+                for plo, phi in _row_chunks(r.size, self.covering.shape[1]):
+                    cov_x = self.covering[k[plo:phi]]
+                    cov = self.covering[p[plo:phi]]
+                    leaves = (cov_x & ~cov).any(axis=1)  # leaves a support covering x
+                    enters = (cov & ~cov_x).any(axis=1)  # enters a support not covering x
+                    np.minimum.at(d_out, r[plo:phi][leaves], d[plo:phi][leaves])
+                    np.minimum.at(d_in, r[plo:phi][enters], d[plo:phi][enters])
         good = ok[live] & (small <= d_out[:, None]) & (wide <= d_in[:, None])
         hit = good.any(axis=1)
         chosen[live[hit]] = tried[np.argmax(good[hit], axis=1)]

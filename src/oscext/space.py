@@ -24,7 +24,8 @@ _EXACT_DIAMETER_LIMIT = 4096
 # row-block kernels; bounds their temporaries whatever the input size.
 _BLOCK_ELEMS = 1 << 16
 # Euclidean kernels query a kd-tree instead of distance row blocks: nearest
-# points above _KD_SCALE_MEMBERS**2 queries x targets, ball extremes above _KD_BALL_MEMBERS targets.
+# points above _KD_SCALE_MEMBERS**2 queries x targets, ball extremes above
+# _KD_BALL_MEMBERS targets in two or more dimensions.
 _KD_SCALE_MEMBERS = 2048
 _KD_BALL_MEMBERS = 3000
 
@@ -150,8 +151,15 @@ class MatrixMetric(Metric):
 
 
 class EuclideanMetric(Metric):
-    """Points in R^dim; large nearest-point and ball-extreme queries go through a kd-tree.
-    On the line (dim 1) balls are runs in coordinate order, and the diameter is the two ends' distance."""
+    """Points in R^dim; large nearest-point queries go through a kd-tree.
+
+    On the line (dim 1) every open ball is a run of the targets in
+    coordinate order: ``ball_pairs`` builds only the pairs inside each run,
+    and ``ball_extremes`` and ``grid_extremes`` are range max and min over
+    the runs, with no kd path.  In two or more dimensions ball extremes
+    above ``_KD_BALL_MEMBERS`` targets go through a kd-tree.  On the line
+    the diameter is the two ends' distance.
+    """
 
     kind = "euclidean"
 
@@ -210,20 +218,16 @@ class EuclideanMetric(Metric):
         if self.coords.shape[1] != 1:
             yield from super().ball_pairs(centers, radii, targets)
             return
-        # On the line a ball is a run of the targets in coordinate order.
-        # fl(y - c), its square and the root are monotone in y on each side
-        # of c, so a member (computed d < r) has exact |y - c| < r(1 + 2^-50),
-        # or below r + 2^-537.5 where the square is subnormal; the window
-        # [fl(c - w), fl(c + w)] holds every such y, and the re-filter decides.
+        # On the line a ball is a run of the targets in coordinate order:
+        # the pairs of each ball's window, re-filtered by their distance.
         t = targets.size
         x = self.coords[targets, 0]
         order = np.argsort(x, kind="stable")
         line = x[order]
-        reach = np.maximum(radii, 0.0) * (1 + 2**-40) + 2.0**-537
         for lo, hi in _row_chunks(centers.size, t):
             c = self.coords[centers[lo:hi], 0]
-            start = np.searchsorted(line, c - reach[lo:hi], side="left")
-            counts = np.searchsorted(line, c + reach[lo:hi], side="right") - start
+            start, stop = _line_window(line, c, radii[lo:hi])
+            counts = stop - start
             pos = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
             # Center-major with columns ascending: sorting the keys row * t + col
             # leaves the rows where they are and orders the columns in each.
@@ -236,6 +240,8 @@ class EuclideanMetric(Metric):
 
     def ball_extremes(self, queries: np.ndarray, radii: np.ndarray,
                       targets: np.ndarray, fvals: np.ndarray):
+        if self.coords.shape[1] == 1:
+            return self._line_extremes(queries, radii, targets, fvals)
         if targets.size <= _KD_BALL_MEMBERS:
             return super().ball_extremes(queries, radii, targets, fvals)
         from scipy.spatial import cKDTree
@@ -256,6 +262,56 @@ class EuclideanMetric(Metric):
         np.minimum.at(minv, seg[keep], fvals[flat[keep]])
         return maxv, minv
 
+    def grid_extremes(self, queries: np.ndarray, grid: np.ndarray, targets: np.ndarray, fvals: np.ndarray):
+        if self.coords.shape[1] != 1:
+            return super().grid_extremes(queries, grid, targets, fvals)
+        return self._line_extremes(queries, np.broadcast_to(grid[:, None], (grid.size, queries.size)), targets, fvals)
+
+    def _line_extremes(self, queries, radii, targets, fvals):
+        """``ball_extremes`` on the line for ``radii`` of shape (..., queries), one output of that shape each.
+
+        Each ball is the run of the targets in coordinate order that
+        ``_line_runs`` finds, and its extremes are range queries on sparse
+        tables (Bender and Farach-Colton, "The LCA Problem Revisited", 2000):
+        level j holds the extreme of every 2^j consecutive targets, and a run
+        is the union of two such windows.  The tables hold ranks of f, so of
+        equal values (+0.0 and -0.0 differ only in bits) the last target in
+        ``targets`` order wins, as in the dense fold of ``Metric.ball_extremes``.
+        The balls go in blocks of about 16 words of search temporaries each
+        within ``_BLOCK_ELEMS``, and a level is filled when a run first needs it.
+        """
+        m = targets.size
+        x = self.coords[targets, 0]
+        order = np.argsort(x, kind="stable")
+        line = x[order]
+        c = np.broadcast_to(self.coords[queries, 0], radii.shape).ravel()
+        r = radii.ravel()
+        # Two rankings of f, ascending.  In ``up`` equal values keep target
+        # order, so a run's max is its largest rank; in ``down`` they are in
+        # reverse target order, so its min is its smallest rank, negated
+        # here so that one maximum serves both.
+        up = np.argsort(fvals, kind="stable")
+        down = m - 1 - np.argsort(fvals[::-1], kind="stable")
+        rank = np.empty((2, m), dtype=np.int64)
+        rank[0, up] = np.arange(m)
+        rank[1, down] = -np.arange(m)
+        table = np.zeros((m.bit_length(), 2, m), dtype=np.int64)
+        table[0] = rank[:, order]
+        levels = 1
+        maxv, minv = np.empty((2, c.size))
+        for lo, hi in _row_chunks(c.size, 16):
+            start, stop = _line_runs(line, c[lo:hi], r[lo:hi])
+            count = stop - start
+            for j in range(levels, int(count.max(initial=0)).bit_length()):
+                h, w = 1 << (j - 1), m - (1 << j) + 1
+                np.maximum(table[j - 1, :, :w], table[j - 1, :, h:h + w], out=table[j, :, :w])
+                levels = j + 1
+            j = np.frexp(np.maximum(count, 1))[1] - 1  # floor(log2(count))
+            best = np.maximum(table[j, :, np.minimum(start, m - 1)], table[j, :, stop - (1 << j)])
+            maxv[lo:hi] = np.where(count == 0, -np.inf, fvals[up[best[:, 0]]])
+            minv[lo:hi] = np.where(count == 0, np.inf, fvals[down[-best[:, 1]]])
+        return maxv.reshape(radii.shape), minv.reshape(radii.shape)
+
     def diameter(self) -> float:
         if self._diameter is None:
             if self.n <= _EXACT_DIAMETER_LIMIT and self.coords.shape[1] > 1:
@@ -268,6 +324,46 @@ class EuclideanMetric(Metric):
                 # The box corners, on the line its ends: _euclidean is monotone and |fl(y_k - x_k)| <= fl(hi_k - lo_k).
                 self._diameter = float(_euclidean(self.coords.min(axis=0), self.coords.max(axis=0)))
         return self._diameter
+
+
+def _line_window(line: np.ndarray, c: np.ndarray, radii: np.ndarray):
+    """Per center: the range [start, stop) of the sorted ``line`` that holds its open ball, and a little more.
+
+    fl(y - c), its square and the root are monotone in y on each side of c,
+    so a member (computed d < r) has exact |y - c| < r(1 + 2^-50), or below
+    r + 2^-537.5 where the square is subnormal; the window
+    [fl(c - w), fl(c + w)] holds every such y.
+    """
+    reach = np.maximum(radii, 0.0) * (1 + 2**-40) + 2.0**-537
+    return np.searchsorted(line, c - reach, side="left"), np.searchsorted(line, c + reach, side="right")
+
+
+def _line_runs(line: np.ndarray, c: np.ndarray, radii: np.ndarray):
+    """Per center: the run [start, stop) of the sorted ``line`` inside its open ball, exactly.
+
+    The ball lies in ``_line_window``, which the center's position p splits:
+    left of p the computed distance falls as y rises, from p on it rises, so
+    the members are a suffix of the left part and a prefix of the right one.
+    One vectorised bisection finds both ends, each decided by the computed
+    ``_euclidean(c, y) < r``.  Its first probe is the window's outer edge,
+    where the end lies unless targets sit within the widening.
+    """
+    n = c.size
+    wlo, whi = _line_window(line, c, radii)
+    p = np.searchsorted(line, c)
+    # Search s finds the first index in [lo, hi) whose membership is want[s], or hi.
+    lo, hi = np.r_[wlo, p], np.r_[p, whi]
+    cc, rr = np.r_[c, c], np.r_[radii, radii]
+    want = np.arange(2 * n) < n
+    act = np.flatnonzero(lo < hi)
+    mid = np.where(want[act], lo[act], hi[act] - 1)
+    while act.size:
+        hit = (_euclidean(cc[act, None], line[mid, None]) < rr[act]) == want[act]
+        hi[act[hit]] = mid[hit]
+        lo[act[~hit]] = mid[~hit] + 1
+        act = act[lo[act] < hi[act]]
+        mid = (lo[act] + hi[act]) // 2
+    return lo[:n], lo[n:]
 
 
 def _euclidean(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ partition, blend, nearest-point and generic layering kernels are checked
 against the per-point loops kept below as references, and ``grid_extremes``
 against one ``ball_extremes`` call per radius: the arithmetic and its
 summation order are unchanged, so every output must be bit-identical,
-dtype and NaNs included.
+dtype and NaNs included.  On the line both extremes kernels are one run
+kernel, checked against the brute-force balls and the base class's dense
+fold; the generic layered backend's cover of a layer wider than the space
+is checked against the pair walk it skips.
 """
 
 import functools
@@ -789,7 +792,9 @@ def stacked_ball_extremes(space, queries, grid, targets, fvals):
 
 
 class TestGridExtremes:
-    """One binned distance pass equals one ball_extremes call per radius."""
+    """``grid_extremes`` equals one ball_extremes call per radius: the binned
+    distance pass, the cylinder passes, and on the line the run kernel, which
+    ``TestLineExtremes`` checks against the dense fold."""
 
     @pytest.mark.parametrize("name", ["matrix", "lattice", "random3d", "ordinal:2", "cantor:6", "cantor:8",
                                       "line", "offset_line"])
@@ -811,6 +816,121 @@ class TestGridExtremes:
         missed = np.isneginf(got["dyadic"][0]) & np.isposinf(got["dyadic"][1])
         assert missed[-1].any() and not missed[0].all()
         assert not np.array_equal(np.sort(queries), queries)
+
+
+def line_space(name):
+    """A 1-D input of the line's run kernels: a line of ``backend_space``, or
+
+    ``ulp_cluster``: points one ulp apart on both sides of 1 and of -1, so
+    the balls of radius about 1 around 0, and about 2 around either cluster,
+    end inside a cluster that the widened search window holds whole.
+    ``kd_line``: uniform points, half of them more than ``_KD_BALL_MEMBERS``,
+    the target count above which balls in two or more dimensions go through
+    a kd-tree.
+    """
+    if name == "ulp_cluster":
+        ones = np.r_[1.0 - np.arange(1, 25) * 2.0**-53, 1.0 + np.arange(25) * 2.0**-52]
+        coords = np.random.default_rng(15).permutation(np.r_[ones, -ones, 0.0, 0.5, -0.25, 2.0, 3.0])
+    elif name == "kd_line":
+        coords = np.random.default_rng(16).uniform(size=2 * _KD_BALL_MEMBERS + 200)
+    else:
+        return backend_space(name)
+    return SpaceInstance(name, EuclideanMetric(coords), resolution=2.0**-1022, family="euclidean")
+
+
+def line_balls(space, seed, nqueries):
+    """Half the points as targets, queries that are partly not targets, and radii.
+
+    Each query gets the radii 0 and +inf, and for its distance d to each of
+    8 targets, d (a tie at the radius) and the floats either side of d.
+    Returns (queries, radii, targets, fvals, radii per query).
+    """
+    rng = np.random.default_rng(seed)
+    targets = np.sort(rng.choice(space.n, size=space.n // 2, replace=False))
+    queries = rng.choice(space.n, size=nqueries, replace=False)
+    d = space.metric.dist_rows(queries, rng.choice(targets, size=8))
+    radii = np.hstack([np.zeros((nqueries, 1)), np.full((nqueries, 1), np.inf),
+                       d, np.nextafter(d, np.inf), np.nextafter(d, -np.inf)])
+    fvals = rng.integers(0, 4, size=targets.size) / 3.0
+    return np.repeat(queries, radii.shape[1]), radii.ravel(), targets, fvals, radii.shape[1]
+
+
+def spread_picks(total, targets, pairs=40000):
+    """Every k-th of ``total`` balls, so the brute-force loop visits about ``pairs`` (ball, target) pairs."""
+    return np.arange(0, total, -(-total * targets // pairs))
+
+
+LINES = ["line", "offset_line", "subnormal_line", "ulp_cluster", "kd_line"]
+
+
+class TestLineExtremes:
+    """On the line ``ball_extremes`` and ``grid_extremes`` are one kernel, range
+    queries over coordinate runs, so each is checked against the brute-force
+    balls and against the base class's dense fold run on the same metric."""
+
+    @pytest.mark.parametrize("name", LINES)
+    @pytest.mark.parametrize("budget", [None, 100], ids=["default_budget", "six_balls"])
+    def test_matches_dense_fold_and_brute_force(self, monkeypatch, name, budget):
+        space = line_space(name)
+        metric = space.metric
+        queries, radii, targets, fvals, per = line_balls(space, len(name), min(space.n, 40))
+        assert not np.isin(queries, targets).all()
+        assert name != "kd_line" or targets.size > _KD_BALL_MEMBERS
+        # The grid: every radius of the first three queries, descending, +inf and 0 included.
+        grid = np.unique(radii[:3 * per])[::-1]
+        q = queries[::per]
+        # Balls by ascending radius: their runs lengthen from block to block.
+        by_radius = np.argsort(radii, kind="stable")
+        queries, radii = queries[by_radius], radii[by_radius]
+        dense = (space_mod.Metric.ball_extremes(metric, queries, radii, targets, fvals),
+                 space_mod.Metric.grid_extremes(metric, q, grid, targets, fvals))
+        built = []  # no kd-tree on the line
+        monkeypatch.setattr("scipy.spatial.cKDTree", lambda pts: built.append(len(pts)))
+        if budget is not None:  # blocks of six balls: the table's levels fill from block to block
+            monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", budget)
+
+        got = metric.ball_extremes(queries, radii, targets, fvals)
+        assert all_identical(got, dense[0])
+        pick = spread_picks(queries.size, targets.size)
+        want = brute_ball_extremes(space, queries[pick], radii[pick], targets, fvals)
+        assert all_identical(tuple(g[pick] for g in got), want)
+        assert (got[0] < got[1])[radii == 0].all()
+
+        got = metric.grid_extremes(q, grid, targets, fvals)
+        assert all_identical(got, dense[1])
+        rows, cols = np.unravel_index(spread_picks(grid.size * q.size, targets.size), (grid.size, q.size))
+        want = brute_ball_extremes(space, q[cols], grid[rows], targets, fvals)
+        assert all_identical((got[0][rows, cols], got[1][rows, cols]), want)
+        assert not built
+
+    def test_equal_extremes_take_the_last_target(self):
+        # Only +0.0 and -0.0 tell equal values apart.  The dense fold keeps
+        # the later of two equal values, and so do the run kernel's ranks: in
+        # ``targets`` order, whatever the coordinate order.
+        metric = EuclideanMetric(np.array([0.0, 0.25, 0.5, 0.75]))
+        queries, radii = np.array([0, 0, 3]), np.array([1.0, 0.3, 0.3])
+        fvals = np.array([-0.0, 0.0, 0.0, -0.0])
+        for targets, negative in [([0, 1, 2, 3], [True, False, True]), ([3, 2, 1, 0], [True, True, False])]:
+            for extreme in metric.ball_extremes(queries, radii, np.array(targets), fvals):
+                assert np.array_equal(extreme, np.zeros(3)) and np.signbit(extreme).tolist() == negative
+
+    def test_wide_balls_peak_memory(self):
+        # Every ball holds every one of more than _KD_BALL_MEMBERS targets.
+        # The kd path this replaced built one Python list per ball, n^2 ids in
+        # all: `index --generate random:7:3001:1 --policy fixed:1` peaked at
+        # 890 MB RSS.  The sparse tables hold 2 log2(n) ranks per target.
+        n = _KD_BALL_MEMBERS + 1000
+        metric = EuclideanMetric(np.random.default_rng(0).uniform(size=n))
+        ids = np.arange(n)
+        fvals = np.random.default_rng(1).normal(size=n)
+        tracemalloc.start()
+        try:
+            maxv, minv = metric.ball_extremes(ids, np.full(n, 1.0), ids, fvals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(maxv, np.full(n, fvals.max())) and np.array_equal(minv, np.full(n, fvals.min()))
+        assert peak < 100 * 8 * n
 
 
 # ---------------------------------------------------------------------------
@@ -1021,6 +1141,37 @@ def run_checked_layers(space, Y, fY, max_layers=24):
     return calls
 
 
+def kernel_walks(monkeypatch, space, Y, fY):
+    """The ``supports`` and ``next_depths`` calls of one ``_layered`` run, in
+    order, with a "ball_pairs" entry after each for every pair walk it
+    starts; from the first ``supports`` on, past the spread table's walk."""
+    walks = []
+    pairs = space.metric.ball_pairs
+    monkeypatch.setattr(space.metric, "ball_pairs", lambda *args: walks.append("ball_pairs") or pairs(*args))
+
+    class Spied(_GenericSupports):
+        def supports(self, *args):
+            walks.append("supports")
+            return super().supports(*args)
+
+        def next_depths(self, *args):
+            walks.append("next_depths")
+            return super().next_depths(*args)
+
+    n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
+    _layered(space, Y, fY, 24, n_max, *nearest_in_set(space, Y), Spied)
+    return walks[walks.index("supports"):]
+
+
+class WalkingSupports(_GenericSupports):
+    """The generic backend with its diameter read as +inf: no layer covers
+    every point, so every layer walks its pairs."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.diameter = np.inf
+
+
 class TestLayeredGeneric:
     @pytest.mark.parametrize("name", CASES)
     def test_bit_identical_to_loop(self, name):
@@ -1109,6 +1260,59 @@ class TestLayeredGeneric:
         l_prev = np.arange(n) % 7 if data.draw(st.booleans()) else None
         (_num, den), (lmax, _minlp) = sup.hat_sums(centers, depths, a), sup.supports(centers, depths, l_prev)
         assert np.array_equal(den > 0, lmax >= 0)
+
+    @pytest.mark.parametrize("spec", ["ordinal:1", "ordinal:2", "ordinal:3", "random:7:300:1"])
+    def test_layer_wider_than_the_space_walks_no_pairs(self, monkeypatch, spec):
+        # Radius 1 exceeds the diameter (0.8 to 0.99): layer 0's supports
+        # and support test walk no pairs; deeper layers do.
+        space, Y, f = case(spec) if spec in CASES else with_subset_field(generate_from_spec(spec), 7)
+        assert space.diameter() < 1.0
+        walks = kernel_walks(monkeypatch, space, Y, f.restrict(Y))
+        assert walks[:3] == ["supports", "next_depths", "supports"]
+        assert "ball_pairs" in walks
+
+    @pytest.mark.parametrize("name", ["random:7:200:2", "unit_line"])
+    def test_layer_zero_walks_pairs_on_a_wide_space(self, monkeypatch, name):
+        # A 2-D cloud of diameter 1.32, and a line of diameter exactly 1,
+        # whose two ends are outside each other's radius-1 ball.
+        if name == "unit_line":
+            space = SpaceInstance(name, EuclideanMetric(np.arange(17) / 16), resolution=1 / 16, family="euclidean")
+            Y, f = space.full_mask(), ScalarField(space.full_mask(), np.arange(17) % 3 / 3)
+        else:
+            space = generate_from_spec(name)
+            Y, f = space.subsets["Y"], space.fields["f"]
+        assert space.diameter() >= 1.0
+        walks = kernel_walks(monkeypatch, space, Y, f.restrict(Y))
+        assert walks[:4] == ["supports", "ball_pairs", "next_depths", "ball_pairs"]
+
+    @pytest.mark.parametrize("name", ["ordinal:1", "ordinal:2", "ordinal:3", "line", "matrix", "random:7:300:1"])
+    def test_forced_walk_gives_the_same_layers(self, name):
+        space, Y, f = case(name) if name in CASES else with_subset_field(generate_from_spec(name), 7)
+        fY = f.restrict(Y)
+        n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
+        got = _layered(space, Y, fY, 24, n_max, *nearest_in_set(space, Y), _GenericSupports)
+        want = _layered(space, Y, fY, 24, n_max, *nearest_in_set(space, Y), WalkingSupports)
+        assert len(got) == len(want) >= 2
+        for g, w in zip(got, want):
+            assert identical(g.carrier.mask, w.carrier.mask)
+            for attr in ("centers", "depths", "values", "level_numbers", "min_prev_level"):
+                assert identical(getattr(g, attr), getattr(w, attr)), (g.k, attr)
+
+    def test_broadcast_covering_reads_as_the_walked_one(self):
+        # Layer 0 of ordinal:2 covers every point: the recorded matrix equals
+        # the walked one, and the candidate loop reads it alike.
+        space, Y, f = case("ordinal:2")
+        fY = f.restrict(Y)
+        centers, depths = np.arange(space.n), np.zeros(space.n, dtype=np.int64)
+        sup, walking = _GenericSupports(space, Y, fY), WalkingSupports(space, Y, fY)
+        l_prev = np.arange(space.n) % 5 + 3
+        assert all_identical(sup.supports(centers, depths, l_prev), walking.supports(centers, depths, l_prev))
+        assert all_identical(sup.supports(centers, depths, None), walking.supports(centers, depths, None))
+        assert sup.covering.strides == (0, 0) and np.array_equal(sup.covering, walking.covering)
+        cand = np.arange(0, space.n, 3)
+        ok = np.random.default_rng(5).uniform(size=(cand.size, 12)) < 0.3
+        assert identical(sup.next_depths(cand, ok), reference_next_depths(walking, cand, ok))
+        assert identical(sup.next_depths(cand, ok), walking.next_depths(cand, ok))
 
     def test_empty_target_rejected(self):
         space = case("random2d")[0]
