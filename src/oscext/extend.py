@@ -331,6 +331,9 @@ def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
             f"Y is not dense at resolution: point {worst} is at distance "
             f"{dY[worst]} > {space.resolution}; compose with retract_extension instead"
         )
+    if dY[worst] >= 2.0:
+        raise PreconditionError(f"point {worst} is at distance {dY[worst]} >= 2 from Y: layer 0's "
+                                "anchors must lie in its doubled radius-1 balls")
     # Anchors live in the doubled element ball (the one the oscillation
     # condition controls); at the resolution floor the single-radius rule
     # deadlocks against that condition and strands points in coarse layers.
@@ -359,6 +362,13 @@ def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
     }
     report = _patched(space, Y, fY, pre, "layered", diagnostics)
     if report.patch_magnitude > 2.0 ** (1 - k_star):
+        fy = fY.values[Y.mask]
+        if k_star == 0 and np.ptp(fy) > 2.0:  # F_0 mixes f over Y: off by at most f's range there
+            worst = int(Y.ids()[np.argmax(np.abs(pre[Y.mask] - fy))])
+            raise PreconditionError(
+                f"f ranges over {np.ptp(fy)} > 2 on Y, and point {worst} of Y stays in layer 0, whose values "
+                f"mix f over Y: its patch {report.patch_magnitude} exceeds the bound 2^(1-0)"
+            )
         raise InvariantError(
             f"patch magnitude {report.patch_magnitude} exceeds the geometric "
             f"bound 2^(1-{k_star})"
@@ -405,10 +415,10 @@ def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
     next centers are the carrier points x whose oscillation at resolution
     beats 2^-l_x, each at the smallest depth n in [l_x, n_max] whose doubled
     ball B(x, 2^(1-n)) meets Y with oscillation below 2^-l_x and passes the
-    backend's support test.  Every layer is handled alike: the backend's
-    ``supports`` runs at once, since the carrier, the levels and
-    ``next_depths`` read it, and the layer's values are a function that
-    runs the backend's ``hat_sums`` at the first read.
+    backend's support test.  Every layer is handled alike: ``supports``
+    runs at once for the carrier, the levels and the layer's cover, which
+    ``next_depths`` reads and the loop then drops; the layer's values are
+    a function that runs ``hat_sums`` at the first read.
     """
     n = space.n
     sup = backend(space, Y, fY)
@@ -427,7 +437,7 @@ def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
         if not anchored.all():
             s = int(centers[np.argmin(anchored)])
             raise InvariantError(f"layer {k}: no anchor candidate near {s}")
-        lmax, minlp = sup.supports(centers, depths, l_prev)
+        lmax, minlp, cover = sup.supports(centers, depths, l_prev)
         carrier_mask = lmax >= 0
         values = functools.partial(_hat_values, sup, centers, depths, fY.values[nearest_y[centers]], carrier_mask)
         lvl = np.where(carrier_mask, lmax + 1, 0).astype(np.int64)  # 0 off the carrier
@@ -439,7 +449,8 @@ def _layered(space, Y, fY, max_layers, n_max, nearest_y, dist_y, backend):
             break
         lx = lvl[cand, None]
         osc = spread[:, cand].T
-        chosen = sup.next_depths(cand, (tried >= lx) & (osc >= 0) & (osc < 2.0 ** -lx.astype(float)))
+        chosen = sup.next_depths(cover, cand, (tried >= lx) & (osc >= 0) & (osc < 2.0 ** -lx.astype(float)))
+        del cover  # before the next layer's supports builds its own
         if not (chosen >= 0).any():
             break
         centers = cand[chosen >= 0]
@@ -458,17 +469,15 @@ class _GenericSupports:
     """Supports of the layered construction from ``Metric.ball_pairs``, on any metric.
 
     Two kernels walk the (center, member) pairs of ``ball_pairs``, each on
-    its own pass.  ``supports`` gives the covering depths and records the
-    covering matrix that ``next_depths`` reads.  A layer whose every radius
-    exceeds the diameter, which bounds every computed distance, covers every
-    point with every support: ``supports`` then walks no pairs and records
-    the covering matrix as one all-True row broadcast to every point, and
-    ``next_depths`` makes no pair pass, since no point can leave or enter a
-    support.  Layer 0's radius-1 balls are such a layer on every space of
-    diameter below 1, the ordinal ladders among them; on wider spaces that
-    pass is n^2 pairs.  ``hat_sums``
-    reads and writes nothing ``supports`` records, so it may run for any
-    layer at any time.  Accumulation-order contract: each point's hat sums add its
+    its own pass.  ``supports`` gives the covering depths and the layer's
+    cover, the points x centers covering matrix, which ``next_depths``
+    reads.  A layer whose every radius exceeds the diameter, which bounds
+    every computed distance, covers every point with every support: its
+    cover is None, ``supports`` walks no pairs, and ``next_depths`` makes
+    no pair pass, since no point can leave or enter a support.  Layer 0's
+    radius-1 balls are such a layer on every space of diameter below 1, the
+    ordinal ladders among them; on wider spaces that pass is n^2 pairs.
+    Accumulation-order contract: each point's hat sums add its
     centers' terms one at a time in center order, starting from 0, as a
     per-center loop does: the pairs in ``ball_pairs`` order, fed to
     ``np.add.at``.
@@ -482,12 +491,11 @@ class _GenericSupports:
 
     def supports(self, centers, depths, l_prev):
         """The deepest covering depth and min l_prev per point (-1 and inf where
-        no support covers it); records the covering matrix for ``next_depths``."""
+        no support covers it), and the covering matrix (None: all True)."""
         n = self.everything.size
-        if 2.0 ** -float(depths.max()) > self.diameter:  # every support covers every point
-            self.covering = np.broadcast_to(True, (n, centers.size))
+        if 2.0 ** -float(depths.max()) > self.diameter:
             minlp = np.inf if l_prev is None else float(l_prev[centers].min())
-            return np.full(n, depths.max(), dtype=np.int64), np.full(n, minlp)
+            return np.full(n, depths.max(), dtype=np.int64), np.full(n, minlp), None
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
         covering = np.zeros((n, centers.size), dtype=bool)
@@ -496,11 +504,10 @@ class _GenericSupports:
             if l_prev is not None:
                 np.minimum.at(minlp, ids, l_prev[centers[rows]])
             covering[ids, rows] = True
-        self.covering = covering
-        return lmax, minlp
+        return lmax, minlp, covering
 
     def hat_sums(self, centers, depths, a):
-        """Hat sums num and den per point; reads and writes nothing ``supports`` records."""
+        """Hat sums num and den per point."""
         n = self.everything.size
         radii = 2.0 ** -depths.astype(float)
         num = np.zeros(n)
@@ -511,7 +518,7 @@ class _GenericSupports:
             np.add.at(den, ids, w)
         return num, den
 
-    def next_depths(self, cand, ok):
+    def next_depths(self, cover, cand, ok):
         """Per candidate x: the first depth n with ``ok[x, n - 1]`` that passes, or -1.
 
         The small ball B(x, 2^-n) must stay inside every support covering x,
@@ -526,14 +533,14 @@ class _GenericSupports:
             return chosen
         d_out, d_in = np.full((2, live.size), np.inf)
         # Only the largest doubled ball still in play needs support tests.
-        # When every row is one broadcast row, no point leaves or enters a
-        # support, and there is no pair to test.
-        if self.covering.strides[0]:
+        # Where every support covers every point, no point leaves or enters
+        # one, and there is no pair to test.
+        if cover is not None:
             for r, p, d in self.metric.ball_pairs(cand[live], wide[np.argmax(ok[live], axis=1)], self.everything):
                 k = cand[live[r]]
-                for plo, phi in _row_chunks(r.size, self.covering.shape[1]):
-                    cov_x = self.covering[k[plo:phi]]
-                    cov = self.covering[p[plo:phi]]
+                for plo, phi in _row_chunks(r.size, cover.shape[1]):
+                    cov_x = cover[k[plo:phi]]
+                    cov = cover[p[plo:phi]]
                     leaves = (cov_x & ~cov).any(axis=1)  # leaves a support covering x
                     enters = (cov & ~cov_x).any(axis=1)  # enters a support not covering x
                     np.minimum.at(d_out, r[plo:phi][leaves], d[plo:phi][leaves])
@@ -573,10 +580,10 @@ class _CantorSupports:
 
     Both kernels find each center's cylinder and its range of sorted
     positions through ``_supports_of``.  ``supports`` (covering depths and
-    cylinder counts) costs a few bincounts per depth and records the
-    centers and depths that ``next_depths`` reads; ``hat_sums`` reads and
-    writes none of them.  So at layer 0, where every cylinder is the
-    whole space, the n^2 pairs are all in the hat sums.
+    cylinder counts) costs a few bincounts per depth, and the layer's
+    cover, which ``next_depths`` reads, is its centers and depths.  So at
+    layer 0, where every cylinder is the whole space, the n^2 pairs are all
+    in the hat sums.
     """
 
     def __init__(self, space, Y, fY):
@@ -608,7 +615,7 @@ class _CantorSupports:
 
     def supports(self, centers, depths, l_prev):
         """The deepest covering depth and min l_prev per point (-1 and inf where
-        no support covers it); records the centers and depths for ``next_depths``."""
+        no support covers it), and the cover: the centers and depths."""
         cyl, _lo, _hi = self._supports_of(centers, depths)
         n = self.rank.size
         lmax = np.full(n, -1, dtype=np.int64)
@@ -623,11 +630,10 @@ class _CantorSupports:
                 gmin = np.full(ngroups, np.inf)
                 np.minimum.at(gmin, cyl[sel], l_prev[centers[sel]])
                 minlp = np.minimum(minlp, gmin[self.cyl_of[c]])
-        self.centers, self.depths = centers, depths
-        return lmax[self.rank], minlp[self.rank]
+        return lmax[self.rank], minlp[self.rank], (centers, depths)
 
     def hat_sums(self, centers, depths, a):
-        """Hat sums num and den by id; reads and writes nothing ``supports`` records."""
+        """Hat sums num and den by id."""
         _cyl, lo, hi = self._supports_of(centers, depths)
         # Indexed by sorted position until the return, in center order: each
         # run of consecutive large centers on one slice adds to that slice
@@ -678,20 +684,21 @@ class _CantorSupports:
         cyl_of = self.cyl_of[min(c, self.width)]
         return np.bincount(cyl_of[self.rank[group]], minlength=cyl_of[-1] + 1)[cyl_of[self.rank[x]]]
 
-    def next_depths(self, cand, ok):
+    def next_depths(self, cover, cand, ok):
         """Per candidate x: the first depth n with ``ok[x, n - 1]`` that passes, or -1.
 
         The deep centers (depth >= n) inside the doubled ball, a cylinder,
         must be exactly the deep centers whose supports cover x.
         """
+        centers, depths = cover
         chosen = np.full(cand.size, -1, dtype=np.int64)
         for nn in range(1, ok.shape[1] + 1):
             active = np.flatnonzero(ok[:, nn - 1] & (chosen < 0))
             if active.size == 0:
                 continue
             x = cand[active]
-            deep = self.depths >= nn
-            deep_centers, deep_depths = self.centers[deep], self.depths[deep]
+            deep = depths >= nn
+            deep_centers, deep_depths = centers[deep], depths[deep]
             inside = self._share_cylinder(nn - 1, deep_centers, x)
             covering = np.zeros(active.size, dtype=np.int64)
             for m in np.unique(deep_depths):

@@ -9,6 +9,7 @@ on the same prefix-metric spaces must build the same layers too.
 
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -546,7 +547,7 @@ class TestCantorSums:
         centers, depths, a, l_prev = data.draw(inputs(space))
         Y = space.full_mask()
         sup = _CantorSupports(space, Y, ScalarField(Y, np.zeros(space.n)))
-        got = sup.hat_sums(centers, depths, a) + sup.supports(centers, depths, l_prev)
+        got = sup.hat_sums(centers, depths, a) + sup.supports(centers, depths, l_prev)[:2]
         want = reference_sums(space, centers, depths, a, l_prev)
         for out, g, w in zip(("num", "den", "lmax", "minlp"), got, want):
             assert identical(g, w), out
@@ -588,7 +589,7 @@ class TestCantorSums:
         centers, depths, a, l_prev = data.draw(sums_inputs(space))
         Y = space.full_mask()
         sup = _CantorSupports(space, Y, ScalarField(Y, np.zeros(space.n)))
-        for _num, den, lmax, _minlp in (sup.hat_sums(centers, depths, a) + sup.supports(centers, depths, l_prev),
+        for _num, den, lmax, _minlp in (sup.hat_sums(centers, depths, a) + sup.supports(centers, depths, l_prev)[:2],
                                         reference_sums(space, centers, depths, a, l_prev)):
             assert np.array_equal(den > 0, lmax >= 0)
 
@@ -675,8 +676,8 @@ class TestLayerZeroRead:
 
 class TestValuesAtFirstRead:
     """Each layer's values are a function that runs the backend's
-    ``hat_sums`` at the first read, and ``hat_sums`` reads and writes no
-    state that ``supports`` records for ``next_depths``."""
+    ``hat_sums`` at the first read, and ``hat_sums`` changes no backend
+    state that ``next_depths`` could read."""
 
     BACKENDS = [("cantor:8", _CantorSupports), ("ordinal:2", _GenericSupports)]
 
@@ -696,13 +697,13 @@ class TestValuesAtFirstRead:
                 recorded.append((centers, depths))
                 return super().supports(centers, depths, l_prev)
 
-            def next_depths(self, cand, ok):
+            def next_depths(self, cover, cand, ok):
                 state = dict(vars(self))
                 for centers, depths in recorded[:-1]:  # every earlier layer
                     self.hat_sums(centers, depths, np.ones(centers.size))
                 assert vars(self).keys() == state.keys()
                 assert all(vars(self)[name] is value for name, value in state.items())
-                return super().next_depths(cand, ok)
+                return super().next_depths(cover, cand, ok)
 
         got = layered(space, Y, fY, Interleaved)
         assert len(got) > 2
@@ -727,3 +728,47 @@ class TestValuesAtFirstRead:
         calls.clear()
         report = layered_extension(space, Y, fY)
         assert len({id(c) for c in calls}) == len(calls) <= report.diagnostics["layers"]
+
+
+class _Held:
+    """A layer's cover behind an object a weakref can point at (a tuple or None cannot)."""
+
+    def __init__(self, cover):
+        self.cover = cover
+
+
+class TestCoversAsValues:
+    """Each layer's cover passes from ``supports`` to ``next_depths`` as a
+    value: the layer loop drops it before the next layer's ``supports``, and
+    the backends keep no per-layer attributes."""
+
+    @pytest.mark.parametrize("spec, backend", TestValuesAtFirstRead.BACKENDS)
+    def test_cover_is_dead_when_the_next_layer_starts(self, spec, backend):
+        space, Y, fY = TestValuesAtFirstRead.inputs(spec)
+        refs, kinds, backends = [], [], []
+
+        class Watched(backend):
+            def __init__(self, *args):
+                super().__init__(*args)
+                backends.append((self, set(vars(self))))
+
+            def supports(self, centers, depths, l_prev):
+                assert [ref() for ref in refs] == [None] * len(refs)  # every earlier layer's cover
+                lmax, minlp, cover = super().supports(centers, depths, l_prev)
+                kinds.append(type(cover).__name__)
+                held = _Held(cover)
+                refs.append(weakref.ref(held))
+                if isinstance(cover, np.ndarray):
+                    refs.append(weakref.ref(cover))
+                return lmax, minlp, held
+
+            def next_depths(self, held, cand, ok):
+                return super().next_depths(held.cover, cand, ok)
+
+        got = layered(space, Y, fY, Watched)
+        assert len(got) > 2 and len(kinds) == len(got)
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert set(kinds) == ({"tuple"} if backend is _CantorSupports else {"NoneType", "ndarray"})
+        ((sup, keys),) = backends
+        assert set(vars(sup)) == keys
+        assert_identical_layers(got, layered(space, Y, fY, backend))

@@ -558,3 +558,38 @@ class TestMalformedDocuments:
             assert time.monotonic() - started < 1.0
             assert code == 1
             assert message in err
+
+
+class TestLayeredPreconditions:
+    """Documents the layered construction cannot serve exit 2 and name the
+    cause, from ``extend`` and from ``compare``."""
+
+    DOCS = {
+        # Resolution 1000 admits point 1 at 100 from Y; layer 0's anchors lie within 2.
+        "far point": ({"name": "far", "resolution": 1000, "points": [{"id": 0}, {"id": 1}],
+                       "metric": {"type": "euclidean", "coords": [[0.0], [100.0]]},
+                       "fields": {"f": {"domain": [0, 1], "values": [1.0, -1.0]}}, "subsets": {"Y": [0]}},
+                      "point 1 is at distance 100.0 >= 2 from Y"),
+        "far matrix point": (matrix_doc(resolution=8, points=[{"id": 0}, {"id": 1}],
+                                        metric={"type": "matrix", "data": [[0, 5], [5, 0]]},
+                                        fields={"f": {"domain": [0, 1], "values": [1.0, -1.0]}},
+                                        subsets={"Y": [0]}),
+                             "point 1 is at distance 5.0 >= 2 from Y"),
+        # Every point stays in layer 0, where F_0 mixes f over Y: a range of 4 breaks the bound 2.
+        "wide range": ({"name": "range", "resolution": 1, "points": [{"id": i} for i in range(3)],
+                        "metric": {"type": "euclidean", "coords": [[0.0], [0.125], [0.25]]},
+                        "fields": {"f": {"domain": [0, 1, 2], "values": [-1.0, 3.0, 0.5]}},
+                        "subsets": {"Y": [0, 1, 2]}},
+                       "f ranges over 4.0 > 2 on Y, and point 1 of Y stays in layer 0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DOCS))
+    @pytest.mark.parametrize("command", [["extend", "--method", "layered"],
+                                         ["compare", "--methods", "limsup,layered"]])
+    def test_exits_two(self, capsys, tmp_path, name, command):
+        doc, cause = self.DOCS[name]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *command, "--instance", str(path))
+        assert code == 2 and out == ""
+        assert cause in err

@@ -27,6 +27,10 @@ COMMANDS = (
     ["index"],
     *(["extend", "--method", m] for m in ("glue", "iterated", "layered", "limsup", "scattered", "retract")),
 )
+KINDS = ("drop", "replace", "depth", "family", "label", "resolution", "scale", "column", "values", "prefix")
+# The layered construction on its own, where the field and Y mutations bite.
+LAYERED_COMMANDS = (["extend", "--method", "layered"], ["compare", "--methods", "limsup,layered"])
+LAYERED_KINDS = ("values", "prefix", "scale", "coarse")
 # Wrong types, NaN and inf (as JSON tokens and as strings), huge and extreme numbers.
 BAD_VALUES = (
     None, True, False, "", "x", "NaN", "inf", "-Infinity", float("nan"), float("inf"), float("-inf"),
@@ -38,6 +42,11 @@ FAMILIES = ("cantor", "ordinal", "sequence", "euclidean", "matrix", "", "bogus",
 LABELS = ("", "+0", "+1", "0+0", "01+1", "2+0", "x", 5, None, "1" * 70 + "+0", "+0+1")
 # Extreme resolutions and coordinate scales: subnormal, and near the top of the double range.
 EXTREMES = (5e-324, 2.0**-1022, 1e-300, 1e-160, 1e160, 1e300, 2.0**1022, 1e308)
+# Resolutions of 2 and above, where a point of Y may stay in layer 0 of the
+# layered construction.
+COARSE = (2.0, 8.0, 1e160)
+# Field scales: a range above 2, a sign flip, and values near the top of the double range.
+VALUE_FACTORS = (3, -5, 1e300)
 SECONDS_PER_EXAMPLE = 5
 
 
@@ -55,9 +64,8 @@ def _parent(doc, path):
     return doc
 
 
-def _mutate(data, doc):
-    kind = data.draw(st.sampled_from(("drop", "replace", "depth", "family", "label", "resolution", "scale",
-                                      "column")), label="kind")
+def _mutate(data, doc, kinds):
+    kind = data.draw(st.sampled_from(kinds), label="kind")
     if kind in ("drop", "replace"):
         paths = list(_paths(doc))
         if not paths:
@@ -75,8 +83,8 @@ def _mutate(data, doc):
         if data.draw(st.booleans(), label="make cantor"):
             metric["type"] = "cantor"
         metric["depth"] = data.draw(st.sampled_from(DEPTHS), label="depth")
-    elif kind == "resolution":
-        doc["resolution"] = data.draw(st.sampled_from(EXTREMES), label="resolution")
+    elif kind in ("resolution", "coarse"):
+        doc["resolution"] = data.draw(st.sampled_from(EXTREMES if kind == "resolution" else COARSE), label=kind)
     elif kind == "scale":
         metric = doc.get("metric")
         coords = metric.get("coords") if isinstance(metric, dict) else None
@@ -90,6 +98,19 @@ def _mutate(data, doc):
         if isinstance(coords, list) and all(isinstance(p, list) for p in coords):
             value = data.draw(st.sampled_from((0.0, 0.25, -3.0)), label="column value")
             metric["coords"] = [p + [value] for p in coords]
+    elif kind == "values":
+        fields = doc.get("fields")
+        if isinstance(fields, dict) and fields:
+            field = fields[data.draw(st.sampled_from(sorted(fields)), label="field")]
+            values = field.get("values") if isinstance(field, dict) else None
+            if isinstance(values, list):
+                factor = data.draw(st.sampled_from(VALUE_FACTORS), label="value factor")
+                field["values"] = [v * factor if isinstance(v, float) else v for v in values]
+    elif kind == "prefix":
+        subsets = doc.get("subsets")
+        Y = subsets.get("Y") if isinstance(subsets, dict) else None
+        if isinstance(Y, list):
+            subsets["Y"] = Y[:data.draw(st.integers(0, len(Y)), label="prefix")]
     elif kind == "family":
         doc["family"] = data.draw(st.sampled_from(FAMILIES), label="family")
     else:
@@ -123,16 +144,13 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "doc.json"
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_mutated_documents_exit_cleanly(doc_path, data):
+def _run_mutated(doc_path, data, kinds, commands):
     name = data.draw(st.sampled_from(SEEDS), label="seed")
     doc = copy.deepcopy(DOCS[name])
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
-        _mutate(data, doc)
+        _mutate(data, doc, kinds)
     doc_path.write_text(json.dumps(doc))
-    argv = [*data.draw(st.sampled_from(COMMANDS), label="command"), "--instance", str(doc_path)]
+    argv = [*data.draw(st.sampled_from(commands), label="command"), "--instance", str(doc_path)]
     out, err = io.StringIO(), io.StringIO()
     with (_alarm(SECONDS_PER_EXAMPLE), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
           warnings.catch_warnings(record=True) as caught):
@@ -140,3 +158,17 @@ def test_mutated_documents_exit_cleanly(doc_path, data):
         code = main(argv)
     assert code in (0, 1, 2), err.getvalue()
     assert not caught, [str(w.message) for w in caught]  # numpy warnings would print to stderr
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_documents_exit_cleanly(doc_path, data):
+    _run_mutated(doc_path, data, KINDS, COMMANDS)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_layered_on_mutated_documents_exits_cleanly(doc_path, data):
+    _run_mutated(doc_path, data, LAYERED_KINDS, LAYERED_COMMANDS)

@@ -284,8 +284,9 @@ def reference_layered_generic(space, Y, fY, max_layers, n_max):
     return layers
 
 
-def reference_next_depths(sup, cand, ok, chunk_pairs=None):
-    """``_GenericSupports.next_depths`` as a per-candidate loop.
+def reference_next_depths(sup, covering, cand, ok, chunk_pairs=None):
+    """``_GenericSupports.next_depths`` as a per-candidate loop over a
+    covering matrix.
 
     Appends the number of near (candidate, point) pairs of each row chunk
     to ``chunk_pairs`` when given.
@@ -301,8 +302,8 @@ def reference_next_depths(sup, cand, ok, chunk_pairs=None):
         for row, i in zip(block, live[lo:hi]):
             near = np.flatnonzero(row < wide[np.argmax(ok[i])])
             pairs += near.size
-            cov_x = sup.covering[cand[i]]
-            cov = sup.covering[near]
+            cov_x = covering[cand[i]]
+            cov = covering[near]
             d_ball = row[near]
             d_out = d_ball[(cov_x & ~cov).any(axis=1)].min(initial=np.inf)
             d_in = d_ball[(cov & ~cov_x).any(axis=1)].min(initial=np.inf)
@@ -1126,14 +1127,20 @@ def run_checked_layers(space, Y, fY, max_layers=24):
 
     Returns one (chosen, near pairs per row chunk, covering width) per call.
     """
-    calls = []
+    calls, widths = [], []
 
     class Checked(_GenericSupports):
-        def next_depths(self, cand, ok):
-            got = super().next_depths(cand, ok)
+        def supports(self, centers, depths, l_prev):
+            widths.append(centers.size)
+            return super().supports(centers, depths, l_prev)
+
+        def next_depths(self, cover, cand, ok):
+            got = super().next_depths(cover, cand, ok)
             pairs = []
-            assert identical(got, reference_next_depths(self, cand, ok, pairs))
-            calls.append((got, pairs, self.covering.shape[1]))
+            # A cover of None: every support covers every point.
+            covering = np.ones((self.everything.size, widths[-1]), dtype=bool) if cover is None else cover
+            assert identical(got, reference_next_depths(self, covering, cand, ok, pairs))
+            calls.append((got, pairs, covering.shape[1]))
             return got
 
     n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
@@ -1224,9 +1231,10 @@ class TestLayeredGeneric:
                               family="euclidean")
         full = space.full_mask()
         sup = _GenericSupports(space, full, ScalarField(full, np.zeros(3)))
-        sup.covering = np.array([[True, False], [False, False], [False, True]])
+        covering = np.array([[True, False], [False, False], [False, True]])
         cand, ok = np.array([0]), np.array([[False, True, True, True]])
-        assert sup.next_depths(cand, ok).tolist() == reference_next_depths(sup, cand, ok).tolist() == [2]
+        assert (sup.next_depths(covering, cand, ok).tolist() == reference_next_depths(sup, covering, cand, ok).tolist()
+                == [2])
 
     @pytest.mark.parametrize("name, max_layers", [("ordinal:2", 1), ("alternating_line", 24)])
     def test_report_reads_layer_zero(self, name, max_layers):
@@ -1258,7 +1266,7 @@ class TestLayeredGeneric:
                                              max_size=centers.size)), dtype=np.int64)
         a = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, centers.size) / 3
         l_prev = np.arange(n) % 7 if data.draw(st.booleans()) else None
-        (_num, den), (lmax, _minlp) = sup.hat_sums(centers, depths, a), sup.supports(centers, depths, l_prev)
+        (_num, den), (lmax, _minlp, _cover) = sup.hat_sums(centers, depths, a), sup.supports(centers, depths, l_prev)
         assert np.array_equal(den > 0, lmax >= 0)
 
     @pytest.mark.parametrize("spec", ["ordinal:1", "ordinal:2", "ordinal:3", "random:7:300:1"])
@@ -1299,20 +1307,22 @@ class TestLayeredGeneric:
                 assert identical(getattr(g, attr), getattr(w, attr)), (g.k, attr)
 
     def test_broadcast_covering_reads_as_the_walked_one(self):
-        # Layer 0 of ordinal:2 covers every point: the recorded matrix equals
-        # the walked one, and the candidate loop reads it alike.
+        # Layer 0 of ordinal:2 covers every point: its cover of None reads as
+        # the walked covering matrix, all True, and the candidate loop reads
+        # that matrix alike.
         space, Y, f = case("ordinal:2")
         fY = f.restrict(Y)
         centers, depths = np.arange(space.n), np.zeros(space.n, dtype=np.int64)
         sup, walking = _GenericSupports(space, Y, fY), WalkingSupports(space, Y, fY)
         l_prev = np.arange(space.n) % 5 + 3
-        assert all_identical(sup.supports(centers, depths, l_prev), walking.supports(centers, depths, l_prev))
-        assert all_identical(sup.supports(centers, depths, None), walking.supports(centers, depths, None))
-        assert sup.covering.strides == (0, 0) and np.array_equal(sup.covering, walking.covering)
+        for lp in (l_prev, None):
+            (*got, cover), (*want, walked) = sup.supports(centers, depths, lp), walking.supports(centers, depths, lp)
+            assert all_identical(got, want)
+            assert cover is None and walked.shape == (space.n, centers.size) and walked.all()
         cand = np.arange(0, space.n, 3)
         ok = np.random.default_rng(5).uniform(size=(cand.size, 12)) < 0.3
-        assert identical(sup.next_depths(cand, ok), reference_next_depths(walking, cand, ok))
-        assert identical(sup.next_depths(cand, ok), walking.next_depths(cand, ok))
+        assert identical(sup.next_depths(cover, cand, ok), reference_next_depths(walking, walked, cand, ok))
+        assert identical(sup.next_depths(cover, cand, ok), walking.next_depths(walked, cand, ok))
 
     def test_empty_target_rejected(self):
         space = case("random2d")[0]
