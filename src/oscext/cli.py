@@ -99,8 +99,57 @@ def _emit(args, text):
 
 
 def _emit_json(args, obj):
-    """Emit ``obj`` as byte-stable JSON: sorted keys, two-space indent, final newline."""
-    _emit(args, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Emit ``obj`` as byte-stable JSON: sorted keys, two-space indent, final newline.
+
+    The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2)``,
+    whose indenting encoder runs in pure Python; ``_indented`` hands the
+    leaves to the C encoder instead.
+    """
+    _emit(args, _indented(obj, "") + "\n")
+
+
+_SCALARS = {int, float, str, bool, type(None)}
+
+
+def _indented(obj, pad: str) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for a value indented by ``pad``.
+
+    Only containers holding containers are built here.  A nonempty
+    container of plain scalars, and a list of such containers of one kind,
+    is one C-encoder call whose item separator carries the newline and
+    indent.  With ``ensure_ascii`` no encoded string holds a raw newline, so
+    the pattern replaced below, a comma and newline between a closing and an
+    opening bracket, is only ever the separator between two containers.
+    Anything else (numpy scalars, subclasses, tuples, non-str keys, empty
+    containers) goes to the stdlib call, re-indented.
+    """
+    kind = type(obj)
+    if kind in _SCALARS:
+        return json.dumps(obj)
+    if kind not in (list, dict) or not obj or kind is dict and set(map(type, obj)) != {str}:
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+    values = set(map(type, obj.values() if kind is dict else obj))
+    inner = pad + "  "
+    if values <= _SCALARS:
+        text = json.JSONEncoder(sort_keys=True, separators=(",\n" + inner, ": ")).encode(obj)
+        return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+    if kind is dict:
+        items = (f"{json.dumps(key)}: {_indented(obj[key], inner)}" for key in sorted(obj))
+        return "{\n" + inner + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if values == {list}:
+        plain = all(obj) and {type(v) for row in obj for v in row} <= _SCALARS
+    elif values == {dict}:
+        plain = (all(obj) and {type(k) for d in obj for k in d} == {str}
+                 and {type(v) for d in obj for v in d.values()} <= _SCALARS)
+    else:
+        plain = False
+    if not plain:
+        return "[\n" + inner + f",\n{inner}".join(_indented(item, inner) for item in obj) + f"\n{pad}]"
+    deep = inner + "  "
+    text = json.JSONEncoder(sort_keys=True, separators=(",\n" + deep, ": ")).encode(obj)
+    open_, close = text[1], text[-2]
+    text = text[2:-2].replace(f"{close},\n{deep}{open_}", f"\n{inner}{close},\n{inner}{open_}\n{deep}")
+    return f"[\n{inner}{open_}\n{deep}{text}\n{inner}{close}\n{pad}]"
 
 
 def _csv_text(header, rows):

@@ -21,11 +21,12 @@ EXHAUSTIVE_TRIANGLE_LIMIT = 500
 TRIANGLE_SAMPLES_PER_POINT = 10
 _EXACT_DIAMETER_LIMIT = 4096
 # Element budget of one distance block (rows x columns) in the chunked
-# row-block kernels; bounds their temporaries whatever the input size.
+# row-block kernels, and of one chunk of pairs on the line; bounds their
+# temporaries whatever the input size.
 _BLOCK_ELEMS = 1 << 16
-# Euclidean kernels query a kd-tree instead of distance row blocks: nearest
-# points above _KD_SCALE_MEMBERS**2 queries x targets, ball extremes above
-# _KD_BALL_MEMBERS targets in two or more dimensions.
+# In two or more dimensions Euclidean kernels query a kd-tree instead of
+# distance row blocks: nearest points above _KD_SCALE_MEMBERS**2 queries x
+# targets, ball extremes above _KD_BALL_MEMBERS targets.
 _KD_SCALE_MEMBERS = 2048
 _KD_BALL_MEMBERS = 3000
 
@@ -151,14 +152,17 @@ class MatrixMetric(Metric):
 
 
 class EuclideanMetric(Metric):
-    """Points in R^dim; large nearest-point queries go through a kd-tree.
+    """Points in R^dim, with coordinate-order kernels on the line.
 
     On the line (dim 1) every open ball is a run of the targets in
     coordinate order: ``ball_pairs`` builds only the pairs inside each run,
-    and ``ball_extremes`` and ``grid_extremes`` are range max and min over
-    the runs, with no kd path.  In two or more dimensions ball extremes
-    above ``_KD_BALL_MEMBERS`` targets go through a kd-tree.  On the line
-    the diameter is the two ends' distance.
+    in chunks cut by their pair count, ``ball_extremes`` and
+    ``grid_extremes`` are range max and min over the runs, and a query's
+    nearest other target is at one of its sort neighbours, with ties found
+    as a run (``_line_nearest``).  None of them has a kd path.  In two or
+    more dimensions nearest points above ``_KD_SCALE_MEMBERS``^2 queries
+    times targets, and ball extremes above ``_KD_BALL_MEMBERS`` targets, go
+    through a kd-tree.  On the line the diameter is the two ends' distance.
     """
 
     kind = "euclidean"
@@ -177,8 +181,18 @@ class EuclideanMetric(Metric):
         return _euclidean(self.coords[rows][:, None, :], self.coords[cols][None, :, :])
 
     def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
-        if queries.size * tids.size <= _KD_SCALE_MEMBERS**2:
+        """``Metric._nearest_other`` by size: dense row blocks up to one
+        ``_BLOCK_ELEMS`` block of queries x targets on the line, or up to
+        ``_KD_SCALE_MEMBERS``^2 in more dimensions; above, the sort neighbours
+        of ``_line_nearest`` on the line and a kd-tree in more dimensions.
+        Both give the dense blocks' distances, and their ids away from
+        distance 0.
+        """
+        line = self.coords.shape[1] == 1
+        if queries.size * tids.size <= (_BLOCK_ELEMS if line else _KD_SCALE_MEMBERS**2):
             return super()._nearest_other(queries, tids)
+        if line:
+            return self._line_nearest(queries, tids)
         from scipy.spatial import cKDTree
 
         k = tids.size
@@ -214,29 +228,64 @@ class EuclideanMetric(Metric):
                 kq = min(2 * kq, k)
         return dist, ids
 
+    def _line_nearest(self, queries: np.ndarray, tids: np.ndarray):
+        """``_nearest_other`` on the line, from each query's neighbours in coordinate order.
+
+        With the targets sorted by (coordinate, id), the computed distance
+        never falls away from the query on either side (``_line_runs``), so the
+        nearest distance D is the lesser of the two neighbours', skipping the
+        query itself.  The targets at distance D or less are one run, found
+        exactly as the open ball of radius nextafter(D); the smallest id in
+        it other than the query's is a range minimum over ids.
+        """
+        t = np.sort(tids)
+        x = self.coords[t, 0]
+        order = np.argsort(x, kind="stable")
+        line, ids, m = x[order], t[order], t.size
+        c = self.coords[queries, 0]
+        p = np.searchsorted(line, c)  # line[:p] < c <= line[p:]
+        right = p + (ids[np.minimum(p, m - 1)] == queries)  # past the query itself
+        ends = np.r_[-np.inf, line, np.inf]  # a missing neighbour is infinitely far
+        dist = np.minimum(_euclidean(c[:, None], ends[p, None]), _euclidean(c[:, None], ends[right + 1, None]))
+        start, stop = _line_runs(line, c, np.nextafter(dist, np.inf))
+        # The run less the query's own position, if it is a target: two ranges.
+        rank = np.empty(m, dtype=np.int64)
+        rank[order] = np.arange(m)
+        k = np.minimum(np.searchsorted(t, queries), m - 1)
+        own = np.where(t[k] == queries, rank[k], stop)
+        lo, hi = np.r_[start, own + 1], np.r_[own, stop]
+        best = np.where(lo < hi, _RangeMax(-ids)(lo, hi), np.iinfo(np.int64).min).reshape(2, -1).max(axis=0)
+        return dist, -best
+
     def ball_pairs(self, centers: np.ndarray, radii: np.ndarray, targets: np.ndarray):
         if self.coords.shape[1] != 1:
             yield from super().ball_pairs(centers, radii, targets)
             return
         # On the line a ball is a run of the targets in coordinate order:
-        # the pairs of each ball's window, re-filtered by their distance.
+        # the pairs of each ball's window, re-filtered by their distance.  A
+        # chunk is the next centers whose windows hold at most _BLOCK_ELEMS
+        # pairs, or one center whose window alone holds more.
         t = targets.size
         x = self.coords[targets, 0]
         order = np.argsort(x, kind="stable")
-        line = x[order]
-        for lo, hi in _row_chunks(centers.size, t):
-            c = self.coords[centers[lo:hi], 0]
-            start, stop = _line_window(line, c, radii[lo:hi])
-            counts = stop - start
-            pos = np.arange(counts.sum()) + np.repeat(start - (np.cumsum(counts) - counts), counts)
+        c = self.coords[centers, 0]
+        start, stop = _line_window(x[order], c, radii)
+        ends = np.cumsum(stop - start)
+        lo = 0
+        while lo < centers.size:
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + _BLOCK_ELEMS, side="right")))
+            counts = stop[lo:hi] - start[lo:hi]
+            pos = np.arange(ends[hi - 1] - done) + np.repeat(start[lo:hi] - (ends[lo:hi] - counts - done), counts)
             # Center-major with columns ascending: sorting the keys row * t + col
             # leaves the rows where they are and orders the columns in each.
             rows = np.repeat(np.arange(lo, hi), counts)
             base = rows * t
             cols = np.sort(base + order[pos]) - base
-            dist = _euclidean(np.repeat(c, counts)[:, None], x[cols, None])
+            dist = _euclidean(np.repeat(c[lo:hi], counts)[:, None], x[cols, None])
             keep = dist < np.repeat(radii[lo:hi], counts)
             yield rows[keep], cols[keep], dist[keep]
+            lo = hi
 
     def ball_extremes(self, queries: np.ndarray, radii: np.ndarray,
                       targets: np.ndarray, fvals: np.ndarray):
@@ -271,14 +320,11 @@ class EuclideanMetric(Metric):
         """``ball_extremes`` on the line for ``radii`` of shape (..., queries), one output of that shape each.
 
         Each ball is the run of the targets in coordinate order that
-        ``_line_runs`` finds, and its extremes are range queries on sparse
-        tables (Bender and Farach-Colton, "The LCA Problem Revisited", 2000):
-        level j holds the extreme of every 2^j consecutive targets, and a run
-        is the union of two such windows.  The tables hold ranks of f, so of
-        equal values (+0.0 and -0.0 differ only in bits) the last target in
-        ``targets`` order wins, as in the dense fold of ``Metric.ball_extremes``.
-        The balls go in blocks of about 16 words of search temporaries each
-        within ``_BLOCK_ELEMS``, and a level is filled when a run first needs it.
+        ``_line_runs`` finds, and its extremes are ``_RangeMax`` queries.  The
+        tables hold ranks of f, so of equal values (+0.0 and -0.0 differ only
+        in bits) the last target in ``targets`` order wins, as in the dense
+        fold of ``Metric.ball_extremes``.  The balls go in blocks of about 16
+        words of search temporaries each within ``_BLOCK_ELEMS``.
         """
         m = targets.size
         x = self.coords[targets, 0]
@@ -295,21 +341,14 @@ class EuclideanMetric(Metric):
         rank = np.empty((2, m), dtype=np.int64)
         rank[0, up] = np.arange(m)
         rank[1, down] = -np.arange(m)
-        table = np.zeros((m.bit_length(), 2, m), dtype=np.int64)
-        table[0] = rank[:, order]
-        levels = 1
+        runmax = _RangeMax(rank[:, order])
         maxv, minv = np.empty((2, c.size))
         for lo, hi in _row_chunks(c.size, 16):
             start, stop = _line_runs(line, c[lo:hi], r[lo:hi])
-            count = stop - start
-            for j in range(levels, int(count.max(initial=0)).bit_length()):
-                h, w = 1 << (j - 1), m - (1 << j) + 1
-                np.maximum(table[j - 1, :, :w], table[j - 1, :, h:h + w], out=table[j, :, :w])
-                levels = j + 1
-            j = np.frexp(np.maximum(count, 1))[1] - 1  # floor(log2(count))
-            best = np.maximum(table[j, :, np.minimum(start, m - 1)], table[j, :, stop - (1 << j)])
-            maxv[lo:hi] = np.where(count == 0, -np.inf, fvals[up[best[:, 0]]])
-            minv[lo:hi] = np.where(count == 0, np.inf, fvals[down[-best[:, 1]]])
+            best = runmax(start, stop)
+            empty = stop == start
+            maxv[lo:hi] = np.where(empty, -np.inf, fvals[up[best[:, 0]]])
+            minv[lo:hi] = np.where(empty, np.inf, fvals[down[-best[:, 1]]])
         return maxv.reshape(radii.shape), minv.reshape(radii.shape)
 
     def diameter(self) -> float:
@@ -364,6 +403,36 @@ def _line_runs(line: np.ndarray, c: np.ndarray, radii: np.ndarray):
         act = act[lo[act] < hi[act]]
         mid = (lo[act] + hi[act]) // 2
     return lo[:n], lo[n:]
+
+
+class _RangeMax:
+    """Max over runs of ``base``'s last axis, from a sparse table.
+
+    Level j of the table holds the max of every 2^j consecutive entries, and
+    a run is the union of two such windows: O(1) per run after O(m log m)
+    setup (Bender and Farach-Colton, "The LCA Problem Revisited", 2000).  A
+    level is filled when a run first needs it.
+    """
+
+    def __init__(self, base: np.ndarray):
+        m = base.shape[-1]
+        self.table = np.zeros((m.bit_length(), *base.shape), dtype=base.dtype)
+        self.table[0] = base
+        self.levels = 1
+
+    def __call__(self, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+        """Per run [start, stop), the max over it: shape (runs, ...) for a base of shape (..., m).
+
+        The value of an empty run is arbitrary.
+        """
+        table, m = self.table, self.table.shape[-1]
+        count = stop - start
+        for j in range(self.levels, int(count.max(initial=0)).bit_length()):
+            h, w = 1 << (j - 1), m - (1 << j) + 1
+            np.maximum(table[j - 1, ..., :w], table[j - 1, ..., h:h + w], out=table[j, ..., :w])
+            self.levels = j + 1
+        j = np.frexp(np.maximum(count, 1))[1] - 1  # floor(log2(count))
+        return np.maximum(table[j, ..., np.minimum(start, m - 1)], table[j, ..., stop - (1 << j)])
 
 
 def _euclidean(p: np.ndarray, q: np.ndarray) -> np.ndarray:

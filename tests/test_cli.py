@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oscext
 from oscext import cli
@@ -41,9 +42,78 @@ def test_import_loads_no_kd_tree():
 
 
 def test_small_euclidean_document_loads_no_kd_tree():
-    # Up to 2048 points the coincident-point check reads dense blocks.
+    # The coincident-point check of a small document reads dense blocks.
     instance = str(FIXTURES / "ordinal_k1.json")
     assert not _loads_kd_tree(f"assert oscext.cli.main(['validate', '--instance', {instance!r}]) == 0")
+
+
+def test_line_of_any_size_loads_no_kd_tree():
+    # On the line the nearest points come from sort neighbours, at any size.
+    assert not _loads_kd_tree("assert oscext.cli.main(['validate', '--generate', 'random:7:20000:1']) == 0")
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+# Scalars the encoders treat alike, plus subclasses and numpy scalars, and
+# strings that hold, unescaped, the separators the fast path rewrites.
+TRICKY = ["],\n    [", "}, {", '"],\n    ["', "},\n    {", "\x00\x1f\u2028\u00e9\U0001f600", "\\", ""]
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-2**80, max_value=2**80), st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 2**70, *TRICKY]), st.text(max_size=6),
+    st.builds(np.float64, st.floats()), st.builds(Label, st.text(max_size=3)), st.builds(Count, st.integers()),
+)
+KEYS = st.one_of(st.text(max_size=4), st.sampled_from(TRICKY))
+
+
+def json_values(leaves):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(KEYS, inner, max_size=4),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=3),  # non-str keys
+        st.tuples(inner, inner),
+        st.lists(st.lists(leaves, min_size=1, max_size=3), max_size=4),  # rows of one kind
+        st.lists(st.dictionaries(KEYS, leaves, min_size=1, max_size=3), max_size=4),
+    ), max_leaves=25)
+
+
+class TestJsonEmission:
+    """``_emit_json`` writes the bytes of ``json.dumps(obj, sort_keys=True, indent=2)``."""
+
+    @staticmethod
+    def assert_same_text(obj):
+        assert cli._indented(obj, "") == json.dumps(obj, sort_keys=True, indent=2)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(obj=json_values(SCALARS))
+    def test_matches_stdlib(self, obj):
+        self.assert_same_text(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], [{}], {"a": []}, [[], [1]], [[1], []], [{}, {"a": 1}], [[1, 2], {"a": 1}],
+        [1, [2], {"b": 3, "a": [4, [5]]}], [[[1]]], [[[1], [2]], [[3]]], (1, 2), [(1, 2), (3,)],
+        {2: "b", 1: ["a"]}, {"k": {1: 2}}, [np.float64(0.1), 2.0], [[np.float64(-0.0)]],
+        {"z": Label("x"), "a": Count(3)}, [[True, None, -0.0, float("nan"), 2**70]],
+        [{"},\n    {": "],\n    [", "a": '"],\n    ["'}, {"b": "}, {"}], "\u00e9\n\t\x7f",
+    ], ids=repr)
+    def test_edge_cases(self, obj):
+        self.assert_same_text(obj)
+
+    def test_stdlib_errors_stay(self):
+        for obj in ([np.int64(1)], {"a": [1, {1: 2, "b": 3}]}, [[object()]]):
+            with pytest.raises(TypeError):
+                json.dumps(obj, sort_keys=True, indent=2)
+            with pytest.raises(TypeError):
+                cli._indented(obj, "")
+
+    def test_ladder_report(self, capsys):
+        code, out, _err = run(capsys, "extend", "--generate", "ordinal:2", "--method", "layered")
+        assert code == 0 and out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 class TestValidate:

@@ -550,6 +550,19 @@ def scalar_ball_pairs(space, centers, radii, targets):
             for d in [space.metric.dist(int(c), int(t))] if d < r]
 
 
+def assert_line_chunks(space, chunks, centers, radii, targets):
+    """On the line a chunk holds whole centers, in order, whose search windows
+    (``_line_window``) hold at most ``_BLOCK_ELEMS`` pairs unless it holds one
+    center; cut greedily, there are at most 2 * pairs / budget + 1 chunks."""
+    line = np.sort(space.metric.coords[targets, 0])
+    start, stop = space_mod._line_window(line, space.metric.coords[centers, 0], radii)
+    window = stop - start
+    spans = [(r.min(), r.max()) for r, _c, _d in chunks if r.size]
+    assert all(a[1] < b[0] for a, b in zip(spans, spans[1:]))
+    assert all(lo == hi or window[lo:hi + 1].sum() <= space_mod._BLOCK_ELEMS for lo, hi in spans)
+    assert len(chunks) <= 2 * window.sum() // space_mod._BLOCK_ELEMS + 1
+
+
 class TestBallPairs:
     """The open-ball pair kernel against a scalar loop, center-major with columns ascending."""
 
@@ -565,11 +578,13 @@ class TestBallPairs:
         want = scalar_ball_pairs(space, queries, radii, targets)
         assert list(zip(rows.tolist(), cols.tolist(), dist.tolist())) == want
         assert rows.dtype == cols.dtype == np.int64 and dist.dtype == np.float64
-        # Each chunk is one block of whole centers within the element budget.
-        limit = space_mod._BLOCK_ELEMS // targets.size
         spans = [(r.min(), r.max()) for r, _c, _d in chunks if r.size]
-        assert all(hi - lo < limit for lo, hi in spans)
-        assert len(chunks) == -(-queries.size // limit)
+        if space.metric.kind == "euclidean" and space.metric.coords.shape[1] == 1:
+            assert_line_chunks(space, chunks, queries, radii, targets)
+        else:  # each chunk is one block of whole centers within the element budget
+            limit = space_mod._BLOCK_ELEMS // targets.size
+            assert all(hi - lo < limit for lo, hi in spans)
+            assert len(chunks) == -(-queries.size // limit)
         if budget is not None:
             assert len(spans) > 1
         # A target at exactly the radius is excluded, and radius 0 yields no pairs.
@@ -577,6 +592,27 @@ class TestBallPairs:
                 if space.metric.dist(int(q), int(t)) == radii[i]]
         assert tied and not set(tied) & set(zip(rows.tolist(), cols.tolist()))
         assert (radii == 0).any() and not np.isin(rows, np.flatnonzero(radii == 0)).any()
+
+    def test_line_chunks_per_call_on_the_ladder(self, monkeypatch):
+        # ordinal:3 layered: 1111 points on the line.  A full-width call holds
+        # a few thousand window pairs, one chunk; blocks of _BLOCK_ELEMS // 1111
+        # centers would cut it into 20.
+        space, Y, f = case("ordinal:3")
+        real = EuclideanMetric.ball_pairs
+        calls = []  # (chunks, window pairs) per call
+
+        def spy(metric, centers, radii, targets):
+            line = np.sort(metric.coords[targets, 0])
+            start, stop = space_mod._line_window(line, metric.coords[centers, 0], radii)
+            chunks = list(real(metric, centers, radii, targets))
+            calls.append((len(chunks), int((stop - start).sum())))
+            yield from chunks
+
+        monkeypatch.setattr(EuclideanMetric, "ball_pairs", spy)
+        layered_extension(space, Y, f)
+        assert len(calls) > 10 and max(pairs for _chunks, pairs in calls) > 0
+        for chunks, pairs in calls:
+            assert chunks == 1 if pairs <= _BLOCK_ELEMS else chunks <= 2 * pairs // _BLOCK_ELEMS + 1
 
     @pytest.mark.parametrize("name", ["line", "offset_line", "subnormal_line"])
     def test_line_radii(self, name):
@@ -651,7 +687,8 @@ def kernel_space(name):
 
 
 class TestNearestKernel:
-    """The Euclidean kd path of ``_nearest_other`` against its dense row blocks, bit for bit."""
+    """The Euclidean kd path of ``_nearest_other`` against its dense row blocks, bit for bit;
+    on the line, the kernel of sort neighbours, which builds no tree."""
 
     @staticmethod
     def calls(space, queries, targets):
@@ -676,12 +713,18 @@ class TestNearestKernel:
 
         built = []  # the size of each tree the kd path builds
         monkeypatch.setattr("scipy.spatial.cKDTree", lambda pts: built.append(len(pts)) or cKDTree(pts))
+        # On the line the block budget is the switch to the dense kernel.
         monkeypatch.setattr(space_mod, "_KD_SCALE_MEMBERS", 10**9)
+        monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", 10**9)
         want = self.calls(space, queries, targets)
         assert not built
         monkeypatch.setattr(space_mod, "_KD_SCALE_MEMBERS", 0)
+        monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", 0 if name == "cloud1" else _BLOCK_ELEMS)
         got = self.calls(space, queries, targets)
-        assert built and (sets != "single_target" or 1 in built)
+        if name == "cloud1":  # no kd path on the line: the kernel of sort neighbours
+            assert not built
+        else:
+            assert built and (sets != "single_target" or 1 in built)
         assert all_identical(got, want)
 
     @pytest.mark.parametrize("name", ["cloud2", "cloud9", "lattice"])
@@ -728,6 +771,133 @@ class TestNearestKernel:
             tracemalloc.stop()
         assert np.array_equal(ids, np.zeros(space.n - 1, dtype=np.int64))
         assert peak < 8 * space.n**2 / 10
+
+
+def nearest_line(name):
+    """A 1-D input of the nearest-point kernel of sort neighbours.
+
+    ``dyadic``: the 1/8 grid, so inner points tie exactly to the left and
+    right.  ``ulp_cluster``: points one ulp apart above 1 and below -1, seen
+    from +-2^40, where the computed differences round together: the
+    nearest points tie 10 and 40 deep, ids shuffled.
+    ``coincident``: copies of points, -0.0 and a subnormal that squares to
+    0; any coincident id may be named at distance 0.  Other names are lines
+    of ``case`` and ``backend_space``, or generator specs.
+    """
+    rng = np.random.default_rng(len(name))
+    if name == "dyadic":
+        coords = np.arange(-64, 64) / 8.0
+    elif name == "ulp_cluster":
+        coords = np.r_[1.0 + np.arange(40) * 2.0**-52, -1.0 - np.arange(10) * 2.0**-52, 2.0**40, -2.0**40]
+    elif name == "coincident":
+        coords = np.r_[0.0, 0.0, 0.0, -0.0, 2.0**-1074, 1.0, 1.0, 0.5, 0.25, 0.25, 3.0]
+    elif ":" in name:
+        return generate_from_spec(name)
+    else:
+        return backend_space(name)
+    return SpaceInstance(name, EuclideanMetric(rng.permutation(coords)), resolution=2.0**-1022, family="euclidean")
+
+
+NEAREST_LINES = ["dyadic", "line", "ordinal:3", "offset_line", "subnormal_line", "ulp_cluster", "coincident",
+                 "random:7:1500:1"]
+
+
+class TestLineNearest:
+    """On the line ``_nearest_other`` works from each query's neighbours in
+    coordinate order; it must give the dense base kernel's bits, which an
+    unbounded block budget selects, the smallest id on every tie."""
+
+    @staticmethod
+    def calls(space, queries, targets):
+        """(queries, targets, ids, distances) of ``nearest``, ``scales`` and ``local_scale``."""
+        within = space.mask_from_ids(targets)
+        local = np.array([local_scale(space, int(x), within) for x in targets[:25]])
+        return [(queries, targets, *space.metric.nearest(queries, targets)),
+                (targets, targets, *space.metric.scales(targets)[::-1]),
+                (queries, queries, *space.metric.scales(queries)[::-1]),
+                (targets[:25], targets, None, local)]
+
+    @pytest.mark.parametrize("name", NEAREST_LINES)
+    @pytest.mark.parametrize("sets", ["disjoint", "overlapping", "equal", "single_target"])
+    def test_matches_dense_kernel(self, monkeypatch, name, sets):
+        space = nearest_line(name)
+        metric = space.metric
+        perm = np.random.default_rng(len(name) + len(sets)).permutation(space.n)
+        half = space.n // 2
+        queries, targets = {
+            "disjoint": (perm[:half], perm[half:]),
+            "overlapping": (perm[: 2 * half // 3 + 1], perm[half // 3:]),
+            "equal": (perm, perm),
+            "single_target": (perm[1:], perm[:1]),
+        }[sets]
+        monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", 10**9)
+        want = self.calls(space, queries, targets)
+        monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", 0)
+        built = []
+        monkeypatch.setattr("scipy.spatial.cKDTree", lambda pts: built.append(len(pts)))
+        got = self.calls(space, queries, targets)
+        assert not built
+        for (q, t, got_ids, got_dist), (*_sets, want_ids, want_dist) in zip(got, want):
+            assert identical(got_dist, want_dist)
+            if got_ids is None:
+                continue
+            assert got_ids.dtype == want_ids.dtype
+            apart = (want_dist > 0) | (want_ids < 0)  # -1: an isolated member, which has no neighbour
+            assert np.array_equal(got_ids[apart], want_ids[apart])
+            # At distance 0 any coincident target may be named.
+            assert all(metric.dist(int(a), int(b)) == 0.0 and b in t for a, b in zip(q[~apart], got_ids[~apart]))
+
+    def test_dense_only_within_one_block(self, monkeypatch):
+        # The block budget is the switch: a call of at most _BLOCK_ELEMS
+        # queries x targets reads one dense block, a larger one the sort
+        # neighbours, such as scales on the 1111-point ladder.
+        space = generate_from_spec("random:7:1500:1")
+        dense = []
+        real = space_mod.Metric._nearest_other
+        monkeypatch.setattr(space_mod.Metric, "_nearest_other",
+                            lambda metric, q, t: dense.append(q.size * t.size) or real(metric, q, t))
+        ids = np.arange(space.n)
+        side = math.isqrt(_BLOCK_ELEMS)
+        space.metric.nearest(ids[side:2 * side], ids[:side])
+        space.metric.nearest(ids[side:2 * side + 1], ids[:side])
+        generate_from_spec("ordinal:3").metric.scales(np.arange(1111))
+        assert dense == [_BLOCK_ELEMS]
+
+    def test_inputs_hold_deep_ties_and_coincident_points(self):
+        def depth(name):
+            space = nearest_line(name)
+            block = space.metric.dist_rows(np.arange(space.n), np.arange(space.n))
+            np.fill_diagonal(block, np.inf)
+            return (block == block.min(axis=1, keepdims=True)).sum(axis=1), block.min(axis=1)
+
+        ties, _ = depth("ulp_cluster")
+        assert sorted(ties)[-2:] == [10, 40]
+        assert (depth("dyadic")[0] == 2).sum() > 100
+        assert (depth("subnormal_line")[0] >= 2).any() and (depth("offset_line")[0] >= 2).any()
+        ties, dist = depth("coincident")
+        assert (dist == 0).sum() >= 7 and ties.max() >= 4
+
+    def test_scales_of_a_long_line_peak_memory(self, monkeypatch):
+        # 20000 points: a dense queries x targets block would hold 4 * 10^8
+        # distances.  The kernel keeps a few words per target, and a sparse
+        # table of one word per target and level.
+        space = generate_from_spec("random:7:20000:1")
+        built = []
+        monkeypatch.setattr("scipy.spatial.cKDTree", lambda pts: built.append(len(pts)))
+        ids = np.arange(space.n)
+        tracemalloc.start()
+        try:
+            dist, nn = space.metric.scales(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 8 * space.n and not built
+        x = space.metric.coords[:, 0]
+        order = np.argsort(x)
+        gaps = np.diff(x[order])  # a distance on the line is |fl(y - x)|
+        want = np.minimum(np.r_[np.inf, gaps], np.r_[gaps, np.inf])
+        assert np.array_equal(dist[order], want)
+        assert np.array_equal(np.abs(x[nn] - x), dist)
 
 
 def brute_ball_extremes(space, queries, radii, targets, fvals):
