@@ -116,15 +116,17 @@ class Metric:
     def grid_extremes(self, queries: np.ndarray, grid: np.ndarray, targets: np.ndarray, fvals: np.ndarray):
         """``ball_extremes`` at each radius of the descending ``grid``, one row per radius."""
         k, q = grid.size, queries.size
-        maxv, minv = np.full((2, (k + 1) * q), [[-np.inf], [np.inf]])
+        rank, extremes = _f_ranks(fvals)
+        # Row 0 starts below every rank, so -1 marks an empty ball; row 1 at its least rank.
+        best = np.full((2, (k + 1) * q), [[-1], [1 - targets.size]])
         # The pairs inside the largest radius, binned by how many grid radii exceed each distance.
         for rows, cols, d in self.ball_pairs(queries, np.full(q, grid[0] if k else 0.0), targets):
             flat = (k - np.searchsorted(grid[::-1], d, side="right")) * q + rows
-            np.maximum.at(maxv, flat, fvals[cols])
-            np.minimum.at(minv, flat, fvals[cols])
-        # Radius j holds the targets of bins j + 1 .. k: running extremes from bin k back.
-        maxv, minv = maxv.reshape(k + 1, q)[:0:-1], minv.reshape(k + 1, q)[:0:-1]
-        return np.maximum.accumulate(maxv, axis=0)[::-1], np.minimum.accumulate(minv, axis=0)[::-1]
+            np.maximum.at(best[0], flat, rank[0, cols])
+            np.maximum.at(best[1], flat, rank[1, cols])
+        # Radius j holds the targets of bins j + 1 .. k: running maxima from bin k back.
+        best = np.maximum.accumulate(best.reshape(2, k + 1, q)[:, :0:-1], axis=1)[:, ::-1]
+        return extremes(best, best[0] < 0)
 
 
 class MatrixMetric(Metric):
@@ -320,35 +322,21 @@ class EuclideanMetric(Metric):
         """``ball_extremes`` on the line for ``radii`` of shape (..., queries), one output of that shape each.
 
         Each ball is the run of the targets in coordinate order that
-        ``_line_runs`` finds, and its extremes are ``_RangeMax`` queries.  The
-        tables hold ranks of f, so of equal values (+0.0 and -0.0 differ only
-        in bits) the last target in ``targets`` order wins, as in the dense
-        fold of ``Metric.ball_extremes``.  The balls go in blocks of about 16
-        words of search temporaries each within ``_BLOCK_ELEMS``.
+        ``_line_runs`` finds, and its extremes are ``_RangeMax`` queries over
+        the ranks of ``_f_ranks``.  The balls go in blocks of about 16 words
+        of search temporaries each within ``_BLOCK_ELEMS``.
         """
-        m = targets.size
         x = self.coords[targets, 0]
         order = np.argsort(x, kind="stable")
         line = x[order]
         c = np.broadcast_to(self.coords[queries, 0], radii.shape).ravel()
         r = radii.ravel()
-        # Two rankings of f, ascending.  In ``up`` equal values keep target
-        # order, so a run's max is its largest rank; in ``down`` they are in
-        # reverse target order, so its min is its smallest rank, negated
-        # here so that one maximum serves both.
-        up = np.argsort(fvals, kind="stable")
-        down = m - 1 - np.argsort(fvals[::-1], kind="stable")
-        rank = np.empty((2, m), dtype=np.int64)
-        rank[0, up] = np.arange(m)
-        rank[1, down] = -np.arange(m)
+        rank, extremes = _f_ranks(fvals)
         runmax = _RangeMax(rank[:, order])
         maxv, minv = np.empty((2, c.size))
         for lo, hi in _row_chunks(c.size, 16):
             start, stop = _line_runs(line, c[lo:hi], r[lo:hi])
-            best = runmax(start, stop)
-            empty = stop == start
-            maxv[lo:hi] = np.where(empty, -np.inf, fvals[up[best[:, 0]]])
-            minv[lo:hi] = np.where(empty, np.inf, fvals[down[-best[:, 1]]])
+            maxv[lo:hi], minv[lo:hi] = extremes(runmax(start, stop).T, stop == start)
         return maxv.reshape(radii.shape), minv.reshape(radii.shape)
 
     def diameter(self) -> float:
@@ -403,6 +391,30 @@ def _line_runs(line: np.ndarray, c: np.ndarray, radii: np.ndarray):
         act = act[lo[act] < hi[act]]
         mid = (lo[act] + hi[act]) // 2
     return lo[:n], lo[n:]
+
+
+def _f_ranks(fvals: np.ndarray):
+    """Two rankings of f whose maxima over a set of targets give its max and min.
+
+    Returns ``rank`` of shape (2, targets) and ``extremes(best, empty)``.  Row
+    0 ranks f ascending with equal values in target order, so a set's max is
+    at its largest rank; row 1 ranks them in reverse target order, negated, so
+    a set's min is at its largest entry there.  Either way, of equal values
+    (+0.0 and -0.0 differ only in bits) the last target wins, as in the dense
+    fold of ``Metric.ball_extremes``.  ``extremes`` maps per-set maxima of
+    both rows, shape (2, ...), to (max, min) of f, (-inf, inf) where ``empty``.
+    """
+    m = fvals.size
+    up = np.argsort(fvals, kind="stable")
+    down = m - 1 - np.argsort(fvals[::-1], kind="stable")
+    rank = np.empty((2, m), dtype=np.int64)
+    rank[0, up] = np.arange(m)
+    rank[1, down] = -np.arange(m)
+
+    def extremes(best, empty):
+        return np.where(empty, -np.inf, fvals[up[best[0]]]), np.where(empty, np.inf, fvals[down[-best[1]]])
+
+    return rank, extremes
 
 
 class _RangeMax:

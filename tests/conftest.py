@@ -77,6 +77,39 @@ def wide_space(width=53, n=40, seed=5):
     return SpaceInstance(f"wide_{width}", CantorMetric(codes, width), resolution=2.0**-8, family="cantor")
 
 
+def identical(a, b):
+    """Same dtype, shape and values, NaNs equal; ``None`` equals only ``None``."""
+    if a is None or b is None:
+        return a is None and b is None
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+
+
+def all_identical(got, want):
+    return len(got) == len(want) and all(identical(g, w) for g, w in zip(got, want))
+
+
+def assert_identical_layers(got, want):
+    """Two layer lists bit for bit: carriers, centers, depths, values and level numbers."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.k == w.k
+        assert identical(g.carrier.mask, w.carrier.mask)
+        for name in ("centers", "depths", "values", "level_numbers", "min_prev_level"):
+            assert identical(getattr(g, name), getattr(w, name)), (g.k, name)
+
+
+def dense_ball_extremes(space, queries, radii, targets, fvals):
+    """Max and min of f over the targets strictly inside each query's open ball,
+    from ``dist_rows`` blocks of 16 queries; (-inf, inf) for an empty ball."""
+    maxv = np.empty(queries.size)
+    minv = np.empty(queries.size)
+    for lo in range(0, queries.size, 16):
+        inside = space.metric.dist_rows(queries[lo:lo + 16], targets) < radii[lo:lo + 16, None]
+        maxv[lo:lo + 16] = np.where(inside, fvals, -np.inf).max(axis=1)
+        minv[lo:lo + 16] = np.where(inside, fvals, np.inf).min(axis=1)
+    return maxv, minv
+
+
 def assert_report_reads_layers(report, Y, fY, layers):
     """A layered report against the layers of an oracle, bit for bit: each
     point takes the values of the deepest layer that carries it."""

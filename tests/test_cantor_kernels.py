@@ -30,7 +30,8 @@ from oscext.extend import LayerState, _CantorSupports, _GenericSupports, _layere
 from oscext.instances import block_parity_field
 from oscext.space import CantorMetric, SubsetMask, local_scales
 
-from conftest import assert_report_reads_layers, prefix_codes, wide_space
+from conftest import (all_identical, assert_identical_layers, assert_report_reads_layers, dense_ball_extremes,
+                      identical, prefix_codes, wide_space)
 from oracles import o_gap_step, o_local_scale, o_pair_step
 
 
@@ -113,12 +114,6 @@ class TestCylinderLength:
             assert c == 0 or math.ldexp(1.0, -c) >= r, (r, c)  # and no shorter one
 
 
-def brute_extremes(space, queries, radii, targets, fvals):
-    """Max and min of f over the targets strictly inside each query's ball, from ``dist_rows``."""
-    inside = space.metric.dist_rows(queries, targets) < radii[:, None]
-    return np.where(inside, fvals, -np.inf).max(axis=1), np.where(inside, fvals, np.inf).min(axis=1)
-
-
 def wide_inputs(space, seed=4):
     """Unsorted queries over every point, a target subset, and radii that are 0,
     double a query-to-target distance, sit just above or below one, or are half
@@ -143,8 +138,7 @@ class TestWideCylinders:
         space = wide_space()
         queries, radii, targets, fvals = wide_inputs(space)
         got = space.metric.ball_extremes(queries, radii, targets, fvals)
-        want = brute_extremes(space, queries, radii, targets, fvals)
-        assert all(identical(g, w) for g, w in zip(got, want))
+        assert all_identical(got, dense_ball_extremes(space, queries, radii, targets, fvals))
         empty = got[0] < got[1]
         assert empty[radii == 0].all() and (empty & (radii > 0)).any() and not empty.all()
 
@@ -159,7 +153,7 @@ class TestWideCylinders:
                 radii = np.full(queries.size, r)
                 want = space.metric.ball_extremes(queries, radii, targets, fvals)
                 assert identical(got[0][j], want[0]) and identical(got[1][j], want[1])
-                assert all(identical(w, b) for w, b in zip(want, brute_extremes(space, queries, radii, targets, fvals)))
+                assert all_identical(want, dense_ball_extremes(space, queries, radii, targets, fvals))
 
 
 class TestDiameter:
@@ -363,21 +357,6 @@ def reference_layered_cantor(space, Y, fY, max_layers, n_max):
         l_prev_full[carrier_mask] = lvl[carrier_mask]
         l_prev = l_prev_full
     return layers
-
-
-def identical(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
-
-
-def assert_identical_layers(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.k == w.k
-        assert identical(g.carrier.mask, w.carrier.mask)
-        for name in ("centers", "depths", "values", "level_numbers", "min_prev_level"):
-            assert identical(getattr(g, name), getattr(w, name)), (g.k, name)
 
 
 def n_max_of(space):

@@ -26,6 +26,7 @@ from oscext import space as space_mod
 from oscext.instances import generate_from_spec
 from oscext.space import _KD_BALL_MEMBERS, CantorMetric, EuclideanMetric, SpaceInstance
 
+from conftest import dense_ball_extremes
 from oracles import o_gap_step, o_iterate, o_pair_step
 
 
@@ -211,18 +212,6 @@ class TestIterate:
         assert_iterate_matches_oracle(space, f, np.arange(0, space.n, 4))
 
 
-def dense_ball_extremes(space, members, radii, fvals):
-    """Max and min of f over each open ball, from distance rows in chunks."""
-    maxv = np.empty(members.size)
-    minv = np.empty(members.size)
-    for lo in range(0, members.size, 16):
-        rows = space.metric.dist_rows(members[lo:lo + 16], members)
-        inside = rows < radii[lo:lo + 16, None]
-        maxv[lo:lo + 16] = np.where(inside, fvals, -np.inf).max(axis=1)
-        minv[lo:lo + 16] = np.where(inside, fvals, np.inf).min(axis=1)
-    return maxv, minv
-
-
 class TestKdBallExtremes:
     """Above the dense member limit Euclidean balls come from a kd-tree.
 
@@ -244,7 +233,7 @@ class TestKdBallExtremes:
         for pol in (AdaptiveScale(1.5), AdaptiveScale(3.0), FixedScale(1 / 4), FixedScale(3 / 8)):
             radii = pol.radii(space, members)
             maxv, minv = space.metric.ball_extremes(members, radii, members, fvals)
-            want_max, want_min = dense_ball_extremes(space, members, radii, fvals)
+            want_max, want_min = dense_ball_extremes(space, members, radii, members, fvals)
             assert np.array_equal(maxv, want_max), pol
             assert np.array_equal(minv, want_min), pol
 

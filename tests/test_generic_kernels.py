@@ -33,7 +33,8 @@ from oscext.space import (_BLOCK_ELEMS, _KD_BALL_MEMBERS, EuclideanMetric, Matri
                           ball, cb_filtration, dists_among, load_space_file, local_scale, local_scales)
 from oscext.unity import BallCover, PartitionOfUnity, blend, cover_for_piece, partition
 
-from conftest import FIXTURES, assert_report_reads_layers, prefix_codes, wide_space
+from conftest import (FIXTURES, all_identical, assert_identical_layers, assert_report_reads_layers, identical,
+                      prefix_codes, wide_space)
 from oracles import o_ball, o_euclidean
 
 
@@ -388,16 +389,6 @@ def case(name):
 
 CASES = ["ordinal:1", "ordinal:2", "ordinal:3", "random2d", "random3d", "lattice", "matrix", "line", "offset_line"]
 SMALL_CASES = [c for c in CASES if c != "ordinal:3"]
-
-
-def identical(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
-
-
-def all_identical(got, want):
-    return len(got) == len(want) and all(identical(g, w) for g, w in zip(got, want))
 
 
 # ---------------------------------------------------------------------------
@@ -962,6 +953,11 @@ def stacked_ball_extremes(space, queries, grid, targets, fvals):
     return tuple(np.array([row[i] for row in rows]).reshape(grid.size, queries.size) for i in (0, 1))
 
 
+def same_bits(got, want):
+    """``all_identical`` with the values compared as bytes, so +0.0 and -0.0 differ."""
+    return all_identical(got, want) and all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
 class TestGridExtremes:
     """``grid_extremes`` equals one ball_extremes call per radius: the binned
     distance pass, the cylinder passes, and on the line the run kernel, which
@@ -987,6 +983,24 @@ class TestGridExtremes:
         missed = np.isneginf(got["dyadic"][0]) & np.isposinf(got["dyadic"][1])
         assert missed[-1].any() and not missed[0].all()
         assert not np.array_equal(np.sort(queries), queries)
+        # A field of signed zeros: every extreme ties, and the sign must be
+        # the one ball_extremes keeps.
+        zeros = np.where(np.random.default_rng(3).integers(0, 2, size=targets.size) == 1, 0.0, -0.0)
+        for label, grid in grids.items():
+            got = space.metric.grid_extremes(queries, grid, targets, zeros)
+            assert same_bits(got, stacked_ball_extremes(space, queries, grid, targets, zeros)), label
+
+    def test_signed_zero_tie_keeps_the_last_target(self):
+        # The line [0, 0.25, 0.5, 0.75] as a matrix metric, so the distance
+        # pass is the base class's: at radius 1 every target is inside, and
+        # of the tied zeros ball_extremes keeps the last target's -0.0.
+        x = np.array([0.0, 0.25, 0.5, 0.75])
+        space = SpaceInstance("zeros", MatrixMetric(np.abs(x[:, None] - x)), resolution=0.25)
+        queries, grid, targets = np.array([0]), np.array([1.0, 0.5]), np.array([3, 2, 1, 0])
+        fvals = np.array([-0.0, 0.0, 0.0, -0.0])
+        got = space.metric.grid_extremes(queries, grid, targets, fvals)
+        assert same_bits(got, stacked_ball_extremes(space, queries, grid, targets, fvals))
+        assert np.signbit(got[0][0, 0]) and np.signbit(got[1][0, 0])
 
 
 def line_space(name):
@@ -1277,12 +1291,7 @@ def assert_same_layers(space, Y, fY, max_layers=24):
     n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
     want = reference_layered_generic(space, Y, fY, max_layers, n_max)
     got = _layered(space, Y, fY, max_layers, n_max, *nearest_in_set(space, Y), _GenericSupports)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.k == w.k
-        assert identical(g.carrier.mask, w.carrier.mask)
-        for name in ("centers", "depths", "values", "level_numbers", "min_prev_level"):
-            assert identical(getattr(g, name), getattr(w, name)), (g.k, name)
+    assert_identical_layers(got, want)
     return got
 
 
@@ -1470,11 +1479,8 @@ class TestLayeredGeneric:
         n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
         got = _layered(space, Y, fY, 24, n_max, *nearest_in_set(space, Y), _GenericSupports)
         want = _layered(space, Y, fY, 24, n_max, *nearest_in_set(space, Y), WalkingSupports)
-        assert len(got) == len(want) >= 2
-        for g, w in zip(got, want):
-            assert identical(g.carrier.mask, w.carrier.mask)
-            for attr in ("centers", "depths", "values", "level_numbers", "min_prev_level"):
-                assert identical(getattr(g, attr), getattr(w, attr)), (g.k, attr)
+        assert len(got) >= 2
+        assert_identical_layers(got, want)
 
     def test_broadcast_covering_reads_as_the_walked_one(self):
         # Layer 0 of ordinal:2 covers every point: its cover of None reads as
