@@ -21,6 +21,7 @@ from .space import (
     SpaceInstance,
     SubsetMask,
     _row_chunks,
+    _run_components,
     cb_filtration,
     visibility_graph,
 )
@@ -718,17 +719,25 @@ def visibility_components(space: SpaceInstance, region: SubsetMask, multiplier: 
     the larger of their in-region nearest-neighbour scales, i.e. when either
     point's adaptive ball can reach the other.  Distinct components cannot
     interact at resolution: the finite rendering of a disjoint clopen cover.
+    Components come in the order of their smallest member id.
+
+    Where every ball is a run of the metric's order (the line, the prefix
+    metric) the components are chains of overlapping runs, with no block
+    larger than one ``_BLOCK_ELEMS`` block (``space._run_components``);
+    other metrics label the dense ``visibility_graph`` block's components.
     """
     members = region.ids()
     if members.size <= 1:
         return [region]
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+    comps = _run_components(space, members, multiplier)
+    if comps is None:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
 
-    # Sparse input skips the masked-array check scipy runs on dense graphs.
-    adj = csr_matrix(visibility_graph(space, members, multiplier))
-    count, labels = connected_components(adj, directed=False)
-    return [space.mask_from_ids(members[labels == i]) for i in range(count)]
+        # Sparse input skips the masked-array check scipy runs on dense graphs.
+        _count, labels = connected_components(csr_matrix(visibility_graph(space, members, multiplier)), directed=False)
+        comps = np.split(members[np.argsort(labels, kind="stable")], np.cumsum(np.bincount(labels))[:-1])
+    return [space.mask_from_ids(ids) for ids in comps]
 
 
 def scattered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,

@@ -212,7 +212,7 @@ def ordinal_instance(k: int, branching: int = 10) -> SpaceInstance:
     if branching < 3:
         raise ValidationError("branching must be >= 3")
     count = (branching ** (k + 1) - 1) // (branching - 1)  # counted before any point is built
-    if count > 1 << 14:  # extend's visibility graph over a ladder is a dense n x n block
+    if count > 1 << 14:  # ordinal:4 (11111 points) is the largest ladder the constructions are measured on
         raise ValidationError(f"ordinal:{k}:{branching} has {count} points, more than 16384 (2^14)")
     positions: list = []
     ranks: list = []

@@ -99,6 +99,14 @@ class Metric:
             rows, cols = np.nonzero(block < radii[lo:hi, None])
             yield rows + lo, cols, block[rows, cols]
 
+    def run_order(self, members: np.ndarray):
+        """``members`` in an order in which every open ball among them is a run, or None.
+
+        Only the line and the prefix metric have such an order; their
+        ``ball_runs`` find the runs.  Other backends return None.
+        """
+        return None
+
     def ball_extremes(self, queries: np.ndarray, radii: np.ndarray,
                       targets: np.ndarray, fvals: np.ndarray):
         """Per query: max and min of f over the targets inside its open ball.
@@ -258,6 +266,18 @@ class EuclideanMetric(Metric):
         lo, hi = np.r_[start, own + 1], np.r_[own, stop]
         best = np.where(lo < hi, _RangeMax(-ids)(lo, hi), np.iinfo(np.int64).min).reshape(2, -1).max(axis=0)
         return dist, -best
+
+    def run_order(self, members: np.ndarray):
+        """On the line, ``members`` (sorted ids) in coordinate order, ties by id."""
+        if self.coords.shape[1] != 1:
+            return None
+        return members[np.argsort(self.coords[members, 0], kind="stable")]
+
+    def ball_runs(self, order: np.ndarray, radii: np.ndarray):
+        """Per member of ``order`` (from ``run_order``): the run [start, stop) of
+        positions in ``order`` inside its open ball of its radius, by ``_line_runs``."""
+        line = self.coords[order, 0]
+        return _line_runs(line, line, radii)
 
     def ball_pairs(self, centers: np.ndarray, radii: np.ndarray, targets: np.ndarray):
         if self.coords.shape[1] != 1:
@@ -536,6 +556,25 @@ class CantorMetric(Metric):
         """
         m, e = np.frexp(radii)
         return np.clip((m == 0.5) - e, 0, self.width)
+
+    def run_order(self, members: np.ndarray):
+        """``members`` in code order: every open ball, a cylinder, is a run of it."""
+        return members[np.argsort(self.rank[members])]
+
+    def ball_runs(self, order: np.ndarray, radii: np.ndarray):
+        """Per member of ``order`` (from ``run_order``): the run [start, stop) of
+        positions in ``order`` inside its open ball, the members of its cylinder.
+        A radius of 0 gives the empty run at the member's position."""
+        start = np.arange(order.size)
+        stop = start.copy()
+        creq = np.where(radii > 0, self.cylinder_length(radii), -1)  # -1: the empty ball of radius 0
+        pos = self.rank[order]
+        for c in np.unique(creq[creq >= 0]):
+            group = self.cylinders(c)[0][pos]  # nondecreasing along code order
+            sel = np.flatnonzero(creq == c)
+            start[sel] = np.searchsorted(group, group[sel], side="left")
+            stop[sel] = np.searchsorted(group, group[sel], side="right")
+        return start, stop
 
     def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
         # In code order a query's longest prefix with another target is the
@@ -901,11 +940,49 @@ def visibility_graph(space: SpaceInstance, members: np.ndarray, multiplier: floa
     i.e. when either point's adaptive ball reaches the other.  The scales
     ls are the in-set nearest distances, read from the same distance block,
     so each call computes one dense block.  No member is its own neighbour.
+    Rows and columns follow ``members``; ``_run_components`` passes them in
+    the metric's run order and reads the runs from the block when it fits
+    one ``_BLOCK_ELEMS`` block.
     """
     sub = dists_among(space, members)
     np.fill_diagonal(sub, np.inf)
     ls = sub.min(axis=1, initial=np.inf)
     return sub < multiplier * np.maximum(ls[:, None], ls[None, :])
+
+
+def _run_components(space: SpaceInstance, members: np.ndarray, multiplier: float):
+    """Components of the mutual-visibility graph among ``members`` (sorted ids,
+    at least two) as id arrays numbered by their smallest id, or None when
+    the metric's balls are not runs (``Metric.run_order``).
+
+    fl(mult * max(a, b)) = max(fl(mult * a), fl(mult * b)), so x and y are
+    adjacent exactly when one lies in the other's open ball of radius
+    mult * ls.  A ball is a run of the run order, so its center sees every
+    member between it and any member it sees: the components are the
+    maximal chains of overlapping runs, cut at each gap no run crosses.
+    Up to one ``_BLOCK_ELEMS`` block of members squared, a row's first and
+    last neighbour in the dense ``visibility_graph`` block in run order
+    span its edges; above, the runs come from ``Metric.ball_runs`` at the
+    radii of ``Metric.scales``.
+    """
+    metric = space.metric
+    order = metric.run_order(members)
+    if order is None:
+        return None
+    m = order.size
+    pos = np.arange(m)
+    if m * m <= _BLOCK_ELEMS:
+        adj = visibility_graph(space, order, multiplier)
+        adj[pos, pos] = True
+        lo, hi = adj.argmax(axis=1), m - 1 - adj[:, ::-1].argmax(axis=1)
+    else:
+        start, stop = metric.ball_runs(order, multiplier * metric.scales(order)[0])
+        lo, hi = np.minimum(start, pos), np.maximum(stop - 1, pos)
+    # The spans [lo, hi] crossing the gap before position p: those with lo < p <= hi.
+    crossing = np.cumsum(np.bincount(lo + 1, minlength=m + 1) - np.bincount(hi + 1, minlength=m + 1))
+    starts = np.r_[0, np.flatnonzero(crossing[1:m] == 0) + 1]
+    comps = np.split(order, starts[1:])
+    return [comps[i] for i in np.argsort(np.minimum.reduceat(order, starts))]
 
 
 def _row_chunks(nrows: int, ncols: int):

@@ -132,3 +132,24 @@ def o_euclidean(p, q):
     for k, (a, b) in enumerate(zip(p, q)):
         lanes[k % 2] += (b - a) * (b - a)
     return math.sqrt(lanes[0] + lanes[1])
+
+
+def reference_visibility_components(space, region, multiplier):
+    """Components of the mutual-visibility graph among a region's members, as id arrays.
+
+    The dense member x member block: x and y are adjacent when
+    d(x, y) < multiplier * max(ls_x, ls_y), with ls the in-region nearest
+    distances of the block's rows.  scipy's ``connected_components`` labels
+    the components in the order of their smallest member.
+    """
+    import numpy as np
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    members = region.ids()
+    d = space.metric.dist_rows(members, members)
+    np.fill_diagonal(d, np.inf)
+    ls = d.min(axis=1, initial=np.inf)
+    adj = d < multiplier * np.maximum(ls[:, None], ls[None, :])
+    count, labels = connected_components(csr_matrix(adj), directed=False)
+    return [members[labels == i] for i in range(count)]

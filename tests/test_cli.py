@@ -23,13 +23,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _loads_kd_tree(code):
-    """Whether running ``code`` in a fresh interpreter imports scipy.spatial.
+def _loads_kd_tree(code, module="scipy.spatial"):
+    """Whether running ``code`` in a fresh interpreter imports ``module``.
 
     Raises ``CalledProcessError`` if ``code`` fails.
     """
     env = dict(os.environ, PYTHONPATH=str(Path(oscext.__file__).resolve().parents[1]))
-    check = f"import sys, oscext.cli\n{code}\nprint('scipy.spatial' in sys.modules)"
+    check = f"import sys, oscext.cli\n{code}\nprint({module!r} in sys.modules)"
     run = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True, check=True)
     return run.stdout.splitlines()[-1] == "True"
 
@@ -49,6 +49,14 @@ def test_small_euclidean_document_loads_no_kd_tree():
 def test_line_of_any_size_loads_no_kd_tree():
     # On the line the nearest points come from sort neighbours, at any size.
     assert not _loads_kd_tree("assert oscext.cli.main(['validate', '--generate', 'random:7:20000:1']) == 0")
+
+
+@pytest.mark.parametrize("spec", ["ordinal:3", "cantor:8"])
+def test_scattered_loads_no_sparse_graphs(spec):
+    # On the clopen families the visibility components are chains of ball
+    # runs, so scipy.sparse (and the kd-tree module, which imports it) stays out.
+    run = f"assert oscext.cli.main(['extend', '--generate', {spec!r}, '--method', 'scattered']) == 0"
+    assert not _loads_kd_tree(run, "scipy.sparse")
 
 
 class Label(str):

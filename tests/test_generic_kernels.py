@@ -35,7 +35,7 @@ from oscext.unity import BallCover, PartitionOfUnity, blend, cover_for_piece, pa
 
 from conftest import (FIXTURES, all_identical, assert_identical_layers, assert_report_reads_layers, identical,
                       prefix_codes, wide_space)
-from oracles import o_ball, o_euclidean
+from oracles import o_ball, o_euclidean, reference_visibility_components
 
 
 # ---------------------------------------------------------------------------
@@ -1178,6 +1178,100 @@ class TestScattered:
                 want = scattered_extension(space, Y, f, policy)
             assert identical(got.prepatch.values, want.prepatch.values)
             assert got.diagnostics == want.diagnostics
+
+
+# ---------------------------------------------------------------------------
+# Visibility components
+# ---------------------------------------------------------------------------
+
+RUN_BACKENDS = ["line", "offset_line", "subnormal_line", "ulp_cluster", "cantor", "wide"]
+
+
+class TestBallRuns:
+    @pytest.mark.parametrize("name", RUN_BACKENDS)
+    def test_runs_are_the_dense_balls(self, name):
+        # Every open ball among members in run order is the run
+        # [start, stop) of positions: radii 0 and inf, the in-set scales,
+        # and radii that tie a distance to a random member or lie one float
+        # either side of it.
+        space = line_space(name)
+        rng = np.random.default_rng(len(name))
+        for keep in (1.0, 0.5, 0.1):
+            members = np.flatnonzero(rng.uniform(size=space.n) < keep)
+            if members.size < 2:
+                continue
+            order = space.metric.run_order(members)
+            assert np.array_equal(np.sort(order), members)
+            d = space.metric.dist_rows(order, order)
+            tied = d[np.arange(order.size), rng.integers(0, order.size, size=order.size)]
+            radii = [np.zeros(order.size), np.full(order.size, np.inf), space.metric.scales(order)[0] * 3.0,
+                     tied, np.nextafter(tied, np.inf), np.nextafter(tied, -np.inf)]
+            pos = np.arange(order.size)
+            for r in radii:
+                start, stop = space.metric.ball_runs(order, r)
+                assert np.array_equal(d < r[:, None], (start[:, None] <= pos) & (pos < stop[:, None]))
+
+    @pytest.mark.parametrize("name", ["matrix", "lattice", "random2d", "random3d"])
+    def test_no_runs_off_the_line_and_prefix_metric(self, name):
+        space = case(name)[0]
+        assert space.metric.run_order(np.arange(space.n)) is None
+
+
+def component_ids(space, region, mult):
+    return [comp.ids() for comp in visibility_components(space, region, mult)]
+
+
+def visibility_space(name):
+    return case(name)[0] if name in ("line", "offset_line", "matrix", "lattice", "random2d") else generate_from_spec(name)
+
+
+class TestVisibilityComponents:
+    MULTS = (0.5, 1.0, 1.5, 3.0, 7.0)
+
+    @pytest.mark.parametrize("block", [None, 0, 10**9], ids=["default", "runs", "dense"])
+    @pytest.mark.parametrize("name", ["ordinal:1", "ordinal:2", "ordinal:3", "sequence", "cantor:6", "cantor:8",
+                                      "cantor:10", "line", "offset_line"])
+    def test_matches_dense_oracle(self, monkeypatch, name, block):
+        # The run sweep (``_BLOCK_ELEMS`` 0), the dense block in run order
+        # (10^9) and the default switch between them give scipy's components
+        # of the dense graph, in its order, on the full region and on random
+        # subsets.
+        if block is not None:
+            monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", block)
+        space = visibility_space(name)
+        rng = np.random.default_rng(len(name))
+        regions = [space.full_mask()] + [space.mask_from_ids(np.flatnonzero(rng.uniform(size=space.n) < keep))
+                                         for keep in (0.05, 0.2, 0.5, 0.8)]
+        for region in regions:
+            if region.size < 2:
+                continue
+            for mult in self.MULTS:
+                want = reference_visibility_components(space, region, mult)
+                assert all_identical(component_ids(space, region, mult), want), (region.size, mult)
+
+    @pytest.mark.parametrize("name", ["matrix", "lattice", "random2d"])
+    def test_metrics_without_runs_label_the_dense_graph(self, name):
+        space = visibility_space(name)
+        rng = np.random.default_rng(3)
+        for region in (space.full_mask(), space.mask_from_ids(np.flatnonzero(rng.uniform(size=space.n) < 0.5))):
+            for mult in self.MULTS:
+                assert all_identical(component_ids(space, region, mult),
+                                     reference_visibility_components(space, region, mult))
+
+    def test_peak_memory_is_linear(self):
+        # The runs and their scales take about 360 bytes per member; the
+        # dense member block of ordinal:4 alone would be about 1 GB.
+        space = generate_from_spec("ordinal:4")
+        full = space.full_mask()
+        full.ids()
+        tracemalloc.start()
+        try:
+            comps = visibility_components(space, full, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(comp.size for comp in comps) == space.n
+        assert peak < 1024 * space.n
 
 
 # ---------------------------------------------------------------------------
