@@ -32,14 +32,14 @@ CLOPEN_FAMILIES = ("cantor", "ordinal", "sequence")
 # Cantor hat sums: a center whose cylinder has fewer members than this joins
 # the flat (center, member) pairs of its run; a larger one adds to its
 # cylinder's slice.  On cantor depth 12 (2-core x86-64, numpy 2.4, median of
-# 5) the sums of a whole layered run took 0.18-0.19 s for any threshold from
-# 128 to 2048; at 4096 the 1024-2048-member cylinders of layer 1 went flat
-# and they took 0.24 s.
+# 5) the hat sums of ``ex1 --depths 12`` took 0.055 s at 256 and 512,
+# 0.066 s at 128, 0.073 s at 1024 and 0.089 s at 2048; at 4096 the
+# 1024-2048-member cylinders of layer 1 went flat and they took 0.137 s.
 _FLAT_BELOW = 512
 # Pairs per flat batch, and per row block of a run of large centers on one
-# slice.  Same host: at 2^14 ``ex1 --depths 6,8,10,12`` peaked at 41 MB RSS
-# and the depth-12 sums took 0.19 s; 2^12 took 0.23 s, and 2^16 took 0.16 s
-# but peaked at 44 MB.
+# slice.  Same host: at 2^14 ``ex1 --depths 6,8,10,12`` peaked at 42 MB RSS
+# and the depth-12 sums took 0.056 s; 2^12 took 0.105 s, and 2^16 took
+# 0.059 s but peaked at 46 MB.
 _FLAT_PAIRS = 1 << 14
 
 
@@ -557,34 +557,42 @@ class _CantorSupports:
 
     The metric's code order gives ``adj[p]``, the common-prefix length of
     sorted positions p - 1 and p, and its cylinders, the runs of
-    ``adj >= c``.  Supports are contiguous ranges of sorted positions, the
-    ball-nesting condition holds automatically once n >= l, and the
-    support-disjointness condition reduces to comparing counts of deep
-    centers inside the candidate's doubled ball against those covering it.
-    A center's distance to each member of its support is the metric's
-    ``code_dist`` of their codes.
+    ``adj >= c``.  ``table[c, p]`` is the c-cylinder of sorted position p,
+    for every length c up to the width, as an index into ``bounds``, the
+    cylinder bounds of every length laid end to end: the cylinder holds
+    the sorted positions ``bounds[g]`` up to ``bounds[g + 1]``.  Supports
+    are contiguous ranges of sorted positions, the ball-nesting condition
+    holds automatically once n >= l, and the support-disjointness condition
+    reduces to comparing counts of deep centers inside the candidate's
+    doubled ball against those covering it.
+
+    Along a center's c-cylinder, the members at distance 2^-(c'+1), the
+    c'-cylinder minus the (c'+1)-cylinder for c <= c' < width, are one run
+    on each side of the center's width-cylinder, which is at distance 0.
+    So a center's distances over its support are 2 (width - c) + 1 pieces,
+    each one constant, whose lengths the table gives.
 
     Accumulation-order contract: each member adds its centers' terms one at
     a time, in the order the centers are given (id order), starting from
     +0.0.  The hat sums walk the centers in that order along two paths that
     interleave.  A maximal run of consecutive centers whose cylinder, one
     slice, has at least ``_FLAT_BELOW`` members is cut into row blocks of
-    at most ``_FLAT_PAIRS`` pairs; each block is one distance matrix, rows
-    in center order, stacked under the slice's running sums and reduced
-    along axis 0.  That reduction runs over a C-contiguous block, so numpy
+    at most ``_FLAT_PAIRS`` pairs; each row of a block is its center's hat
+    weights over the slice, repeated from the pieces.  The slice's running
+    sums are added to the first row, and the block is reduced along axis 0
+    into the slice.  That reduction runs over a C-contiguous block, so numpy
     adds it row by row (pairwise summation applies only along a contiguous
     reduction axis); a slice of one member holds one distinct center, so
     its block has one row.  Each run of smaller centers between them is laid
     out as flat (center, member) pairs, center-major, cut into batches of at
-    most ``_FLAT_PAIRS`` pairs and fed to ``np.add.at``, which adds them in
-    that order.
+    most ``_FLAT_PAIRS`` pairs, weighted through the metric's ``code_dist``
+    and fed to ``np.add.at``, which adds them in that order.
 
-    Both kernels find each center's cylinder and its range of sorted
-    positions through ``_supports_of``.  ``supports`` (covering depths and
-    cylinder counts) costs a few bincounts per depth, and the layer's
-    cover, which ``next_depths`` reads, is its centers and depths.  So at
-    layer 0, where every cylinder is the whole space, the n^2 pairs are all
-    in the hat sums.
+    ``supports`` (covering depths and min previous levels) marks each
+    center's cylinder and carries the marks down the cylinder tree, one
+    length at a time, and the layer's cover, which ``next_depths`` reads,
+    is its centers and depths.  So at layer 0, where every cylinder is the
+    whole space, the n^2 pairs are all in the hat sums.
     """
 
     def __init__(self, space, Y, fY):
@@ -595,53 +603,55 @@ class _CantorSupports:
         self.sorted_code = np.empty_like(metric.code)
         self.sorted_code[metric.rank] = metric.code
         # The metric's cylinders at every length, held while the construction runs.
-        self.cyl_of, self.bounds = zip(*(metric.cylinders(c) for c in range(width + 1)))
+        self.table = np.empty((width + 1, n), dtype=np.int32)
+        bounds = []
+        start = 0
+        for c in range(width + 1):
+            cyl, b = metric.cylinders(c)
+            self.table[c] = cyl + start
+            bounds.append(b)
+            start += b.size
+        self.bounds = np.concatenate(bounds)
         yids = Y.ids()
         hi, lo = metric.ball_extremes(np.arange(n), np.full(n, space.resolution), yids, fY.values[yids])
         self.osc_res = np.maximum(hi - lo, 0.0)
 
     def _supports_of(self, centers, depths):
-        """Each center's support: its cylinder at its depth (capped at the
-        width) and that cylinder's range [lo, hi) of sorted positions."""
-        cdep = np.minimum(depths, self.width)
-        cyl = np.empty(centers.size, dtype=np.int64)
-        lo = np.empty(centers.size, dtype=np.int64)
-        hi = np.empty(centers.size, dtype=np.int64)
-        for c in np.unique(cdep):
-            sel = cdep == c
-            cyl[sel] = self.cyl_of[c][self.rank[centers[sel]]]
-            lo[sel] = self.bounds[c][cyl[sel]]
-            hi[sel] = self.bounds[c][cyl[sel] + 1]
-        return cyl, lo, hi
+        """Each center's support: its cylinder at its depth, capped at the
+        width, as an index into ``bounds``."""
+        return self.table[np.minimum(depths, self.width), self.rank[centers]]
 
     def supports(self, centers, depths, l_prev):
         """The deepest covering depth and min l_prev per point (-1 and inf where
         no support covers it), and the cover: the centers and depths."""
-        cyl, _lo, _hi = self._supports_of(centers, depths)
-        n = self.rank.size
-        lmax = np.full(n, -1, dtype=np.int64)
-        minlp = np.full(n, np.inf)
-        for nu in np.unique(depths):
-            sel = depths == nu
-            c = min(int(nu), self.width)
-            ngroups = self.bounds[c].size - 1
-            covered = np.bincount(cyl[sel], minlength=ngroups) > 0
-            lmax[covered[self.cyl_of[c]]] = nu
-            if l_prev is not None:
-                gmin = np.full(ngroups, np.inf)
-                np.minimum.at(gmin, cyl[sel], l_prev[centers[sel]])
-                minlp = np.minimum(minlp, gmin[self.cyl_of[c]])
-        return lmax[self.rank], minlp[self.rank], (centers, depths)
+        cyl = self._supports_of(centers, depths)
+        lmax = self._fold_down(cyl, depths, np.maximum, -1)
+        if l_prev is None:
+            return lmax, np.full(self.rank.size, np.inf), (centers, depths)
+        return lmax, self._fold_down(cyl, l_prev[centers], np.minimum, np.inf), (centers, depths)
+
+    def _fold_down(self, cyl, values, fold, empty):
+        """Per point by id, ``fold`` of the ``values`` of the supports ``cyl``
+        covering it, ``empty`` where none does.  Each support's cylinder is
+        marked, and the marks go down the cylinder tree one length at a
+        time: each (c+1)-cylinder takes in those of the c-cylinder it lies
+        in, found at its first sorted position."""
+        marks = np.full(self.bounds.size, empty, dtype=np.result_type(values, empty))
+        fold.at(marks, cyl, values)
+        for c in range(self.width):
+            kids = slice(self.table[c + 1, 0], self.table[c + 1, -1] + 1)
+            fold(marks[kids], marks[self.table[c, self.bounds[kids]]], out=marks[kids])
+        return marks[self.table[self.width, self.rank]]
 
     def hat_sums(self, centers, depths, a):
         """Hat sums num and den by id."""
-        _cyl, lo, hi = self._supports_of(centers, depths)
+        cyl = self._supports_of(centers, depths)
+        lo, hi = self.bounds[cyl], self.bounds[cyl + 1]
         # Indexed by sorted position until the return, in center order: each
         # run of consecutive large centers on one slice adds to that slice
         # in row blocks, and each run of small ones between them goes
         # through flat pairs in batches.
-        code = self.sorted_code
-        n = code.size
+        n = self.rank.size
         r = 2.0 ** -depths.astype(float)
         num = np.zeros(n)
         den = np.zeros(n)
@@ -662,14 +672,29 @@ class _CantorSupports:
                 break
             b, e = int(lo[g]), int(hi[g])
             end = int(breaks[np.searchsorted(breaks, g, side="right")])
+            # The slice is the cylinder of the run's shortest capped depth;
+            # a center of a longer one has empty pieces down to it.
+            c0 = min(int(depths[g:end].min()), self.width)
+            d = np.ldexp(1.0, -np.arange(c0 + 1, self.width + 1))  # at common prefix c0 .. width - 1
+            dist = np.concatenate([d, [0.0], d[::-1]])
             step = max(_FLAT_PAIRS // (e - b), 1)
             for k in range(g, end, step):
                 rows = slice(k, min(k + step, end))
-                w = r[rows, None] - self.code_dist(code[None, b:e], code[pos[rows], None])
-                den[b:e] = np.add.reduce(np.vstack([den[None, b:e], w]), axis=0)
-                num[b:e] = np.add.reduce(np.vstack([num[None, b:e], w * a[rows, None]]), axis=0)
+                w = r[rows, None] - dist
+                lengths = self._piece_lengths(pos[rows], c0)
+                for sums, terms in ((den, w), (num, w * a[rows, None])):
+                    block = np.repeat(terms.ravel(), lengths).reshape(-1, e - b)
+                    block[0] += sums[b:e]
+                    np.add.reduce(block, axis=0, out=sums[b:e])
             i = end
         return num[self.rank], den[self.rank]
+
+    def _piece_lengths(self, pos, c0):
+        """The lengths of the pieces of the c0-cylinders of the centers at
+        sorted positions ``pos``, in sorted order, row-major."""
+        cyl = self.table[c0:, pos].T  # the cylinders at lengths c0 .. width
+        edges = self.bounds[np.concatenate([cyl, cyl[:, ::-1] + 1], axis=1)]
+        return (edges[:, 1:] - edges[:, :-1]).ravel()
 
     def _flat_sums(self, num, den, s, b, size, rk, ak):
         """Add several centers' terms through flat (center, member) pairs, center-major."""
@@ -682,8 +707,8 @@ class _CantorSupports:
 
     def _share_cylinder(self, c, group, x):
         """How many ids of ``group`` share each x's cylinder of length c."""
-        cyl_of = self.cyl_of[min(c, self.width)]
-        return np.bincount(cyl_of[self.rank[group]], minlength=cyl_of[-1] + 1)[cyl_of[self.rank[x]]]
+        cyl = self.table[min(c, self.width)]
+        return np.bincount(cyl[self.rank[group]], minlength=cyl[-1] + 1)[cyl[self.rank[x]]]
 
     def next_depths(self, cover, cand, ok):
         """Per candidate x: the first depth n with ``ok[x, n - 1]`` that passes, or -1.

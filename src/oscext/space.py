@@ -579,24 +579,30 @@ class CantorMetric(Metric):
     def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
         # In code order a query's longest prefix with another target is the
         # longer one with its sorted neighbours; the nearest other target is
-        # the smallest other id in that prefix's cylinder.
+        # the smallest other id in that prefix's cylinder, a run of the
+        # sorted targets.  Only the targets and queries are read.
         t = tids[np.argsort(self.rank[tids])]
         tpos, qpos = self.rank[t], self.rank[queries]
         pos = np.searchsorted(tpos, qpos)
         after = pos + (tpos[np.minimum(pos, t.size - 1)] == qpos)  # past the query itself
         near = np.stack([pos - 1, after])  # the sorted targets on either side
         lcp = self.common_prefix(self.code[t[near % t.size]], self.code[queries])
-        best = np.where((near >= 0) & (near < t.size), lcp, -1).max(axis=0)
+        lcp = np.where((near >= 0) & (near < t.size), lcp, -1)
+        side = np.argmax(lcp, axis=0)
+        cols = np.arange(queries.size)
+        best, inside = lcp[side, cols], near[side, cols]  # a target in the query's best cylinder
+        # The c-cylinders among the targets are the runs of tadj >= c.
+        tadj = np.r_[-1, self.common_prefix(self.code[t[1:]], self.code[t[:-1]])]
         ids = np.empty(queries.size, dtype=np.int64)
         big = np.iinfo(np.int64).max
         for c in np.unique(best):
-            cyl, bounds = self.cylinders(c)
-            group = cyl[tpos]
-            first, second = np.full((2, bounds.size - 1), big)
-            np.minimum.at(first, group, t)
-            np.minimum.at(second, group, np.where(t == first[group], big, t))
+            starts = tadj < c
+            group = np.cumsum(starts) - 1
+            heads = np.flatnonzero(starts)
+            first = np.minimum.reduceat(t, heads)
+            second = np.minimum.reduceat(np.where(t == first[group], big, t), heads)
             sel = best == c
-            g = cyl[qpos[sel]]
+            g = group[inside[sel]]
             ids[sel] = np.where(first[g] == queries[sel], second[g], first[g])
         return 2.0 ** -(best + 1.0), ids
 

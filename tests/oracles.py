@@ -134,6 +134,26 @@ def o_euclidean(p, q):
     return math.sqrt(lanes[0] + lanes[1])
 
 
+def o_hat_sums(space, centers, depths, anchors):
+    """Hat sums num and den of the layered construction, as Python floats.
+
+    Center s at depth nu has the open ball of radius r = 2^-nu as support
+    and adds, to each member y, the weight r - d(s, y) to den and that
+    weight times its anchor value to num.  The centers are walked in the
+    order given, and each member adds their terms one at a time, from 0.0.
+    """
+    num = [0.0] * space.n
+    den = [0.0] * space.n
+    for s, nu, a in zip(centers, depths, anchors):
+        r = 2.0 ** -int(nu)
+        for y in range(space.n):
+            d = space.dist(int(s), y)
+            if d < r:
+                den[y] += r - d
+                num[y] += (r - d) * float(a)
+    return num, den
+
+
 def reference_visibility_components(space, region, multiplier):
     """Components of the mutual-visibility graph among a region's members, as id arrays.
 

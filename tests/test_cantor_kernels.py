@@ -9,6 +9,7 @@ on the same prefix-metric spaces must build the same layers too.
 
 import math
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,11 +29,11 @@ from oscext.errors import InvariantError, ValidationError
 from oscext import extend
 from oscext.extend import LayerState, _CantorSupports, _GenericSupports, _layered, layered_extension, nearest_in_set
 from oscext.instances import block_parity_field
-from oscext.space import CantorMetric, SubsetMask, local_scales
+from oscext.space import CantorMetric, Metric, SubsetMask, local_scales
 
 from conftest import (all_identical, assert_identical_layers, assert_report_reads_layers, dense_ball_extremes,
                       identical, prefix_codes, wide_space)
-from oracles import o_gap_step, o_local_scale, o_pair_step
+from oracles import o_gap_step, o_hat_sums, o_local_scale, o_pair_step
 
 
 def brute_nearest(space, members):
@@ -577,6 +578,176 @@ class TestCantorSums:
         cantor10 take the slice path and those of depth 3 the flat path."""
         bounds = [KERNEL_SPACES["cantor10"].metric.cylinders(c)[1] for c in (1, 3)]
         assert np.diff(bounds[0]).min() >= extend._FLAT_BELOW > np.diff(bounds[1]).max()
+
+
+def counted_code_dist(monkeypatch):
+    """Record the pair count of every ``CantorMetric.code_dist`` call from now on."""
+    calls = []
+    code_dist = CantorMetric.code_dist
+    monkeypatch.setattr(CantorMetric, "code_dist", lambda self, a, b: calls.append(np.size(a)) or code_dist(self, a, b))
+    return calls
+
+
+def zero_supports(space):
+    Y = space.full_mask()
+    return _CantorSupports(space, Y, ScalarField(Y, np.zeros(space.n)))
+
+
+class TestSlicePieces:
+    """The slice path builds each row of a block from the pieces of the
+    center's cylinder, one constant weight per piece: it reads no pair
+    distance, and a run of centers on one slice may mix depths."""
+
+    # (_FLAT_BELOW, depths): at the default threshold cantor10's depth-0
+    # and depth-1 cylinders all take the slice path; below 1 every center
+    # does, at any depth; above n none does.
+    PATHS = {"default": (extend._FLAT_BELOW, 2), "slice": (1, None), "flat": (1 << 20, None)}
+
+    @pytest.mark.parametrize("name, path", [("cantor10", "default")]
+                             + [(name, path) for name in sorted(KERNEL_SPACES) for path in ("slice", "flat")])
+    def test_slice_path_calls_no_code_dist(self, monkeypatch, name, path):
+        below, top = self.PATHS[path]
+        space = KERNEL_SPACES[name]
+        rng = np.random.default_rng(3)
+        centers = np.sort(rng.choice(space.n, size=min(space.n, 64), replace=False))
+        depths = rng.integers(0, top or space.metric.width + 3, size=centers.size)
+        a = rng.uniform(-1.0, 1.0, centers.size) / 3
+        want = reference_sums(space, centers, depths, a, None)[:2]
+        monkeypatch.setattr(extend, "_FLAT_BELOW", below)
+        calls = counted_code_dist(monkeypatch)
+        assert all_identical(zero_supports(space).hat_sums(centers, depths, a), want)
+        assert (calls == []) == (path != "flat")
+
+    @pytest.mark.parametrize("pairs", [extend._FLAT_PAIRS, 1])
+    def test_run_mixing_depths(self, monkeypatch, pairs):
+        """On the sparse wide codes a cylinder can keep its members from one
+        length to the next: centers at both depths share one slice, and
+        the run's pieces start at the shorter length.  A depth past the
+        width is capped at the width-cylinder, the center alone."""
+        space = KERNEL_SPACES["wide"]
+        metric = space.metric
+        for c in range(metric.width):
+            short, long = (metric.cylinders(c + k)[1].tolist() for k in (0, 1))
+            kept = set(zip(short[:-1], short[1:])) & set(zip(long[:-1], long[1:]))
+            wide = sorted((lo, hi) for lo, hi in kept if hi - lo >= 3)
+            if wide:
+                break
+        lo, hi = wide[0]
+        centers = np.sort(np.argsort(metric.code, kind="stable")[lo:hi])
+        depths = c + np.arange(centers.size) % 2
+        centers = np.r_[centers, 0]  # an isolated center past the width
+        depths = np.r_[depths, metric.width + 2]
+        a = np.random.default_rng(6).uniform(-1.0, 1.0, centers.size) / 3
+        monkeypatch.setattr(extend, "_FLAT_BELOW", 1)
+        monkeypatch.setattr(extend, "_FLAT_PAIRS", pairs)
+        assert all_identical(zero_supports(space).hat_sums(centers, depths, a),
+                             reference_sums(space, centers, depths, a, None)[:2])
+
+
+@pytest.fixture(scope="module")
+def order_inputs():
+    """Every point of cantor8 as a depth-0 center, in id order, and the
+    float loop's sums.  The first anchor is 1 and every other 2^-53: at
+    point 0 the first term is 1.0 and each later one is below half its
+    ulp, so the sum in center order stays 1.0, while adding the small
+    terms together first would round above it."""
+    space = cantor_instance(8)
+    centers = np.arange(space.n)
+    depths = np.zeros(space.n, dtype=np.int64)
+    a = np.full(space.n, 2.0**-53)
+    a[0] = 1.0
+    return space, centers, depths, a, o_hat_sums(space, centers, depths, a)
+
+
+class TestAccumulationOrder:
+    """The hat sums equal a Python-float loop in center order bit for bit,
+    on the slice path (cantor8's 512-member depth-0 slice, at the default
+    threshold) and on the flat path, on inputs where the order of the
+    terms changes the sums."""
+
+    @pytest.mark.parametrize("path", ["slice", "flat"])
+    def test_matches_float_loop_in_center_order(self, monkeypatch, order_inputs, path):
+        space, centers, depths, a, want = order_inputs
+        if path == "flat":
+            monkeypatch.setattr(extend, "_FLAT_BELOW", 1 << 20)
+        calls = counted_code_dist(monkeypatch)
+        got = zero_supports(space).hat_sums(centers, depths, a)
+        assert (calls == []) == (path == "slice")
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), np.array(w).view(np.int64))
+
+    def test_order_changes_the_sums(self, order_inputs):
+        space, centers, depths, a, (num, _den) = order_inputs
+        assert num[0] == 1.0
+        others = math.fsum(a[1:] * (1.0 - space.metric.dist_rows(np.array([0]), centers[1:])[0]))
+        assert 1.0 + others != 1.0
+
+
+@pytest.fixture(scope="module")
+def depth12_layer1():
+    """Cantor depth 12 with the block-parity field, and its layer 1: 8192
+    centers at depths from 2, on cylinders of up to 2048 members."""
+    space = cantor_instance(12)
+    Y = space.subsets["Y"]
+    fY = block_parity_field(space).restrict(Y)
+    nearest_y, dist_y = nearest_in_set(space, Y)
+    layers = layered(space, Y, fY, _CantorSupports, max_layers=2)
+    centers, depths = layers[1].centers, layers[1].depths
+    return space, Y, fY, layers[0].level_numbers, centers, depths, fY.values[nearest_y[centers]]
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in MiB, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """The cylinder table and the pieces cost no more memory than the
+    per-length cylinder arrays and the ``code_dist`` row blocks they
+    replaced, whose peaks on these inputs were 1.76 MiB (``__init__``),
+    0.52 MiB (``supports``) and 1.59 MiB (``hat_sums``) with numpy 2.4."""
+
+    def test_init(self, depth12_layer1):
+        space, Y, fY, *_ = depth12_layer1
+        assert traced_peak(lambda: _CantorSupports(space, Y, fY)) <= 1.76
+
+    def test_supports(self, depth12_layer1):
+        space, Y, fY, l_prev, centers, depths, _a = depth12_layer1
+        sup = _CantorSupports(space, Y, fY)
+        assert traced_peak(lambda: sup.supports(centers, depths, l_prev)) <= 0.52
+
+    def test_layer1_hat_sums(self, depth12_layer1):
+        space, Y, fY, _l_prev, centers, depths, a = depth12_layer1
+        sup = _CantorSupports(space, Y, fY)
+        assert centers.size == 8192 and depths.min() >= 2
+        assert traced_peak(lambda: sup.hat_sums(centers, depths, a)) <= 1.59
+
+
+class TestNearestOther:
+    """The prefix metric's nearest other targets, found among the sorted
+    targets alone, against the dense base kernel bit for bit: ties go to
+    the smallest id."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_SPACES))
+    @pytest.mark.parametrize("sets", ["disjoint", "overlapping", "equal", "single_target", "pairs"])
+    def test_matches_dense_rows(self, name, sets):
+        space = KERNEL_SPACES[name]
+        perm = np.random.default_rng(len(name) + len(sets)).permutation(space.n)
+        k = space.n // 3
+        queries, targets = {
+            "disjoint": (perm[:k], perm[k:]),
+            "overlapping": (perm[:2 * k], perm[k:]),
+            "equal": (perm, perm),
+            "single_target": (perm[1:k], perm[:1]),
+            "pairs": (perm[:2], perm[:2]),
+        }[sets]
+        metric = space.metric
+        assert all_identical(metric._nearest_other(queries, targets), Metric._nearest_other(metric, queries, targets))
 
 
 class TestBackendsAgree:
