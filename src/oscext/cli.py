@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 import time
 
@@ -24,7 +23,7 @@ from .space import (
     parse_policy,
     space_to_document,
 )
-from .derive import index_profile
+from .derive import checked_epsilon_grid, index_profile
 from .extend import (
     glue_extension,
     iterated_extension,
@@ -51,10 +50,7 @@ def _grid_for(space, arg):
         grid = list(DEFAULT_GRID)
         if space.metric.kind == "cantor":
             grid = sorted(set(grid + CANTOR_EXTRA), reverse=True)
-    if (not grid or any(b >= a for a, b in zip(grid, grid[1:]))
-            or not all(0 < e < math.inf for e in grid)):
-        raise ValidationError("epsilon grid must be positive, finite and strictly decreasing")
-    return grid
+    return checked_epsilon_grid(grid)
 
 
 def _load_instance(args):

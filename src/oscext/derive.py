@@ -194,17 +194,23 @@ class IndexProfile:
         return rows
 
 
+def checked_epsilon_grid(epsilon_grid) -> list:
+    """The grid as floats: nonempty, positive, finite and strictly decreasing."""
+    grid = [float(e) for e in epsilon_grid]
+    if not grid:
+        raise ValidationError("epsilon grid must be nonempty")
+    if any(b >= a for a, b in zip(grid, grid[1:])) or not all(0 < e < math.inf for e in grid):
+        raise ValidationError("epsilon grid must be positive, finite and strictly decreasing")
+    return grid
+
+
 def index_profile(f: ScalarField, P: SubsetMask, policy, epsilon_grid) -> IndexProfile:
     """Emptying step of the pair-step trace for every epsilon in the grid.
 
     The traces share their ball spreads: a level that recurs at several
     epsilons costs one ball pass, and the cache is dropped on return.
     """
-    grid = [float(e) for e in epsilon_grid]
-    if not grid:
-        raise ValidationError("epsilon grid must be nonempty")
-    if any(b >= a for a, b in zip(grid, grid[1:])) or not all(0 < e < math.inf for e in grid):
-        raise ValidationError("epsilon grid must be positive, finite and strictly decreasing")
+    grid = checked_epsilon_grid(epsilon_grid)
     entries = []
     spreads = {}
     for eps in grid:

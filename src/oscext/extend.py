@@ -562,9 +562,9 @@ class _CantorSupports:
     cylinder bounds of every length laid end to end: the cylinder holds
     the sorted positions ``bounds[g]`` up to ``bounds[g + 1]``.  Supports
     are contiguous ranges of sorted positions, the ball-nesting condition
-    holds automatically once n >= l, and the support-disjointness condition
-    reduces to comparing counts of deep centers inside the candidate's
-    doubled ball against those covering it.
+    holds automatically once n >= l, and a candidate passes the support
+    test at the depths above its floor: 1 + the longest prefix length it
+    shares with a center whose support misses it.
 
     Along a center's c-cylinder, the members at distance 2^-(c'+1), the
     c'-cylinder minus the (c'+1)-cylinder for c <= c' < width, are one run
@@ -705,32 +705,28 @@ class _CantorSupports:
         np.add.at(den, p, w)
         np.add.at(num, p, w * np.repeat(ak, size))
 
-    def _share_cylinder(self, c, group, x):
-        """How many ids of ``group`` share each x's cylinder of length c."""
-        cyl = self.table[min(c, self.width)]
-        return np.bincount(cyl[self.rank[group]], minlength=cyl[-1] + 1)[cyl[self.rank[x]]]
-
     def next_depths(self, cover, cand, ok):
-        """Per candidate x: the first depth n with ``ok[x, n - 1]`` that passes, or -1.
+        """Per candidate x: the first depth n with ``ok[x, n - 1]`` above x's floor, or -1.
 
-        The deep centers (depth >= n) inside the doubled ball, a cylinder,
-        must be exactly the deep centers whose supports cover x.
+        A center whose support misses x and that shares prefix length l
+        with it lies in x's doubled ball at depth n exactly for n <= l + 1.
+        x shares l with one when its l-cylinder holds more centers of capped
+        depth above l than its (l + 1)-cylinder does.
         """
         centers, depths = cover
-        chosen = np.full(cand.size, -1, dtype=np.int64)
-        for nn in range(1, ok.shape[1] + 1):
-            active = np.flatnonzero(ok[:, nn - 1] & (chosen < 0))
-            if active.size == 0:
-                continue
-            x = cand[active]
-            deep = depths >= nn
-            deep_centers, deep_depths = centers[deep], depths[deep]
-            inside = self._share_cylinder(nn - 1, deep_centers, x)
-            covering = np.zeros(active.size, dtype=np.int64)
-            for m in np.unique(deep_depths):
-                covering += self._share_cylinder(int(m), deep_centers[deep_depths == m], x)
-            chosen[active[inside == covering]] = nn
-        return chosen
+        cols = np.flatnonzero(ok.any(axis=0))
+        if cols.size == 0:  # no depth in play; ok may have no columns at all
+            return np.full(cand.size, -1, dtype=np.int64)
+        floor = np.zeros(cand.size, dtype=np.int64)
+        at, capped = self.rank[centers], np.minimum(depths, self.width)
+        x = self.rank[cand]
+        for c in range(int(cols[0]), self.width):  # shorter lengths decide nothing
+            at, capped = at[capped > c], capped[capped > c]
+            shared = [np.bincount(cyl[at] - cyl[0], minlength=cyl[-1] - cyl[0] + 1)[cyl[x] - cyl[0]]
+                      for cyl in self.table[c:c + 2]]
+            floor[shared[0] > shared[1]] = c + 1
+        good = ok & (np.arange(1, ok.shape[1] + 1) > floor[:, None])
+        return np.where(good.any(axis=1), np.argmax(good, axis=1) + 1, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,30 @@ def o_hat_sums(space, centers, depths, anchors):
     return num, den
 
 
+def o_next_depths(space, centers, depths, cand, ok):
+    """The layered construction's support test: per candidate, the first depth
+    n with ``ok[x][n - 1]`` that passes, or -1.
+
+    Candidate x passes at depth n when the deep centers (depth >= n) whose
+    doubled ball B(x, 2^(1-n)) holds them are exactly the deep centers whose
+    support, the open ball of radius 2^-depth, holds x.
+    """
+    out = []
+    for x, row in zip(cand, ok):
+        chosen = -1
+        for n, allowed in enumerate(row, start=1):
+            if not allowed:
+                continue
+            deep = [(k, int(nu)) for k, nu in enumerate(depths) if nu >= n]
+            near = {k for k, _nu in deep if space.dist(int(centers[k]), int(x)) < 2.0 ** (1 - n)}
+            covering = {k for k, nu in deep if space.dist(int(centers[k]), int(x)) < 2.0 ** -nu}
+            if near == covering:
+                chosen = n
+                break
+        out.append(chosen)
+    return out
+
+
 def reference_visibility_components(space, region, multiplier):
     """Components of the mutual-visibility graph among a region's members, as id arrays.
 

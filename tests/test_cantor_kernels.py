@@ -33,7 +33,7 @@ from oscext.space import CantorMetric, Metric, SubsetMask, local_scales
 
 from conftest import (all_identical, assert_identical_layers, assert_report_reads_layers, dense_ball_extremes,
                       identical, prefix_codes, wide_space)
-from oracles import o_gap_step, o_hat_sums, o_local_scale, o_pair_step
+from oracles import o_gap_step, o_hat_sums, o_local_scale, o_next_depths, o_pair_step
 
 
 def brute_nearest(space, members):
@@ -748,6 +748,47 @@ class TestNearestOther:
         }[sets]
         metric = space.metric
         assert all_identical(metric._nearest_other(queries, targets), Metric._nearest_other(metric, queries, targets))
+
+
+def random_cover(space, rng):
+    """Distinct centers at depths from 0 to 3 past the width; candidates that
+    are centers and candidates that are not; and ok rows with gaps, up to 3
+    depths past the width."""
+    n, width = space.n, space.metric.width
+    centers = np.sort(rng.choice(n, size=int(rng.integers(1, min(n, 24) + 1)), replace=False))
+    depths = rng.integers(0, width + 4, size=centers.size)
+    others = np.setdiff1d(np.arange(n), centers)
+    cand = np.r_[rng.choice(centers, size=min(centers.size, 6), replace=False),
+                 rng.choice(others, size=min(others.size, 10), replace=False)]
+    ok = rng.random((cand.size, int(rng.integers(1, width + 4)))) < rng.uniform(0.2, 0.9)
+    return (centers, depths), cand, ok
+
+
+class TestNextDepths:
+    """The prefix backend's support test against the distance loop, on
+    random covers, and on ok tables with no depth in play."""
+
+    SPACES = {**{f"cantor{d}": cantor_instance(d) for d in range(2, 9)}, "wide": KERNEL_SPACES["wide"]}
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_matches_oracle(self, name):
+        space = self.SPACES[name]
+        sup = zero_supports(space)
+        rng = np.random.default_rng(space.n)
+        for _ in range(12):
+            cover, cand, ok = random_cover(space, rng)
+            got = sup.next_depths(cover, cand, ok)
+            assert got.dtype == np.int64
+            assert got.tolist() == o_next_depths(space, *cover, cand, ok)
+
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 0), (0, 4), (5, 4)])
+    def test_no_depth_in_play(self, shape):
+        space = cantor_instance(4)
+        cover, _cand, _ok = random_cover(space, np.random.default_rng(1))
+        cand = np.arange(shape[0])
+        ok = np.zeros(shape, dtype=bool)
+        got = zero_supports(space).next_depths(cover, cand, ok)
+        assert got.tolist() == o_next_depths(space, *cover, cand, ok) == [-1] * shape[0]
 
 
 class TestBackendsAgree:

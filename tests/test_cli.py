@@ -380,6 +380,14 @@ class TestNonFiniteParameters:
         assert code == 1
         assert "bad epsilon grid" in err
 
+    @pytest.mark.parametrize("grid, message", [(",", "nonempty"), ("0.25,0.5", "strictly decreasing"),
+                                               ("0.5,0.5", "strictly decreasing"), ("0.5,-0.1", "positive")])
+    def test_grid_rule_is_index_profiles(self, capsys, grid, message):
+        """The command line refuses a bad grid by index_profile's rule and message."""
+        code, out, err = run(capsys, "index", "--generate", "cantor:4", "--epsilon-grid", grid)
+        assert (code, out) == (1, "")
+        assert message in err
+
 
 class TestUsage:
     def test_emit_plot_data_is_a_usage_error(self, capsys):
