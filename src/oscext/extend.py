@@ -471,8 +471,12 @@ class _GenericSupports:
 
     Two kernels walk the (center, member) pairs of ``ball_pairs``, each on
     its own pass.  ``supports`` gives the covering depths and the layer's
-    cover, the points x centers covering matrix, which ``next_depths``
-    reads.  A layer whose every radius exceeds the diameter, which bounds
+    cover, which ``next_depths`` reads: the points x centers covering
+    matrix as packed bits, one per (point, center), in the layout of
+    ``np.packbits(..., axis=1, bitorder="little")``.  Center k is bit
+    ``k & 7`` of byte ``k >> 3`` in its point's row, and the padding bits
+    are zero, so a walked layer of m centers holds n * ceil(m / 8) bytes.
+    A layer whose every radius exceeds the diameter, which bounds
     every computed distance, covers every point with every support: its
     cover is None, ``supports`` walks no pairs, and ``next_depths`` makes
     no pair pass, since no point can leave or enter a support.  Layer 0's
@@ -492,19 +496,22 @@ class _GenericSupports:
 
     def supports(self, centers, depths, l_prev):
         """The deepest covering depth and min l_prev per point (-1 and inf where
-        no support covers it), and the covering matrix (None: all True)."""
+        no support covers it), and the covering matrix as packed bits (None:
+        all set)."""
         n = self.everything.size
         if 2.0 ** -float(depths.max()) > self.diameter:
             minlp = np.inf if l_prev is None else float(l_prev[centers].min())
             return np.full(n, depths.max(), dtype=np.int64), np.full(n, minlp), None
         lmax = np.full(n, -1, dtype=np.int64)
         minlp = np.full(n, np.inf)
-        covering = np.zeros((n, centers.size), dtype=bool)
+        covering = np.zeros((n, (centers.size + 7) >> 3), dtype=np.uint8)
         for rows, ids, _d in self.metric.ball_pairs(centers, 2.0 ** -depths.astype(float), self.everything):
             np.maximum.at(lmax, ids, depths[rows])
             if l_prev is not None:
                 np.minimum.at(minlp, ids, l_prev[centers[rows]])
-            covering[ids, rows] = True
+            # Each (center, member) pair comes once, so adding its bit sets it.
+            np.add.at(covering.reshape(-1), ids * covering.shape[1] + (rows >> 3),
+                      np.uint8(1) << (rows.astype(np.uint8) & 7))
         return lmax, minlp, covering
 
     def hat_sums(self, centers, depths, a):
@@ -523,7 +530,10 @@ class _GenericSupports:
         """Per candidate x: the first depth n with ``ok[x, n - 1]`` that passes, or -1.
 
         The small ball B(x, 2^-n) must stay inside every support covering x,
-        and the doubled ball must miss all other supports.
+        and the doubled ball must miss all other supports.  ``cover`` is the
+        packed covering matrix of ``supports``: a point leaves or enters a
+        support where its row and x's differ in a bit, tested a byte at a
+        time, and each row chunk's budget counts bytes.
         """
         chosen = np.full(cand.size, -1, dtype=np.int64)
         tried = np.arange(1, ok.shape[1] + 1)

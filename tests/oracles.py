@@ -154,6 +154,44 @@ def o_hat_sums(space, centers, depths, anchors):
     return num, den
 
 
+def o_partition(space, elements):
+    """Hat-weight partition of unity, as Python floats: per cover element,
+    its support ids and weights.
+
+    Element (c, r) has the raw weight r - d(c, y) at each y with d(c, y) < r.
+    Each point's total adds its elements' raw weights in element order, one
+    at a time, from 0.0, and a weight is its raw weight over that total.
+    """
+    total = [0.0] * space.n
+    raws = []
+    for c, r in elements:
+        row = []
+        for y in range(space.n):
+            d = space.dist(int(c), y)
+            if d < r:
+                row.append((y, r - d))
+                total[y] += r - d
+        raws.append(row)
+    return [[y for y, _w in row] for row in raws], [[w / total[y] for y, w in row] for row in raws]
+
+
+def o_blend(space, support_ids, weights, anchors):
+    """Blend of one anchor value per element, as Python floats.
+
+    Each covered point adds weight x anchor over its elements in element
+    order, one at a time, from 0.0, and the sum is clipped to the range of
+    those anchors.  A point no element covers reads NaN.
+    """
+    out = [0.0] * space.n
+    lo = [math.inf] * space.n
+    hi = [-math.inf] * space.n
+    for ids, ws, a in zip(support_ids, weights, anchors):
+        for y, w in zip(ids, ws):
+            out[y] += w * a
+            lo[y], hi[y] = min(lo[y], a), max(hi[y], a)
+    return [min(max(v, l), h) if l <= h else math.nan for v, l, h in zip(out, lo, hi)]
+
+
 def o_next_depths(space, centers, depths, cand, ok):
     """The layered construction's support test: per candidate, the first depth
     n with ``ok[x][n - 1]`` that passes, or -1.

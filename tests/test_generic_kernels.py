@@ -35,7 +35,7 @@ from oscext.unity import BallCover, PartitionOfUnity, blend, cover_for_piece, pa
 
 from conftest import (FIXTURES, all_identical, assert_identical_layers, assert_report_reads_layers, identical,
                       prefix_codes, wide_space)
-from oracles import o_ball, o_euclidean, reference_visibility_components
+from oracles import o_ball, o_blend, o_euclidean, o_hat_sums, o_partition, reference_visibility_components
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +314,11 @@ def reference_next_depths(sup, covering, cand, ok, chunk_pairs=None):
         if chunk_pairs is not None:
             chunk_pairs.append(pairs)
     return chosen
+
+
+def unpacked(cover, m):
+    """A packed generic cover as the bool points x centers matrix of its ``m`` centers."""
+    return np.unpackbits(cover, axis=1, count=m, bitorder="little").astype(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -1398,7 +1403,8 @@ def supports_of(name):
 def run_checked_layers(space, Y, fY, max_layers=24):
     """Run ``_layered`` and check every ``next_depths`` call against the candidate loop.
 
-    Returns one (chosen, near pairs per row chunk, covering width) per call.
+    Returns one (chosen, near pairs per row chunk, packed covering width in
+    bytes) per call.  The candidate loop reads the cover unpacked to bools.
     """
     calls, widths = [], []
 
@@ -1411,14 +1417,32 @@ def run_checked_layers(space, Y, fY, max_layers=24):
             got = super().next_depths(cover, cand, ok)
             pairs = []
             # A cover of None: every support covers every point.
-            covering = np.ones((self.everything.size, widths[-1]), dtype=bool) if cover is None else cover
+            m = widths[-1]
+            covering = np.ones((self.everything.size, m), dtype=bool) if cover is None else unpacked(cover, m)
             assert identical(got, reference_next_depths(self, covering, cand, ok, pairs))
-            calls.append((got, pairs, covering.shape[1]))
+            calls.append((got, pairs, (m + 7) >> 3))
             return got
 
     n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
     _layered(space, Y, fY, max_layers, n_max, *nearest_in_set(space, Y), Checked)
     return calls
+
+
+def walked_layers(space, Y, fY):
+    """(centers, depths, l_prev, cover) of each ``supports`` call of one
+    ``_layered`` run whose cover is walked, not None."""
+    seen = []
+
+    class Recorded(_GenericSupports):
+        def supports(self, centers, depths, l_prev):
+            lmax, minlp, cover = super().supports(centers, depths, l_prev)
+            if cover is not None:
+                seen.append((centers, depths, l_prev, cover))
+            return lmax, minlp, cover
+
+    n_max = int(math.ceil(math.log2(1.0 / space.resolution))) + 4
+    _layered(space, Y, fY, 24, n_max, *nearest_in_set(space, Y), Recorded)
+    return seen
 
 
 def kernel_walks(monkeypatch, space, Y, fY):
@@ -1490,7 +1514,7 @@ class TestLayeredGeneric:
     def test_pair_slices_cross_the_block_budget(self):
         # A smooth field at a coarse resolution: nearly every point is in
         # every candidate's doubled ball, so one row chunk's near pairs take
-        # several covering slices.
+        # several slices of packed covering rows.
         space, _Y, f = case("smooth2d")
         coarse = SpaceInstance("smooth-coarse", space.metric, resolution=1 / 8, family="euclidean")
         full = coarse.full_mask()
@@ -1505,8 +1529,9 @@ class TestLayeredGeneric:
         full = space.full_mask()
         sup = _GenericSupports(space, full, ScalarField(full, np.zeros(3)))
         covering = np.array([[True, False], [False, False], [False, True]])
+        cover = np.packbits(covering, axis=1, bitorder="little")
         cand, ok = np.array([0]), np.array([[False, True, True, True]])
-        assert (sup.next_depths(covering, cand, ok).tolist() == reference_next_depths(sup, covering, cand, ok).tolist()
+        assert (sup.next_depths(cover, cand, ok).tolist() == reference_next_depths(sup, covering, cand, ok).tolist()
                 == [2])
 
     @pytest.mark.parametrize("name, max_layers", [("ordinal:2", 1), ("alternating_line", 24)])
@@ -1578,8 +1603,8 @@ class TestLayeredGeneric:
 
     def test_broadcast_covering_reads_as_the_walked_one(self):
         # Layer 0 of ordinal:2 covers every point: its cover of None reads as
-        # the walked covering matrix, all True, and the candidate loop reads
-        # that matrix alike.
+        # the walked covering matrix, every bit set, and the candidate loop
+        # reads that matrix, unpacked to bools, alike.
         space, Y, f = case("ordinal:2")
         fY = f.restrict(Y)
         centers, depths = np.arange(space.n), np.zeros(space.n, dtype=np.int64)
@@ -1588,13 +1613,137 @@ class TestLayeredGeneric:
         for lp in (l_prev, None):
             (*got, cover), (*want, walked) = sup.supports(centers, depths, lp), walking.supports(centers, depths, lp)
             assert all_identical(got, want)
-            assert cover is None and walked.shape == (space.n, centers.size) and walked.all()
+            assert cover is None and walked.shape == (space.n, (centers.size + 7) >> 3)
+            assert unpacked(walked, centers.size).all()
         cand = np.arange(0, space.n, 3)
         ok = np.random.default_rng(5).uniform(size=(cand.size, 12)) < 0.3
-        assert identical(sup.next_depths(cover, cand, ok), reference_next_depths(walking, walked, cand, ok))
+        want = reference_next_depths(walking, unpacked(walked, centers.size), cand, ok)
+        assert identical(sup.next_depths(cover, cand, ok), want)
         assert identical(sup.next_depths(cover, cand, ok), walking.next_depths(walked, cand, ok))
+
+    @pytest.mark.parametrize("name", ["ordinal:1", "ordinal:2", "ordinal:3", "line", "offset_line", "matrix",
+                                      "random2d", "lattice"])
+    def test_packed_cover_matches_pair_loop(self, name):
+        # Each walked cover is np.packbits(covering, axis=1, bitorder="little")
+        # of the bool matrix a per-pair loop over ball_pairs sets: center k is
+        # bit k & 7 of byte k >> 3, and the padding bits are zero.
+        space, Y, f = case(name)
+        walked = walked_layers(space, Y, f.restrict(Y))
+        assert walked
+        metric = space.metric
+        for centers, depths, _l_prev, cover in walked:
+            m = centers.size
+            assert cover.dtype == np.uint8 and cover.shape == (space.n, (m + 7) >> 3)
+            bits = np.unpackbits(cover, axis=1, bitorder="little")
+            assert not bits[:, m:].any()
+            want = np.zeros((space.n, m), dtype=bool)
+            for rows, ids, _d in metric.ball_pairs(centers, 2.0 ** -depths.astype(float), np.arange(space.n)):
+                for r, i in zip(rows.tolist(), ids.tolist()):
+                    want[i, r] = True
+            assert np.array_equal(bits[:, :m].astype(bool), want)
+
+    def test_walked_cover_is_smaller_than_the_dense_matrix(self):
+        # Every ordinal:3 layer from 1 to 5 walks 1111 centers on 1111 points;
+        # the dense bool matrix alone would take n * m bytes (1.18 MiB), the
+        # packed cover an eighth of that.  The rest of the bound is for the
+        # ball_pairs chunks: layer 1 peaked at 0.51 MiB with numpy 2.4.
+        space, Y, f = case("ordinal:3")
+        fY = f.restrict(Y)
+        centers, depths, l_prev, _cover = walked_layers(space, Y, fY)[0]
+        assert centers.size == space.n
+        sup = _GenericSupports(space, Y, fY)
+        tracemalloc.start()
+        try:
+            sup.supports(centers, depths, l_prev)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * space.n * centers.size
 
     def test_empty_target_rejected(self):
         space = case("random2d")[0]
         with pytest.raises(PreconditionError):
             nearest_in_set(space, space.empty_mask())
+
+
+# ---------------------------------------------------------------------------
+# Accumulation order: every generic float sum against a Python-float loop
+# ---------------------------------------------------------------------------
+
+TINY = 40  # order-sensitive terms after the first, each below half an ulp of it
+ORDER_BLOCK = 1 << 12  # a block budget that cuts each pass into many ball_pairs chunks
+
+
+@functools.lru_cache(maxsize=None)
+def summed_space(name):
+    """400 seeded points in the unit square (the row-block pairs), or on the
+    unit interval (the line's window chunks)."""
+    return random_instance(3, 400, 2 if name == "cloud" else 1)
+
+
+def summed_cover(space):
+    """Element 0 is B(0, 1), whose raw weight at point 0 is 1.0.  ``TINY``
+    copies of B(0, 2^-54) follow, each adding 2^-54 at point 0, below half an
+    ulp of 1, so the total there in element order stays 1.0, while adding
+    the small terms together first would take it above.  Balls of radius 1/5
+    follow at every third point at least 2/5 from point 0, which they miss."""
+    far = np.flatnonzero(space.metric.dist_rows(np.array([0]), np.arange(space.n))[0] >= 0.4)
+    elements = [(0, 1.0)] + [(0, 2.0**-54)] * TINY + [(int(y), 0.2) for y in far[::3]]
+    centers, radii = (np.array(col) for col in zip(*elements))
+    carrier = (space.metric.dist_rows(centers, np.arange(space.n)) < radii[:, None]).any(axis=0)
+    return BallCover(space, elements, SubsetMask(space, carrier))
+
+
+def summed_anchors(k):
+    """Anchor 1 for element 0, 2 for the ``TINY`` small balls (2^-53 a term
+    at point 0, again below half an ulp of 1), and values in [1, 2] after."""
+    tail = np.random.default_rng(11).uniform(1.0, 2.0, k - 1 - TINY)
+    return np.r_[1.0, np.full(TINY, 2.0), tail]
+
+
+def float_bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestAccumulationOrder:
+    """The generic hat sums, ``partition`` and ``blend`` equal a Python-float
+    loop in their documented order (center or element order, each point's
+    terms one at a time from 0) bit for bit, on inputs where the order of
+    the terms changes the sums."""
+
+    @pytest.mark.parametrize("name", ["cloud", "line"])
+    def test_hat_sums_match_float_loop_in_center_order(self, monkeypatch, name):
+        monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", ORDER_BLOCK)
+        space = summed_space(name)
+        full = space.full_mask()
+        centers, depths = np.arange(space.n), np.zeros(space.n, dtype=np.int64)
+        a = np.full(space.n, 2.0**-53)
+        a[0] = 1.0
+        got = _GenericSupports(space, full, ScalarField(full, np.zeros(space.n))).hat_sums(centers, depths, a)
+        want = o_hat_sums(space, centers, depths, a)
+        assert want[0][0] == 1.0
+        for g, w in zip(got, want):
+            assert np.array_equal(float_bits(g), float_bits(w))
+
+    @pytest.mark.parametrize("name", ["cloud", "line"])
+    def test_partition_and_blend_match_float_loops_in_element_order(self, monkeypatch, name):
+        monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", ORDER_BLOCK)
+        space = summed_space(name)
+        cover = summed_cover(space)
+        pou = partition(space, cover)
+        want_ids, want_weights = o_partition(space, cover.elements)
+        assert [i.tolist() for i in pou.support_ids] == want_ids
+        assert all(np.array_equal(float_bits(g), float_bits(w)) for g, w in zip(pou.weights, want_weights))
+        anchors = summed_anchors(len(cover.elements))
+        got = blend(pou, anchors).values
+        want = o_blend(space, want_ids, want_weights, anchors)
+        assert np.array_equal(float_bits(got), float_bits(want))
+        assert want_weights[0][0] == 1.0 and want[0] == 1.0
+
+    def test_order_changes_the_sums(self):
+        # Added together first, the small terms at point 0 move each sum.
+        space = summed_space("cloud")
+        others = 1.0 - space.metric.dist_rows(np.array([0]), np.arange(1, space.n))[0]
+        assert 1.0 + math.fsum(others[others > 0] * 2.0**-53) != 1.0
+        assert 1.0 / (1.0 + math.fsum([2.0**-54] * TINY)) != 1.0
+        assert 1.0 < 1.0 + math.fsum([2.0**-53] * TINY) < 2.0
