@@ -816,22 +816,25 @@ def _scatter_region(space, region, Y, fY, policy, mult, out, stats):
     so every visibility edge survives (the clopen families compute each
     distance elementwise: 1-D Euclidean or prefix).  A singleton meeting Y
     has filtration ``[comp]`` and takes its own f value; ``comp - tops`` is
-    never empty, as the filtration strictly decreases.
+    never empty, as the filtration strictly decreases.  A component costs
+    its members: Y is read through its mask, built once, and no step builds
+    a full-length array.
     """
+    in_y = Y.mask
     work = [region]
     while work:
         for comp in visibility_components(space, work.pop(), mult):
             stats["components"] += 1
             members = comp.ids()
-            y_comp = Y & comp
-            if y_comp.is_empty():
+            y_ids = members[in_y[members]]
+            if not y_ids.size:
                 out[members] = 0.0
                 stats["default_zero_regions"] += 1
                 continue
             dec = cb_filtration(space, comp, policy)
             if not dec.emptied:
                 raise PreconditionError("a recursion region is not scattered at resolution")
-            nearest_y, dist_y = space.metric.nearest(members, y_comp.ids())
+            nearest_y, dist_y = space.metric.nearest(members, y_ids)
             if len(dec.filtration) == 1:
                 out[members] = fY.values[nearest_y]
                 continue
@@ -839,7 +842,7 @@ def _scatter_region(space, region, Y, fY, policy, mult, out, stats):
             top_ids = tops.ids()
             pos = np.searchsorted(members, top_ids)  # members are sorted ids
             near = dist_y[pos] <= mult * dec.scales[pos]  # inside the Y-closure at its scale
-            out[top_ids] = np.where(Y.mask[top_ids], fY.values[top_ids],
+            out[top_ids] = np.where(in_y[top_ids], fY.values[top_ids],
                                     np.where(near, fY.values[nearest_y[pos]], 0.0))
             stats["anchored_tops"] += int(top_ids.size)
             work.append(comp - tops)

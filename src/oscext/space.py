@@ -1,10 +1,11 @@
-"""Finite metric spaces, point-set masks, scalar fields, and derived-set filtrations.
+"""Finite metric spaces, their kernels, and derived-set filtrations.
 
 A space is a finite point set with a total metric given either as a dense
 matrix, as Euclidean coordinates, or as the prefix metric on eventually
 constant binary sequences.  All balls are open (strict inequality); ties at
 exactly the radius are excluded.  Distances are ordinary 64-bit floats and
 are compared exactly, so fixtures are built from dyadic or triadic rationals.
+Point-set masks and scalar fields live in ``subsets`` and are re-exported.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
+from .subsets import ScalarField, SubsetMask, _distinct_sorted, _in_sorted, _increasing
 
 EXHAUSTIVE_TRIANGLE_LIMIT = 500
 TRIANGLE_SAMPLES_PER_POINT = 10
@@ -57,10 +60,15 @@ class Metric:
         return self._nearest_other(m, m)
 
     def nearest(self, queries: np.ndarray, tids: np.ndarray):
-        """Per query: (nearest target id, distance); a target is its own nearest."""
+        """Per query: (nearest target id, distance); a target is its own nearest.
+
+        Whether a query is a target is looked up in the sorted targets,
+        sorted here only when they are not already.
+        """
         ids = np.array(queries, dtype=np.int64)
         dist = np.zeros(ids.size)
-        q = np.flatnonzero(~np.isin(ids, tids))
+        t = np.asarray(tids)
+        q = np.flatnonzero(~_in_sorted(t if _increasing(t, strict=False) else np.sort(t), ids))
         dist[q], ids[q] = self._nearest_other(ids[q], tids)
         return ids, dist
 
@@ -564,13 +572,15 @@ class CantorMetric(Metric):
     def ball_runs(self, order: np.ndarray, radii: np.ndarray):
         """Per member of ``order`` (from ``run_order``): the run [start, stop) of
         positions in ``order`` inside its open ball, the members of its cylinder.
-        A radius of 0 gives the empty run at the member's position."""
+        A radius of 0 gives the empty run at the member's position.  The
+        c-cylinders among the members are the runs of their adjacent common
+        prefixes of length c or more, so only the members are read."""
         start = np.arange(order.size)
         stop = start.copy()
         creq = np.where(radii > 0, self.cylinder_length(radii), -1)  # -1: the empty ball of radius 0
-        pos = self.rank[order]
+        adj = self.common_prefix(self.code[order[1:]], self.code[order[:-1]])
         for c in np.unique(creq[creq >= 0]):
-            group = self.cylinders(c)[0][pos]  # nondecreasing along code order
+            group = np.r_[0, np.cumsum(adj < c)]  # nondecreasing along code order
             sel = np.flatnonzero(creq == c)
             start[sel] = np.searchsorted(group, group[sel], side="left")
             stop[sel] = np.searchsorted(group, group[sel], side="right")
@@ -637,7 +647,7 @@ class CantorMetric(Metric):
 
 
 # ---------------------------------------------------------------------------
-# Space, masks, fields
+# Spaces
 # ---------------------------------------------------------------------------
 
 class SpaceInstance:
@@ -676,165 +686,27 @@ class SpaceInstance:
         return self.metric.diameter()
 
     def full_mask(self) -> "SubsetMask":
-        return SubsetMask(self, np.ones(self.n, dtype=bool))
+        return SubsetMask._owning(self, mask=np.ones(self.n, dtype=bool))
 
     def empty_mask(self) -> "SubsetMask":
-        return SubsetMask(self, np.zeros(self.n, dtype=bool))
+        return SubsetMask._owning(self, ids=np.empty(0, dtype=np.int64))
 
     def mask_from_ids(self, ids) -> "SubsetMask":
-        ids = np.asarray(ids, dtype=np.int64).ravel()
-        bad = (ids < 0) | (ids >= self.n)
-        if bad.any():
-            self.check_id(ids[np.argmax(bad)])  # raises, naming the first bad id
-        m = np.zeros(self.n, dtype=bool)
-        m[ids] = True
-        return SubsetMask(self, m)
+        """The subset of the given point ids, in any order and with repeats.
+
+        It costs the ids, not the space: they are sorted and deduplicated
+        only when they are not already strictly increasing, and the range
+        is checked at the sorted ends, min and max.  No full-length array
+        is built.
+        """
+        ids = np.array(ids, dtype=np.int64).ravel()
+        srt = ids if _increasing(ids) else _distinct_sorted(ids)
+        if srt.size and (srt[0] < 0 or srt[-1] >= self.n):
+            self.check_id(ids[np.argmax((ids < 0) | (ids >= self.n))])  # raises, naming the first bad id
+        return SubsetMask._owning(self, ids=srt)
 
     def __repr__(self):
         return f"SpaceInstance({self.name!r}, n={self.n}, metric={self.metric.kind}, resolution={self.resolution})"
-
-
-class SubsetMask:
-    """An immutable subset of the points of one space."""
-
-    __slots__ = ("space", "mask", "_ids")
-
-    def __init__(self, space: SpaceInstance, mask: np.ndarray):
-        self.space = space
-        m = np.asarray(mask, dtype=bool)
-        if m.shape != (space.n,):
-            raise ValidationError(f"mask length {m.shape} does not match space size {space.n}")
-        m = m.copy()
-        m.setflags(write=False)
-        self.mask = m
-        self._ids = None
-
-    def ids(self) -> np.ndarray:
-        if self._ids is None:
-            self._ids = np.flatnonzero(self.mask)
-        return self._ids
-
-    @property
-    def size(self) -> int:
-        return int(self.mask.sum())
-
-    def __len__(self):
-        return self.size
-
-    def __contains__(self, i):
-        return bool(self.mask[int(i)])
-
-    def is_empty(self) -> bool:
-        return not self.mask.any()
-
-    def same_space(self, other: "SubsetMask"):
-        if self.space is not other.space:
-            raise ValidationError("masks are bound to different spaces")
-
-    def __eq__(self, other):
-        if not isinstance(other, SubsetMask):
-            return NotImplemented
-        return self.space is other.space and bool(np.array_equal(self.mask, other.mask))
-
-    def __hash__(self):
-        return hash((id(self.space), self.mask.tobytes()))
-
-    def issubset(self, other: "SubsetMask") -> bool:
-        self.same_space(other)
-        return bool(np.all(~self.mask | other.mask))
-
-    def __and__(self, other):
-        self.same_space(other)
-        return SubsetMask(self.space, self.mask & other.mask)
-
-    def __or__(self, other):
-        self.same_space(other)
-        return SubsetMask(self.space, self.mask | other.mask)
-
-    def __sub__(self, other):
-        self.same_space(other)
-        return SubsetMask(self.space, self.mask & ~other.mask)
-
-    def __repr__(self):
-        return f"SubsetMask({self.size}/{self.space.n} points of {self.space.name!r})"
-
-
-class ScalarField:
-    """A finite real value per point of a domain mask.
-
-    Values are stored in a full-length array with NaN off the domain, which
-    keeps arithmetic and restriction cheap.
-    """
-
-    __slots__ = ("space", "domain", "values")
-
-    def __init__(self, domain: SubsetMask, values: np.ndarray):
-        self.space = domain.space
-        self.domain = domain
-        v = np.asarray(values, dtype=np.float64)
-        if v.shape != (self.space.n,):
-            raise ValidationError("field values must be a full-length array")
-        if not np.all(np.isfinite(v[domain.mask])):
-            raise ValidationError("field has a non-finite value on its domain")
-        v = v.copy()
-        v[~domain.mask] = np.nan
-        v.setflags(write=False)
-        self.values = v
-
-    @classmethod
-    def on_ids(cls, space: SpaceInstance, ids, values) -> "ScalarField":
-        ids = np.asarray(ids, dtype=np.int64)
-        vals = np.asarray(values, dtype=np.float64)
-        if ids.shape != vals.shape:
-            raise ValidationError("domain ids and values must align")
-        domain = space.mask_from_ids(ids)  # rejects unknown ids before they index
-        if domain.size != ids.size:
-            srt = np.sort(ids)
-            raise ValidationError(f"domain repeats point id {srt[1:][srt[1:] == srt[:-1]][0]}")
-        full = np.full(space.n, np.nan)
-        full[ids] = vals
-        return cls(domain, full)
-
-    @classmethod
-    def constant(cls, domain: SubsetMask, value: float) -> "ScalarField":
-        full = np.full(domain.space.n, np.nan)
-        full[domain.mask] = float(value)
-        return cls(domain, full)
-
-    def value(self, i: int) -> float:
-        i = self.space.check_id(i)
-        if not self.domain.mask[i]:
-            raise PreconditionError(f"point {i} is outside the field domain")
-        return float(self.values[i])
-
-    def on(self, mask: SubsetMask) -> np.ndarray:
-        """Values over the members of ``mask`` (which must lie in the domain)."""
-        if not mask.issubset(self.domain):
-            raise PreconditionError("mask is not contained in the field domain")
-        return self.values[mask.mask]
-
-    def restrict(self, mask: SubsetMask) -> "ScalarField":
-        if not mask.issubset(self.domain):
-            raise PreconditionError("restriction target is not contained in the domain")
-        return ScalarField(mask, self.values)
-
-    def norm(self) -> float:
-        if self.domain.is_empty():
-            return 0.0
-        return float(np.max(np.abs(self.values[self.domain.mask])))
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        self.domain.same_space(other.domain)
-        dom = self.domain & other.domain
-        return ScalarField(dom, np.where(dom.mask, self.values + other.values, np.nan))
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        self.domain.same_space(other.domain)
-        dom = self.domain & other.domain
-        return ScalarField(dom, np.where(dom.mask, self.values - other.values, np.nan))
-
-    def __repr__(self):
-        return f"ScalarField(on {self.domain.size} points of {self.space.name!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +792,7 @@ def ball(space: SpaceInstance, center: int, radius: float, within: SubsetMask) -
     if radius <= 0:
         return space.empty_mask()
     row = space.metric.dist_rows(np.array([center]), np.arange(space.n))[0]
-    return SubsetMask(space, (row < radius) & within.mask)
+    return SubsetMask._owning(space, mask=(row < radius) & within.mask)
 
 
 def local_scales(space: SpaceInstance, members: np.ndarray):
@@ -958,8 +830,8 @@ def visibility_graph(space: SpaceInstance, members: np.ndarray, multiplier: floa
 
 def _run_components(space: SpaceInstance, members: np.ndarray, multiplier: float):
     """Components of the mutual-visibility graph among ``members`` (sorted ids,
-    at least two) as id arrays numbered by their smallest id, or None when
-    the metric's balls are not runs (``Metric.run_order``).
+    at least two) as ascending id arrays numbered by their smallest id, or
+    None when the metric's balls are not runs (``Metric.run_order``).
 
     fl(mult * max(a, b)) = max(fl(mult * a), fl(mult * b)), so x and y are
     adjacent exactly when one lies in the other's open ball of radius
@@ -986,9 +858,14 @@ def _run_components(space: SpaceInstance, members: np.ndarray, multiplier: float
         lo, hi = np.minimum(start, pos), np.maximum(stop - 1, pos)
     # The spans [lo, hi] crossing the gap before position p: those with lo < p <= hi.
     crossing = np.cumsum(np.bincount(lo + 1, minlength=m + 1) - np.bincount(hi + 1, minlength=m + 1))
-    starts = np.r_[0, np.flatnonzero(crossing[1:m] == 0) + 1]
-    comps = np.split(order, starts[1:])
-    return [comps[i] for i in np.argsort(np.minimum.reduceat(order, starts))]
+    first = crossing[:m] == 0  # no span crosses the gap before position p (none does at 0)
+    starts = np.flatnonzero(first)
+    # Sorting the keys component * n + id leaves each component in its run
+    # positions and lays its ids out in id order.
+    base = (np.cumsum(first) - 1) * space.n
+    ids = np.sort(base + order) - base
+    comps = np.split(ids, starts[1:])
+    return [comps[i] for i in np.argsort(ids[starts])]
 
 
 def _row_chunks(nrows: int, ncols: int):
@@ -1027,18 +904,69 @@ def delta_limit_points(space: SpaceInstance, A: SubsetMask, scale: float) -> Sub
 
 @dataclass
 class ScatteredDecomposition:
-    """Iterated derived-set structure: per-point depth and isolation radius."""
+    """Iterated derived-set structure: per-point depth and isolation radius.
+
+    It costs the members of A, not the space, and only what is read: the
+    rank and isolation radius of each member of A (``member_ranks``,
+    ``member_iso_radius``, in id order) are read off the levels on first
+    read, and ``ranks`` and ``iso_radius`` expand them to full length on
+    first read.
+    """
 
     space: SpaceInstance
     filtration: list  # decreasing list of SubsetMask, first level = A
-    ranks: np.ndarray  # -1 outside A
-    iso_radius: np.ndarray  # delta_x; +inf when a level is a singleton
     terminal: tuple  # ("emptied" | "saturated", step)
-    scales: np.ndarray  # local_scales of the first level's members, in id order
+    level_scales: list  # local_scales of each stepped level's members, in id order
 
     @property
     def emptied(self) -> bool:
         return self.terminal[0] == "emptied"
+
+    @property
+    def scales(self) -> np.ndarray:
+        """local_scales of the first level's members, in id order."""
+        return self.level_scales[0]
+
+    @cached_property
+    def _per_member(self):
+        """A member of level k missing from level k + 1 gets rank k and its
+        scale in level k as isolation radius (inf where 0); -1 and nan where
+        it never leaves."""
+        first = self.filtration[0].ids()
+        ranks = np.full(first.size, -1, dtype=np.int64)
+        iso = np.full(first.size, np.nan)
+        levels = self.filtration + ([self.space.empty_mask()] if self.emptied else [])
+        for k, (level, nxt) in enumerate(zip(levels, levels[1:])):
+            members = level.ids()
+            gone = ~_in_sorted(nxt.ids(), members)
+            d = self.level_scales[k][gone]
+            pos = first.searchsorted(members[gone])
+            ranks[pos] = k
+            iso[pos] = np.where(d > 0, d, np.inf)
+        return ranks, iso
+
+    @property
+    def member_ranks(self) -> np.ndarray:
+        return self._per_member[0]
+
+    @property
+    def member_iso_radius(self) -> np.ndarray:
+        return self._per_member[1]
+
+    def _full(self, per_member, outside):
+        full = np.full(self.space.n, outside, dtype=per_member.dtype)
+        full[self.filtration[0].ids()] = per_member
+        return full
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        """Per point: its rank, -1 outside A."""
+        return self._full(self.member_ranks, -1)
+
+    @cached_property
+    def iso_radius(self) -> np.ndarray:
+        """Per point: its isolation radius, nan outside A."""
+        return self._full(self.member_iso_radius, np.nan)
 
     def rank_of(self, i: int) -> int:
         return int(self.ranks[i])
@@ -1072,6 +1000,8 @@ def cb_filtration(space: SpaceInstance, A: SubsetMask, policy) -> ScatteredDecom
     the ranks of the shipped truncated-convergence fixtures where a fixed
     radius saturates.  A point of level k missing from level k + 1 gets
     rank k and its scale in level k as isolation radius (inf where 0).
+    Both are read off the levels and their scales, per member of A, only
+    when read: the filtration costs A, not the space.
     """
     if A.is_empty():
         raise PreconditionError("cb_filtration requires a nonempty starting set")
@@ -1085,17 +1015,9 @@ def cb_filtration(space: SpaceInstance, A: SubsetMask, policy) -> ScatteredDecom
 
     # Every step removes a point, so A.size steps always empty or saturate.
     levels, terminal = _descend(A, step, A.size)
-    ranks = np.full(space.n, -1, dtype=np.int64)
-    iso = np.full(space.n, np.nan)
-    for k, (level, nxt) in enumerate(zip(levels, levels[1:])):
-        members = level.ids()
-        gone = ~nxt.mask[members]
-        d = scales[k][gone]
-        ranks[members[gone]] = k
-        iso[members[gone]] = np.where(d > 0, d, np.inf)
     if terminal[0] == "emptied":
         levels.pop()
-    return ScatteredDecomposition(space, levels, ranks, iso, terminal, scales[0])
+    return ScatteredDecomposition(space, levels, terminal, scales)
 
 
 # ---------------------------------------------------------------------------

@@ -235,3 +235,17 @@ def reference_visibility_components(space, region, multiplier):
     adj = d < multiplier * np.maximum(ls[:, None], ls[None, :])
     count, labels = connected_components(csr_matrix(adj), directed=False)
     return [members[labels == i] for i in range(count)]
+
+
+def o_subset_ops(a, b):
+    """Two subsets of one space as bool lists: their set operations and
+    comparisons, point by point."""
+    return {
+        "and": [x and y for x, y in zip(a, b)],
+        "or": [x or y for x, y in zip(a, b)],
+        "sub": [x and not y for x, y in zip(a, b)],
+        "issubset": all(y or not x for x, y in zip(a, b)),
+        "size": sum(a),
+        "is_empty": not any(a),
+        "eq": list(a) == list(b),
+    }

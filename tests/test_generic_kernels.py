@@ -665,6 +665,86 @@ class TestNearestInSet:
         assert np.array_equal(got_id, want_id)
 
 
+def isin_nearest(space, queries, targets):
+    """``Metric.nearest`` as first written: queries among the targets found by ``np.isin``."""
+    ids = np.array(queries, dtype=np.int64)
+    dist = np.zeros(ids.size)
+    q = np.flatnonzero(~np.isin(ids, targets))
+    dist[q], ids[q] = space.metric._nearest_other(ids[q], targets)
+    return ids, dist
+
+
+def full_length_ranks(space, dec):
+    """Ranks and isolation radii of ``dec`` by the full-length loop over its levels.
+
+    A point dropped from level k has rank k and its local scale in level k
+    as isolation radius (inf where 0); -1 and NaN elsewhere.
+    """
+    levels = list(dec.filtration) + ([space.empty_mask()] if dec.emptied else [])
+    ranks = np.full(space.n, -1, dtype=np.int64)
+    iso = np.full(space.n, np.nan)
+    for k, (level, nxt) in enumerate(zip(levels, levels[1:])):
+        members = level.ids()
+        gone = ~nxt.mask[members]
+        d = local_scales(space, members)[0][gone]
+        ranks[members[gone]] = k
+        iso[members[gone]] = np.where(d > 0, d, np.inf)
+    return ranks, iso
+
+
+class TestMembershipKernels:
+    """``Metric.nearest`` and ``cb_filtration`` against their full-length formulations, bit for bit."""
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_nearest_matches_isin_formulation(self, name):
+        # Targets unsorted, with repeats, sorted, and overlapping the queries or not.
+        space = backend_space(name)
+        rng = np.random.default_rng(17)
+        for size in (1, 2, space.n // 3, space.n):
+            chosen = rng.choice(space.n, size=size, replace=False)
+            others = np.setdiff1d(np.arange(space.n), chosen)
+            for targets in (chosen, np.sort(chosen), np.r_[chosen, chosen[: size // 2 + 1]],
+                            np.sort(np.r_[chosen, chosen[:1]])):
+                for queries in (np.arange(space.n), rng.permutation(space.n)[: space.n // 2], others,
+                                np.r_[chosen[:3], chosen[:3]]):
+                    assert all_identical(space.metric.nearest(queries, targets),
+                                         isin_nearest(space, queries, targets)), (size, queries.size)
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    @pytest.mark.parametrize("policy", [AdaptiveScale(3.0), AdaptiveScale(1.5), FixedScale(0.05)],
+                             ids=["adaptive3", "adaptive1.5", "fixed"])
+    def test_ranks_match_full_length_loop(self, name, policy):
+        space = backend_space(name)
+        rng = np.random.default_rng(19)
+        for region in [space.full_mask()] + [space.mask_from_ids(rng.choice(space.n, size=k, replace=False))
+                                             for k in (1, 2, space.n // 4, space.n // 2)]:
+            dec = cb_filtration(space, region, policy)
+            ranks, iso = full_length_ranks(space, dec)
+            assert identical(dec.ranks, ranks) and identical(dec.iso_radius, iso)
+            members = region.ids()
+            assert identical(dec.member_ranks, ranks[members])
+            assert identical(dec.member_iso_radius, iso[members])
+            assert [dec.rank_of(i) for i in range(space.n)] == ranks.tolist()
+
+    @pytest.mark.parametrize("spec", ["ordinal:3", "cantor:8"])
+    def test_scattered_loop_reads_no_ranks(self, spec, monkeypatch):
+        # Ranks and isolation radii are read off the levels only on first
+        # read; the scattered recursion reads neither, so it pays for neither.
+        space = generate_from_spec(spec)
+        f = ScalarField(space.full_mask(), np.linspace(0.0, 1.0, space.n))
+        want = scattered_extension(space, space.full_mask(), f).field.values
+
+        def unread(dec):
+            raise AssertionError("per-member ranks computed")
+
+        monkeypatch.setattr(space_mod.ScatteredDecomposition, "_per_member", property(unread))
+        got = scattered_extension(space, space.full_mask(), f).field.values
+        assert identical(got, want)
+        dec = cb_filtration(space, space.full_mask(), AdaptiveScale(3.0))
+        with pytest.raises(AssertionError, match="per-member ranks computed"):
+            dec.ranks
+
+
 def kernel_space(name):
     """A Euclidean input of the nearest-point kernel.
 
@@ -1276,6 +1356,22 @@ class TestVisibilityComponents:
         finally:
             tracemalloc.stop()
         assert sum(comp.size for comp in comps) == space.n
+        assert peak < 1024 * space.n
+
+    def test_singleton_components_cost_their_members(self):
+        # At multiplier 0.5 every one of ordinal:4's 11111 points is its own
+        # component; each costs its one member, where a full-length bool
+        # mask per component took about 127 MB.
+        space = generate_from_spec("ordinal:4")
+        full = space.full_mask()
+        full.ids()
+        tracemalloc.start()
+        try:
+            comps = visibility_components(space, full, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(comps) == space.n and all(comp.size == 1 for comp in comps)
         assert peak < 1024 * space.n
 
 

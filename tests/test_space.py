@@ -10,6 +10,7 @@ from oscext import (
     FixedScale,
     ScalarField,
     SpaceInstance,
+    SubsetMask,
     ValidationError,
     ball,
     cb_filtration,
@@ -25,7 +26,7 @@ from oscext import space as space_mod
 from oscext.space import EuclideanMetric, local_scales
 
 from conftest import FIXTURES, tiny_matrix_space
-from oracles import o_adaptive_filtration, o_ball, o_delta_limit, o_local_scale
+from oracles import o_adaptive_filtration, o_ball, o_delta_limit, o_local_scale, o_subset_ops
 
 
 def make_doc(matrix, resolution=0.5):
@@ -404,6 +405,104 @@ class TestMasksAndFields:
         h = f + g
         assert sorted(h.domain.ids()) == [1]
         assert h.value(1) == 12.0
+
+
+# A subset built from its bool mask, from its ids given shuffled with
+# repeats, or from those ids with its mask read before it is used.
+SUBSET_FORMS = ("mask", "ids", "ids+mask")
+
+
+def subset_as(space, members, form, rng):
+    if form == "mask":
+        return SubsetMask(space, members)
+    ids = np.flatnonzero(members)
+    sub = space.mask_from_ids(rng.permutation(np.r_[ids, rng.choice(ids, size=ids.size // 2)]).astype(int))
+    if form == "ids+mask":
+        sub.mask
+    return sub
+
+
+def assert_subset_reads(sub, want):
+    """``sub`` against the bool list ``want``: ids sorted and read-only, mask read-only."""
+    ids, mask = sub.ids(), sub.mask
+    assert ids.dtype == np.int64 and ids.tolist() == [i for i, x in enumerate(want) if x]
+    assert mask.dtype == bool and mask.tolist() == want
+    assert not ids.flags.writeable and not mask.flags.writeable
+    assert len(sub) == sub.size == sum(want)
+    assert [i in sub for i in range(-1, len(want) + 1)] == [False, *want, False]
+
+
+class TestSubsetContract:
+    """SubsetMask against the bool-mask oracle, whichever form each operand takes."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        keeps=st.tuples(*[st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0])] * 2),
+        forms=st.tuples(*[st.sampled_from(SUBSET_FORMS)] * 2),
+        same=st.booleans(),
+    )
+    def test_matches_bool_oracle(self, n, seed, keeps, forms, same):
+        rng = np.random.default_rng(seed)
+        space = SpaceInstance("random", EuclideanMetric(rng.uniform(size=n)), resolution=1.0)
+        a = rng.uniform(size=n) < keeps[0]
+        b = a.copy() if same else rng.uniform(size=n) < keeps[1]
+        A, B = subset_as(space, a, forms[0], rng), subset_as(space, b, forms[1], rng)
+        want = o_subset_ops(a.tolist(), b.tolist())
+        for got, op in ((A & B, "and"), (A | B, "or"), (A - B, "sub")):
+            assert_subset_reads(got, want[op])
+        assert A.issubset(B) == want["issubset"]
+        assert A.size == want["size"] and A.is_empty() == want["is_empty"]
+        assert (A == B) == want["eq"] and (A != B) != want["eq"]
+        if want["eq"]:
+            assert hash(A) == hash(B)
+        assert A == A and A.issubset(A) and hash(A) == hash(A)
+        assert_subset_reads(A, a.tolist())
+
+    def test_ids_only_operations_cost_their_members(self):
+        # Two 10-member subsets of a million points: their operations and
+        # comparisons read no full-length array (a mask is 1 MB).
+        space = SpaceInstance("line", EuclideanMetric(np.arange(10**6, dtype=float)), resolution=1.0)
+        a = space.mask_from_ids([999_999, 5, 7, *range(100, 107)])
+        b = space.mask_from_ids(range(5, 500_005, 50_000))
+        tracemalloc.start()
+        try:
+            results = [a & b, a | b, a - b, b - a]
+            flags = [a.issubset(b), (a & b).issubset(a), a == b, a.is_empty(), hash(a), a.size, 7 in a]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.ids().tolist() for r in results] == [[5], sorted({5, 7, *range(100, 107), 999_999,
+                                                                     *range(5, 500_005, 50_000)}),
+                                                       [7, *range(100, 107), 999_999], list(range(50_005, 500_005, 50_000))]
+        assert flags[:4] == [False, True, False, False] and flags[5:] == [10, True]
+        assert peak < 64 * 1024
+
+    def test_mask_from_ids_takes_any_order_and_repeats(self, rand60):
+        rng = np.random.default_rng(9)
+        for size in (0, 1, 2, 30, 200):
+            ids = rng.integers(0, rand60.n, size=size)
+            sub = rand60.mask_from_ids(ids)
+            assert_subset_reads(sub, [i in set(ids.tolist()) for i in range(rand60.n)])
+            assert sub == rand60.mask_from_ids(np.unique(ids)) == SubsetMask(rand60, np.isin(np.arange(rand60.n), ids))
+
+    def test_mask_from_ids_leaves_its_argument_alone(self, seq10):
+        ids = np.array([4, 2, 2, 7])
+        sub = seq10.mask_from_ids(ids)
+        ids[0] = 9
+        assert ids.flags.writeable and sub.ids().tolist() == [2, 4, 7]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mask_from_ids_names_the_first_bad_id(self, seq10, seed):
+        # The message of the full-length check: the first id out of range, in the order given.
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(-3, seq10.n + 3, size=12).tolist()
+        bad = [i for i in ids if not 0 <= i < seq10.n]
+        if not bad:
+            ids[5], bad = seq10.n, [seq10.n]
+        with pytest.raises(ValidationError, match=rf"^unknown point id {bad[0]} \(space has {seq10.n} points\)$"):
+            seq10.mask_from_ids(ids)
 
 
 class TestSampledValidation:
