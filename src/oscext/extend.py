@@ -743,25 +743,40 @@ class _CantorSupports:
 # Scattered (derived-set recursion) extension
 # ---------------------------------------------------------------------------
 
-def visibility_components(space: SpaceInstance, region: SubsetMask, multiplier: float):
+def visibility_components(space: SpaceInstance, region, multiplier: float, labels=None):
     """Partition a region into components of the mutual-visibility graph.
 
     Two members are adjacent when their distance is below multiplier times
     the larger of their in-region nearest-neighbour scales, i.e. when either
     point's adaptive ball can reach the other.  Distinct components cannot
     interact at resolution: the finite rendering of a disjoint clopen cover.
-    Components come in the order of their smallest member id.
+    Components come as subsets in the order of their smallest member id.
 
     Where every ball is a run of the metric's order (the line, the prefix
     metric) the components are chains of overlapping runs, with no block
     larger than one ``_BLOCK_ELEMS`` block (``space._run_components``);
     other metrics label the dense ``visibility_graph`` block's components.
+    On those two metrics ``region`` may also be member ids in run order
+    with nondecreasing region ``labels``, each region a run of them: then
+    no edge joins two regions, and each member gets its component's
+    number, components being runs of ``region`` numbered along it.
     """
+    if labels is not None:
+        return _run_components(space, region, multiplier, labels)
     members = region.ids()
     if members.size <= 1:
         return [region]
-    comps = _run_components(space, members, multiplier)
-    if comps is None:
+    order = space.metric.run_order(members)
+    if order is not None:
+        comp = _run_components(space, order, multiplier)
+        # Sorting the keys component * n + id leaves each component in its
+        # run positions and lays its ids out in id order.
+        base = comp * space.n
+        ids = np.sort(base + order) - base
+        starts = np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]])
+        comps = np.split(ids, starts[1:])
+        comps = [comps[i] for i in np.argsort(ids[starts])]
+    else:
         from scipy.sparse import csr_matrix
         from scipy.sparse.csgraph import connected_components
 
@@ -775,17 +790,18 @@ def scattered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
                         policy=None) -> ExtensionReport:
     """Extension over the derived-set structure of the space, in one loop.
 
-    Only the shipped clopen-at-resolution metric families are accepted, and
-    the filtration of the whole space must empty.  The loop splits each
-    region once into mutual-visibility components (the finite form of a
-    disjoint clopen refinement), anchors the top-depth points of each
-    component (own f value on Y; the nearest carrier value when the point
-    sits inside the Y-closure at its own scale; 0 otherwise), and queues
-    the component minus its top points as a new region.  Components whose
-    Y part is empty are filled with 0.
+    Only the shipped clopen-at-resolution metric families are accepted, on
+    the line or the prefix metric, and the filtration of the whole space
+    must empty.  The loop splits each region once into mutual-visibility
+    components (the finite form of a disjoint clopen refinement), anchors
+    the top-depth points of each component (own f value on Y; the nearest
+    carrier value when the point sits inside the Y-closure at its own
+    scale; 0 otherwise), and takes the component minus its top points as a
+    region of the next generation.  Components whose Y part is empty are
+    filled with 0.
     """
     _check_subset_field(Y, f)
-    if space.family not in CLOPEN_FAMILIES:
+    if space.family not in CLOPEN_FAMILIES or space.metric.run_order(np.arange(0)) is None:
         raise PreconditionError(
             f"metric family {space.family!r} is not clopen at resolution; "
             "the scattered construction is restricted to the shipped families"
@@ -808,41 +824,61 @@ def scattered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
 
 
 def _scatter_region(space, region, Y, fY, policy, mult, out, stats):
-    """Anchor every point of ``region`` in ``out``: one loop over a work list.
+    """Anchor every point of ``region`` in ``out``, one generation at a time.
 
-    Each region is split into visibility components once.  A component is
-    one component of itself: restricting a region to it only raises in-set
-    nearest distances, and ``mult * max(ls_x, ls_y)`` is monotone in floats,
-    so every visibility edge survives (the clopen families compute each
-    distance elementwise: 1-D Euclidean or prefix).  A singleton meeting Y
-    has filtration ``[comp]`` and takes its own f value; ``comp - tops`` is
-    never empty, as the filtration strictly decreases.  A component costs
-    its members: Y is read through its mask, built once, and no step builds
-    a full-length array.
+    A generation holds every live region at once: their member ids in the
+    metric's run order, and one region label per member.  Each region is a
+    run of them, as components are runs and a generation keeps a
+    subsequence of the last.  One ``visibility_components`` call splits
+    them all, with no edge across two regions.  A component is one
+    component of itself: restricting a region to it only raises in-set
+    nearest distances, and ``mult * max(ls_x, ls_y)`` is monotone in
+    floats, so every visibility edge survives (the clopen families compute
+    each distance elementwise: 1-D Euclidean or prefix).  Components
+    missing Y are filled with 0.  The others step their filtrations
+    together, one labelled ``Metric.scales`` call per level, so each
+    component's scales, level 0's too, are its own; a component's top
+    level is the one whose step keeps none of it, and a step that keeps all
+    of it saturates.  One labelled ``Metric.nearest``
+    call finds each top point's nearest Y point in its component.  A
+    one-level component takes those values at every member; in a deeper
+    one a top point takes its own f value on Y, the nearest one when it
+    sits inside the Y-closure at its level-0 scale, 0 otherwise, and the
+    rest is a region of the next generation.
     """
-    in_y = Y.mask
-    work = [region]
-    while work:
-        for comp in visibility_components(space, work.pop(), mult):
-            stats["components"] += 1
-            members = comp.ids()
-            y_ids = members[in_y[members]]
-            if not y_ids.size:
-                out[members] = 0.0
-                stats["default_zero_regions"] += 1
-                continue
-            dec = cb_filtration(space, comp, policy)
-            if not dec.emptied:
+    metric, in_y = space.metric, Y.mask
+    ids = metric.run_order(region.ids())
+    lab = np.zeros(ids.size, dtype=np.int64)
+    scale = np.zeros(space.n)  # a level's scales by id; a member alone reads scale[-1], any value >= 0 serves
+    while ids.size:
+        comp = visibility_components(space, ids, mult, lab)
+        y = in_y[ids]
+        meets = np.logical_or.reduceat(y, np.flatnonzero(np.r_[True, comp[1:] != comp[:-1]]))
+        live = meets[comp]
+        stats["components"] += int(meets.size)
+        stats["default_zero_regions"] += int(meets.size - np.count_nonzero(meets))
+        out[ids[~live]] = 0.0
+        top, single = np.zeros((2, ids.size), dtype=bool)
+        ls0 = np.empty(ids.size)
+        level, first = np.flatnonzero(live), True
+        while level.size:
+            members, labels = ids[level], comp[level]
+            ls, nn = metric.scales(members, labels)
+            scale[members] = ls
+            keep = policy.survivors(ls, scale[nn])
+            cut = np.r_[True, labels[1:] != labels[:-1]]
+            heads = np.flatnonzero(cut)
+            if np.logical_and.reduceat(keep, heads).any():
                 raise PreconditionError("a recursion region is not scattered at resolution")
-            nearest_y, dist_y = space.metric.nearest(members, y_ids)
-            if len(dec.filtration) == 1:
-                out[members] = fY.values[nearest_y]
-                continue
-            tops = dec.filtration[-1]
-            top_ids = tops.ids()
-            pos = np.searchsorted(members, top_ids)  # members are sorted ids
-            near = dist_y[pos] <= mult * dec.scales[pos]  # inside the Y-closure at its scale
-            out[top_ids] = np.where(in_y[top_ids], fY.values[top_ids],
-                                    np.where(near, fY.values[nearest_y[pos]], 0.0))
-            stats["anchored_tops"] += int(top_ids.size)
-            work.append(comp - tops)
+            top[level[~np.logical_or.reduceat(keep, heads)[np.cumsum(cut) - 1]]] = True
+            if first:
+                ls0[level], single[:] = ls, top
+            level, first = level[keep], False
+        tops = np.flatnonzero(top)
+        if tops.size:
+            nearest_y, dist_y = metric.nearest(ids[tops], ids[y], (comp[tops], comp[y]))
+            near = single[tops] | (dist_y <= mult * ls0[tops])  # inside the Y-closure at its scale
+            out[ids[tops]] = np.where(near, fY.values[nearest_y], 0.0)
+            stats["anchored_tops"] += int(tops.size - np.count_nonzero(single[tops]))
+        rest = np.flatnonzero(live & ~top)
+        ids, lab = ids[rest], comp[rest]

@@ -53,23 +53,37 @@ class Metric:
     # distances satisfy it by construction.
     triangle_check = "by_construction"
 
-    def scales(self, m: np.ndarray):
-        """Nearest-other-member distance and the neighbour's id, per member."""
-        if m.size < 2:  # an isolated member: scale 0, no neighbour
-            return np.zeros(m.size), np.full(m.size, -1, dtype=np.int64)
-        return self._nearest_other(m, m)
+    def scales(self, m: np.ndarray, labels: np.ndarray | None = None):
+        """Nearest-other-member distance and the neighbour's id, per member.
 
-    def nearest(self, queries: np.ndarray, tids: np.ndarray):
+        With ``labels`` (run metrics only: ``m`` in run order, ``labels``
+        nondecreasing) only members of one's own label count.  A member
+        alone gets scale 0 and neighbour -1.
+        """
+        if labels is None:
+            if m.size < 2:
+                return np.zeros(m.size), np.full(m.size, -1, dtype=np.int64)
+            return self._nearest_other(m, m)
+        dist, nn = self._nearest_other(m, m, (labels, labels))
+        cut = labels[1:] != labels[:-1]
+        alone = np.r_[True, cut] & np.r_[cut, True]
+        return np.where(alone, 0.0, dist), np.where(alone, -1, nn)
+
+    def nearest(self, queries: np.ndarray, tids: np.ndarray, labels=None):
         """Per query: (nearest target id, distance); a target is its own nearest.
 
         Whether a query is a target is looked up in the sorted targets,
-        sorted here only when they are not already.
+        sorted here only when they are not already.  With ``labels`` (query
+        labels, target labels; run metrics only, the targets in run order
+        with nondecreasing labels) only targets of a query's own label
+        count, and each query's label must hold one.
         """
         ids = np.array(queries, dtype=np.int64)
         dist = np.zeros(ids.size)
         t = np.asarray(tids)
         q = np.flatnonzero(~_in_sorted(t if _increasing(t, strict=False) else np.sort(t), ids))
-        dist[q], ids[q] = self._nearest_other(ids[q], tids)
+        sub = () if labels is None else ((labels[0][q], labels[1]),)
+        dist[q], ids[q] = self._nearest_other(ids[q], tids, *sub)
         return ids, dist
 
     def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
@@ -77,7 +91,9 @@ class Metric:
 
         Ties go to the smallest id; at distance 0, which only coincident
         points under validation reach, a backend may name any of them.
-        Every query must have a target other than itself.
+        Every query must have a target other than itself.  The run metrics
+        also take ``labels`` as in ``nearest``; a query alone in its label
+        gets an arbitrary distance and id.
         """
         t = np.sort(tids)
         ids = np.empty(queries.size, dtype=np.int64)
@@ -198,19 +214,20 @@ class EuclideanMetric(Metric):
     def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return _euclidean(self.coords[rows][:, None, :], self.coords[cols][None, :, :])
 
-    def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
+    def _nearest_other(self, queries: np.ndarray, tids: np.ndarray, labels=None):
         """``Metric._nearest_other`` by size: dense row blocks up to one
         ``_BLOCK_ELEMS`` block of queries x targets on the line, or up to
         ``_KD_SCALE_MEMBERS``^2 in more dimensions; above, the sort neighbours
         of ``_line_nearest`` on the line and a kd-tree in more dimensions.
         Both give the dense blocks' distances, and their ids away from
-        distance 0.
+        distance 0.  Labels (on the line only) always take the sort
+        neighbours.
         """
         line = self.coords.shape[1] == 1
-        if queries.size * tids.size <= (_BLOCK_ELEMS if line else _KD_SCALE_MEMBERS**2):
+        if labels is None and queries.size * tids.size <= (_BLOCK_ELEMS if line else _KD_SCALE_MEMBERS**2):
             return super()._nearest_other(queries, tids)
         if line:
-            return self._line_nearest(queries, tids)
+            return self._line_nearest(queries, tids, labels)
         from scipy.spatial import cKDTree
 
         k = tids.size
@@ -246,34 +263,46 @@ class EuclideanMetric(Metric):
                 kq = min(2 * kq, k)
         return dist, ids
 
-    def _line_nearest(self, queries: np.ndarray, tids: np.ndarray):
+    def _line_nearest(self, queries: np.ndarray, tids: np.ndarray, labels=None):
         """``_nearest_other`` on the line, from each query's neighbours in coordinate order.
 
-        With the targets sorted by (coordinate, id), the computed distance
+        With the targets in run order, (coordinate, id), the computed distance
         never falls away from the query on either side (``_line_runs``), so the
         nearest distance D is the lesser of the two neighbours', skipping the
-        query itself.  The targets at distance D or less are one run, found
-        exactly as the open ball of radius nextafter(D); the smallest id in
-        it other than the query's is a range minimum over ids.
+        query itself, and the targets at distance D are one run: the
+        neighbours at D, and more only where the next target out is at D too.
+        Only those queries search their run, exactly as the open ball of
+        radius nextafter(D), for the smallest id in it other than their own, a
+        range minimum over ids.  A query that is a target sits at its search
+        position p unless a coincident target of smaller id does, whose id
+        then wins anyway.  With ``labels`` every neighbour and run stays in
+        the query's label's block [b0, b1) of the targets.
         """
-        t = np.sort(tids)
-        x = self.coords[t, 0]
-        order = np.argsort(x, kind="stable")
-        line, ids, m = x[order], t[order], t.size
+        ids = tids if labels is not None else self.run_order(np.sort(tids))
+        line, m = self.coords[ids, 0], ids.size
         c = self.coords[queries, 0]
-        p = np.searchsorted(line, c)  # line[:p] < c <= line[p:]
-        right = p + (ids[np.minimum(p, m - 1)] == queries)  # past the query itself
-        ends = np.r_[-np.inf, line, np.inf]  # a missing neighbour is infinitely far
-        dist = np.minimum(_euclidean(c[:, None], ends[p, None]), _euclidean(c[:, None], ends[right + 1, None]))
-        start, stop = _line_runs(line, c, np.nextafter(dist, np.inf))
-        # The run less the query's own position, if it is a target: two ranges.
-        rank = np.empty(m, dtype=np.int64)
-        rank[order] = np.arange(m)
-        k = np.minimum(np.searchsorted(t, queries), m - 1)
-        own = np.where(t[k] == queries, rank[k], stop)
-        lo, hi = np.r_[start, own + 1], np.r_[own, stop]
-        best = np.where(lo < hi, _RangeMax(-ids)(lo, hi), np.iinfo(np.int64).min).reshape(2, -1).max(axis=0)
-        return dist, -best
+        b0, b1 = (0, m) if labels is None else _label_blocks(labels)
+        p = np.clip(np.searchsorted(line, c), b0, b1)  # line[b0:p] < c <= line[p:b1]
+        own = (p < b1) & (ids[np.minimum(p, m - 1)] == queries)
+
+        def gap(k):  # distance to the target at position k, inf outside the block
+            return np.where((b0 <= k) & (k < b1), _euclidean(c[:, None], line[np.clip(k, 0, m - 1), None]), np.inf)
+
+        left, right = p - 1, p + own  # the neighbours, past the query itself
+        dl, dr = gap(left), gap(right)
+        dist = np.minimum(dl, dr)
+        big = np.iinfo(np.int64).max
+        nn = np.minimum(np.where(dl == dist, ids[np.maximum(left, 0)], big),
+                        np.where(dr == dist, ids[np.minimum(right, m - 1)], big))
+        far = np.flatnonzero(((gap(left - 1) <= dist) | (gap(right + 1) <= dist)) & (dist < np.inf))
+        if far.size:
+            block = labels and (b0[far], b1[far])
+            start, stop = _line_runs(line, c[far], np.nextafter(dist[far], np.inf), block)
+            # The run less the query's own position, if it is a target: two ranges.
+            skip = np.where(own[far], p[far], stop)
+            lo, hi = np.concatenate([start, skip + 1]), np.concatenate([skip, stop])
+            nn[far] = -np.where(lo < hi, _RangeMax(-ids)(lo, hi), -big).reshape(2, -1).max(axis=0)
+        return dist, nn
 
     def run_order(self, members: np.ndarray):
         """On the line, ``members`` (sorted ids) in coordinate order, ties by id."""
@@ -281,11 +310,12 @@ class EuclideanMetric(Metric):
             return None
         return members[np.argsort(self.coords[members, 0], kind="stable")]
 
-    def ball_runs(self, order: np.ndarray, radii: np.ndarray):
+    def ball_runs(self, order: np.ndarray, radii: np.ndarray, labels: np.ndarray | None = None):
         """Per member of ``order`` (from ``run_order``): the run [start, stop) of
-        positions in ``order`` inside its open ball of its radius, by ``_line_runs``."""
+        positions in ``order`` inside its open ball of its radius, by ``_line_runs``;
+        with ``labels`` (nondecreasing, one per member) within its label."""
         line = self.coords[order, 0]
-        return _line_runs(line, line, radii)
+        return _line_runs(line, line, radii, None if labels is None else _label_blocks((labels, labels)))
 
     def ball_pairs(self, centers: np.ndarray, radii: np.ndarray, targets: np.ndarray):
         if self.coords.shape[1] != 1:
@@ -381,6 +411,12 @@ class EuclideanMetric(Metric):
         return self._diameter
 
 
+def _label_blocks(labels):
+    """Per query label in ``labels[0]``: the block [start, stop) of that label
+    in the nondecreasing target labels ``labels[1]``."""
+    return np.searchsorted(labels[1], labels[0]), np.searchsorted(labels[1], labels[0], side="right")
+
+
 def _line_window(line: np.ndarray, c: np.ndarray, radii: np.ndarray):
     """Per center: the range [start, stop) of the sorted ``line`` that holds its open ball, and a little more.
 
@@ -393,7 +429,7 @@ def _line_window(line: np.ndarray, c: np.ndarray, radii: np.ndarray):
     return np.searchsorted(line, c - reach, side="left"), np.searchsorted(line, c + reach, side="right")
 
 
-def _line_runs(line: np.ndarray, c: np.ndarray, radii: np.ndarray):
+def _line_runs(line: np.ndarray, c: np.ndarray, radii: np.ndarray, block=None):
     """Per center: the run [start, stop) of the sorted ``line`` inside its open ball, exactly.
 
     The ball lies in ``_line_window``, which the center's position p splits:
@@ -401,11 +437,14 @@ def _line_runs(line: np.ndarray, c: np.ndarray, radii: np.ndarray):
     the members are a suffix of the left part and a prefix of the right one.
     One vectorised bisection finds both ends, each decided by the computed
     ``_euclidean(c, y) < r``.  Its first probe is the window's outer edge,
-    where the end lies unless targets sit within the widening.
+    where the end lies unless targets sit within the widening.  A ``block``
+    (starts, stops) keeps each run in its center's block of ``line``.
     """
     n = c.size
     wlo, whi = _line_window(line, c, radii)
     p = np.searchsorted(line, c)
+    if block is not None:
+        wlo, whi, p = (np.clip(k, *block) for k in (wlo, whi, p))
     # Search s finds the first index in [lo, hi) whose membership is want[s], or hi.
     lo, hi = np.r_[wlo, p], np.r_[p, whi]
     cc, rr = np.r_[c, c], np.r_[radii, radii]
@@ -493,7 +532,10 @@ def _euclidean(p: np.ndarray, q: np.ndarray) -> np.ndarray:
                 lanes.append(sq)
             else:
                 lanes[k % 2] += sq
-        return np.sqrt(lanes[0] + lanes[1] if len(lanes) == 2 else lanes[0])
+        total = lanes[0]
+        if len(lanes) == 2:
+            total += lanes[1]
+        return np.sqrt(total, out=total) if total.ndim else np.sqrt(total)  # in place: one block alive
 
 
 class CantorMetric(Metric):
@@ -569,16 +611,17 @@ class CantorMetric(Metric):
         """``members`` in code order: every open ball, a cylinder, is a run of it."""
         return members[np.argsort(self.rank[members])]
 
-    def ball_runs(self, order: np.ndarray, radii: np.ndarray):
+    def ball_runs(self, order: np.ndarray, radii: np.ndarray, labels: np.ndarray | None = None):
         """Per member of ``order`` (from ``run_order``): the run [start, stop) of
         positions in ``order`` inside its open ball, the members of its cylinder.
         A radius of 0 gives the empty run at the member's position.  The
         c-cylinders among the members are the runs of their adjacent common
-        prefixes of length c or more, so only the members are read."""
+        prefixes of length c or more, so only the members are read; with
+        ``labels`` (nondecreasing, one per member) within its label."""
         start = np.arange(order.size)
         stop = start.copy()
         creq = np.where(radii > 0, self.cylinder_length(radii), -1)  # -1: the empty ball of radius 0
-        adj = self.common_prefix(self.code[order[1:]], self.code[order[:-1]])
+        adj = self._adjacent(order, labels)
         for c in np.unique(creq[creq >= 0]):
             group = np.r_[0, np.cumsum(adj < c)]  # nondecreasing along code order
             sel = np.flatnonzero(creq == c)
@@ -586,26 +629,35 @@ class CantorMetric(Metric):
             stop[sel] = np.searchsorted(group, group[sel], side="right")
         return start, stop
 
-    def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
+    def _adjacent(self, order: np.ndarray, labels: np.ndarray | None = None):
+        """Common-prefix length of each point of ``order`` but the first with
+        the one before it; -1 where ``labels``, one per point, change."""
+        adj = self.common_prefix(self.code[order[1:]], self.code[order[:-1]])
+        return adj if labels is None else np.where(labels[1:] != labels[:-1], -1, adj)
+
+    def _nearest_other(self, queries: np.ndarray, tids: np.ndarray, labels=None):
         # In code order a query's longest prefix with another target is the
         # longer one with its sorted neighbours; the nearest other target is
         # the smallest other id in that prefix's cylinder, a run of the
-        # sorted targets.  Only the targets and queries are read.
-        t = tids[np.argsort(self.rank[tids])]
+        # sorted targets.  Only the targets and queries are read.  Labelled
+        # targets come in code order, and a query's label's block bounds
+        # its neighbours and cylinders.
+        t = tids if labels is not None else tids[np.argsort(self.rank[tids])]
+        lo, hi = (0, t.size) if labels is None else _label_blocks(labels)
         tpos, qpos = self.rank[t], self.rank[queries]
         pos = np.searchsorted(tpos, qpos)
         after = pos + (tpos[np.minimum(pos, t.size - 1)] == qpos)  # past the query itself
         near = np.stack([pos - 1, after])  # the sorted targets on either side
         lcp = self.common_prefix(self.code[t[near % t.size]], self.code[queries])
-        lcp = np.where((near >= 0) & (near < t.size), lcp, -1)
+        lcp = np.where((near >= lo) & (near < hi), lcp, -1)
         side = np.argmax(lcp, axis=0)
         cols = np.arange(queries.size)
         best, inside = lcp[side, cols], near[side, cols]  # a target in the query's best cylinder
         # The c-cylinders among the targets are the runs of tadj >= c.
-        tadj = np.r_[-1, self.common_prefix(self.code[t[1:]], self.code[t[:-1]])]
+        tadj = np.r_[-1, self._adjacent(t, labels and labels[1])]
         ids = np.empty(queries.size, dtype=np.int64)
         big = np.iinfo(np.int64).max
-        for c in np.unique(best):
+        for c in np.unique(best[best >= 0]):  # -1: no other target in the label
             starts = tadj < c
             group = np.cumsum(starts) - 1
             heads = np.flatnonzero(starts)
@@ -726,9 +778,9 @@ class FixedScale:
     def radii(self, space: SpaceInstance, members: np.ndarray) -> np.ndarray:
         return np.full(members.size, self.delta)
 
-    def survivors(self, members, ls, nn):
-        """Members with another member strictly within delta, as in delta_limit_points."""
-        return members[(ls > 0) & (ls < self.delta)]
+    def survivors(self, ls, nn_ls):
+        """Which members have another member strictly within delta, as in delta_limit_points."""
+        return (ls > 0) & (ls < self.delta)
 
     def describe(self) -> str:
         return f"fixed:{self.delta}"
@@ -748,19 +800,18 @@ class AdaptiveScale:
         ls, _ = local_scales(space, members)
         return self.multiplier * ls
 
-    def survivors(self, members, ls, nn):
-        """Members whose nearest neighbour lives at a strictly finer scale.
+    def survivors(self, ls, nn_ls):
+        """Which members have their nearest neighbour at a strictly finer scale.
 
         x survives when its nearest neighbour y satisfies
         multiplier * local_scale(y) < d(x, y): y's own adaptive ball has moved
         on past x, so structure keeps refining towards x.  Companion points at
         comparable scale eliminate each other, which makes the iteration
-        strictly decreasing.  ``ls`` and ``nn`` are local_scales of members.
+        strictly decreasing.  ``ls`` are the members' local scales and
+        ``nn_ls`` their nearest neighbours' (any value >= 0 where a member is
+        alone, with scale 0).
         """
-        if members.size < 2:
-            return members[:0]
-        nn_ls = ls[np.searchsorted(members, nn)]  # members are sorted ids
-        return members[self.multiplier * nn_ls < ls]
+        return self.multiplier * nn_ls < ls
 
     def describe(self) -> str:
         return f"adaptive:{self.multiplier}"
@@ -811,61 +862,58 @@ def dists_among(space: SpaceInstance, members: np.ndarray) -> np.ndarray:
     return space.metric.dist_rows(m, m)
 
 
-def visibility_graph(space: SpaceInstance, members: np.ndarray, multiplier: float) -> np.ndarray:
+def visibility_graph(space: SpaceInstance, members: np.ndarray, multiplier: float,
+                     labels: np.ndarray | None = None) -> np.ndarray:
     """Adjacency of the mutual-visibility graph among a (smallish) member set.
 
     Members x and y are adjacent when d(x, y) < multiplier * max(ls_x, ls_y),
     i.e. when either point's adaptive ball reaches the other.  The scales
     ls are the in-set nearest distances, read from the same distance block,
     so each call computes one dense block.  No member is its own neighbour.
-    Rows and columns follow ``members``; ``_run_components`` passes them in
-    the metric's run order and reads the runs from the block when it fits
-    one ``_BLOCK_ELEMS`` block.
+    With ``labels``, one per member, members of two labels are infinitely
+    far apart, so each label's scales are its own.  Rows and columns follow
+    ``members``; ``_run_components`` passes them in the metric's run order
+    and reads the runs from the block when it fits one ``_BLOCK_ELEMS`` block.
     """
     sub = dists_among(space, members)
+    if labels is not None:
+        sub[labels[:, None] != labels[None, :]] = np.inf
     np.fill_diagonal(sub, np.inf)
-    ls = sub.min(axis=1, initial=np.inf)
-    return sub < multiplier * np.maximum(ls[:, None], ls[None, :])
+    reach = multiplier * sub.min(axis=1, initial=np.inf)
+    # fl(mult * max(a, b)) = max(fl(mult * a), fl(mult * b)): two bool blocks, no float one.
+    return (sub < reach[:, None]) | (sub < reach[None, :])
 
 
-def _run_components(space: SpaceInstance, members: np.ndarray, multiplier: float):
-    """Components of the mutual-visibility graph among ``members`` (sorted ids,
-    at least two) as ascending id arrays numbered by their smallest id, or
-    None when the metric's balls are not runs (``Metric.run_order``).
+def _run_components(space: SpaceInstance, order: np.ndarray, multiplier: float, labels: np.ndarray | None = None):
+    """Component number of each member of ``order``, in the mutual-visibility
+    graph within each label: components are runs of ``order``, numbered
+    from 0 along it.
 
+    ``order`` is in the metric's run order (``Metric.run_order``), and
+    ``labels`` (one label when None) are nondecreasing along it.
     fl(mult * max(a, b)) = max(fl(mult * a), fl(mult * b)), so x and y are
     adjacent exactly when one lies in the other's open ball of radius
     mult * ls.  A ball is a run of the run order, so its center sees every
     member between it and any member it sees: the components are the
     maximal chains of overlapping runs, cut at each gap no run crosses.
     Up to one ``_BLOCK_ELEMS`` block of members squared, a row's first and
-    last neighbour in the dense ``visibility_graph`` block in run order
-    span its edges; above, the runs come from ``Metric.ball_runs`` at the
-    radii of ``Metric.scales``.
+    last neighbour in the dense ``visibility_graph`` block span its edges;
+    above, the runs come from ``Metric.ball_runs`` at the radii of
+    ``Metric.scales``.  Both read labels.
     """
     metric = space.metric
-    order = metric.run_order(members)
-    if order is None:
-        return None
     m = order.size
     pos = np.arange(m)
     if m * m <= _BLOCK_ELEMS:
-        adj = visibility_graph(space, order, multiplier)
+        adj = visibility_graph(space, order, multiplier, labels)
         adj[pos, pos] = True
         lo, hi = adj.argmax(axis=1), m - 1 - adj[:, ::-1].argmax(axis=1)
     else:
-        start, stop = metric.ball_runs(order, multiplier * metric.scales(order)[0])
+        start, stop = metric.ball_runs(order, multiplier * metric.scales(order, labels)[0], labels)
         lo, hi = np.minimum(start, pos), np.maximum(stop - 1, pos)
     # The spans [lo, hi] crossing the gap before position p: those with lo < p <= hi.
     crossing = np.cumsum(np.bincount(lo + 1, minlength=m + 1) - np.bincount(hi + 1, minlength=m + 1))
-    first = crossing[:m] == 0  # no span crosses the gap before position p (none does at 0)
-    starts = np.flatnonzero(first)
-    # Sorting the keys component * n + id leaves each component in its run
-    # positions and lays its ids out in id order.
-    base = (np.cumsum(first) - 1) * space.n
-    ids = np.sort(base + order) - base
-    comps = np.split(ids, starts[1:])
-    return [comps[i] for i in np.argsort(ids[starts])]
+    return np.cumsum(crossing[:m] == 0) - 1  # no span crosses the gap before a component's first member
 
 
 def _row_chunks(nrows: int, ncols: int):
@@ -921,11 +969,6 @@ class ScatteredDecomposition:
     @property
     def emptied(self) -> bool:
         return self.terminal[0] == "emptied"
-
-    @property
-    def scales(self) -> np.ndarray:
-        """local_scales of the first level's members, in id order."""
-        return self.level_scales[0]
 
     @cached_property
     def _per_member(self):
@@ -1011,7 +1054,7 @@ def cb_filtration(space: SpaceInstance, A: SubsetMask, policy) -> ScatteredDecom
         members = level.ids()
         ls, nn = local_scales(space, members)
         scales.append(ls)
-        return space.mask_from_ids(policy.survivors(members, ls, nn))
+        return space.mask_from_ids(members[policy.survivors(ls, ls[np.searchsorted(members, nn)])])
 
     # Every step removes a point, so A.size steps always empty or saturate.
     levels, terminal = _descend(A, step, A.size)

@@ -1249,20 +1249,98 @@ class TestLimsup:
 # Scattered recursion
 # ---------------------------------------------------------------------------
 
+def scattered_outcome(monkeypatch, space, Y, f, policy, region_loop=None):
+    """(prepatch values, diagnostics) of ``scattered_extension``, or its
+    PreconditionError message; ``region_loop`` replaces ``_scatter_region``."""
+    with monkeypatch.context() as m:
+        if region_loop is not None:
+            m.setattr(extend, "_scatter_region", region_loop)
+        try:
+            report = scattered_extension(space, Y, f, policy)
+        except PreconditionError as exc:
+            return str(exc)
+    return report.prepatch.values, report.diagnostics
+
+
+def check_scatter_against_loop(monkeypatch, space, Y, f, policy):
+    """Assert the loop and ``reference_scatter_region`` agree bit for bit;
+    the diagnostics, or None when both refuse the input alike."""
+    got = scattered_outcome(monkeypatch, space, Y, f, policy)
+    want = scattered_outcome(monkeypatch, space, Y, f, policy, reference_scatter_region)
+    if isinstance(want, str):
+        assert got == want
+        return None
+    assert identical(got[0], want[0])
+    assert got[1] == want[1]
+    return got[1]
+
+
+# None: a fixed radius below the smallest gap, which empties the filtration
+# in one step; a multiplier of 1e308 overflows mult * ls to inf.
+SCATTER_MULTS = [1.0, 1.5, 2.0, 3.0, 1e308, None]
+
+
+def scatter_policy(space, mult):
+    return AdaptiveScale(mult) if mult else FixedScale(space.resolution / 2)
+
+
 class TestScattered:
     @pytest.mark.parametrize("spec", ["ordinal:1", "ordinal:2", "ordinal:3", "ordinal:2:6", "sequence", "cantor:6"])
-    @pytest.mark.parametrize("mult", [1.0, 1.5, 2.0, 3.0, pytest.param(None, id="fixed")])
+    @pytest.mark.parametrize("mult", SCATTER_MULTS, ids=lambda mult: None if mult else "fixed")
     def test_matches_loop(self, monkeypatch, spec, mult):
         for keep in (0.2, 0.5):
             space, Y, f = with_subset_field(generate_from_spec(spec), 3, keep)
-            # A fixed radius below the smallest gap empties the filtration in one step.
-            policy = AdaptiveScale(mult) if mult else FixedScale(space.resolution / 2)
-            got = scattered_extension(space, Y, f, policy)
-            with monkeypatch.context() as m:
-                m.setattr(extend, "_scatter_region", reference_scatter_region)
-                want = scattered_extension(space, Y, f, policy)
-            assert identical(got.prepatch.values, want.prepatch.values)
-            assert got.diagnostics == want.diagnostics
+            assert check_scatter_against_loop(monkeypatch, space, Y, f, scatter_policy(space, mult)) is not None
+
+    @pytest.mark.parametrize("name", ["line", "offset_line", "subnormal_line", "ulp_cluster", "cantor", "wide"])
+    def test_matches_loop_on_tie_heavy_lines(self, monkeypatch, name):
+        # The run backends' tie-heavy inputs, the lines as family "sequence",
+        # under every policy.  Y is every other point in run order or every
+        # other pair (where a point has two nearest Y points at one
+        # distance), a random fifth, one point (Y-empty components) or
+        # everything.
+        space = line_space(name)
+        if space.metric.kind == "euclidean":
+            space = SpaceInstance(name, space.metric, space.resolution, family="sequence")
+        order = space.metric.run_order(np.arange(space.n))
+        rng = np.random.default_rng(len(name))
+        subsets = [order[::2], order[np.arange(space.n) % 4 >= 2], np.flatnonzero(rng.uniform(size=space.n) < 0.2),
+                   order[space.n // 2:space.n // 2 + 1], np.arange(space.n)]
+        ties = 0
+        for ids in subsets[:2]:
+            d = space.metric.dist_rows(np.setdiff1d(np.arange(space.n), ids), np.sort(ids))
+            ties += np.count_nonzero((d == d.min(axis=1, keepdims=True)).sum(axis=1) > 1)
+        assert ties
+        seen = []
+        for mult in SCATTER_MULTS:
+            for ids in subsets:
+                ids = np.sort(ids)
+                f = ScalarField.on_ids(space, ids, rng.normal(size=ids.size))
+                seen.append(check_scatter_against_loop(monkeypatch, space, space.mask_from_ids(ids), f,
+                                                       scatter_policy(space, mult)))
+        seen = [diag for diag in seen if diag is not None]
+        assert any(diag["default_zero_regions"] for diag in seen)  # a component missing Y
+        assert any(diag["components"] == space.n for diag in seen)  # every point its own component
+        assert any(diag["anchored_tops"] for diag in seen) or name == "cantor"  # a deeper filtration
+
+    @pytest.mark.parametrize("spec, generations", [("ordinal:3", 4), ("ordinal:4", 5)])
+    def test_one_split_per_generation(self, monkeypatch, spec, generations):
+        # The loop splits every live region of a generation in one call, and
+        # filters only the whole space (the probe): neither count grows with
+        # the components (211 on ordinal:3, 2111 on ordinal:4).
+        space = generate_from_spec(spec)
+        calls = {"visibility_components": 0, "cb_filtration": 0}
+        for name in calls:
+            real = getattr(extend, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(extend, name, counted)
+        report = scattered_extension(space, space.subsets["Y"], space.fields["f"])
+        assert report.diagnostics["components"] > 10 * generations
+        assert calls == {"visibility_components": generations, "cb_filtration": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -1300,6 +1378,61 @@ class TestBallRuns:
     def test_no_runs_off_the_line_and_prefix_metric(self, name):
         space = case(name)[0]
         assert space.metric.run_order(np.arange(space.n)) is None
+
+
+def labelled_regions(space, seed, count):
+    """Random disjoint regions as a generation: (member ids in run order,
+    their nondecreasing region labels, each region's ids).  Each region is
+    a run of the members, as in the scattered loop."""
+    rng = np.random.default_rng(seed)
+    order = space.metric.run_order(np.arange(space.n))
+    order = order[rng.uniform(size=space.n) < 0.8]  # some points in no region
+    labels = np.sort(rng.integers(0, count, size=order.size))
+    return order, labels, [np.sort(order[labels == k]) for k in range(count)]
+
+
+class TestLabelledKernels:
+    # Each label's members see only their own label: the labelled kernels
+    # equal one unlabelled call per label, ties to the smallest id included.
+    @pytest.mark.parametrize("name", RUN_BACKENDS + ["ordinal:3"])
+    @pytest.mark.parametrize("count", [1, 3, 40])
+    def test_scales_and_nearest_per_label(self, name, count):
+        space = line_space(name) if name in RUN_BACKENDS else generate_from_spec(name)
+        order, labels, _regions = labelled_regions(space, count, count)
+        ls, nn = space.metric.scales(order, labels)
+        rng = np.random.default_rng(count)
+        in_t = rng.uniform(size=order.size) < 0.3
+        in_t[np.searchsorted(labels, np.arange(count))] = True  # every label holds a target
+        got_id, got_d = space.metric.nearest(order, order[in_t], (labels, labels[in_t]))
+        for k in range(count):
+            at = labels == k
+            want_ls, want_nn = space.metric.scales(order[at])
+            assert identical(ls[at], want_ls) and identical(nn[at], want_nn)
+            want_id, want_d = space.metric.nearest(order[at], order[at & in_t])
+            assert identical(got_id[at], want_id) and identical(got_d[at], want_d)
+
+    @pytest.mark.parametrize("block", [None, 0, 10**9], ids=["default", "runs", "dense"])
+    @pytest.mark.parametrize("name", ["ordinal:3", "cantor:8", "line", "offset_line", "ulp_cluster", "wide"])
+    def test_components_per_label(self, monkeypatch, name, block):
+        # A generation's components are each region's own components, as
+        # runs of the generation numbered along it.
+        if block is not None:
+            monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", block)
+        space = line_space(name) if name in RUN_BACKENDS else generate_from_spec(name)
+        for count in (1, 5):
+            order, labels, regions = labelled_regions(space, len(name), count)
+            for mult in TestVisibilityComponents.MULTS:
+                comp = visibility_components(space, order, mult, labels)
+                assert comp[0] == 0 and set(np.diff(comp)) <= {0, 1}
+                same = np.flatnonzero(np.diff(comp) == 0)
+                assert np.array_equal(labels[same], labels[same + 1])  # no component crosses two labels
+                got = [np.sort(order[comp == c]) for c in range(comp[-1] + 1)]
+                where = np.empty(space.n, dtype=np.int64)
+                where[order] = np.arange(order.size)
+                want = sorted((ids for region in regions if region.size
+                               for ids in component_ids(space, space.mask_from_ids(region), mult)),
+                              key=lambda ids: where[ids].min())
+                assert all_identical(got, want), (count, mult)
 
 
 def component_ids(space, region, mult):
