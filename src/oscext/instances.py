@@ -84,8 +84,17 @@ def check_cantor_depth(depth: int):
         raise ValidationError(f"depth must be at most 20 (2^21 points), got {depth}")
 
 
-def cantor_codes(depth: int):
-    """Full-width codes and labels of the canonical points of head length <= depth.
+def _cantor_heads(depth: int):
+    """Head value, head length and tail bit of each id, in ``cantor_codes``' order."""
+    check_cantor_depth(depth)
+    j = np.tile(np.arange(1 << depth, dtype=np.int64), 2)
+    tail = np.repeat(np.arange(2, dtype=np.int64), 1 << depth)
+    length = np.frexp(j.astype(np.float64))[1].astype(np.int64)  # bit_length(j), 0 at j = 0
+    return np.where(j > 0, 2 * j - (1 << length) + (1 - tail), 0), length, tail
+
+
+def cantor_codes(depth: int) -> np.ndarray:
+    """Full-width codes of the canonical points of head length <= depth.
 
     Points are ordered by (tail, head length, head value), so the tail-0
     half occupies ids 0 .. 2^depth - 1.  Inside a tail block, id j >= 1 has
@@ -94,24 +103,25 @@ def cantor_codes(depth: int):
     A code packs the first W = depth + 1 coordinates, the first one highest:
     distinct canonical points always differ within them.
     """
-    check_cantor_depth(depth)
-    width = depth + 1
-    j = np.tile(np.arange(1 << depth, dtype=np.int64), 2)
-    tail = np.repeat(np.arange(2, dtype=np.int64), 1 << depth)
-    length = np.frexp(j.astype(np.float64))[1].astype(np.int64)  # bit_length(j), 0 at j = 0
-    head = np.where(j > 0, 2 * j - (1 << length) + (1 - tail), 0)
-    rest = width - length
-    codes = ((head << rest) | tail * ((1 << rest) - 1)).astype(np.uint64)
-    labels = [f"{h:0{n}b}+{t}" if n else f"+{t}" for h, n, t in zip(head.tolist(), length.tolist(), tail.tolist())]
-    return codes, labels
+    head, length, tail = _cantor_heads(depth)
+    rest = depth + 1 - length
+    return ((head << rest) | tail * ((1 << rest) - 1)).astype(np.uint64)
+
+
+def cantor_labels(depth: int) -> list:
+    """The ``CantorPoint`` labels of ``cantor_codes``' points, in id order."""
+    head, length, tail = _cantor_heads(depth)
+    return [f"{h:0{n}b}+{t}" if n else f"+{t}" for h, n, t in zip(head.tolist(), length.tolist(), tail.tolist())]
 
 
 def cantor_instance(depth: int) -> SpaceInstance:
-    """Truncated binary-sequence space with the dense tail-0 subset Y."""
-    codes, labels = cantor_codes(depth)
+    """Truncated binary-sequence space with the dense tail-0 subset Y.
+
+    Its labels are built at the first read of ``space.labels``.
+    """
     space = SpaceInstance(
-        f"cantor_depth_{depth}", CantorMetric(codes, depth + 1), resolution=2.0 ** -depth,
-        labels=labels, family="cantor",
+        f"cantor_depth_{depth}", CantorMetric(cantor_codes(depth), depth + 1), resolution=2.0 ** -depth,
+        labels=lambda: cantor_labels(depth), family="cantor",
     )
     # The tail-0 block comes first in the enumeration.
     space.subsets["Y"] = SubsetMask(space, np.arange(space.n) < 1 << depth)

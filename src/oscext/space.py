@@ -622,7 +622,7 @@ class CantorMetric(Metric):
         stop = start.copy()
         creq = np.where(radii > 0, self.cylinder_length(radii), -1)  # -1: the empty ball of radius 0
         adj = self._adjacent(order, labels)
-        for c in np.unique(creq[creq >= 0]):
+        for c in _distinct_sorted(creq[creq >= 0]):
             group = np.r_[0, np.cumsum(adj < c)]  # nondecreasing along code order
             sel = np.flatnonzero(creq == c)
             start[sel] = np.searchsorted(group, group[sel], side="left")
@@ -657,7 +657,7 @@ class CantorMetric(Metric):
         tadj = np.r_[-1, self._adjacent(t, labels and labels[1])]
         ids = np.empty(queries.size, dtype=np.int64)
         big = np.iinfo(np.int64).max
-        for c in np.unique(best[best >= 0]):  # -1: no other target in the label
+        for c in _distinct_sorted(best[best >= 0]):  # -1: no other target in the label
             starts = tadj < c
             group = np.cumsum(starts) - 1
             heads = np.flatnonzero(starts)
@@ -674,7 +674,7 @@ class CantorMetric(Metric):
         # targets in each cylinder, read at each query's cylinder.
         maxv, minv = np.full((2, queries.size), [[-np.inf], [np.inf]])
         creq = np.where(radii > 0, self.cylinder_length(radii), -1)  # -1: the empty ball of radius 0
-        for c in np.unique(creq[creq >= 0]):
+        for c in _distinct_sorted(creq[creq >= 0]):
             cyl, bounds = self.cylinders(c)
             group = cyl[self.rank[targets]]
             gmax, gmin = np.full((2, bounds.size - 1), [[-np.inf], [np.inf]])
@@ -707,7 +707,10 @@ class SpaceInstance:
 
     ``family`` records how the instance was generated ('cantor', 'ordinal',
     'sequence', 'euclidean', 'matrix'); the scattered construction uses it to
-    recognise the clopen-at-resolution families.
+    recognise the clopen-at-resolution families.  ``labels`` is a sequence
+    of point labels, or a function of no arguments that builds them at the
+    first read of ``labels``: a prefix-metric space's labels, one string per
+    point, are built only when something reads them.
     """
 
     def __init__(self, name, metric, resolution, labels=None, family=None):
@@ -717,13 +720,19 @@ class SpaceInstance:
         self.metric = metric
         self.resolution = float(resolution)
         self.n = metric.n
-        self.labels = list(labels) if labels is not None else None
+        self._labels = labels if labels is None or callable(labels) else list(labels)
         self.family = family or metric.kind
         self.subsets: dict[str, SubsetMask] = {}
         self.fields: dict[str, ScalarField] = {}
         self.meta: dict = {}
         if metric.kind == "matrix":
             _validate_matrix(self.metric)
+
+    @property
+    def labels(self) -> list | None:
+        if callable(self._labels):
+            self._labels = self._labels()
+        return self._labels
 
     def check_id(self, i: int) -> int:
         i = int(i)
@@ -1197,21 +1206,21 @@ def load_space(doc: dict) -> SpaceInstance:
     elif mtype == "cantor":
         depth = spec.get("depth")
         _require(isinstance(depth, int), "cantor depth must be an integer")
-        from .instances import CantorPoint, cantor_codes, check_cantor_depth  # avoids a cycle
+        from .instances import CantorPoint, cantor_codes, cantor_labels, check_cantor_depth  # avoids a cycle
 
         # The generators' bound, then 2^depth points per tail bit; both
         # checked before the space is enumerated.
         check_cantor_depth(depth)
         _require(n == 2 ** (depth + 1), f"cantor depth {depth} has {2 ** (depth + 1)} points, document lists {n}")
-        codes, canon_labels = cantor_codes(depth)
-        metric = CantorMetric(codes, depth + 1)
-        if labels is not None:
+        metric = CantorMetric(cantor_codes(depth), depth + 1)
+        if labels is None:
+            labels = lambda: cantor_labels(depth)  # built at the first read of space.labels
+        else:
             for label in labels:
                 CantorPoint.from_label(label)
-            for i, (label, canon) in enumerate(zip(labels, canon_labels)):
+            for i, (label, canon) in enumerate(zip(labels, cantor_labels(depth))):
                 _require(label == canon, f"point {i} has label {label!r}; the cantor space "
                          f"of depth {depth} has {canon!r} there")
-        labels = canon_labels
     else:
         raise ValidationError(f"unknown metric type {mtype!r}")
     _require(metric.diameter() <= 2.0**1022, f"the diameter {metric.diameter()} exceeds 2^1022")

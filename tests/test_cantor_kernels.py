@@ -29,7 +29,9 @@ from oscext.errors import InvariantError, ValidationError
 from oscext import extend
 from oscext.extend import LayerState, _CantorSupports, _GenericSupports, _layered, layered_extension, nearest_in_set
 from oscext.instances import block_parity_field
+from oscext import space as space_module
 from oscext.space import CantorMetric, Metric, SubsetMask, local_scales
+from oscext.subsets import _distinct_sorted as distinct_sorted
 
 from conftest import (all_identical, assert_identical_layers, assert_report_reads_layers, dense_ball_extremes,
                       identical, prefix_codes, wide_space)
@@ -748,6 +750,39 @@ class TestNearestOther:
         }[sets]
         metric = space.metric
         assert all_identical(metric._nearest_other(queries, targets), Metric._nearest_other(metric, queries, targets))
+
+
+class TestDistinctCylinderLengths:
+    """The prefix-metric kernels take their distinct cylinder lengths with
+    ``_distinct_sorted``, not ``np.unique`` (which imports ``numpy.ma``):
+    the two agree on every input the kernels pass, empty ones included."""
+
+    def test_kernel_inputs_match_np_unique(self, cantor8, monkeypatch):
+        seen = {}
+
+        def spy(a):
+            seen.setdefault(sys._getframe(1).f_code.co_name, []).append(a.copy())
+            return distinct_sorted(a)
+
+        monkeypatch.setattr(space_module, "_distinct_sorted", spy)
+        metric, rng = cantor8.metric, np.random.default_rng(3)
+        members = np.sort(rng.choice(cantor8.n, size=60, replace=False))
+        order = metric.run_order(members)
+        radii = rng.choice([0.0, 2.0**-3, 2.0**-5, 0.3, 2.0**-9, 1.0], size=members.size)
+        fvals = rng.uniform(size=members.size)
+        for r in (radii, np.zeros(members.size)):  # all radii 0: no cylinder length
+            metric.ball_runs(order, r)
+            metric.ball_runs(order, r, np.arange(members.size) // 7)
+            metric.ball_extremes(members, r, members, fvals)
+        metric._nearest_other(members, members)
+        metric._nearest_other(members[:1], members[:1])  # no other target
+        metric.scales(order, np.arange(members.size) // 7)
+        metric.scales(order, np.arange(members.size))  # every member alone in its label
+        assert sorted(seen) == ["_nearest_other", "ball_extremes", "ball_runs"]
+        inputs = [a for calls in seen.values() for a in calls]
+        assert any(a.size == 0 for a in inputs) and any(a.size > 1 for a in inputs)
+        for a in inputs:
+            assert identical(distinct_sorted(a), np.unique(a))
 
 
 def random_cover(space, rng):

@@ -23,7 +23,7 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def _loads_kd_tree(code, module="scipy.spatial"):
+def _loads(code, module="scipy.spatial"):
     """Whether running ``code`` in a fresh interpreter imports ``module``.
 
     Raises ``CalledProcessError`` if ``code`` fails.
@@ -37,18 +37,29 @@ def _loads_kd_tree(code, module="scipy.spatial"):
 def test_import_loads_no_kd_tree():
     # scipy.spatial is imported where a kd-tree is built, so starting the
     # command line does not pay for it.
-    assert not _loads_kd_tree("")
+    assert not _loads("")
 
 
 def test_small_euclidean_document_loads_no_kd_tree():
     # The coincident-point check of a small document reads dense blocks.
     instance = str(FIXTURES / "ordinal_k1.json")
-    assert not _loads_kd_tree(f"assert oscext.cli.main(['validate', '--instance', {instance!r}]) == 0")
+    assert not _loads(f"assert oscext.cli.main(['validate', '--instance', {instance!r}]) == 0")
 
 
 def test_line_of_any_size_loads_no_kd_tree():
     # On the line the nearest points come from sort neighbours, at any size.
-    assert not _loads_kd_tree("assert oscext.cli.main(['validate', '--generate', 'random:7:20000:1']) == 0")
+    assert not _loads("assert oscext.cli.main(['validate', '--generate', 'random:7:20000:1']) == 0")
+
+
+def test_prefix_metric_commands_load_no_masked_arrays():
+    # np.unique imports numpy.ma (about 0.9 MB); the prefix-metric kernels
+    # take their distinct cylinder lengths without it.
+    run = """
+for argv in (['ex1', '--depths', '6,8'], ['index', '--generate', 'cantor:8'],
+             ['extend', '--generate', 'cantor:8', '--method', 'scattered']):
+    assert oscext.cli.main(argv) == 0
+"""
+    assert not _loads(run, "numpy.ma")
 
 
 @pytest.mark.parametrize("spec", ["ordinal:3", "cantor:8"])
@@ -56,7 +67,7 @@ def test_scattered_loads_no_sparse_graphs(spec):
     # On the clopen families the visibility components are chains of ball
     # runs, so scipy.sparse (and the kd-tree module, which imports it) stays out.
     run = f"assert oscext.cli.main(['extend', '--generate', {spec!r}, '--method', 'scattered']) == 0"
-    assert not _loads_kd_tree(run, "scipy.sparse")
+    assert not _loads(run, "scipy.sparse")
 
 
 class Label(str):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -13,13 +14,16 @@ from oscext import (
     random_instance,
     rank_parity_field,
 )
-from oscext.derive import osc_at_point
+from oscext import cli, instances
+from oscext.derive import index_profile, osc_at_point
+from oscext.extend import layered_extension, limsup_extension
 from oscext.errors import PreconditionError
 from oscext.instances import (
     CantorPoint,
     block_parity_field,
     block_parity_value,
     cantor_codes,
+    cantor_labels,
     cantor_point_id,
     head_from_blocks,
     parse_blocks,
@@ -28,7 +32,7 @@ from oscext.instances import (
 )
 
 from oscext import space as space_module
-from oscext.space import load_space_file, visibility_graph
+from oscext.space import load_space, load_space_file, space_to_document, visibility_graph
 
 from conftest import FIXTURES, wide_space
 from oracles import o_adaptive_filtration, o_cantor_code, o_cantor_points
@@ -140,7 +144,7 @@ class TestCantorClosedForms:
     @pytest.mark.parametrize("depth", range(2, 15))
     def test_match_the_enumeration(self, depth):
         points = o_cantor_points(depth)
-        codes, labels = cantor_codes(depth)
+        codes, labels = cantor_codes(depth), cantor_labels(depth)
         assert codes.dtype == np.uint64
         assert codes.tolist() == [o_cantor_code(p, depth + 1) for p in points]
         assert labels == [p.label for p in points]
@@ -184,6 +188,60 @@ class TestCantorClosedForms:
         space.subsets["Y"] = space.mask_from_ids([0, 2**6])
         with pytest.raises(PreconditionError, match="tail-1"):
             block_parity_field(space)
+
+
+class TestLazyCantorLabels:
+    """A prefix-metric space builds its labels at the first read of
+    ``space.labels``, once, and nothing in the constructions reads them."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The depths ``cantor_labels`` is called with while the test runs."""
+        calls, build = [], instances.cantor_labels
+
+        def spy(depth):
+            calls.append(depth)
+            return build(depth)
+
+        monkeypatch.setattr(instances, "cantor_labels", spy)
+        return calls
+
+    def test_ex1_work_builds_no_labels(self, builds, capsys):
+        space = cantor_instance(12)
+        Y, f = space.subsets["Y"], block_parity_field(space)
+        grid = cli._grid_for(space, None)
+        for report in (layered_extension(space, Y, f, cli.CANTOR_POLICY), limsup_extension(space, Y, f)):
+            index_profile(report.field, space.full_mask(), cli.CANTOR_POLICY, grid)
+        assert cli.main(["ex1", "--depths", "6,8"]) == 0
+        assert builds == []
+        assert len(space.labels) == space.n and builds == [12]
+
+    @pytest.mark.parametrize("depth", range(2, 13))
+    def test_first_read_builds_the_canonical_labels(self, builds, depth):
+        space = cantor_instance(depth)
+        assert builds == []
+        labels = space.labels
+        assert labels == [p.label for p in o_cantor_points(depth)]
+        assert [CantorPoint.from_label(label).label for label in labels] == labels
+        assert space.labels is labels and builds == [depth]
+
+    def test_document_without_labels(self, builds):
+        doc = space_to_document(cantor_instance(6))
+        for point in doc["points"]:
+            del point["label"]
+        builds.clear()  # the document's labels were read
+        space = load_space(doc)
+        assert builds == []
+        assert space.labels == cantor_labels(6)
+
+    def test_document_labels_are_checked(self, capsys, tmp_path):
+        doc = space_to_document(cantor_instance(6))
+        assert load_space(doc).labels == [p["label"] for p in doc["points"]]
+        doc["points"][5]["label"] = doc["points"][4]["label"]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--instance", str(path)]) == 1
+        assert "point 5 has label '001+0'; the cantor space of depth 6 has '011+0' there" in capsys.readouterr().err
 
 
 class TestOrdinalInstance:
