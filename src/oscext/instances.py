@@ -295,6 +295,8 @@ def sequence_space(count: int = 10) -> SpaceInstance:
     """The truncated convergent sequence {0} union {1/n : n <= count}."""
     if count < 2:
         raise ValidationError("count must be >= 2")
+    if count + 1 > 1 << 21:  # counted before any point is built, as for the ladders
+        raise ValidationError(f"sequence:{count} has {count + 1} points, more than 2097152 (2^21)")
     coords = np.array([0.0] + [1.0 / n for n in range(1, count + 1)])
     gaps = np.diff(np.sort(coords))
     space = SpaceInstance(
@@ -328,6 +330,8 @@ def random_instance(seed: int, n: int, dim: int = 2) -> SpaceInstance:
         raise ValidationError("n must be >= 2")
     if dim < 1:
         raise ValidationError("dim must be >= 1")
+    if n * dim > 1 << 21:  # counted before any coordinate is drawn
+        raise ValidationError(f"random:{seed}:{n}:{dim} has {n * dim} coordinates, more than 2097152 (2^21)")
     rng = np.random.default_rng(seed)
     coords = rng.uniform(size=(n, dim))
     metric = EuclideanMetric(coords)

@@ -1,10 +1,11 @@
 """Finite metric spaces, their kernels, and derived-set filtrations.
 
 A space is a finite point set with a total metric given either as a dense
-matrix, as Euclidean coordinates, or as the prefix metric on eventually
-constant binary sequences.  All balls are open (strict inequality); ties at
-exactly the radius are excluded.  Distances are ordinary 64-bit floats and
-are compared exactly, so fixtures are built from dyadic or triadic rationals.
+matrix, as Euclidean coordinates (one column: the line, its own backend), or
+as the prefix metric on eventually constant binary sequences.  All balls are
+open (strict inequality); ties at exactly the radius are excluded.  Distances
+are ordinary 64-bit floats and are compared exactly, so fixtures are built
+from dyadic or triadic rationals.
 Point-set masks and scalar fields live in ``subsets`` and are re-exported.
 """
 
@@ -41,12 +42,13 @@ _KD_BALL_MEMBERS = 3000
 class Metric:
     """The kernels every backend shares, read through ``dist_rows`` blocks.
 
-    A backend provides ``n``, ``kind``, the scalar ``dist``, the block
-    ``dist_rows``, its only row method, and ``diameter``, which is at least
-    every distance: the constructions' finite stand-in for an absent
-    constraint.  It overrides a kernel here only for a fast path.  Blocks
-    are chunked by ``_row_chunks`` so their temporaries stay within
-    ``_BLOCK_ELEMS``.
+    The four backends are ``MatrixMetric``, ``EuclideanMetric`` (two or
+    more dimensions), ``LineMetric`` and ``CantorMetric``.  A backend
+    provides ``n``, ``kind``, the scalar ``dist``, the block ``dist_rows``,
+    its only row method, and ``diameter``, which is at least every
+    distance: the constructions' finite stand-in for an absent constraint.
+    It overrides a kernel here only for a fast path.  Blocks are chunked by
+    ``_row_chunks`` so their temporaries stay within ``_BLOCK_ELEMS``.
     """
 
     # How loading checks the triangle inequality; Euclidean and prefix
@@ -186,27 +188,23 @@ class MatrixMetric(Metric):
 
 
 class EuclideanMetric(Metric):
-    """Points in R^dim, with coordinate-order kernels on the line.
+    """Points in R^dim, dim >= 2 here: one coordinate column makes a ``LineMetric``.
 
-    On the line (dim 1) every open ball is a run of the targets in
-    coordinate order: ``ball_pairs`` builds only the pairs inside each run,
-    in chunks cut by their pair count, ``ball_extremes`` and
-    ``grid_extremes`` are range max and min over the runs, and a query's
-    nearest other target is at one of its sort neighbours, with ties found
-    as a run (``_line_nearest``).  None of them has a kd path.  In two or
-    more dimensions nearest points above ``_KD_SCALE_MEMBERS``^2 queries
-    times targets, and ball extremes above ``_KD_BALL_MEMBERS`` targets, go
-    through a kd-tree.  On the line the diameter is the two ends' distance.
+    Nearest points above ``_KD_SCALE_MEMBERS``^2 queries times targets, and
+    ball extremes above ``_KD_BALL_MEMBERS`` targets, go through a kd-tree;
+    every other kernel reads the base class's dense row blocks.
     """
 
     kind = "euclidean"
 
-    def __init__(self, coords: np.ndarray):
-        self.coords = np.ascontiguousarray(coords, dtype=np.float64)
-        if self.coords.ndim == 1:
-            self.coords = self.coords[:, None]
-        self.n = self.coords.shape[0]
-        self._diameter = None
+    def __new__(cls, coords):
+        coords = np.ascontiguousarray(coords, dtype=np.float64)
+        coords = coords[:, None] if coords.ndim == 1 else coords
+        if issubclass(cls, LineMetric) and coords.shape[1] != 1:
+            raise ValidationError(f"the line takes one coordinate column, got {coords.shape[1]}")
+        self = super().__new__(LineMetric if coords.shape[1] == 1 else cls)
+        self.coords, self.n, self._diameter = coords, coords.shape[0], None
+        return self
 
     def dist(self, i: int, j: int) -> float:
         return float(_euclidean(self.coords[i], self.coords[j]))
@@ -214,20 +212,13 @@ class EuclideanMetric(Metric):
     def dist_rows(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return _euclidean(self.coords[rows][:, None, :], self.coords[cols][None, :, :])
 
-    def _nearest_other(self, queries: np.ndarray, tids: np.ndarray, labels=None):
-        """``Metric._nearest_other`` by size: dense row blocks up to one
-        ``_BLOCK_ELEMS`` block of queries x targets on the line, or up to
-        ``_KD_SCALE_MEMBERS``^2 in more dimensions; above, the sort neighbours
-        of ``_line_nearest`` on the line and a kd-tree in more dimensions.
-        Both give the dense blocks' distances, and their ids away from
-        distance 0.  Labels (on the line only) always take the sort
-        neighbours.
+    def _nearest_other(self, queries: np.ndarray, tids: np.ndarray):
+        """``Metric._nearest_other`` by size: dense row blocks up to
+        ``_KD_SCALE_MEMBERS``^2 queries x targets, a kd-tree above, which gives
+        the dense blocks' distances, and their ids away from distance 0.
         """
-        line = self.coords.shape[1] == 1
-        if labels is None and queries.size * tids.size <= (_BLOCK_ELEMS if line else _KD_SCALE_MEMBERS**2):
+        if queries.size * tids.size <= _KD_SCALE_MEMBERS**2:
             return super()._nearest_other(queries, tids)
-        if line:
-            return self._line_nearest(queries, tids, labels)
         from scipy.spatial import cKDTree
 
         k = tids.size
@@ -263,8 +254,55 @@ class EuclideanMetric(Metric):
                 kq = min(2 * kq, k)
         return dist, ids
 
-    def _line_nearest(self, queries: np.ndarray, tids: np.ndarray, labels=None):
-        """``_nearest_other`` on the line, from each query's neighbours in coordinate order.
+    def ball_extremes(self, queries: np.ndarray, radii: np.ndarray,
+                      targets: np.ndarray, fvals: np.ndarray):
+        if targets.size <= _KD_BALL_MEMBERS:
+            return super().ball_extremes(queries, radii, targets, fvals)
+        from scipy.spatial import cKDTree
+
+        k = queries.size
+        qcoords = self.coords[queries]
+        tcoords = self.coords[targets]
+        # Widened by a relative 2^-40 past the tree's rounding; the re-filter decides.
+        lists = cKDTree(tcoords).query_ball_point(qcoords, r=np.maximum(radii, 0.0) * (1 + 2**-40), workers=-1)
+        lengths = np.fromiter((len(l) for l in lists), dtype=np.int64, count=k)
+        flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=lengths.sum())
+        seg = np.repeat(np.arange(k), lengths)
+        dist = _euclidean(qcoords[seg], tcoords[flat])
+        keep = dist < radii[seg]  # kd queries are closed; re-filter strictly
+        maxv = np.full(k, -np.inf)
+        minv = np.full(k, np.inf)
+        np.maximum.at(maxv, seg[keep], fvals[flat[keep]])
+        np.minimum.at(minv, seg[keep], fvals[flat[keep]])
+        return maxv, minv
+
+    def diameter(self) -> float:
+        if self._diameter is None:
+            if self.n <= _EXACT_DIAMETER_LIMIT and self.coords.shape[1] > 1:
+                everything = np.arange(self.n)
+                self._diameter = max((
+                    float(self.dist_rows(everything[lo:hi], everything).max())
+                    for lo, hi in _row_chunks(self.n, self.n)
+                ), default=0.0)
+            else:
+                # The box corners, on the line its ends: _euclidean is monotone and |fl(y_k - x_k)| <= fl(hi_k - lo_k).
+                self._diameter = float(_euclidean(self.coords.min(axis=0), self.coords.max(axis=0)))
+        return self._diameter
+
+
+class LineMetric(EuclideanMetric):
+    """Points on the line: every open ball is a run of the targets in coordinate order.
+
+    ``EuclideanMetric`` of one coordinate column builds one.  ``ball_pairs``
+    builds only the pairs inside each run, in chunks cut by their pair
+    count; ``ball_extremes`` and ``grid_extremes`` are range max and min
+    over the runs; a query's nearest other target is at one of its sort
+    neighbours, with ties found as a run.  None of them has a dense or kd
+    path.  The diameter is the two ends' distance.
+    """
+
+    def _nearest_other(self, queries: np.ndarray, tids: np.ndarray, labels=None):
+        """``Metric._nearest_other`` from each query's neighbours in coordinate order.
 
         With the targets in run order, (coordinate, id), the computed distance
         never falls away from the query on either side (``_line_runs``), so the
@@ -305,9 +343,7 @@ class EuclideanMetric(Metric):
         return dist, nn
 
     def run_order(self, members: np.ndarray):
-        """On the line, ``members`` (sorted ids) in coordinate order, ties by id."""
-        if self.coords.shape[1] != 1:
-            return None
+        """``members`` (sorted ids) in coordinate order, ties by id."""
         return members[np.argsort(self.coords[members, 0], kind="stable")]
 
     def ball_runs(self, order: np.ndarray, radii: np.ndarray, labels: np.ndarray | None = None):
@@ -318,9 +354,6 @@ class EuclideanMetric(Metric):
         return _line_runs(line, line, radii, None if labels is None else _label_blocks((labels, labels)))
 
     def ball_pairs(self, centers: np.ndarray, radii: np.ndarray, targets: np.ndarray):
-        if self.coords.shape[1] != 1:
-            yield from super().ball_pairs(centers, radii, targets)
-            return
         # On the line a ball is a run of the targets in coordinate order:
         # the pairs of each ball's window, re-filtered by their distance.  A
         # chunk is the next centers whose windows hold at most _BLOCK_ELEMS
@@ -349,66 +382,30 @@ class EuclideanMetric(Metric):
 
     def ball_extremes(self, queries: np.ndarray, radii: np.ndarray,
                       targets: np.ndarray, fvals: np.ndarray):
-        if self.coords.shape[1] == 1:
-            return self._line_extremes(queries, radii, targets, fvals)
-        if targets.size <= _KD_BALL_MEMBERS:
-            return super().ball_extremes(queries, radii, targets, fvals)
-        from scipy.spatial import cKDTree
-
-        k = queries.size
-        qcoords = self.coords[queries]
-        tcoords = self.coords[targets]
-        # Widened by a relative 2^-40 past the tree's rounding; the re-filter decides.
-        lists = cKDTree(tcoords).query_ball_point(qcoords, r=np.maximum(radii, 0.0) * (1 + 2**-40), workers=-1)
-        lengths = np.fromiter((len(l) for l in lists), dtype=np.int64, count=k)
-        flat = np.fromiter(itertools.chain.from_iterable(lists), dtype=np.int64, count=lengths.sum())
-        seg = np.repeat(np.arange(k), lengths)
-        dist = _euclidean(qcoords[seg], tcoords[flat])
-        keep = dist < radii[seg]  # kd queries are closed; re-filter strictly
-        maxv = np.full(k, -np.inf)
-        minv = np.full(k, np.inf)
-        np.maximum.at(maxv, seg[keep], fvals[flat[keep]])
-        np.minimum.at(minv, seg[keep], fvals[flat[keep]])
-        return maxv, minv
-
-    def grid_extremes(self, queries: np.ndarray, grid: np.ndarray, targets: np.ndarray, fvals: np.ndarray):
-        if self.coords.shape[1] != 1:
-            return super().grid_extremes(queries, grid, targets, fvals)
-        return self._line_extremes(queries, np.broadcast_to(grid[:, None], (grid.size, queries.size)), targets, fvals)
-
-    def _line_extremes(self, queries, radii, targets, fvals):
-        """``ball_extremes`` on the line for ``radii`` of shape (..., queries), one output of that shape each.
+        """``Metric.ball_extremes`` for ``radii`` of shape (queries,) or (k, queries), one output of that shape each.
 
         Each ball is the run of the targets in coordinate order that
         ``_line_runs`` finds, and its extremes are ``_RangeMax`` queries over
         the ranks of ``_f_ranks``.  The balls go in blocks of about 16 words
-        of search temporaries each within ``_BLOCK_ELEMS``.
+        of search temporaries each within ``_BLOCK_ELEMS``, each block's
+        centers and radii gathered from ``queries`` and the (possibly
+        broadcast) ``radii``, so neither is expanded to one entry per ball.
         """
         x = self.coords[targets, 0]
         order = np.argsort(x, kind="stable")
         line = x[order]
-        c = np.broadcast_to(self.coords[queries, 0], radii.shape).ravel()
-        r = radii.ravel()
+        c, r = self.coords[queries, 0], np.atleast_2d(radii)
         rank, extremes = _f_ranks(fvals)
         runmax = _RangeMax(rank[:, order])
-        maxv, minv = np.empty((2, c.size))
-        for lo, hi in _row_chunks(c.size, 16):
-            start, stop = _line_runs(line, c[lo:hi], r[lo:hi])
+        maxv, minv = np.empty((2, r.size))
+        for lo, hi in _row_chunks(r.size, 16):
+            row, col = np.divmod(np.arange(lo, hi), c.size)
+            start, stop = _line_runs(line, c[col], r[row, col])
             maxv[lo:hi], minv[lo:hi] = extremes(runmax(start, stop).T, stop == start)
         return maxv.reshape(radii.shape), minv.reshape(radii.shape)
 
-    def diameter(self) -> float:
-        if self._diameter is None:
-            if self.n <= _EXACT_DIAMETER_LIMIT and self.coords.shape[1] > 1:
-                everything = np.arange(self.n)
-                self._diameter = max((
-                    float(self.dist_rows(everything[lo:hi], everything).max())
-                    for lo, hi in _row_chunks(self.n, self.n)
-                ), default=0.0)
-            else:
-                # The box corners, on the line its ends: _euclidean is monotone and |fl(y_k - x_k)| <= fl(hi_k - lo_k).
-                self._diameter = float(_euclidean(self.coords.min(axis=0), self.coords.max(axis=0)))
-        return self._diameter
+    def grid_extremes(self, queries: np.ndarray, grid: np.ndarray, targets: np.ndarray, fvals: np.ndarray):
+        return self.ball_extremes(queries, np.broadcast_to(grid[:, None], (grid.size, queries.size)), targets, fvals)
 
 
 def _label_blocks(labels):

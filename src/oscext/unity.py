@@ -128,8 +128,10 @@ def partition(space: SpaceInstance, cover: BallCover) -> PartitionOfUnity:
     if np.any(totals[cover.carrier.mask] <= 0):
         raise InvariantError("carrier point with zero total raw weight")
     rows, ids, raw = (np.concatenate(parts) for parts in zip(*chunks))
-    cuts = np.cumsum(np.bincount(rows, minlength=centers.size))[:-1]
-    return PartitionOfUnity(space, cover, np.split(ids, cuts), np.split(raw / totals[ids], cuts), cover.carrier)
+    weights = raw / totals[ids]
+    cuts = np.r_[0, np.cumsum(np.bincount(rows, minlength=centers.size))].tolist()
+    spans = list(zip(cuts, cuts[1:]))  # each element's pairs, one slice of the flat arrays
+    return PartitionOfUnity(space, cover, [ids[a:b] for a, b in spans], [weights[a:b] for a, b in spans], cover.carrier)
 
 
 def blend(pou: PartitionOfUnity, anchor_values) -> ScalarField:

@@ -362,6 +362,24 @@ class TestOrdinalSizeCap:
         assert ordinal_instance(4).n == 11111
 
 
+class TestGeneratorSizeCap:
+    """Random clouds above 2^21 coordinates and sequences above 2^21 points
+    are rejected with a message, before anything is drawn or built."""
+
+    @pytest.mark.parametrize("spec, message", [
+        ("random:7:200000000:2", "random:7:200000000:2 has 400000000 coordinates"),
+        ("random:7:10:100000000", "random:7:10:100000000 has 1000000000 coordinates"),
+        ("sequence:200000000", "sequence:200000000 has 200000001 points"),
+    ])
+    def test_exits_one_at_once(self, capsys, spec, message):
+        started = time.monotonic()
+        code, out, err = run(capsys, "validate", "--generate", spec)
+        assert time.monotonic() - started < 1.0
+        assert code == 1
+        assert out == ""
+        assert f"{message}, more than 2097152 (2^21)" in err and "Traceback" not in err
+
+
 class TestRoundsCap:
     def test_above_1074_exits_one_at_once(self, capsys):
         started = time.monotonic()

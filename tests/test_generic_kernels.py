@@ -29,8 +29,8 @@ from oscext.extend import (LayerState, _GenericSupports, _layered, layered_exten
                            nearest_in_set, scattered_extension, visibility_components)
 from oscext import space as space_mod
 from oscext.instances import cantor_instance, random_instance
-from oscext.space import (_BLOCK_ELEMS, _KD_BALL_MEMBERS, EuclideanMetric, MatrixMetric, SubsetMask, _row_chunks,
-                          ball, cb_filtration, dists_among, load_space_file, local_scale, local_scales)
+from oscext.space import (_BLOCK_ELEMS, _KD_BALL_MEMBERS, EuclideanMetric, LineMetric, MatrixMetric, SubsetMask,
+                          _row_chunks, ball, cb_filtration, dists_among, load_space_file, local_scale, local_scales)
 from oscext.unity import BallCover, PartitionOfUnity, blend, cover_for_piece, partition
 
 from conftest import (FIXTURES, all_identical, assert_identical_layers, assert_report_reads_layers, identical,
@@ -594,7 +594,7 @@ class TestBallPairs:
         # a few thousand window pairs, one chunk; blocks of _BLOCK_ELEMS // 1111
         # centers would cut it into 20.
         space, Y, f = case("ordinal:3")
-        real = EuclideanMetric.ball_pairs
+        real = LineMetric.ball_pairs
         calls = []  # (chunks, window pairs) per call
 
         def spy(metric, centers, radii, targets):
@@ -604,7 +604,7 @@ class TestBallPairs:
             calls.append((len(chunks), int((stop - start).sum())))
             yield from chunks
 
-        monkeypatch.setattr(EuclideanMetric, "ball_pairs", spy)
+        monkeypatch.setattr(LineMetric, "ball_pairs", spy)
         layered_extension(space, Y, f)
         assert len(calls) > 10 and max(pairs for _chunks, pairs in calls) > 0
         for chunks, pairs in calls:
@@ -880,8 +880,8 @@ NEAREST_LINES = ["dyadic", "line", "ordinal:3", "offset_line", "subnormal_line",
 
 class TestLineNearest:
     """On the line ``_nearest_other`` works from each query's neighbours in
-    coordinate order; it must give the dense base kernel's bits, which an
-    unbounded block budget selects, the smallest id on every tie."""
+    coordinate order at every size; it must give the dense base kernel's
+    bits, the smallest id on every tie."""
 
     @staticmethod
     def calls(space, queries, targets):
@@ -906,8 +906,10 @@ class TestLineNearest:
             "equal": (perm, perm),
             "single_target": (perm[1:], perm[:1]),
         }[sets]
-        monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", 10**9)
-        want = self.calls(space, queries, targets)
+        with monkeypatch.context() as dense:
+            dense.setattr(LineMetric, "_nearest_other", space_mod.Metric._nearest_other)
+            dense.setattr(space_mod, "_BLOCK_ELEMS", 10**9)
+            want = self.calls(space, queries, targets)
         monkeypatch.setattr(space_mod, "_BLOCK_ELEMS", 0)
         built = []
         monkeypatch.setattr("scipy.spatial.cKDTree", lambda pts: built.append(len(pts)))
@@ -923,21 +925,22 @@ class TestLineNearest:
             # At distance 0 any coincident target may be named.
             assert all(metric.dist(int(a), int(b)) == 0.0 and b in t for a, b in zip(q[~apart], got_ids[~apart]))
 
-    def test_dense_only_within_one_block(self, monkeypatch):
-        # The block budget is the switch: a call of at most _BLOCK_ELEMS
-        # queries x targets reads one dense block, a larger one the sort
-        # neighbours, such as scales on the 1111-point ladder.
+    def test_never_dense(self, monkeypatch):
+        # Every call on the line takes the sort neighbours, within one
+        # _BLOCK_ELEMS block of queries x targets and above it, such as
+        # scales on the 1111-point ladder.
         space = generate_from_spec("random:7:1500:1")
         dense = []
-        real = space_mod.Metric._nearest_other
-        monkeypatch.setattr(space_mod.Metric, "_nearest_other",
-                            lambda metric, q, t: dense.append(q.size * t.size) or real(metric, q, t))
+        monkeypatch.setattr(space_mod.Metric, "_nearest_other", lambda metric, q, t: dense.append(q.size * t.size))
         ids = np.arange(space.n)
         side = math.isqrt(_BLOCK_ELEMS)
-        space.metric.nearest(ids[side:2 * side], ids[:side])
-        space.metric.nearest(ids[side:2 * side + 1], ids[:side])
+        for q, t in [(ids[side:side + 3], ids[:5]), (ids[side:2 * side], ids[:side]),
+                     (ids[side:2 * side + 1], ids[:side])]:
+            _ids, dist = space.metric.nearest(q, t)
+            assert np.array_equal(dist, space.metric.dist_rows(q, t).min(axis=1))
         generate_from_spec("ordinal:3").metric.scales(np.arange(1111))
-        assert dense == [_BLOCK_ELEMS]
+        local_scale(space, 3, space.mask_from_ids(ids[:40]))
+        assert dense == []
 
     def test_inputs_hold_deep_ties_and_coincident_points(self):
         def depth(name):
@@ -1201,6 +1204,26 @@ class TestLineExtremes:
             tracemalloc.stop()
         assert np.array_equal(maxv, np.full(n, fvals.max())) and np.array_equal(minv, np.full(n, fvals.min()))
         assert peak < 100 * 8 * n
+
+    def test_grid_peak_memory(self):
+        # The grid's balls are read from the queries and the broadcast grid
+        # block by block: beside the two outputs, one float per ball each,
+        # only the sparse tables and one block's temporaries (2 MiB in all).
+        n = 4000
+        metric = EuclideanMetric(np.random.default_rng(0).uniform(size=n))
+        ids = np.arange(n)
+        fvals = np.random.default_rng(1).normal(size=n)
+        grid = 2.0 ** -np.arange(64)
+        tracemalloc.start()
+        try:
+            maxv, minv = metric.grid_extremes(ids, grid, ids, fvals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * grid.size * n + (2 << 20)
+        for j in (0, 9, 63):
+            want = metric.ball_extremes(ids, np.full(n, grid[j]), ids, fvals)
+            assert identical(maxv[j], want[0]) and identical(minv[j], want[1])
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,45 @@ class TestRandomInstance:
             assert np.all(D <= D[:, [i]] + D[[i], :] + 1e-12)
 
 
+class TestGeneratorSizeCap:
+    """Random clouds above 2^21 coordinates and sequences above 2^21 points
+    are refused before anything is drawn or built."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: random_instance(7, 200_000_000, 2), "random:7:200000000:2 has 400000000 coordinates"),
+        (lambda: random_instance(7, 10, 100_000_000), "random:7:10:100000000 has 1000000000 coordinates"),
+        (lambda: random_instance(7, (1 << 20) + 1, 2), "has 2097154 coordinates"),
+        (lambda: sequence_space(200_000_000), "sequence:200000000 has 200000001 points"),
+        (lambda: sequence_space(1 << 21), "sequence:2097152 has 2097153 points"),
+    ])
+    def test_refused_before_any_allocation(self, monkeypatch, build, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built before the size check")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(instances, "EuclideanMetric", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=f"{message}, more than 2097152 \\(2\\^21\\)"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_bound_admits_2_21_coordinates(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(np.random, "default_rng", reached)
+        for n, dim in [(1 << 20, 2), (1 << 21, 1)]:
+            with pytest.raises(Reached):
+                random_instance(7, n, dim)
+
+
 class TestScaledPositionField:
     def test_visible_gaps_below_bound(self, ordinal2):
         from oscext.derive import gap_step

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oscext
 from oscext import (
     AdaptiveScale,
     FixedScale,
@@ -15,6 +16,7 @@ from oscext import (
     ball,
     cb_filtration,
     delta_limit_points,
+    generate_from_spec,
     load_space,
     local_scale,
     parse_policy,
@@ -23,7 +25,7 @@ from oscext import (
 )
 from oscext.errors import PreconditionError
 from oscext import space as space_mod
-from oscext.space import EuclideanMetric, local_scales
+from oscext.space import EuclideanMetric, LineMetric, local_scales
 
 from conftest import FIXTURES, tiny_matrix_space
 from oracles import o_adaptive_filtration, o_ball, o_delta_limit, o_local_scale, o_subset_ops
@@ -122,6 +124,37 @@ class TestLoadSpace:
         for name in ("sequence_space", "ordinal_k1", "cantor_depth_6"):
             space = load_space(json.loads((FIXTURES / f"{name}.json").read_text()))
             assert space.n >= 3
+
+
+class TestLineMetric:
+    """One coordinate column makes the line's backend, of kind "euclidean"."""
+
+    @pytest.mark.parametrize("coords", [np.arange(5.0), np.arange(5.0)[:, None], [0.0, 0.5, 2.0]])
+    def test_one_column_is_the_line(self, coords):
+        metric = EuclideanMetric(coords)
+        assert type(metric) is LineMetric and metric.kind == "euclidean"
+        assert metric.coords.shape == (len(coords), 1)
+
+    def test_more_columns_are_not(self):
+        metric = EuclideanMetric(np.arange(10.0).reshape(5, 2))
+        assert type(metric) is EuclideanMetric
+        assert not hasattr(metric, "ball_runs") and metric.run_order(np.arange(5)) is None
+        ids = np.arange(5)
+        with pytest.raises(TypeError):  # labels belong to the run metrics
+            metric._nearest_other(ids, ids, (ids, ids))
+        with pytest.raises(ValidationError, match="one coordinate column, got 2"):
+            LineMetric(metric.coords)
+
+    def test_loaded_and_generated_lines(self):
+        doc = {"name": "l", "resolution": 0.5, "points": [{"id": i} for i in range(3)],
+               "metric": {"type": "euclidean", "coords": [[0.0], [1.0], [3.0]]}}
+        space = load_space(doc)
+        assert type(space.metric) is LineMetric
+        assert space_to_document(space)["metric"] == doc["metric"]
+        for spec in ("ordinal:2", "sequence:10", "random:7:20:1"):
+            assert type(generate_from_spec(spec).metric) is LineMetric
+        assert type(generate_from_spec("random:7:20:2").metric) is EuclideanMetric
+        assert not hasattr(oscext, "LineMetric")
 
 
 class TestBall:
