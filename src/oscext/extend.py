@@ -342,7 +342,7 @@ def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
     backend = _CantorSupports if space.metric.kind == "cantor" else _GenericSupports
     layers = _layered(space, Y, fY, max_layers, n_max, nearest_y, dY, backend)
 
-    _assert_layer_bounds(space, Y, fY, layers)
+    _assert_layer_bounds(fY, layers)
 
     deepest = np.zeros(space.n, dtype=np.int64)
     for st in layers[1:]:
@@ -377,31 +377,28 @@ def layered_extension(space: SpaceInstance, Y: SubsetMask, f: ScalarField,
     return report
 
 
-def _assert_layer_bounds(space, Y, fY, layers):
-    """Two-layer difference bounds; a failure is an implementation bug."""
+def _assert_layer_bounds(fY, layers):
+    """Two-layer difference bounds; a failure is an implementation bug.
+
+    One pass per layer, deepest first, against the running fmax and fmin of
+    the deeper layers (NaN off their carriers, as f is off Y): fl(x - c) is
+    monotone in x, so they break the bound exactly where some deeper F_m does.
+    """
+    values = [None] + [st.values for st in layers[1:]]  # layer 1's hat sums, the largest, run first: a lower peak
     log = []
-    for j in range(1, len(layers)):
-        sj = layers[j]
-        if sj.min_prev_level is None:
-            continue
-        bound_pair = 2.0 ** (1.0 - sj.min_prev_level)
-        bound_y = 2.0 ** (-sj.min_prev_level)
-        for m in range(j + 1, len(layers)):
-            sm = layers[m]
-            sel = sm.carrier.mask
-            diff = np.abs(sj.values[sel] - sm.values[sel])
-            bad = diff >= bound_pair[sel]
-            if np.any(bad):
-                idx = int(np.flatnonzero(sel)[np.flatnonzero(bad)[0]])
-                log.append(f"layer pair ({j},{m}): |F_{j}-F_{m}| bound fails at point {idx}")
-        if j + 1 < len(layers):
-            sel = Y.mask & layers[j + 1].carrier.mask
-            if np.any(sel):
-                diff = np.abs(sj.values[sel] - fY.values[sel])
-                bad = diff >= bound_y[sel]
-                if np.any(bad):
-                    idx = int(np.flatnonzero(sel)[np.flatnonzero(bad)[0]])
-                    log.append(f"layer {j}: |F_{j}-f| bound fails on Y at point {idx}")
+    hi = lo = values[-1]
+    for j in range(len(layers) - 2, 0, -1):
+        fj, lp = values[j], layers[j].min_prev_level
+        bound = 2.0 ** (1.0 - lp)
+        bad = np.flatnonzero(layers[j + 1].carrier.mask & (np.abs(fj - fY.values) >= 2.0 ** -lp))
+        if bad.size:
+            log.insert(0, f"layer {j}: |F_{j}-f| bound fails on Y at point {bad[0]}")
+        bad = np.flatnonzero((hi - fj >= bound) | (fj - lo >= bound))
+        if bad.size:
+            p = int(bad[0])
+            m = next(m for m in range(j + 1, len(layers)) if abs(fj[p] - values[m][p]) >= bound[p])
+            log.insert(0, f"layer pair ({j},{m}): |F_{j}-F_{m}| bound fails at point {p}")
+        hi, lo = np.fmax(hi, fj), np.fmin(lo, fj)
     if log:
         raise InvariantError("layer difference bounds failed: " + "; ".join(log))
 

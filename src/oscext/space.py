@@ -386,8 +386,8 @@ class LineMetric(EuclideanMetric):
 
         Each ball is the run of the targets in coordinate order that
         ``_line_runs`` finds, and its extremes are ``_RangeMax`` queries over
-        the ranks of ``_f_ranks``.  The balls go in blocks of about 16 words
-        of search temporaries each within ``_BLOCK_ELEMS``, each block's
+        the ranks of ``_f_ranks``.  The balls go in blocks within ``_BLOCK_ELEMS``
+        at 32 words per ball (its temporaries hold about 29), each block's
         centers and radii gathered from ``queries`` and the (possibly
         broadcast) ``radii``, so neither is expanded to one entry per ball.
         """
@@ -398,7 +398,7 @@ class LineMetric(EuclideanMetric):
         rank, extremes = _f_ranks(fvals)
         runmax = _RangeMax(rank[:, order])
         maxv, minv = np.empty((2, r.size))
-        for lo, hi in _row_chunks(r.size, 16):
+        for lo, hi in _row_chunks(r.size, 32):
             row, col = np.divmod(np.arange(lo, hi), c.size)
             start, stop = _line_runs(line, c[col], r[row, col])
             maxv[lo:hi], minv[lo:hi] = extremes(runmax(start, stop).T, stop == start)
@@ -1199,7 +1199,6 @@ def load_space(doc: dict) -> SpaceInstance:
         _require(coords.size > 0, "coordinates need at least one dimension")
         _require(np.all(np.isfinite(coords)), "coordinates must be finite")
         metric = EuclideanMetric(coords)
-        _validate_distinct_points(metric)
     elif mtype == "cantor":
         depth = spec.get("depth")
         _require(isinstance(depth, int), "cantor depth must be an integer")
@@ -1221,6 +1220,9 @@ def load_space(doc: dict) -> SpaceInstance:
     else:
         raise ValidationError(f"unknown metric type {mtype!r}")
     _require(metric.diameter() <= 2.0**1022, f"the diameter {metric.diameter()} exceeds 2^1022")
+    # After the diameter: an overflowing distance reads as no nearest point.
+    if mtype == "euclidean":
+        _validate_distinct_points(metric)
     # The generating family; only the euclidean metric carries more than one.
     family = doc.get("family", mtype)
     _require(family == mtype or (mtype == "euclidean" and family in ("ordinal", "sequence")),

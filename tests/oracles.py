@@ -249,3 +249,32 @@ def o_subset_ops(a, b):
         "is_empty": not any(a),
         "eq": list(a) == list(b),
     }
+
+
+def o_layer_bounds(Y, fY, layers):
+    """The layered construction's two-layer difference bounds, pair by pair.
+
+    For each layer j >= 1, with l = ``min_prev_level`` of layer j: every
+    deeper layer m gives (j, m, points), the points of m's carrier where
+    |F_j - F_m| >= 2^(1 - l); and when layer j + 1 exists, (j, None, points)
+    gives the points of Y on its carrier where |F_j - f| >= 2^-l.  Only
+    entries with points are returned, in order of j, then m, then Y.
+    """
+    import numpy as np
+
+    out = []
+    for j in range(1, len(layers)):
+        sj = layers[j]
+        bound_pair = 2.0 ** (1.0 - sj.min_prev_level)
+        bound_y = 2.0 ** (-sj.min_prev_level)
+        for m in range(j + 1, len(layers)):
+            sel = layers[m].carrier.mask
+            bad = np.abs(sj.values[sel] - layers[m].values[sel]) >= bound_pair[sel]
+            if np.any(bad):
+                out.append((j, m, np.flatnonzero(sel)[bad]))
+        if j + 1 < len(layers):
+            sel = Y.mask & layers[j + 1].carrier.mask
+            bad = np.abs(sj.values[sel] - fY.values[sel]) >= bound_y[sel]
+            if np.any(bad):
+                out.append((j, None, np.flatnonzero(sel)[bad]))
+    return out

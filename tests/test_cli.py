@@ -613,6 +613,21 @@ class TestMalformedDocuments:
         assert (code, out, [str(w.message) for w in caught]) == (1, "", [])
         assert err == "validation error: the diameter inf exceeds 2^1022\n"
 
+    @pytest.mark.parametrize("n", [2049, 5000])
+    def test_large_overflowing_document_is_silent(self, capsys, tmp_path, n):
+        # Above 2048^2 distance cells the distinct-point check finds nearest
+        # points with a kd-tree, which reports an overflowing distance as a
+        # missing neighbour (index n); it used to end in an IndexError.
+        coords = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2)) * 1e200
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"name": "far", "resolution": 1.0, "points": [{"id": i} for i in range(n)],
+                                    "metric": {"type": "euclidean", "coords": coords.tolist()}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "validate", "--instance", str(path))
+        assert (code, out, [str(w.message) for w in caught]) == (1, "", [])
+        assert err == "validation error: the diameter inf exceeds 2^1022\n"
+
     @pytest.mark.parametrize("fixture, family", [("ordinal_k1.json", "ordinal"),
                                                  ("sequence_space.json", "sequence")])
     def test_line_family_with_two_columns_exits_one(self, capsys, tmp_path, fixture, family):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from oscext import (
 )
 from oscext.cli import _field_and_subset, _policy_for, _run_method, build_parser
 from oscext.errors import InvariantError, PreconditionError, ValidationError
+from oscext.extend import _assert_layer_bounds
 from oscext.instances import cantor_point_id, generate_from_spec, ordinal_instance, scaled_position_field
+from oracles import o_layer_bounds
 
 
 class TestGlue:
@@ -419,3 +423,81 @@ class TestLayeredInvariants:
             centers = st.centers
             lv = st.level_numbers[centers]
             assert np.all(lv >= st.k + 1)
+
+
+def _built_layers(spec):
+    """(Y, fY, layers) as ``layered_extension`` builds them on a generated space, every layer's values read."""
+    space = generate_from_spec(spec)
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("oscext.extend._assert_layer_bounds", lambda fY, layers: seen.append((fY, layers)))
+        layered_extension(space, space.subsets["Y"], space.fields["f"])
+    (fY, layers), = seen
+    return space.subsets["Y"], fY, [dataclasses.replace(st, _values=st.values) for st in layers]
+
+
+def _oracle_message(found):
+    """The check's message from the pair loop's failures: per failing layer j,
+    its first failing point p with the first deeper layer failing there, then
+    its first failing point of Y."""
+    parts = []
+    for j in sorted({j for j, _m, _pts in found}):
+        pairs = [(int(pts[0]), m) for jj, m, pts in found if jj == j and m is not None]
+        if pairs:
+            p, m = min(pairs)
+            parts.append(f"layer pair ({j},{m}): |F_{j}-F_{m}| bound fails at point {p}")
+        parts += [f"layer {j}: |F_{j}-f| bound fails on Y at point {pts[0]}"
+                  for jj, m, pts in found if jj == j and m is None]
+    return "layer difference bounds failed: " + "; ".join(parts) if parts else None
+
+
+class TestLayerBounds:
+    """``_assert_layer_bounds`` against the pair loop of ``o_layer_bounds`` on
+    built layers whose values are perturbed at a few carrier points."""
+
+    @pytest.mark.parametrize("spec", ["ordinal:2", "ordinal:3", "cantor:6", "cantor:8", "sequence:40"])
+    def test_matches_pair_loop(self, spec):
+        Y, fY, layers = _built_layers(spec)
+        assert o_layer_bounds(Y, fY, layers) == []
+        _assert_layer_bounds(fY, layers)
+        rng = np.random.default_rng(len(layers))
+        steps = [2.0 ** -k for k in range(30)] + [5e-324, np.nextafter(2.0, 3.0)]
+        raised = 0
+        for _ in range(60):
+            trial = list(layers)
+            for _ in range(rng.integers(1, 4)):
+                j = int(rng.integers(1, len(layers)))
+                vals = trial[j].values.copy()
+                p = int(rng.choice(trial[j].carrier.ids()))
+                deeper = [m for m in range(j + 1, len(layers)) if layers[m].carrier.mask[p]]
+                if deeper and rng.random() < 0.3:
+                    # to the bound against one deeper layer, or one step inside it
+                    m = int(rng.choice(deeper))
+                    vals[p] = layers[m].values[p] + rng.choice([-1, 1]) * 2.0 ** (1.0 - layers[j].min_prev_level[p])
+                    if rng.random() < 0.5:
+                        vals[p] = np.nextafter(vals[p], layers[m].values[p])
+                else:
+                    vals[p] += rng.choice([-1, 1]) * steps[rng.integers(len(steps))]
+                trial[j] = dataclasses.replace(trial[j], _values=vals)
+            expected = _oracle_message(o_layer_bounds(Y, fY, trial))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if expected is None:
+                    _assert_layer_bounds(fY, trial)
+                    continue
+                with pytest.raises(InvariantError) as err:
+                    _assert_layer_bounds(fY, trial)
+            assert str(err.value) == expected
+            raised += 1
+        assert 0 < raised < 60
+
+    def test_message_for_one_fault(self):
+        _Y, fY, layers = _built_layers("ordinal:2")
+        vals = layers[1].values.copy()
+        vals[5] += 4.0
+        layers[1] = dataclasses.replace(layers[1], _values=vals)
+        layers[0] = dataclasses.replace(layers[0], _values=lambda: pytest.fail("layer 0's values were read"))
+        with pytest.raises(InvariantError) as err:
+            _assert_layer_bounds(fY, layers)
+        assert str(err.value) == ("layer difference bounds failed: layer pair (1,2): |F_1-F_2| bound fails "
+                                  "at point 5; layer 1: |F_1-f| bound fails on Y at point 5")
